@@ -11,20 +11,29 @@ use crate::error::{QueryError, Result};
 use crate::expr::{BinaryOp, Expr, ParamMap};
 use crate::interrupt::{Interrupt, Pacer};
 use crate::typecheck::{output_schema, rename_schema};
-use ratest_storage::{Database, Schema, Value};
+use ratest_storage::{Database, RowIndex, Schema, Value};
 use ratest_telemetry::MetricsHandle;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Parameter bindings passed to [`evaluate_with_params`].
 pub type Params = ParamMap;
 
 /// The result of evaluating a query: an output schema plus a *set* of value
-/// rows (no duplicates, insertion order preserved for readability).
-#[derive(Debug, Clone, PartialEq)]
+/// rows (no duplicates, insertion order preserved for readability). Rows are
+/// deduplicated through a [`RowIndex`] of their positions, so each row is
+/// stored once.
+#[derive(Debug, Clone)]
 pub struct ResultSet {
     schema: Schema,
     rows: Vec<Vec<Value>>,
-    index: HashSet<Vec<Value>>,
+    index: RowIndex,
+}
+
+/// Equal schemas and equal rows in the same order.
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &ResultSet) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
 }
 
 impl ResultSet {
@@ -33,7 +42,7 @@ impl ResultSet {
         ResultSet {
             schema,
             rows: Vec::new(),
-            index: HashSet::new(),
+            index: RowIndex::new(),
         }
     }
 
@@ -48,10 +57,11 @@ impl ResultSet {
 
     /// Insert a row if not already present. Returns true if inserted.
     pub fn push(&mut self, row: Vec<Value>) -> bool {
-        if self.index.contains(&row) {
+        let rows = &self.rows;
+        let pos = u32::try_from(rows.len()).expect("a result set holds fewer than 2^32 rows");
+        if !self.index.insert(&row, pos, |i| &rows[i as usize]) {
             return false;
         }
-        self.index.insert(row.clone());
         self.rows.push(row);
         true
     }
@@ -78,7 +88,7 @@ impl ResultSet {
 
     /// Whether the result contains a row.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.index.contains(row)
+        self.index.find(row, |i| &self.rows[i as usize]).is_some()
     }
 
     /// Rows present in `self` but not in `other` (set difference by value).

@@ -761,6 +761,7 @@ pub(crate) fn explain_prepared_impl(
             &reference.params,
             r1,
             &r2,
+            ref_annotation,
             &mut timings,
             &candidate_ctx(options),
         ) {

@@ -12,15 +12,12 @@ use crate::pipeline::Timings;
 use crate::problem::{
     check_distinguishes, differing_tuples, verify_candidate, CandidateEval, Counterexample, Witness,
 };
-use ratest_provenance::annotate::annotate_with_params;
+use ratest_provenance::annotate::{annotate_instrumented, AnnotatedResult};
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
-use ratest_ra::builder::QueryBuilder;
 use ratest_ra::classify::{classify_pair, QueryClass};
-use ratest_ra::eval::Params;
-use ratest_ra::rewrite::push_selections_down;
-use ratest_ra::typecheck::output_schema;
-use ratest_storage::{Database, TupleSelection};
+use ratest_ra::eval::{Params, ResultSet};
+use ratest_storage::{Database, TupleSelection, Value};
 use std::time::Instant;
 
 /// Maximum number of DNF minterms expanded before giving up (the caller then
@@ -42,22 +39,35 @@ pub fn smallest_witness_monotone(
     let start = Instant::now();
     let (r1, r2) = check_distinguishes(q1, q2, db, params)?;
     timings.raw_eval = start.elapsed();
-    let cex =
-        smallest_witness_monotone_with_results(q1, q2, db, params, &r1, &r2, &mut timings, ctx)?;
+    let cex = smallest_witness_monotone_with_results(
+        q1,
+        q2,
+        db,
+        params,
+        &r1,
+        &r2,
+        None,
+        &mut timings,
+        ctx,
+    )?;
     timings.total = timings.raw_eval + timings.provenance + timings.solver;
     Ok((cex, timings))
 }
 
 /// The monotone algorithm operating on *precomputed* query results, so a
 /// batch caller can evaluate the (shared) reference query once per cohort.
+/// `q1_annotation` is `Q1`'s provenance annotation over `db` when the caller
+/// already holds one (a prepared reference); otherwise each query is
+/// annotated at most once, on the first differing tuple it produces.
 #[allow(clippy::too_many_arguments)]
 pub fn smallest_witness_monotone_with_results(
     q1: &Query,
     q2: &Query,
     db: &Database,
     params: &Params,
-    r1: &ratest_ra::eval::ResultSet,
-    r2: &ratest_ra::eval::ResultSet,
+    r1: &ResultSet,
+    r2: &ResultSet,
+    q1_annotation: Option<&AnnotatedResult>,
     timings: &mut Timings,
     ctx: &CandidateEval,
 ) -> Result<Counterexample> {
@@ -77,38 +87,42 @@ pub fn smallest_witness_monotone_with_results(
     // tuple produced by a join needs one base tuple per joined relation, a
     // tuple that survives a projection needs just one), so scan them all and
     // keep the global minimum; each one is a cheap single-tuple DNF.
-    let mut best: Option<(TupleSelection, Vec<ratest_storage::Value>, bool)> = None;
+    let mut best: Option<(TupleSelection, Vec<Value>, bool)> = None;
+    // Q1's and Q2's annotations, each made at most once, on first use.
+    let mut own_q1: Option<AnnotatedResult> = None;
+    let mut own_q2: Option<AnnotatedResult> = None;
     for (tuple, from_q1) in diffs {
         if let Some((sel, _, _)) = &best {
             if sel.len() == 1 {
                 break; // a singleton witness cannot be beaten
             }
         }
-        // Provenance of the tuple w.r.t. the query that produced it, computed
-        // with a pushed-down tuple-equality selection. Monotonicity of the
-        // other query guarantees the tuple stays out of its result on every
-        // sub-instance, so no flipped direction needs to be considered.
+        // Provenance of the tuple w.r.t. the query that produced it: a lookup
+        // in that query's annotation. Monotonicity of the other query
+        // guarantees the tuple stays out of its result on every sub-instance,
+        // so no flipped direction needs to be considered.
         let start = Instant::now();
-        let producer = if from_q1 { q1 } else { q2 };
-        let schema = output_schema(producer, db)?;
-        // Skip the single-tuple selection when the output schema has duplicate
-        // column names (name-based selection would be ambiguous).
-        let unique_names = schema
-            .names()
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-            == schema.arity();
-        let pushed = if unique_names {
-            let predicate = crate::optsigma::tuple_equality_predicate(&schema, &tuple);
-            let selected = QueryBuilder::from_query(producer.clone())
-                .select(predicate)
-                .build();
-            push_selections_down(&selected, db)?
-        } else {
-            producer.clone()
+        let producer = match q1_annotation {
+            Some(shared) if from_q1 => shared,
+            _ => {
+                let (slot, query) = if from_q1 {
+                    (&mut own_q1, q1)
+                } else {
+                    (&mut own_q2, q2)
+                };
+                if slot.is_none() {
+                    *slot = Some(annotate_instrumented(
+                        query,
+                        db,
+                        params,
+                        &ctx.interrupt,
+                        &ctx.metrics,
+                    )?);
+                }
+                slot.as_ref().expect("annotated above")
+            }
         };
-        let annotated = annotate_with_params(&pushed, db, params)?;
-        let Some(prv) = annotated.provenance_of(&tuple).cloned() else {
+        let Some(prv) = producer.provenance_of(&tuple) else {
             continue;
         };
         timings.provenance += start.elapsed();
@@ -117,7 +131,7 @@ pub fn smallest_witness_monotone_with_results(
         // applied afterwards by `build_counterexample`; among minterms of
         // equal size we prefer the one whose closure is smallest.
         let start = Instant::now();
-        let dnf = Dnf::from_monotone(&prv, DEFAULT_DNF_LIMIT).map_err(|e| match e {
+        let dnf = Dnf::from_monotone(prv, DEFAULT_DNF_LIMIT).map_err(|e| match e {
             ratest_provenance::ProvenanceError::DnfTooLarge { limit } => RatestError::Unsupported(
                 format!("provenance DNF exceeds {limit} minterms; use the solver path"),
             ),

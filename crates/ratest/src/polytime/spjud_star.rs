@@ -18,11 +18,11 @@ use crate::problem::{
     check_distinguishes, difference_query, differing_tuples, verify_candidate, CandidateEval,
     Counterexample, Witness,
 };
-use ratest_provenance::annotate::annotate_with_params;
+use ratest_provenance::annotate::annotate_instrumented;
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify, QueryClass};
-use ratest_ra::eval::{evaluate_with_params, Params};
+use ratest_ra::eval::{evaluate_interruptible, Params};
 use ratest_ra::typecheck::output_schema;
 use ratest_storage::{Database, TupleSelection, Value};
 use std::time::Instant;
@@ -124,7 +124,7 @@ fn direction_best(
         let mut options: Vec<Option<TupleSelection>> = vec![None];
         // Only consider leaves that are union compatible with the output.
         if output_schema(leaf, db)?.arity() == tuple.len() {
-            let annotated = annotate_with_params(leaf, db, params)?;
+            let annotated = annotate_instrumented(leaf, db, params, &ctx.interrupt, &ctx.metrics)?;
             if let Some(prv) = annotated.provenance_of(tuple) {
                 let dnf = Dnf::from_monotone(prv, LEAF_DNF_LIMIT).map_err(|e| match e {
                     ratest_provenance::ProvenanceError::DnfTooLarge { limit } => {
@@ -244,7 +244,7 @@ fn membership_in_difference(
         }
     }
     let sub = db.subinstance(|id| closed.contains(id));
-    let out = evaluate_with_params(diff, &sub, params)?;
+    let out = evaluate_interruptible(diff, &sub, params, &ctx.interrupt)?;
     Ok(out.contains(tuple))
 }
 

@@ -523,7 +523,7 @@ pub fn encode_database(db: &Database, e: &mut Encoder) {
     encode_constraints(db.constraints(), e);
 }
 
-/// Decode a [`Database`], rebuilding the name and dedup indexes.
+/// Decode a [`Database`]. Each relation builds its dedup index on first use.
 pub fn decode_database(d: &mut Decoder) -> DecodeResult<Database> {
     d.expect("db")?;
     let name = d.s()?;
@@ -651,7 +651,7 @@ mod tests {
             .map(|t| t.id.unwrap().row)
             .collect();
         assert_eq!(ids, vec![0, 2]);
-        // Derived indexes were rebuilt: name lookup and value dedup work.
+        // Name lookup and value dedup work without a rebuild step.
         assert!(back
             .relation("Student")
             .unwrap()

@@ -5,63 +5,71 @@ use crate::error::{Result, StorageError};
 use crate::relation::Relation;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 /// A database instance `D`: an ordered collection of named relations together
 /// with its integrity constraints Γ.
+///
+/// Relations are looked up by a scan of their names: instances hold a
+/// handful of relations. The name and constraint set are shared with every
+/// clone, and every sub-instance shares one copy of them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Database {
-    name: String,
+    meta: Arc<Meta>,
     relations: Vec<Relation>,
-    #[serde(skip)]
-    by_name: HashMap<String, usize>,
+}
+
+/// What a database shares with its clones.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Meta {
+    name: Box<str>,
     constraints: ConstraintSet,
+    /// The meta of this database's sub-instances, made on first use.
+    #[serde(skip)]
+    subinstance: OnceLock<Arc<Meta>>,
 }
 
 impl Database {
     /// Create an empty database instance.
     pub fn new(name: impl Into<String>) -> Self {
-        Database {
-            name: name.into(),
-            relations: Vec::new(),
-            by_name: HashMap::new(),
-            constraints: ConstraintSet::new(),
-        }
+        Database::from_parts(name.into(), Vec::new(), ConstraintSet::new())
     }
 
     /// The instance name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.meta.name
     }
 
     /// Add a relation. Its tuples are re-identified with this database's
     /// relation index so that [`TupleId`]s are globally unique.
     pub fn add_relation(&mut self, mut relation: Relation) -> Result<u32> {
-        if self.by_name.contains_key(relation.name()) {
+        if self.position(relation.name()).is_some() {
             return Err(StorageError::DuplicateRelation(relation.name().into()));
         }
         let idx = self.relations.len() as u32;
         relation.set_relation_index(idx);
-        self.by_name
-            .insert(relation.name().to_owned(), idx as usize);
         self.relations.push(relation);
         Ok(idx)
     }
 
     /// Look up a relation by name.
     pub fn relation(&self, name: &str) -> Result<&Relation> {
-        self.by_name
-            .get(name)
-            .map(|&i| &self.relations[i])
+        self.position(name)
+            .map(|i| &self.relations[i])
             .ok_or_else(|| StorageError::UnknownRelation(name.into()))
     }
 
     /// Look up a relation mutably by name.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        match self.by_name.get(name) {
-            Some(&i) => Ok(&mut self.relations[i]),
+        match self.position(name) {
+            Some(i) => Ok(&mut self.relations[i]),
             None => Err(StorageError::UnknownRelation(name.into())),
         }
+    }
+
+    /// Where the relation called `name` sits in `relations`.
+    fn position(&self, name: &str) -> Option<usize> {
+        self.relations.iter().position(|r| r.name() == name)
     }
 
     /// Look up a relation by its index.
@@ -91,17 +99,20 @@ impl Database {
 
     /// The constraint set Γ.
     pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
+        &self.meta.constraints
     }
 
-    /// Mutable access to Γ.
+    /// Mutable access to Γ (copied first if a clone or sub-instance still
+    /// shares it).
     pub fn constraints_mut(&mut self) -> &mut ConstraintSet {
-        &mut self.constraints
+        let meta = Arc::make_mut(&mut self.meta);
+        meta.subinstance = OnceLock::new();
+        &mut meta.constraints
     }
 
     /// Check `D ⊨ Γ`.
     pub fn validate_constraints(&self) -> Result<()> {
-        self.constraints.validate(self)
+        self.meta.constraints.validate(self)
     }
 
     /// Resolve a [`TupleId`] to its tuple.
@@ -116,17 +127,16 @@ impl Database {
     /// result has the same relations (some possibly empty), the same schema,
     /// the same constraints, and retained tuples keep their identifiers.
     pub fn subinstance<F: Fn(TupleId) -> bool>(&self, keep: F) -> Database {
-        let relations: Vec<Relation> = self.relations.iter().map(|r| r.restrict(&keep)).collect();
-        let by_name = relations
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name().to_owned(), i))
-            .collect();
+        let meta = self.meta.subinstance.get_or_init(|| {
+            Arc::new(Meta {
+                name: format!("{}⊆", self.meta.name).into(),
+                constraints: self.meta.constraints.clone(),
+                subinstance: OnceLock::new(),
+            })
+        });
         Database {
-            name: format!("{}⊆", self.name),
-            relations,
-            by_name,
-            constraints: self.constraints.clone(),
+            meta: meta.clone(),
+            relations: self.relations.iter().map(|r| r.restrict(&keep)).collect(),
         }
     }
 
@@ -161,27 +171,20 @@ impl Database {
         relations: Vec<Relation>,
         constraints: ConstraintSet,
     ) -> Database {
-        let by_name = relations
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name().to_owned(), i))
-            .collect();
         Database {
-            name,
+            meta: Arc::new(Meta {
+                name: name.into(),
+                constraints,
+                subinstance: OnceLock::new(),
+            }),
             relations,
-            by_name,
-            constraints,
         }
     }
 
-    /// Rebuild name and dedup indexes (needed after deserialization).
+    /// Drop every relation's dedup index (see [`Relation::rebuild_index`]);
+    /// each is rebuilt from its rows on next use. Name lookups need no
+    /// index.
     pub fn rebuild_indexes(&mut self) {
-        self.by_name = self
-            .relations
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.name().to_owned(), i))
-            .collect();
         for r in &mut self.relations {
             r.rebuild_index();
         }
@@ -262,17 +265,47 @@ mod tests {
     #[test]
     fn subinstance_preserves_constraints() {
         let mut db = toy();
+        let before = db.subinstance(|_| true);
         db.constraints_mut().add_key("Student", &["name"]);
         let sub = db.subinstance(|_| true);
         assert_eq!(sub.constraints().len(), 1);
         assert!(sub.validate_constraints().is_ok());
+        assert_eq!(before.constraints().len(), 0, "taken before the key");
+    }
+
+    #[test]
+    fn relations_resolve_after_add_subinstance_and_codec_round_trip() {
+        use crate::codec::{decode_database, encode_database, Decoder, Encoder};
+        let mut db = toy();
+        db.add_relation(Relation::new(
+            "Course",
+            Schema::new(vec![("id", DataType::Int)]),
+        ))
+        .unwrap();
+        let sub = db.subinstance(|id| id.row == 0);
+        let mut e = Encoder::new();
+        encode_database(&sub, &mut e);
+        let encoded = e.finish();
+        let back = decode_database(&mut Decoder::new(&encoded)).unwrap();
+        for d in [&db, &sub, &back] {
+            assert_eq!(d.relation("Student").unwrap().relation_index(), 0);
+            assert_eq!(d.relation("Course").unwrap().relation_index(), 1);
+            assert!(d.relation("Nope").is_err());
+        }
+        assert_eq!(sub.name(), "toy⊆");
+        assert_eq!(db.subinstance(|_| false).name(), "toy⊆");
+        assert_eq!(back.name(), "toy⊆");
     }
 
     #[test]
     fn rebuild_indexes_restores_lookup() {
         let mut db = toy();
-        db.by_name.clear();
         db.rebuild_indexes();
         assert!(db.relation("Student").is_ok());
+        let dup = vec![Value::from("Mary"), Value::from("CS")];
+        assert_eq!(
+            db.relation_mut("Student").unwrap().insert(dup).unwrap(),
+            None
+        );
     }
 }

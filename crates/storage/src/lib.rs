@@ -49,6 +49,7 @@ pub mod database;
 pub mod display;
 pub mod error;
 pub mod relation;
+pub mod row_index;
 pub mod schema;
 pub mod subinstance;
 pub mod tuple;
@@ -58,6 +59,7 @@ pub use constraints::{Constraint, ConstraintSet, ForeignKey, FunctionalDependenc
 pub use database::Database;
 pub use error::{Result, StorageError};
 pub use relation::Relation;
+pub use row_index::RowIndex;
 pub use schema::{Column, DataType, Schema};
 pub use subinstance::{SubInstance, TupleSelection};
 pub use tuple::{Tuple, TupleId};

@@ -1,40 +1,50 @@
 //! Relations: named sets of tuples with a schema.
 
 use crate::error::{Result, StorageError};
+use crate::row_index::RowIndex;
 use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// A named relation with set semantics over values.
 ///
 /// Internally tuples are stored in insertion order so that row indices are
-/// stable and can serve as the `row` component of a [`TupleId`]; a hash set
-/// of value vectors enforces set semantics (duplicate value-tuples are
-/// rejected on insert, mirroring the paper's set-based relational algebra).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// stable and can serve as the `row` component of a [`TupleId`]. A
+/// [`RowIndex`] of row positions enforces set semantics (duplicate
+/// value-tuples are rejected on insert, mirroring the paper's set-based
+/// relational algebra). The index is built on first use and never copied:
+/// a clone or a restriction builds its own only if it is inserted into or
+/// probed. The name and schema are shared with every clone and restriction.
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Relation {
-    name: String,
-    schema: Schema,
+    name: Arc<str>,
+    schema: Arc<Schema>,
     rows: Vec<Tuple>,
     #[serde(skip)]
-    dedup: HashSet<Vec<Value>>,
+    dedup: OnceLock<Box<RowIndex>>,
     /// Index of this relation inside its database; assigned by
     /// [`crate::Database::add_relation`]. `u32::MAX` while detached.
     relation_index: u32,
 }
 
+impl Clone for Relation {
+    fn clone(&self) -> Self {
+        Relation {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            dedup: OnceLock::new(),
+            relation_index: self.relation_index,
+        }
+    }
+}
+
 impl Relation {
     /// Create an empty relation.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
-        Relation {
-            name: name.into(),
-            schema,
-            rows: Vec::new(),
-            dedup: HashSet::new(),
-            relation_index: u32::MAX,
-        }
+        Relation::from_parts(name.into(), schema, u32::MAX, Vec::new())
     }
 
     /// Relation name.
@@ -73,13 +83,14 @@ impl Relation {
     /// `None` if an identical value-tuple is already present (set semantics).
     pub fn insert(&mut self, values: Vec<Value>) -> Result<Option<TupleId>> {
         self.schema.validate(&self.name, &values)?;
-        if self.dedup.contains(&values) {
+        self.index();
+        let row = self.rows.len() as u32;
+        let rows = &self.rows;
+        let dedup = self.dedup.get_mut().expect("built by `index` above");
+        if !dedup.insert(&values, row, |pos| &rows[pos as usize].values) {
             return Ok(None);
         }
-        let row = self.rows.len() as u32;
-        let rel = self.relation_index;
-        let id = TupleId::new(rel, row);
-        self.dedup.insert(values.clone());
+        let id = TupleId::new(self.relation_index, row);
         self.rows.push(Tuple::base(values, id));
         Ok(Some(id))
     }
@@ -105,41 +116,52 @@ impl Relation {
         self.rows
             .get(row)
             .ok_or_else(|| StorageError::UnknownTuple {
-                relation: self.name.clone(),
+                relation: self.name.to_string(),
                 index: row,
             })
     }
 
     /// Whether the relation contains a tuple with exactly these values.
     pub fn contains_values(&self, values: &[Value]) -> bool {
-        self.dedup.contains(values)
+        self.index()
+            .find(values, |pos| &self.rows[pos as usize].values)
+            .is_some()
     }
 
     /// Restrict the relation to the rows whose [`TupleId`] satisfies `keep`.
     /// Identifiers of kept tuples are preserved (this is what makes a
     /// counterexample a genuine *sub*-instance of the original database).
     pub fn restrict<F: Fn(TupleId) -> bool>(&self, keep: F) -> Relation {
-        let mut rows = Vec::new();
-        let mut dedup = HashSet::new();
-        for t in &self.rows {
-            let id = t.id.expect("base tuples always carry an id");
-            if keep(id) {
-                dedup.insert(t.values.clone());
-                rows.push(t.clone());
-            }
-        }
+        let mut rows: Vec<Tuple> = self
+            .rows
+            .iter()
+            .filter(|t| keep(t.id.expect("base tuples always carry an id")))
+            .cloned()
+            .collect();
+        // Counterexamples outlive the search; keep them at their size.
+        rows.shrink_to_fit();
         Relation {
             name: self.name.clone(),
             schema: self.schema.clone(),
             rows,
-            dedup,
+            dedup: OnceLock::new(),
             relation_index: self.relation_index,
         }
     }
 
-    /// Rebuild the deduplication index (needed after deserialization).
+    /// Drop the deduplication index; the next insert or probe rebuilds it
+    /// from the rows.
     pub fn rebuild_index(&mut self) {
-        self.dedup = self.rows.iter().map(|t| t.values.clone()).collect();
+        self.dedup = OnceLock::new();
+    }
+
+    /// The deduplication index, built on first use.
+    fn index(&self) -> &RowIndex {
+        self.dedup.get_or_init(|| {
+            Box::new(RowIndex::build(self.rows.len(), |pos| {
+                &self.rows[pos as usize].values
+            }))
+        })
     }
 
     /// Reassemble a relation from previously serialized parts, *preserving*
@@ -153,12 +175,11 @@ impl Relation {
         relation_index: u32,
         rows: Vec<Tuple>,
     ) -> Relation {
-        let dedup = rows.iter().map(|t| t.values.clone()).collect();
         Relation {
-            name,
-            schema,
+            name: name.into(),
+            schema: Arc::new(schema),
             rows,
-            dedup,
+            dedup: OnceLock::new(),
             relation_index,
         }
     }
@@ -275,6 +296,38 @@ mod tests {
         ]));
         assert!(r.tuple(0).is_ok());
         assert!(r.tuple(7).is_err());
+    }
+
+    #[test]
+    fn duplicates_are_rejected_after_clone_restrict_from_parts_and_rebuild() {
+        let row = |c: &str| {
+            vec![
+                Value::from("Mary"),
+                Value::from(c),
+                Value::from("CS"),
+                Value::Int(90),
+            ]
+        };
+        let mut r = reg();
+        r.set_relation_index(1);
+        r.insert_all(vec![row("216"), row("230"), row("330")])
+            .unwrap();
+        let mut rebuilt = r.clone();
+        rebuilt.rebuild_index();
+        let parts = Relation::from_parts(
+            r.name().to_owned(),
+            r.schema().clone(),
+            r.relation_index(),
+            r.iter().cloned().collect(),
+        );
+        for mut copy in [r.clone(), r.restrict(|id| id.row != 1), parts, rebuilt] {
+            assert_eq!(copy.insert(row("216")).unwrap(), None, "kept row");
+            assert!(copy.insert(row("316")).unwrap().is_some(), "fresh row");
+            assert_eq!(copy.insert(row("316")).unwrap(), None, "just inserted");
+        }
+        // The copies never touched the original.
+        assert_eq!(r.len(), 3);
+        assert!(!r.contains_values(&row("316")));
     }
 
     #[test]

@@ -8,12 +8,12 @@ use crate::database::Database;
 use crate::error::Result;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
-/// A set of base-tuple identifiers describing a sub-instance.
+/// A set of base-tuple identifiers describing a sub-instance, kept as a
+/// sorted slice without duplicates.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TupleSelection {
-    ids: BTreeSet<TupleId>,
+    ids: Box<[TupleId]>,
 }
 
 impl TupleSelection {
@@ -24,30 +24,38 @@ impl TupleSelection {
 
     /// Selection from an iterator of ids.
     pub fn from_ids<I: IntoIterator<Item = TupleId>>(ids: I) -> Self {
+        let mut ids: Vec<TupleId> = ids.into_iter().collect();
+        ids.sort_unstable();
+        ids.dedup();
         TupleSelection {
-            ids: ids.into_iter().collect(),
+            ids: ids.into_boxed_slice(),
         }
     }
 
     /// Selection of *all* tuples of a database (the trivial counterexample).
     pub fn all(db: &Database) -> Self {
-        let mut ids = BTreeSet::new();
-        for rel in db.relations() {
-            for t in rel.iter() {
-                ids.insert(t.id.expect("base tuple"));
-            }
-        }
-        TupleSelection { ids }
+        TupleSelection::from_ids(
+            db.relations()
+                .flat_map(|rel| rel.iter().map(|t| t.id.expect("base tuple"))),
+        )
     }
 
     /// Add a tuple id.
     pub fn insert(&mut self, id: TupleId) -> bool {
-        self.ids.insert(id)
+        match self.ids.binary_search(&id) {
+            Ok(_) => false,
+            Err(at) => {
+                let mut ids = std::mem::take(&mut self.ids).into_vec();
+                ids.insert(at, id);
+                self.ids = ids.into_boxed_slice();
+                true
+            }
+        }
     }
 
     /// Whether the selection contains an id.
     pub fn contains(&self, id: TupleId) -> bool {
-        self.ids.contains(&id)
+        self.ids.binary_search(&id).is_ok()
     }
 
     /// Number of selected tuples — the objective the paper minimises.
@@ -67,14 +75,12 @@ impl TupleSelection {
 
     /// Union with another selection.
     pub fn union(&self, other: &TupleSelection) -> TupleSelection {
-        TupleSelection {
-            ids: self.ids.union(&other.ids).copied().collect(),
-        }
+        TupleSelection::from_ids(self.iter().chain(other.iter()))
     }
 
     /// Whether this selection is a subset of another.
     pub fn is_subset(&self, other: &TupleSelection) -> bool {
-        self.ids.is_subset(&other.ids)
+        self.iter().all(|id| other.contains(id))
     }
 
     /// Close the selection under the database's foreign keys: whenever a
@@ -82,16 +88,14 @@ impl TupleSelection {
     /// too. Iterates to a fixpoint (FK chains). Returns the number of tuples
     /// added.
     pub fn close_under_foreign_keys(&mut self, db: &Database) -> Result<usize> {
-        let mut added = 0;
+        let before = self.len();
         loop {
             let mut new_ids: Vec<TupleId> = Vec::new();
             for fk in db.constraints().foreign_keys() {
                 for (child, parent) in fk.referenced_tuples(db)? {
-                    if self.ids.contains(&child) {
-                        if let Some(p) = parent {
-                            if !self.ids.contains(&p) {
-                                new_ids.push(p);
-                            }
+                    if let Some(p) = parent {
+                        if self.contains(child) && !self.contains(p) {
+                            new_ids.push(p);
                         }
                     }
                 }
@@ -99,13 +103,9 @@ impl TupleSelection {
             if new_ids.is_empty() {
                 break;
             }
-            for id in new_ids {
-                if self.ids.insert(id) {
-                    added += 1;
-                }
-            }
+            *self = TupleSelection::from_ids(self.iter().chain(new_ids));
         }
-        Ok(added)
+        Ok(self.len() - before)
     }
 }
 
