@@ -1,7 +1,7 @@
 //! `ratest-bench` — the committed perf trajectory.
 //!
-//! Measures seven end-to-end shapes and emits one schema-versioned JSON
-//! document (`ratest-bench/5`):
+//! Measures six end-to-end shapes and emits one schema-versioned JSON
+//! document (`ratest-bench/6`):
 //!
 //! * `search_latency` — counterexample-search latency over the course
 //!   workload, bucketed by the algorithm the pipeline dispatched to,
@@ -19,12 +19,7 @@
 //! * `solver_incremental` — the same course workload solved twice, once on
 //!   the persistent incremental SAT layer (the pipeline default) and once
 //!   forcing from-scratch solves; outcomes must match and the incremental
-//!   leg must do strictly less search work,
-//! * `delta_eval` — the same course workload explained twice, once with the
-//!   delta engine answering candidate sub-instances (the pipeline default)
-//!   and once forcing scratch re-evaluation of every candidate; verdicts
-//!   must be byte-identical and the delta leg must scan strictly fewer
-//!   evaluator rows.
+//!   leg must do strictly less search work.
 //!
 //! Every section separates **deterministic counters** (registry counters,
 //! gauges, flattened histogram totals — byte-identical across identical
@@ -55,16 +50,15 @@ use std::time::{Duration, Instant};
 
 /// Schema identifier; bump on any shape change (`BENCH_SCHEMA.md` documents
 /// the format).
-const SCHEMA: &str = "ratest-bench/5";
+const SCHEMA: &str = "ratest-bench/6";
 /// The section names, in document order; `--check` requires all of them.
-const SECTIONS: [&str; 7] = [
+const SECTIONS: [&str; 6] = [
     "search_latency",
     "grade_throughput",
     "serve_roundtrip",
     "serve_load",
     "repair_latency",
     "solver_incremental",
-    "delta_eval",
 ];
 
 const USAGE: &str = "usage: ratest-bench [--quick] [--out PATH]\n\
@@ -432,83 +426,6 @@ fn solver_incremental() -> Section {
     }
 }
 
-/// Delta-vs-scratch candidate evaluation on the course workload. Runs the
-/// same explains twice — once with the delta engine answering candidate
-/// sub-instances (the pipeline default) and once forcing scratch
-/// re-evaluation of every candidate — and records both legs' evaluator and
-/// `delta.*` counters plus the rows-scanned savings. The two legs must
-/// produce identical outcomes (delta replay is byte-identical by contract),
-/// and the delta leg must scan strictly fewer evaluator rows.
-fn delta_eval() -> Section {
-    let db = university_database(&UniversityConfig {
-        total_tuples: 60,
-        seed: 2019,
-        ..Default::default()
-    });
-    let mut counters = BTreeMap::new();
-    let mut outcomes: Vec<Vec<String>> = Vec::new();
-    let mut walls = Vec::new();
-    for (leg, delta) in [("delta", true), ("scratch", false)] {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut verdicts = Vec::new();
-        let start = Instant::now();
-        for pair in course_workload(2, 7) {
-            let session = Session::builder(db.clone())
-                .options(RatestOptions {
-                    delta_eval: delta,
-                    ..Default::default()
-                })
-                .metrics(registry.clone())
-                .build();
-            verdicts.push(match session.explain_pair(&pair.reference, &pair.wrong) {
-                Ok(outcome) => match outcome.counterexample {
-                    Some(cex) => format!(
-                        "cex:{:?}|q1:{:?}|q2:{:?}",
-                        cex.subinstance.selection,
-                        cex.q1_result.rows(),
-                        cex.q2_result.rows()
-                    ),
-                    None => "indistinguishable".into(),
-                },
-                Err(_) => "unsupported".into(),
-            });
-        }
-        walls.push(start.elapsed());
-        for (name, value) in flatten(&registry.snapshot()) {
-            if name.starts_with("ra.eval.") || name.starts_with("delta.") {
-                counters.insert(format!("{leg}.{name}"), value);
-            }
-        }
-        outcomes.push(verdicts);
-    }
-    assert_eq!(
-        outcomes[0], outcomes[1],
-        "delta and scratch candidate evaluation must reach identical outcomes"
-    );
-    let on = counters
-        .get("delta.ra.eval.rows_scanned")
-        .copied()
-        .unwrap_or(0);
-    let off = counters
-        .get("scratch.ra.eval.rows_scanned")
-        .copied()
-        .unwrap_or(0);
-    assert!(
-        on < off,
-        "delta evaluation must scan strictly fewer rows on the course \
-         workload: delta={on} scratch={off}"
-    );
-    counters.insert("saved.ra.eval.rows_scanned".into(), off - on);
-    counters.insert("bench.pairs".into(), outcomes[0].len() as i64);
-    Section {
-        counters,
-        volatile: vec![
-            ("delta_ms", Json::Float(ms(walls[0]))),
-            ("scratch_ms", Json::Float(ms(walls[1]))),
-        ],
-    }
-}
-
 /// A cloneable writer so the in-process daemon's output can be read back.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -773,7 +690,6 @@ fn run(quick: bool, include_volatile: bool) -> Json {
         ("serve_load".to_string(), serve_load(quick)),
         ("repair_latency".to_string(), repair_latency(quick)),
         ("solver_incremental".to_string(), solver_incremental()),
-        ("delta_eval".to_string(), delta_eval()),
     ];
     Json::obj(vec![
         ("schema", Json::str(SCHEMA)),

@@ -13,9 +13,7 @@ use super::pair_provenance;
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{
-    check_distinguishes, verify_candidate, CandidateEval, Counterexample, DeltaPair,
-};
+use crate::problem::{check_distinguishes, verify_candidate, CandidateEval, Counterexample};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
@@ -46,10 +44,6 @@ pub struct AggBasicOptions {
     /// Use the incremental descent (default). `false` forces every bound
     /// probe onto a fresh from-scratch solver — the bench comparison leg.
     pub incremental_solver: bool,
-    /// Delta plans for the query pair, compiled once per prepared reference.
-    /// When present, each surviving candidate sub-instance is verified by
-    /// delta propagation instead of a scratch re-evaluation.
-    pub delta: Option<DeltaPair>,
 }
 
 impl Default for AggBasicOptions {
@@ -61,7 +55,6 @@ impl Default for AggBasicOptions {
             metrics: MetricsHandle::none(),
             solver_reuse: SolverReuse::fresh(),
             incremental_solver: true,
-            delta: None,
         }
     }
 }
@@ -97,7 +90,6 @@ pub fn smallest_counterexample_agg_basic(
     let start = Instant::now();
     let candidates = candidate_group_keys(&p1, &p2, params)?;
     let ctx = CandidateEval {
-        delta: options.delta.clone(),
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };

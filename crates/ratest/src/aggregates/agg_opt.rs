@@ -13,9 +13,7 @@ use super::pair_provenance;
 use crate::error::{RatestError, Result};
 use crate::optsigma::{smallest_witness_optsigma_accepting, OptSigmaOptions};
 use crate::pipeline::Timings;
-use crate::problem::{
-    check_distinguishes, verify_candidate, CandidateEval, Counterexample, DeltaPair,
-};
+use crate::problem::{check_distinguishes, verify_candidate, CandidateEval, Counterexample};
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_storage::{Database, TupleSelection, Value};
@@ -26,15 +24,11 @@ use std::time::Instant;
 /// Options for `Agg-Opt`.
 #[derive(Debug, Clone)]
 pub struct AggOptOptions {
-    /// Options forwarded to the inner `Optσ` run. Note the inner run works on
-    /// the *stripped* aggregation-input queries, so any delta plans in here
-    /// would not apply; leave `optsigma.delta` as `None`.
+    /// Options forwarded to the inner `Optσ` run, which works on the
+    /// *stripped* aggregation-input queries.
     pub optsigma: OptSigmaOptions,
     /// Extra candidate parameter values tried when re-choosing λ'.
     pub extra_candidates: Vec<i64>,
-    /// Delta plans for the *original* aggregate query pair, used by the final
-    /// verification against the chosen λ' (delta engages when λ' = λ).
-    pub delta: Option<DeltaPair>,
 }
 
 impl Default for AggOptOptions {
@@ -42,7 +36,6 @@ impl Default for AggOptOptions {
         AggOptOptions {
             optsigma: OptSigmaOptions::default(),
             extra_candidates: vec![0, 1],
-            delta: None,
         }
     }
 }
@@ -130,7 +123,6 @@ pub fn smallest_counterexample_agg_opt(
     // with the chosen parameter setting λ'.
     let params = chosen.into_inner();
     let ctx = CandidateEval {
-        delta: options.delta.clone(),
         metrics: options.optsigma.metrics.clone(),
         interrupt: options.optsigma.budget.interrupt(),
     };

@@ -13,9 +13,7 @@ use super::pair_provenance;
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{
-    check_distinguishes, verify_candidate, CandidateEval, Counterexample, DeltaPair,
-};
+use crate::problem::{check_distinguishes, verify_candidate, CandidateEval, Counterexample};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
@@ -48,11 +46,6 @@ pub struct AggParamOptions {
     /// Use the incremental descent (default). `false` forces every bound
     /// probe onto a fresh from-scratch solver — the bench comparison leg.
     pub incremental_solver: bool,
-    /// Delta plans for the query pair, compiled once per prepared reference
-    /// under the *original* λ. Candidates whose chosen λ' equals λ are
-    /// verified by delta propagation; a different λ' falls back to scratch
-    /// (the plans pin their parameter bindings).
-    pub delta: Option<DeltaPair>,
 }
 
 impl Default for AggParamOptions {
@@ -65,7 +58,6 @@ impl Default for AggParamOptions {
             metrics: MetricsHandle::none(),
             solver_reuse: SolverReuse::fresh(),
             incremental_solver: true,
-            delta: None,
         }
     }
 }
@@ -218,7 +210,6 @@ fn solve_group_parameterized(
         .into_inner()
         .unwrap_or_else(|| original_params.clone());
     let ctx = CandidateEval {
-        delta: options.delta.clone(),
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };

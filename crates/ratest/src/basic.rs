@@ -11,9 +11,7 @@
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::{SolverStrategy, Timings};
-use crate::problem::{
-    difference_query, verify_candidate, CandidateEval, Counterexample, DeltaPair, Witness,
-};
+use crate::problem::{difference_query, verify_candidate, CandidateEval, Counterexample, Witness};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
 use ratest_ra::ast::Query;
@@ -53,10 +51,6 @@ pub struct BasicOptions {
     /// Use the incremental descent (default). `false` forces every bound
     /// probe onto a fresh from-scratch solver — the bench comparison leg.
     pub incremental_solver: bool,
-    /// Delta plans for the query pair, compiled once per prepared reference.
-    /// When present, each candidate sub-instance is verified by propagating
-    /// its tuple-deletion delta instead of re-evaluating from scratch.
-    pub delta: Option<DeltaPair>,
 }
 
 impl Default for BasicOptions {
@@ -69,7 +63,6 @@ impl Default for BasicOptions {
             metrics: MetricsHandle::none(),
             solver_reuse: SolverReuse::fresh(),
             incremental_solver: true,
-            delta: None,
         }
     }
 }
@@ -180,7 +173,6 @@ pub fn smallest_counterexample_from_annotations(
         phase: Phase::Solve,
     });
     let ctx = CandidateEval {
-        delta: options.delta.clone(),
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };

@@ -13,8 +13,7 @@ use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::{SolverStrategy, Timings};
 use crate::problem::{
-    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, DeltaPair,
-    Witness,
+    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, Witness,
 };
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
@@ -55,10 +54,6 @@ pub struct OptSigmaOptions {
     /// Use the incremental descent (default). `false` forces every bound
     /// probe onto a fresh from-scratch solver — the bench comparison leg.
     pub incremental_solver: bool,
-    /// Delta plans for the query pair, compiled once per prepared reference.
-    /// When present, the final witness verification answers the candidate
-    /// sub-instance by delta propagation instead of a scratch re-evaluation.
-    pub delta: Option<DeltaPair>,
 }
 
 impl Default for OptSigmaOptions {
@@ -71,7 +66,6 @@ impl Default for OptSigmaOptions {
             metrics: MetricsHandle::none(),
             solver_reuse: SolverReuse::fresh(),
             incremental_solver: true,
-            delta: None,
         }
     }
 }
@@ -226,7 +220,6 @@ where
         selection: selection.clone(),
     };
     let ctx = CandidateEval {
-        delta: options.delta.clone(),
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };

@@ -18,9 +18,8 @@ use crate::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
 use crate::polytime::{
     smallest_witness_monotone, smallest_witness_monotone_with_results, smallest_witness_spjud_star,
 };
-use crate::problem::{CandidateEval, Counterexample, DeltaPair};
+use crate::problem::{CandidateEval, Counterexample};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
-use ratest_delta::{DeltaPlan, SharedDeltaPlan};
 use ratest_provenance::annotate::{annotate_instrumented, difference_of, AnnotatedResult};
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
@@ -166,15 +165,6 @@ pub struct RatestOptions {
     /// Use the incremental solving layer (default). `false` forces the
     /// historical from-scratch descent — the bench comparison leg.
     pub incremental_solver: bool,
-    /// Answer candidate sub-instances with the incremental delta-evaluation
-    /// engine (default). `false` forces scratch re-evaluation of every
-    /// candidate — the A/B and differential-testing leg. Results are
-    /// byte-identical either way.
-    pub delta_eval: bool,
-    /// The compiled delta plans of the current request. Set internally by
-    /// the shared-reference pipeline once the submission's plan compiles;
-    /// callers normally leave it `None`.
-    pub delta_pair: Option<DeltaPair>,
 }
 
 impl Default for RatestOptions {
@@ -189,8 +179,6 @@ impl Default for RatestOptions {
             metrics: MetricsHandle::none(),
             solver_reuse: None,
             incremental_solver: true,
-            delta_eval: true,
-            delta_pair: None,
         }
     }
 }
@@ -279,11 +267,9 @@ fn emit_verdict(options: &RatestOptions, outcome: &ExplainOutcome) {
 }
 
 /// Candidate-verification context handed to the search algorithms: the
-/// request's delta plans (if compiled) plus the metrics/interrupt pair the
-/// delta legs account against.
+/// request's metrics and interrupt.
 fn candidate_ctx(options: &RatestOptions) -> CandidateEval {
     CandidateEval {
-        delta: options.delta_pair.clone(),
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     }
@@ -358,7 +344,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -375,7 +360,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                 },
             ),
             Algorithm::PolytimeMonotone => {
@@ -399,7 +383,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -414,7 +397,6 @@ fn explain_inner(
                     metrics: options.metrics.clone(),
                     solver_reuse: reuse(options),
                     incremental_solver: options.incremental_solver,
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -432,11 +414,6 @@ fn explain_inner(
                         incremental_solver: options.incremental_solver,
                         ..Default::default()
                     },
-                    // The outer verification evaluates the *original* query
-                    // pair, so it gets the request's delta plans; the inner
-                    // `Optσ` run works on the stripped inner queries, which
-                    // the plans do not describe.
-                    delta: options.delta_pair.clone(),
                     ..Default::default()
                 },
             ),
@@ -492,10 +469,6 @@ pub struct PreparedReference {
     /// does not apply); [`explain_with_reference`] then falls back to the
     /// unshared pipeline.
     annotation: Option<Arc<AnnotatedResult>>,
-    /// Compiled delta plan for the reference (self-checked against
-    /// `result` during preparation); `None` when delta evaluation is off or
-    /// compilation declined.
-    delta: Option<SharedDeltaPlan>,
     /// Warm solver pool shared across every explain request against this
     /// reference (a grading cohort's common encoding).
     solver_pool: SolverReuse,
@@ -531,22 +504,6 @@ impl PreparedReference {
         budget: &Budget,
         metrics: &MetricsHandle,
     ) -> Result<PreparedReference> {
-        PreparedReference::prepare_with_delta(q1, db, params, budget, metrics, true)
-    }
-
-    /// [`PreparedReference::prepare_instrumented`] with an explicit
-    /// delta-evaluation switch: when `delta_eval` is on, the reference query
-    /// is additionally compiled into a [`DeltaPlan`] (self-checked against
-    /// the scratch result) so every candidate sub-instance of every request
-    /// against this reference can be answered incrementally.
-    pub fn prepare_with_delta(
-        q1: &Query,
-        db: &Database,
-        params: &Params,
-        budget: &Budget,
-        metrics: &MetricsHandle,
-        delta_eval: bool,
-    ) -> Result<PreparedReference> {
         let interrupt = budget.interrupt();
         let result = ratest_ra::eval::evaluate_instrumented(q1, db, params, &interrupt, metrics)?;
         let annotation = if q1.has_aggregates() {
@@ -556,24 +513,12 @@ impl PreparedReference {
                 q1, db, params, &interrupt, metrics,
             )?))
         };
-        let delta = if delta_eval {
-            match DeltaPlan::compile(q1, db, params, &interrupt, Some(&result)) {
-                Ok(plan) => {
-                    metrics.counter_inc("delta.plans_compiled");
-                    Some(SharedDeltaPlan::new(plan))
-                }
-                Err(_) => None,
-            }
-        } else {
-            None
-        };
         metrics.counter_inc("explain.references_prepared");
         Ok(PreparedReference {
             query: Arc::new(q1.clone()),
             params: params.clone(),
             result: Arc::new(result),
             annotation,
-            delta,
             solver_pool: SolverReuse::fresh(),
             pool_uses: Arc::new(std::sync::atomic::AtomicU64::new(0)),
         })
@@ -599,11 +544,6 @@ impl PreparedReference {
         &self.params
     }
 
-    /// The compiled delta plan for the reference, when available.
-    pub fn delta_plan(&self) -> Option<&SharedDeltaPlan> {
-        self.delta.as_ref()
-    }
-
     /// The warm solver pool shared across every request against this
     /// reference.
     pub fn solver_pool(&self) -> &SolverReuse {
@@ -615,42 +555,6 @@ impl PreparedReference {
     pub fn note_pool_use(&self) -> u64 {
         self.pool_uses
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Compile the submission's delta plan and pair it with the reference's,
-    /// when delta evaluation is enabled and both plans are available with
-    /// matching parameter bindings. Any compile failure quietly yields
-    /// `None` — the pipeline then evaluates candidates from scratch.
-    fn delta_pair_for(
-        &self,
-        q2: &Query,
-        db: &Database,
-        options: &RatestOptions,
-        expected_r2: Option<&ResultSet>,
-    ) -> Option<DeltaPair> {
-        if !options.delta_eval {
-            return None;
-        }
-        let q1_plan = self.delta.clone()?;
-        if !q1_plan.params_match(&self.params) {
-            return None;
-        }
-        match DeltaPlan::compile(
-            q2,
-            db,
-            &self.params,
-            &options.budget.interrupt(),
-            expected_r2,
-        ) {
-            Ok(plan) => {
-                options.metrics.counter_inc("delta.plans_compiled");
-                Some(DeltaPair {
-                    q1: q1_plan,
-                    q2: SharedDeltaPlan::new(plan),
-                })
-            }
-            Err(_) => None,
-        }
     }
 }
 
@@ -690,10 +594,8 @@ pub(crate) fn explain_prepared_impl(
     // otherwise the same options would run different algorithms depending on
     // whether the shared path succeeds.
     if options.algorithm != Algorithm::Auto {
-        let mut options = options.clone();
-        options.delta_pair = reference.delta_pair_for(q2, db, &options, None);
-        let outcome = explain_inner(q1, q2, db, &options, false)?;
-        emit_verdict(&options, &outcome);
+        let outcome = explain_inner(q1, q2, db, options, false)?;
+        emit_verdict(options, &outcome);
         return Ok(outcome);
     }
 
@@ -733,13 +635,6 @@ pub(crate) fn explain_prepared_impl(
         emit_verdict(options, &outcome);
         return Ok(outcome);
     }
-
-    // The queries differ: compile the submission's delta plan (self-checked
-    // against the result just computed) so every candidate loop below —
-    // including the fallback re-entries — can evaluate incrementally.
-    let mut options = options.clone();
-    options.delta_pair = reference.delta_pair_for(q2, db, &options, Some(&r2));
-    let options = &options;
 
     // Aggregate pairs use dedicated provenance machinery that the shared
     // annotation does not cover.
@@ -808,7 +703,6 @@ pub(crate) fn explain_prepared_impl(
         metrics: options.metrics.clone(),
         solver_reuse: options.solver_reuse.clone().unwrap_or_default(),
         incremental_solver: options.incremental_solver,
-        delta: options.delta_pair.clone(),
         ..Default::default()
     };
     match smallest_counterexample_from_annotations(

@@ -172,7 +172,7 @@ fn direction_best(
             // Quick check: does the candidate witness `t` in the difference?
             let mut closed = candidate.clone();
             closed.close_under_foreign_keys(db)?;
-            if membership_in_difference(&diff, db, params, tuple, from_q1, &closed, ctx)? {
+            if membership_in_difference(&diff, db, params, tuple, &closed, ctx)? {
                 let better = best
                     .as_ref()
                     .map(|b| closed.len() < b.len())
@@ -204,45 +204,14 @@ fn direction_best(
 }
 
 /// Does `tuple` appear in `diff = Qa − Qb` on the sub-instance `closed`?
-/// Answered by propagating the deletion delta through the pair's compiled
-/// plans when the context carries plans pinned to `params` (membership in the
-/// set difference is `t ∈ Qa(D') ∧ t ∉ Qb(D')`), falling back to a scratch
-/// evaluation of the difference query otherwise.
 fn membership_in_difference(
     diff: &Query,
     db: &Database,
     params: &Params,
     tuple: &[Value],
-    from_q1: bool,
     closed: &TupleSelection,
     ctx: &CandidateEval,
 ) -> Result<bool> {
-    if let Some(pair) = &ctx.delta {
-        if pair.q1.params_match(params) && pair.q2.params_match(params) {
-            let delta = pair.q1.eval(closed, &ctx.interrupt).and_then(|(r1, w1)| {
-                let (r2, w2) = pair.q2.eval(closed, &ctx.interrupt)?;
-                Ok((r1, r2, w1 + w2))
-            });
-            match delta {
-                Ok((r1, r2, work)) => {
-                    ctx.metrics.counter_inc("delta.candidates_incremental");
-                    ctx.metrics.counter_add("delta.rows_touched", work);
-                    let deleted = pair.q1.base_tuples().saturating_sub(closed.len());
-                    ctx.metrics.observe("delta.delta_size", deleted as u64);
-                    let (ra, rb) = if from_q1 { (&r1, &r2) } else { (&r2, &r1) };
-                    return Ok(ra.contains(tuple) && !rb.contains(tuple));
-                }
-                Err(ratest_delta::DeltaError::Query(
-                    e @ ratest_ra::error::QueryError::Interrupted(_),
-                )) => {
-                    return Err(e.into());
-                }
-                Err(_) => {
-                    ctx.metrics.counter_inc("delta.fallbacks_scratch");
-                }
-            }
-        }
-    }
     let sub = db.subinstance(|id| closed.contains(id));
     let out = evaluate_interruptible(diff, &sub, params, &ctx.interrupt)?;
     Ok(out.contains(tuple))

@@ -2,9 +2,7 @@
 //! (SWP), plus verification.
 
 use crate::error::{RatestError, Result};
-use ratest_delta::{DeltaError, SharedDeltaPlan};
 use ratest_ra::ast::Query;
-use ratest_ra::error::QueryError;
 use ratest_ra::eval::{evaluate_instrumented, evaluate_with_params, Params, ResultSet};
 use ratest_ra::interrupt::Interrupt;
 use ratest_ra::typecheck::output_schema;
@@ -152,48 +150,30 @@ pub fn build_counterexample(
     })
 }
 
-/// The compiled delta plans of one explain request: `q1` for the prepared
-/// reference, `q2` for the submission (both over the full instance, with the
-/// request's parameter bindings).
-#[derive(Clone, Debug)]
-pub struct DeltaPair {
-    /// Delta plan for the reference query.
-    pub q1: SharedDeltaPlan,
-    /// Delta plan for the submission query.
-    pub q2: SharedDeltaPlan,
-}
-
 /// Evaluation context threaded into the candidate loops of the search
-/// algorithms: the optional delta plans plus the request's interrupt hook
-/// and metrics sink, so candidate evaluation paces and reports exactly like
-/// the rest of the pipeline.
+/// algorithms: the request's interrupt hook and metrics sink, so candidate
+/// evaluation paces and reports exactly like the rest of the pipeline.
 #[derive(Clone)]
 pub struct CandidateEval {
-    /// Compiled delta plans, when `RatestOptions.delta_eval` is on and
-    /// compilation succeeded.
-    pub delta: Option<DeltaPair>,
-    /// Metrics sink for `delta.*` and `ra.eval.*` counters.
+    /// Metrics sink for the `ra.eval.*` counters.
     pub metrics: MetricsHandle,
     /// The request's interrupt hook (budget pacing).
     pub interrupt: Interrupt,
 }
 
 impl CandidateEval {
-    /// An inert context: scratch evaluation, no metrics, no interrupt.
+    /// An inert context: no metrics, no interrupt.
     pub fn none() -> CandidateEval {
         CandidateEval {
-            delta: None,
             metrics: MetricsHandle::none(),
             interrupt: Interrupt::none(),
         }
     }
 }
 
-/// [`build_counterexample`] for the hot candidate loops: verify a candidate
-/// selection via the delta plans when available (falling back to scratch
-/// evaluation on any non-interrupt delta error), pacing under the context's
-/// interrupt and recording `delta.*` telemetry. Results are byte-identical
-/// to the scratch path either way.
+/// [`build_counterexample`] for the hot candidate loops: close a candidate
+/// selection under foreign keys, materialize it and verify it by evaluating
+/// both queries under the context's interrupt and metrics.
 pub fn verify_candidate(
     q1: &Query,
     q2: &Query,
@@ -204,55 +184,6 @@ pub fn verify_candidate(
     ctx: &CandidateEval,
 ) -> Result<Counterexample> {
     selection.close_under_foreign_keys(db)?;
-    if let Some(pair) = &ctx.delta {
-        if pair.q1.params_match(params) && pair.q2.params_match(params) {
-            match delta_results(pair, &selection, &ctx.interrupt) {
-                Ok((r1, r2, work)) => {
-                    ctx.metrics.counter_inc("delta.candidates_incremental");
-                    ctx.metrics.counter_add("delta.rows_touched", work);
-                    let deleted = pair.q1.base_tuples().saturating_sub(selection.len());
-                    ctx.metrics.observe("delta.delta_size", deleted as u64);
-                    if r1.set_eq(&r2) {
-                        // Rejected candidates never need materializing: a
-                        // foreign-key-closed subset of the (validated) base
-                        // instance is always a valid instance.
-                        return Err(RatestError::Unsupported(format!(
-                            "candidate sub-instance of {} tuples does not distinguish the queries",
-                            selection.len()
-                        )));
-                    }
-                    let sub = SubInstance::materialize(db, selection);
-                    debug_assert!(db.contains_subinstance(&sub.database));
-                    sub.database.validate_constraints()?;
-                    debug_assert_eq!(
-                        r1,
-                        evaluate_with_params(q1, &sub.database, params)?,
-                        "delta result diverged from scratch evaluation"
-                    );
-                    debug_assert_eq!(
-                        r2,
-                        evaluate_with_params(q2, &sub.database, params)?,
-                        "delta result diverged from scratch evaluation"
-                    );
-                    return Ok(Counterexample {
-                        subinstance: sub,
-                        q1_result: r1,
-                        q2_result: r2,
-                        witness,
-                        parameters: params.clone(),
-                    });
-                }
-                Err(DeltaError::Query(e @ QueryError::Interrupted(_))) => {
-                    return Err(RatestError::from(e));
-                }
-                Err(_) => {
-                    ctx.metrics.counter_inc("delta.fallbacks_scratch");
-                }
-            }
-        } else {
-            ctx.metrics.counter_inc("delta.fallbacks_scratch");
-        }
-    }
     let sub = SubInstance::materialize(db, selection);
     debug_assert!(db.contains_subinstance(&sub.database));
     sub.database.validate_constraints()?;
@@ -271,16 +202,6 @@ pub fn verify_candidate(
         witness,
         parameters: params.clone(),
     })
-}
-
-fn delta_results(
-    pair: &DeltaPair,
-    selection: &TupleSelection,
-    interrupt: &Interrupt,
-) -> std::result::Result<(ResultSet, ResultSet, u64), DeltaError> {
-    let (r1, w1) = pair.q1.eval(selection, interrupt)?;
-    let (r2, w2) = pair.q2.eval(selection, interrupt)?;
-    Ok((r1, r2, w1 + w2))
 }
 
 /// The tuples on which the two results differ, tagged with the side they come

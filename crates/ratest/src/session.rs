@@ -421,15 +421,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Whether preparing a reference also compiles delta plans so candidate
-    /// sub-instances are answered incrementally (default: on). Turning this
-    /// off forces every candidate verification back onto scratch
-    /// re-evaluation — the bench A/B comparison leg.
-    pub fn delta_eval(mut self, on: bool) -> SessionBuilder {
-        self.options.delta_eval = on;
-        self
-    }
-
     /// Attach an event sink.
     pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> SessionBuilder {
         self.options.events = EventHandle::new(sink);
@@ -502,13 +493,12 @@ impl Session {
                 return Ok(ReferenceHandle(fingerprint));
             }
         }
-        let prepared = Arc::new(PreparedReference::prepare_with_delta(
+        let prepared = Arc::new(PreparedReference::prepare_instrumented(
             reference,
             &self.db,
             &self.options.parameters,
             &self.options.budget,
             &self.options.metrics,
-            self.options.delta_eval,
         )?);
         self.references
             .write()
@@ -600,67 +590,6 @@ impl Session {
             }
         };
         explain_prepared_impl(&prepared, query, &self.db, &options)
-    }
-
-    /// Evaluate the prepared reference on a candidate sub-instance through
-    /// its delta plan. Returns `None` when the reference has no plan (delta
-    /// disabled or the query is unsupported) or when the delta evaluation
-    /// cannot answer (a scratch fallback is then the caller's job).
-    pub fn reference_delta_result(
-        &self,
-        handle: ReferenceHandle,
-        selection: &ratest_storage::TupleSelection,
-        params: &Params,
-    ) -> Option<ratest_ra::eval::ResultSet> {
-        let prepared = self.prepared(handle)?;
-        let plan = prepared.delta_plan()?;
-        if !plan.params_match(params) {
-            return None;
-        }
-        match plan.eval(selection, &self.options.budget.interrupt()) {
-            Ok((result, work)) => {
-                self.options
-                    .metrics
-                    .counter_inc("delta.candidates_incremental");
-                self.options.metrics.counter_add("delta.rows_touched", work);
-                Some(result)
-            }
-            Err(_) => {
-                self.options.metrics.counter_inc("delta.fallbacks_scratch");
-                None
-            }
-        }
-    }
-
-    /// Annotate the prepared reference on a candidate sub-instance through
-    /// its delta plan — the provenance analogue of
-    /// [`Session::reference_delta_result`]. `None` when no plan exists, the
-    /// plan does not support annotation (aggregates), or the delta pass
-    /// fails.
-    pub fn reference_delta_annotation(
-        &self,
-        handle: ReferenceHandle,
-        selection: &ratest_storage::TupleSelection,
-        params: &Params,
-    ) -> Option<ratest_provenance::AnnotatedResult> {
-        let prepared = self.prepared(handle)?;
-        let plan = prepared.delta_plan()?;
-        if !plan.params_match(params) || !plan.supports_annotation() {
-            return None;
-        }
-        match plan.annotate(selection, &self.options.budget.interrupt()) {
-            Ok((annotated, work)) => {
-                self.options
-                    .metrics
-                    .counter_inc("delta.candidates_incremental");
-                self.options.metrics.counter_add("delta.rows_touched", work);
-                Some(annotated)
-            }
-            Err(_) => {
-                self.options.metrics.counter_inc("delta.fallbacks_scratch");
-                None
-            }
-        }
     }
 
     /// Explain an ad-hoc query pair. The reference is prepared through the

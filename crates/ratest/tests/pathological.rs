@@ -5,7 +5,7 @@ use ratest_core::pipeline::Algorithm;
 use ratest_core::session::{Budget, Session};
 use ratest_core::RatestError;
 use ratest_datagen::{university_database, UniversityConfig};
-use ratest_queries::course::q6_common_course_pairs;
+use ratest_queries::course::{q4_cs_and_econ, q6_common_course_pairs};
 use ratest_queries::mutations::{mutate, Mutation};
 use ratest_telemetry::MetricsRegistry;
 use std::sync::Arc;
@@ -87,4 +87,30 @@ fn monotone_duplicate_name_self_join_stops_under_a_step_quota() {
         after.counter_since(&before, "provenance.annotate.interrupt_polls") < full_polls,
         "the annotation stopped part-way"
     );
+}
+
+/// `examples/pathological/cross_product.sql` against course question 4: a
+/// three-way cross product of Student and Registration, forced through
+/// `Basic` so every differing tuple is a candidate with its own solver call
+/// and foreign-key closure. The ceilings are the counts this search has
+/// always taken at 40 tuples (12 students, 28 registrations).
+#[test]
+fn basic_cross_product() {
+    let db = university_database(&UniversityConfig::with_total(40));
+    let source = include_str!("../../../examples/pathological/cross_product.sql");
+    let submission = ratest_sql::compile_sql(source, &db).unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let session = Session::builder(db)
+        .algorithm(Algorithm::Basic)
+        .metrics(registry.clone())
+        .build();
+    let reference = session.prepare(&q4_cs_and_econ()).unwrap();
+    let outcome = session.explain(reference, &submission).unwrap();
+    assert_eq!(outcome.algorithm_used, Algorithm::Basic);
+    assert_eq!(outcome.counterexample.map(|c| c.size()), Some(2));
+    let counters = registry.snapshot();
+    let candidates = counters.counter("basic.candidates");
+    let solves = counters.counter("solver.calls");
+    assert!((1..=12).contains(&candidates), "{candidates} candidates");
+    assert!((1..=12).contains(&solves), "{solves} solver calls");
 }

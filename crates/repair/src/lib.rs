@@ -287,8 +287,8 @@ fn gather_evidence(
     let Ok(sub_res) = evaluate_with_params(submission, db, params) else {
         return Evidence::none();
     };
-    // The reference side is usually already answered by the session's delta
-    // plan; only evaluate from scratch when the caller has no result.
+    // The reference side is usually already evaluated by the caller; only
+    // evaluate it here when the caller has no result.
     let ref_res = match reference_on_cex {
         Some(r) => r.clone(),
         None => match evaluate_with_params(reference, db, params) {
@@ -497,13 +497,9 @@ pub fn suggest_repairs(
     }
 
     // Reference result on the counterexample instance, for evidence
-    // gathering and stage 1. Answered through the prepared reference's delta
-    // plan when one is compiled (the counterexample's selection is a
-    // tuple-deletion delta of the grading instance); scratch otherwise.
+    // gathering and stage 1.
     let cex_db = cex.database();
-    let reference_on_cex = session
-        .reference_delta_result(reference_handle, &cex.subinstance.selection, params)
-        .or_else(|| evaluate_with_params(reference, cex_db, params).ok());
+    let reference_on_cex = evaluate_with_params(reference, cex_db, params).ok();
 
     // Rank by provenance locality (stable, so enumeration order breaks
     // ties) and truncate to the validation budget.

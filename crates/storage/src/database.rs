@@ -2,6 +2,7 @@
 
 use crate::constraints::ConstraintSet;
 use crate::error::{Result, StorageError};
+use crate::fk_index::ForeignKeyIndex;
 use crate::relation::Relation;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
@@ -12,11 +13,25 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Relations are looked up by a scan of their names: instances hold a
 /// handful of relations. The name and constraint set are shared with every
-/// clone, and every sub-instance shares one copy of them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// clone, and every sub-instance shares one copy of them. The foreign-key
+/// index is built on first use and shared with every clone, including
+/// clones made before that use; changing the relations or constraints drops
+/// it, and a sub-instance starts without one.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct Database {
     meta: Arc<Meta>,
     relations: Vec<Relation>,
+    #[serde(skip)]
+    fk_index: Arc<OnceLock<Result<ForeignKeyIndex>>>,
+}
+
+impl std::fmt::Debug for Database {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Database")
+            .field("meta", &self.meta)
+            .field("relations", &self.relations)
+            .finish()
+    }
 }
 
 /// What a database shares with its clones.
@@ -49,6 +64,7 @@ impl Database {
         let idx = self.relations.len() as u32;
         relation.set_relation_index(idx);
         self.relations.push(relation);
+        self.fk_index = Arc::default();
         Ok(idx)
     }
 
@@ -61,6 +77,7 @@ impl Database {
 
     /// Look up a relation mutably by name.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
+        self.fk_index = Arc::default();
         match self.position(name) {
             Some(i) => Ok(&mut self.relations[i]),
             None => Err(StorageError::UnknownRelation(name.into())),
@@ -105,9 +122,19 @@ impl Database {
     /// Mutable access to Γ (copied first if a clone or sub-instance still
     /// shares it).
     pub fn constraints_mut(&mut self) -> &mut ConstraintSet {
+        self.fk_index = Arc::default();
         let meta = Arc::make_mut(&mut self.meta);
         meta.subinstance = OnceLock::new();
         &mut meta.constraints
+    }
+
+    /// The foreign-key edge index of this instance, built on first use and
+    /// shared with every clone.
+    pub fn foreign_key_index(&self) -> Result<&ForeignKeyIndex> {
+        self.fk_index
+            .get_or_init(|| ForeignKeyIndex::build(self))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// Check `D ⊨ Γ`.
@@ -137,6 +164,7 @@ impl Database {
         Database {
             meta: meta.clone(),
             relations: self.relations.iter().map(|r| r.restrict(&keep)).collect(),
+            fk_index: Arc::default(),
         }
     }
 
@@ -178,6 +206,7 @@ impl Database {
                 subinstance: OnceLock::new(),
             }),
             relations,
+            fk_index: Arc::default(),
         }
     }
 

@@ -48,6 +48,7 @@ pub mod constraints;
 pub mod database;
 pub mod display;
 pub mod error;
+pub mod fk_index;
 pub mod relation;
 pub mod row_index;
 pub mod schema;
@@ -58,6 +59,7 @@ pub mod value;
 pub use constraints::{Constraint, ConstraintSet, ForeignKey, FunctionalDependency, Key, NotNull};
 pub use database::Database;
 pub use error::{Result, StorageError};
+pub use fk_index::ForeignKeyIndex;
 pub use relation::Relation;
 pub use row_index::RowIndex;
 pub use schema::{Column, DataType, Schema};

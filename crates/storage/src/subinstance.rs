@@ -6,6 +6,7 @@
 
 use crate::database::Database;
 use crate::error::Result;
+use crate::fk_index::ForeignKeyIndex;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
 
@@ -85,27 +86,30 @@ impl TupleSelection {
 
     /// Close the selection under the database's foreign keys: whenever a
     /// selected child tuple references a parent tuple, the parent is added
-    /// too. Iterates to a fixpoint (FK chains). Returns the number of tuples
-    /// added.
+    /// too. Iterates to a fixpoint (FK chains), following the instance's
+    /// [`Database::foreign_key_index`] from the selected tuples only.
+    /// Returns the number of tuples added.
     pub fn close_under_foreign_keys(&mut self, db: &Database) -> Result<usize> {
+        let index = db.foreign_key_index()?;
         let before = self.len();
-        loop {
-            let mut new_ids: Vec<TupleId> = Vec::new();
-            for fk in db.constraints().foreign_keys() {
-                for (child, parent) in fk.referenced_tuples(db)? {
-                    if let Some(p) = parent {
-                        if self.contains(child) && !self.contains(p) {
-                            new_ids.push(p);
-                        }
-                    }
-                }
-            }
-            if new_ids.is_empty() {
-                break;
-            }
-            *self = TupleSelection::from_ids(self.iter().chain(new_ids));
+        let mut added = self.missing_parents(index, self.iter());
+        while !added.is_empty() {
+            *self = TupleSelection::from_ids(self.iter().chain(added.iter().copied()));
+            added = self.missing_parents(index, added.into_iter());
         }
         Ok(self.len() - before)
+    }
+
+    /// The parents of `children` not yet in the selection.
+    fn missing_parents(
+        &self,
+        index: &ForeignKeyIndex,
+        children: impl Iterator<Item = TupleId>,
+    ) -> Vec<TupleId> {
+        children
+            .flat_map(|child| index.parents(child))
+            .filter(|&p| !self.contains(p))
+            .collect()
     }
 }
 

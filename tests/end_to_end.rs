@@ -19,7 +19,7 @@ use ratest_suite::ra::testdata;
 /// FK-closed sub-instance that the two queries disagree on, and it must be
 /// dramatically smaller than the full instance.
 ///
-/// The 800-tuple instance across all 8 questions takes 15-20 s in a release
+/// The 800-tuple instance across all 8 questions takes ~5.4 s in a release
 /// build (2-core x86-64 VM) but far longer in the debug build the default
 /// tier-1 loop uses, so it stays ignored there; CI runs it in release mode
 /// via `cargo test --release --test end_to_end -- --ignored`. The same
