@@ -2,9 +2,9 @@
 //!
 //! Grades the same generated 50-submission cohort three ways:
 //!
-//! * `naive_sequential_loop` — the pre-engine baseline: one
-//!   [`ratest_core::pipeline::explain`] call per submission, re-evaluating
-//!   and re-annotating the reference query every time, no dedup;
+//! * `naive_sequential_loop` — the pre-engine baseline: a fresh
+//!   [`ratest_core::Session`] per submission, re-evaluating and
+//!   re-annotating the reference query every time, no dedup;
 //! * `engine_1worker` — the batch engine's dedup + shared reference
 //!   annotation, single worker;
 //! * `engine_4workers` — the same plus the worker pool (wall-clock wins
@@ -27,18 +27,13 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("naive_sequential_loop", |b| {
         b.iter(|| {
-            // The baseline is deliberately the deprecated one-shot pipeline:
-            // it re-prepares everything per pair and takes the unshared
-            // dispatch, which is exactly the cost profile the engine's
-            // sharing is measured against.
-            #[allow(deprecated)]
+            // A fresh session per pair re-prepares the reference every
+            // time, which is exactly the cost profile the engine's sharing
+            // is measured against.
             let explain_one = |q2: &ratest_ra::ast::Query| {
-                ratest_core::pipeline::explain(
-                    &cohort.reference,
-                    q2,
-                    &cohort.db,
-                    &ratest_core::pipeline::RatestOptions::default(),
-                )
+                ratest_core::Session::builder(cohort.db.clone())
+                    .build()
+                    .explain_pair(&cohort.reference, q2)
             };
             let mut wrong = 0usize;
             for sub in &cohort.submissions {

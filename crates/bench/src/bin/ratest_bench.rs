@@ -1,7 +1,7 @@
 //! `ratest-bench` — the committed perf trajectory.
 //!
-//! Measures six end-to-end shapes and emits one schema-versioned JSON
-//! document (`ratest-bench/6`):
+//! Measures five end-to-end shapes and emits one schema-versioned JSON
+//! document (`ratest-bench/7`):
 //!
 //! * `search_latency` — counterexample-search latency over the course
 //!   workload, bucketed by the algorithm the pipeline dispatched to,
@@ -15,11 +15,7 @@
 //!   byte-identical, warm state must stay under the cap throughout, and a
 //!   restarted daemon reusing the store must re-grade with zero searches,
 //! * `repair_latency` — provenance-directed repair over every wrong course
-//!   pair that yields a counterexample (enumerate → rank → validate),
-//! * `solver_incremental` — the same course workload solved twice, once on
-//!   the persistent incremental SAT layer (the pipeline default) and once
-//!   forcing from-scratch solves; outcomes must match and the incremental
-//!   leg must do strictly less search work.
+//!   pair that yields a counterexample (enumerate → rank → validate).
 //!
 //! Every section separates **deterministic counters** (registry counters,
 //! gauges, flattened histogram totals — byte-identical across identical
@@ -37,7 +33,6 @@
 
 use ratest_bench::course_workload;
 use ratest_core::session::Session;
-use ratest_core::RatestOptions;
 use ratest_datagen::{university_database, UniversityConfig};
 use ratest_grader::json::Json;
 use ratest_grader::{generate_cohort, CohortConfig, Grader, GraderConfig};
@@ -50,15 +45,14 @@ use std::time::{Duration, Instant};
 
 /// Schema identifier; bump on any shape change (`BENCH_SCHEMA.md` documents
 /// the format).
-const SCHEMA: &str = "ratest-bench/6";
+const SCHEMA: &str = "ratest-bench/7";
 /// The section names, in document order; `--check` requires all of them.
-const SECTIONS: [&str; 6] = [
+const SECTIONS: [&str; 5] = [
     "search_latency",
     "grade_throughput",
     "serve_roundtrip",
     "serve_load",
     "repair_latency",
-    "solver_incremental",
 ];
 
 const USAGE: &str = "usage: ratest-bench [--quick] [--out PATH]\n\
@@ -337,95 +331,6 @@ fn repair_latency(quick: bool) -> Section {
     }
 }
 
-/// Incremental-vs-scratch solver work on the course workload. Runs the same
-/// explains twice — once on the persistent incremental SAT layer (the
-/// pipeline default) and once forcing from-scratch solves — and records both
-/// `solver.*` counter sets plus the per-counter savings. The two legs must
-/// produce identical outcomes (the incremental layer's determinism
-/// contract), and the incremental leg must do strictly less search work.
-///
-/// Always runs at the full workload scale, `--quick` included: the quick
-/// scale's instances are so small that the bound probes decide by unit
-/// propagation alone, leaving no decisions for the incremental layer to
-/// save, and the committed baseline must pin the non-degenerate comparison.
-fn solver_incremental() -> Section {
-    let db = university_database(&UniversityConfig {
-        total_tuples: 60,
-        seed: 2019,
-        ..Default::default()
-    });
-    let mut counters = BTreeMap::new();
-    let mut outcomes: Vec<Vec<String>> = Vec::new();
-    let mut walls = Vec::new();
-    for (leg, incremental) in [("incremental", true), ("scratch", false)] {
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut verdicts = Vec::new();
-        let start = Instant::now();
-        for pair in course_workload(2, 7) {
-            let session = Session::builder(db.clone())
-                .options(RatestOptions {
-                    incremental_solver: incremental,
-                    ..Default::default()
-                })
-                .metrics(registry.clone())
-                .build();
-            verdicts.push(match session.explain_pair(&pair.reference, &pair.wrong) {
-                // Pin the exact tuples and both query results, not just the
-                // verdict; `Database` itself has no canonical debug order.
-                Ok(outcome) => match outcome.counterexample {
-                    Some(cex) => format!(
-                        "cex:{:?}|q1:{:?}|q2:{:?}",
-                        cex.subinstance.selection,
-                        cex.q1_result.rows(),
-                        cex.q2_result.rows()
-                    ),
-                    None => "indistinguishable".into(),
-                },
-                Err(_) => "unsupported".into(),
-            });
-        }
-        walls.push(start.elapsed());
-        for (name, value) in flatten(&registry.snapshot()) {
-            if name.starts_with("solver.") {
-                counters.insert(format!("{leg}.{name}"), value);
-            }
-        }
-        outcomes.push(verdicts);
-    }
-    assert_eq!(
-        outcomes[0], outcomes[1],
-        "incremental and scratch solves must reach identical outcomes"
-    );
-    for key in [
-        "solver.decisions",
-        "solver.conflicts",
-        "solver.propagations",
-    ] {
-        let warm = counters
-            .get(&format!("incremental.{key}"))
-            .copied()
-            .unwrap_or(0);
-        let cold = counters
-            .get(&format!("scratch.{key}"))
-            .copied()
-            .unwrap_or(0);
-        assert!(
-            warm < cold,
-            "incremental solving must save work on the course workload: \
-             {key} incremental={warm} scratch={cold}"
-        );
-        counters.insert(format!("saved.{key}"), cold - warm);
-    }
-    counters.insert("bench.pairs".into(), outcomes[0].len() as i64);
-    Section {
-        counters,
-        volatile: vec![
-            ("incremental_ms", Json::Float(ms(walls[0]))),
-            ("scratch_ms", Json::Float(ms(walls[1]))),
-        ],
-    }
-}
-
 /// A cloneable writer so the in-process daemon's output can be read back.
 #[derive(Clone, Default)]
 struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -689,7 +594,6 @@ fn run(quick: bool, include_volatile: bool) -> Json {
         ("serve_roundtrip".to_string(), serve_roundtrip()),
         ("serve_load".to_string(), serve_load(quick)),
         ("repair_latency".to_string(), repair_latency(quick)),
-        ("solver_incremental".to_string(), solver_incremental()),
     ];
     Json::obj(vec![
         ("schema", Json::str(SCHEMA)),

@@ -1054,16 +1054,9 @@ fn grade_one(
     events: ratest_core::session::EventHandle,
     repair: Option<&RepairOptions>,
 ) -> Verdict {
-    // Each job gets its own warm-solver handle instead of the session's
-    // shared cross-request pool: engine jobs run on concurrent workers (and
-    // concurrent serve requests), and a pool shared across threads would make
-    // clause retention — hence solver counters and event streams — depend on
-    // scheduling order. Cross-request pool reuse is for sequential session
-    // callers.
-    let reuse = ratest_core::SolverReuse::fresh();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         warm.session
-            .explain_with_reuse(warm.reference, query, budget, events.clone(), Some(reuse))
+            .explain_with(warm.reference, query, budget, events.clone())
     }));
     match outcome {
         Ok(Ok(outcome)) => match outcome.counterexample {

@@ -7,8 +7,9 @@
 //! distinguishing sub-instance), *error* or *timeout* — plus a class-level
 //! report with dedup/cache/timing statistics.
 //!
-//! Three batch-level optimizations make this much cheaper than running the
-//! one-pair [`ratest_core::pipeline::explain`] in a loop:
+//! Three batch-level optimizations make this much cheaper than explaining
+//! each submission on a fresh [`ratest_core::Session`]
+//! ([`ratest_core::Session::explain_pair`]) in a loop:
 //!
 //! 1. **Dedup by canonical fingerprint** ([`submission`]): submissions are
 //!    grouped by [`ratest_ra::canonical::fingerprint`], so syntactically

@@ -513,50 +513,3 @@ fn metrics_snapshots_are_byte_deterministic_without_volatile_fields() {
     assert!(!a.to_json(false).contains("volatile"));
     assert!(a.counter("grader.searches") > 0);
 }
-
-/// Sequential requests against one prepared reference share its warm solver
-/// pool: `solver.pool_cross_request_reuses` counts every request after the
-/// first, and the sharing is deterministic — two fresh sessions running the
-/// same request sequence render byte-identical metrics. (The grading engine
-/// itself opts out by passing a per-job fresh handle, because its jobs run
-/// on concurrent workers where shared solver state would make clause
-/// retention depend on scheduling order.)
-#[test]
-fn sequential_requests_share_the_reference_solver_pool() {
-    use ratest_core::pipeline::{Algorithm, RatestOptions};
-    use ratest_core::session::Session;
-    use ratest_ra::testdata;
-    use ratest_telemetry::{MetricsHandle, MetricsRegistry};
-    use std::sync::Arc;
-
-    let run = || {
-        let registry = Arc::new(MetricsRegistry::new());
-        let options = RatestOptions {
-            // Force the solver algorithm so the pooled solver really works
-            // (the Auto route answers Example 1 via the poly-time path).
-            algorithm: Algorithm::Basic,
-            metrics: MetricsHandle::new(registry.clone()),
-            ..Default::default()
-        };
-        let session = Session::builder(testdata::figure1_db())
-            .options(options)
-            .build();
-        let handle = session.prepare(&testdata::example1_q1()).unwrap();
-        for _ in 0..3 {
-            let outcome = session.explain(handle, &testdata::example1_q2()).unwrap();
-            assert!(outcome.counterexample.is_some());
-        }
-        registry.snapshot()
-    };
-    let (a, b) = (run(), run());
-    assert_eq!(
-        a.counter("solver.pool_cross_request_reuses"),
-        2,
-        "every request after the first reuses the prepared pool"
-    );
-    assert!(
-        a.counter("solver.calls") > 0,
-        "the pair exercises the solver"
-    );
-    assert_eq!(a.to_json(false), b.to_json(false));
-}

@@ -19,7 +19,6 @@ use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_solver::formula::Formula;
-use ratest_solver::incremental::SolverReuse;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
 use ratest_storage::{Database, TupleSelection, Value};
@@ -39,11 +38,6 @@ pub struct AggBasicOptions {
     pub events: crate::session::EventHandle,
     /// Metrics sink: provenance and solver counters are folded in here.
     pub metrics: MetricsHandle,
-    /// Warm solver shared across this run's candidate groups.
-    pub solver_reuse: SolverReuse,
-    /// Use the incremental descent (default). `false` forces every bound
-    /// probe onto a fresh from-scratch solver — the bench comparison leg.
-    pub incremental_solver: bool,
 }
 
 impl Default for AggBasicOptions {
@@ -53,8 +47,6 @@ impl Default for AggBasicOptions {
             budget: crate::session::Budget::unlimited(),
             events: crate::session::EventHandle::none(),
             metrics: MetricsHandle::none(),
-            solver_reuse: SolverReuse::fresh(),
-            incremental_solver: true,
         }
     }
 }
@@ -102,18 +94,7 @@ pub fn smallest_counterexample_agg_basic(
                 index,
                 best_size: best.as_ref().map(|b| b.size()),
             });
-        match solve_for_group(
-            q1,
-            q2,
-            db,
-            params,
-            &p1,
-            &p2,
-            &key,
-            &options.solver_reuse,
-            options.incremental_solver,
-            &ctx,
-        )? {
+        match solve_for_group(q1, q2, db, params, &p1, &p2, &key, &ctx)? {
             Some(cex) => {
                 let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
                 if better {
@@ -192,8 +173,6 @@ fn solve_for_group(
     p1: &AggregateProvenance,
     p2: &AggregateProvenance,
     key: &[Value],
-    solver_reuse: &SolverReuse,
-    incremental_solver: bool,
     ctx: &CandidateEval,
 ) -> Result<Option<Counterexample>> {
     let metrics = &ctx.metrics;
@@ -225,16 +204,11 @@ fn solve_for_group(
     };
     metrics.counter_inc("agg.groups_solved");
     metrics.observe("solver.objective_vars", objective.len() as u64);
-    let solve_options = MinOnesOptions {
-        incremental: incremental_solver,
-        reuse: Some(solver_reuse.clone()),
-        ..Default::default()
-    };
     let mut solver_stats = SolverStats::default();
     let result = minimize_ones_with_theory_into(
         &formula,
         &objective,
-        &solve_options,
+        &MinOnesOptions::default(),
         accept,
         &mut solver_stats,
     );

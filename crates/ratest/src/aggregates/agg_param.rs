@@ -19,7 +19,6 @@ use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_solver::formula::Formula;
-use ratest_solver::incremental::SolverReuse;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
 use ratest_storage::{Database, TupleSelection, Value};
@@ -41,11 +40,6 @@ pub struct AggParamOptions {
     pub events: crate::session::EventHandle,
     /// Metrics sink: provenance and solver counters are folded in here.
     pub metrics: MetricsHandle,
-    /// Warm solver shared across this run's candidate groups.
-    pub solver_reuse: SolverReuse,
-    /// Use the incremental descent (default). `false` forces every bound
-    /// probe onto a fresh from-scratch solver — the bench comparison leg.
-    pub incremental_solver: bool,
 }
 
 impl Default for AggParamOptions {
@@ -56,8 +50,6 @@ impl Default for AggParamOptions {
             budget: crate::session::Budget::unlimited(),
             events: crate::session::EventHandle::none(),
             metrics: MetricsHandle::none(),
-            solver_reuse: SolverReuse::fresh(),
-            incremental_solver: true,
         }
     }
 }
@@ -183,16 +175,11 @@ fn solve_group_parameterized(
     options
         .metrics
         .observe("solver.objective_vars", objective.len() as u64);
-    let solve_options = MinOnesOptions {
-        incremental: options.incremental_solver,
-        reuse: Some(options.solver_reuse.clone()),
-        ..Default::default()
-    };
     let mut solver_stats = SolverStats::default();
     let result = minimize_ones_with_theory_into(
         &formula,
         &objective,
-        &solve_options,
+        &MinOnesOptions::default(),
         accept,
         &mut solver_stats,
     );

@@ -18,7 +18,6 @@ use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
-use ratest_solver::incremental::SolverReuse;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
 use ratest_storage::Database;
@@ -44,13 +43,6 @@ pub struct BasicOptions {
     /// Metrics sink: solver statistics and candidate counts are folded in
     /// here; the default handle records nothing.
     pub metrics: MetricsHandle,
-    /// Warm solver shared across the candidate tuples of this run, so
-    /// learned clauses and the cardinality ladder survive from one witness
-    /// problem's descent to the next instead of being rebuilt per bound.
-    pub solver_reuse: SolverReuse,
-    /// Use the incremental descent (default). `false` forces every bound
-    /// probe onto a fresh from-scratch solver — the bench comparison leg.
-    pub incremental_solver: bool,
 }
 
 impl Default for BasicOptions {
@@ -61,8 +53,6 @@ impl Default for BasicOptions {
             budget: Budget::unlimited(),
             events: EventHandle::none(),
             metrics: MetricsHandle::none(),
-            solver_reuse: SolverReuse::fresh(),
-            incremental_solver: true,
         }
     }
 }
@@ -216,8 +206,6 @@ pub fn smallest_counterexample_from_annotations(
         // discarded with a single bounded solve.
         let solve_options = MinOnesOptions {
             upper_bound: best.as_ref().map(|b| b.size().saturating_sub(1)),
-            incremental: options.incremental_solver,
-            reuse: Some(options.solver_reuse.clone()),
             ..Default::default()
         };
         options.metrics.counter_inc("basic.candidates");

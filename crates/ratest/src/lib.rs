@@ -48,10 +48,6 @@
 //! let cex = outcome.counterexample.expect("queries differ");
 //! assert_eq!(cex.size(), 3); // e.g. {Mary} ∪ {two of her CS registrations}
 //! ```
-//!
-//! The pre-session one-shot functions ([`pipeline::explain`],
-//! [`pipeline::explain_with_reference`]) remain as deprecated wrappers with
-//! identical outcomes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,13 +65,8 @@ pub mod session;
 pub mod trace;
 
 pub use error::{RatestError, Result};
-#[allow(deprecated)]
-pub use pipeline::{explain, explain_with_reference};
-pub use pipeline::{
-    CancelFlag, ExplainOutcome, PreparedReference, RatestOptions, SolverStrategy, Timings,
-};
+pub use pipeline::{ExplainOutcome, PreparedReference, RatestOptions, SolverStrategy, Timings};
 pub use problem::{Counterexample, Witness};
-pub use ratest_solver::SolverReuse;
 pub use session::{
     Budget, CollectingSink, EventHandle, EventSink, ExplainEvent, Phase, ReferenceHandle, Session,
     SessionBuilder,

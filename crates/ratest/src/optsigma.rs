@@ -25,7 +25,6 @@ use ratest_ra::rewrite::push_selections_down;
 use ratest_ra::typecheck::output_schema;
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
-use ratest_solver::incremental::SolverReuse;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
 use ratest_storage::{Database, TupleSelection, Value};
@@ -48,12 +47,6 @@ pub struct OptSigmaOptions {
     /// Metrics sink: solver statistics are folded in here; the default
     /// handle records nothing.
     pub metrics: MetricsHandle,
-    /// Warm solver shared across the two direction probes of this run (and,
-    /// for the aggregate algorithms, across their repeat-until candidates).
-    pub solver_reuse: SolverReuse,
-    /// Use the incremental descent (default). `false` forces every bound
-    /// probe onto a fresh from-scratch solver — the bench comparison leg.
-    pub incremental_solver: bool,
 }
 
 impl Default for OptSigmaOptions {
@@ -64,8 +57,6 @@ impl Default for OptSigmaOptions {
             budget: Budget::unlimited(),
             events: EventHandle::none(),
             metrics: MetricsHandle::none(),
-            solver_reuse: SolverReuse::fresh(),
-            incremental_solver: true,
         }
     }
 }
@@ -155,16 +146,11 @@ where
             .observe("solver.objective_vars", objective.len() as u64);
         let candidate = match options.strategy {
             SolverStrategy::Optimize => {
-                let solve_options = MinOnesOptions {
-                    incremental: options.incremental_solver,
-                    reuse: Some(options.solver_reuse.clone()),
-                    ..Default::default()
-                };
                 let mut solver_stats = SolverStats::default();
                 let result = minimize_ones_with_theory_into(
                     &formula,
                     &objective,
-                    &solve_options,
+                    &MinOnesOptions::default(),
                     |true_vars| accept(&vars.selection_from_vars(true_vars)),
                     &mut solver_stats,
                 );

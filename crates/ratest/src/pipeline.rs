@@ -25,50 +25,11 @@ use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
 use ratest_ra::eval::{Params, ResultSet};
 use ratest_ra::typecheck::output_schema;
-use ratest_solver::incremental::SolverReuse;
 use ratest_storage::Database;
 use ratest_telemetry::MetricsHandle;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A shared cooperative-cancellation flag.
-///
-/// Cloning is cheap (an [`Arc`] bump) and every clone observes the same
-/// flag. The counterexample algorithms poll it at their loop boundaries —
-/// once per candidate tuple / candidate group / solve attempt — and bail out
-/// with [`RatestError::Cancelled`], so a caller that abandons a run (e.g.
-/// the grading engine on a per-job timeout) can stop it from consuming CPU.
-#[derive(Debug, Clone, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, uncancelled flag.
-    pub fn new() -> CancelFlag {
-        CancelFlag::default()
-    }
-
-    /// Request cancellation. Every clone of the flag observes it.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Return [`RatestError::Cancelled`] when cancellation was requested —
-    /// the one-liner the algorithm loops call.
-    pub fn check(&self) -> Result<()> {
-        if self.is_cancelled() {
-            Err(RatestError::Cancelled)
-        } else {
-            Ok(())
-        }
-    }
-}
 
 /// How the min-ones problem is solved (the "solver strategy" axis of
 /// Figure 5).
@@ -146,8 +107,7 @@ pub struct RatestOptions {
     pub parameters: Params,
     /// The unified resource budget: cancellation + deadline + step quota,
     /// polled at algorithm loop boundaries *and* inside the
-    /// evaluator/annotator row loops. Replaces the pre-session scatter of
-    /// per-call timeouts and bare [`CancelFlag`]s.
+    /// evaluator/annotator row loops.
     pub budget: Budget,
     /// Typed progress events ([`crate::session::ExplainEvent`]) are emitted
     /// here; the default handle drops them.
@@ -156,15 +116,6 @@ pub struct RatestOptions {
     /// sizes, solver statistics and per-phase wall-clock durations are
     /// recorded here. The default handle records nothing.
     pub metrics: MetricsHandle,
-    /// Warm solver shared across runs carrying these options. `None` (the
-    /// default) gives every explain its own warm solver — still incremental
-    /// within the run, and deterministic even when runs race on threads. A
-    /// repair request passes `Some` to share one warm solver across its
-    /// whole candidate cohort.
-    pub solver_reuse: Option<SolverReuse>,
-    /// Use the incremental solving layer (default). `false` forces the
-    /// historical from-scratch descent — the bench comparison leg.
-    pub incremental_solver: bool,
 }
 
 impl Default for RatestOptions {
@@ -177,8 +128,6 @@ impl Default for RatestOptions {
             budget: Budget::unlimited(),
             events: EventHandle::none(),
             metrics: MetricsHandle::none(),
-            solver_reuse: None,
-            incremental_solver: true,
         }
     }
 }
@@ -197,36 +146,14 @@ pub struct ExplainOutcome {
     pub timings: Timings,
 }
 
-/// Run RATest on a query pair.
-///
-/// One-shot compatibility wrapper: each call re-prepares everything and
-/// shares no state with any other call. New code should build a
-/// [`crate::session::Session`] and use [`crate::session::Session::explain`],
-/// which amortizes reference preparation and carries one [`Budget`] and
-/// event sink for the whole dialogue. The wrapper is bit-for-bit equivalent
-/// to `Session::explain_pair` on a fresh session (pinned by
-/// `tests/session_api.rs`).
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Session` (`Session::builder(db).build()`) and call `explain_pair`"
-)]
-pub fn explain(
+/// The unshared pipeline plus its verdict event and metrics.
+fn explain_unshared(
     q1: &Query,
     q2: &Query,
     db: &Database,
     options: &RatestOptions,
 ) -> Result<ExplainOutcome> {
-    explain_impl(q1, q2, db, options)
-}
-
-/// The non-deprecated entry the session layer calls.
-pub(crate) fn explain_impl(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    let outcome = explain_inner(q1, q2, db, options, true)?;
+    let outcome = explain_inner(q1, q2, db, options)?;
     emit_verdict(options, &outcome);
     Ok(outcome)
 }
@@ -275,16 +202,14 @@ fn candidate_ctx(options: &RatestOptions) -> CandidateEval {
     }
 }
 
-/// The full pipeline. The boolean distinguishes a fresh search from a
-/// fallback re-entry out of the shared-reference path (same logical
-/// search; kept so verdict events are emitted exactly once by the
-/// wrappers).
+/// The unshared pipeline: evaluate both queries, dispatch on the pair's
+/// class (or the forced algorithm), and fall back to the general path when a
+/// specialized algorithm declines.
 fn explain_inner(
     q1: &Query,
     q2: &Query,
     db: &Database,
     options: &RatestOptions,
-    _top_level: bool,
 ) -> Result<ExplainOutcome> {
     options.budget.check()?;
     let class = classify_pair(q1, q2);
@@ -326,9 +251,6 @@ fn explain_inner(
         other => other,
     };
 
-    // One warm solver per algorithm run unless the caller supplied a shared
-    // handle spanning several explains (e.g. a repair request's cohort).
-    let reuse = |options: &RatestOptions| options.solver_reuse.clone().unwrap_or_default();
     let run = |algorithm: Algorithm| -> Result<(Counterexample, Timings)> {
         options.budget.check()?;
         match algorithm {
@@ -342,8 +264,6 @@ fn explain_inner(
                     budget: options.budget.clone(),
                     events: options.events.clone(),
                     metrics: options.metrics.clone(),
-                    solver_reuse: reuse(options),
-                    incremental_solver: options.incremental_solver,
                     ..Default::default()
                 },
             ),
@@ -358,8 +278,6 @@ fn explain_inner(
                     budget: options.budget.clone(),
                     events: options.events.clone(),
                     metrics: options.metrics.clone(),
-                    solver_reuse: reuse(options),
-                    incremental_solver: options.incremental_solver,
                 },
             ),
             Algorithm::PolytimeMonotone => {
@@ -381,8 +299,6 @@ fn explain_inner(
                     budget: options.budget.clone(),
                     events: options.events.clone(),
                     metrics: options.metrics.clone(),
-                    solver_reuse: reuse(options),
-                    incremental_solver: options.incremental_solver,
                     ..Default::default()
                 },
             ),
@@ -395,8 +311,6 @@ fn explain_inner(
                     budget: options.budget.clone(),
                     events: options.events.clone(),
                     metrics: options.metrics.clone(),
-                    solver_reuse: reuse(options),
-                    incremental_solver: options.incremental_solver,
                     ..Default::default()
                 },
             ),
@@ -410,8 +324,6 @@ fn explain_inner(
                         budget: options.budget.clone(),
                         events: options.events.clone(),
                         metrics: options.metrics.clone(),
-                        solver_reuse: reuse(options),
-                        incremental_solver: options.incremental_solver,
                         ..Default::default()
                     },
                     ..Default::default()
@@ -466,15 +378,9 @@ pub struct PreparedReference {
     params: Params,
     result: Arc<ResultSet>,
     /// `None` when the reference is an aggregate query (the SPJUD annotator
-    /// does not apply); [`explain_with_reference`] then falls back to the
+    /// does not apply); explaining against it then falls back to the
     /// unshared pipeline.
     annotation: Option<Arc<AnnotatedResult>>,
-    /// Warm solver pool shared across every explain request against this
-    /// reference (a grading cohort's common encoding).
-    solver_pool: SolverReuse,
-    /// How many requests have drawn from `solver_pool`, for the
-    /// `solver.pool_cross_request_reuses` counter.
-    pool_uses: Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl PreparedReference {
@@ -519,8 +425,6 @@ impl PreparedReference {
             params: params.clone(),
             result: Arc::new(result),
             annotation,
-            solver_pool: SolverReuse::fresh(),
-            pool_uses: Arc::new(std::sync::atomic::AtomicU64::new(0)),
         })
     }
 
@@ -543,44 +447,17 @@ impl PreparedReference {
     pub fn params(&self) -> &Params {
         &self.params
     }
-
-    /// The warm solver pool shared across every request against this
-    /// reference.
-    pub fn solver_pool(&self) -> &SolverReuse {
-        &self.solver_pool
-    }
-
-    /// Record one request drawing from the shared pool; returns how many
-    /// requests drew from it before this one.
-    pub fn note_pool_use(&self) -> u64 {
-        self.pool_uses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    }
 }
 
 /// Run RATest for one submission against a [`PreparedReference`], reusing the
 /// reference's result and provenance annotation instead of recomputing them
-/// per pair.
+/// per pair. This is the pipeline behind [`crate::session::Session`].
 ///
-/// Dispatch mirrors [`explain`]: monotone pairs take the poly-time DNF path
-/// (sharing the reference *evaluation*); other SPJUD pairs run the exact
-/// `Basic` scan over difference annotations derived from the shared
-/// reference *annotation* via [`difference_of`]; aggregate pairs (no shared
-/// artifact applies) fall back to the unshared pipeline.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `Session`, `prepare` the reference once, and call `explain`"
-)]
-pub fn explain_with_reference(
-    reference: &PreparedReference,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    explain_prepared_impl(reference, q2, db, options)
-}
-
-/// The shared-reference pipeline the session layer calls.
+/// Monotone pairs take the poly-time DNF path (sharing the reference
+/// *evaluation*); other SPJUD pairs run the exact `Basic` scan over
+/// difference annotations derived from the shared reference *annotation* via
+/// [`difference_of`]; aggregate pairs (no shared artifact applies) and forced
+/// algorithms take the unshared pipeline.
 pub(crate) fn explain_prepared_impl(
     reference: &PreparedReference,
     q2: &Query,
@@ -594,9 +471,7 @@ pub(crate) fn explain_prepared_impl(
     // otherwise the same options would run different algorithms depending on
     // whether the shared path succeeds.
     if options.algorithm != Algorithm::Auto {
-        let outcome = explain_inner(q1, q2, db, options, false)?;
-        emit_verdict(options, &outcome);
-        return Ok(outcome);
+        return explain_unshared(q1, q2, db, options);
     }
 
     let class = classify_pair(q1, q2);
@@ -643,9 +518,7 @@ pub(crate) fn explain_prepared_impl(
         _ => (None, false),
     };
     if !is_shareable {
-        let outcome = explain_inner(q1, q2, db, options, false)?;
-        emit_verdict(options, &outcome);
-        return Ok(outcome);
+        return explain_unshared(q1, q2, db, options);
     }
 
     if class.is_monotone() {
@@ -701,8 +574,6 @@ pub(crate) fn explain_prepared_impl(
         budget: options.budget.clone(),
         events: options.events.clone(),
         metrics: options.metrics.clone(),
-        solver_reuse: options.solver_reuse.clone().unwrap_or_default(),
-        incremental_solver: options.incremental_solver,
         ..Default::default()
     };
     match smallest_counterexample_from_annotations(
@@ -732,9 +603,7 @@ pub(crate) fn explain_prepared_impl(
         // materialization) should not sink the submission: fall back to the
         // unshared pipeline, which has its own fallback chain.
         Err(RatestError::Unsupported(_) | RatestError::Solver(_)) => {
-            let outcome = explain_inner(q1, q2, db, options, false)?;
-            emit_verdict(options, &outcome);
-            Ok(outcome)
+            explain_unshared(q1, q2, db, options)
         }
         Err(e) => Err(e),
     }
@@ -743,22 +612,23 @@ pub(crate) fn explain_prepared_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Test shorthand for the non-deprecated entry points.
-    fn explain(q1: &Query, q2: &Query, db: &Database, o: &RatestOptions) -> Result<ExplainOutcome> {
-        explain_impl(q1, q2, db, o)
-    }
-    fn explain_with_reference(
-        r: &PreparedReference,
-        q2: &Query,
-        db: &Database,
-        o: &RatestOptions,
-    ) -> Result<ExplainOutcome> {
-        explain_prepared_impl(r, q2, db, o)
-    }
+    use crate::session::Session;
     use ratest_ra::builder::{col, lit, rel};
     use ratest_ra::testdata;
     use ratest_storage::Value;
+
+    /// Explain a pair through a fresh session carrying `options`.
+    fn explain(
+        q1: &Query,
+        q2: &Query,
+        db: &Database,
+        options: &RatestOptions,
+    ) -> Result<ExplainOutcome> {
+        Session::builder(db.clone())
+            .options(options.clone())
+            .build()
+            .explain_pair(q1, q2)
+    }
 
     #[test]
     fn auto_dispatch_on_the_running_example() {
@@ -881,34 +751,45 @@ mod tests {
     }
 
     #[test]
-    fn explain_with_reference_matches_explain_on_the_running_example() {
+    fn the_shared_path_matches_the_unshared_dispatch_on_the_running_example() {
+        // The session's shared-annotation `Basic` and the unshared dispatch
+        // for the pair's class (`Optσ` for SPJUD*) are both exact.
         let db = testdata::figure1_db();
         let q1 = testdata::example1_q1();
         let q2 = testdata::example1_q2();
-        let reference = PreparedReference::prepare(&q1, &db, &Params::new()).unwrap();
-        assert!(reference.annotation().is_some());
-        let shared =
-            explain_with_reference(&reference, &q2, &db, &RatestOptions::default()).unwrap();
-        let plain = explain(&q1, &q2, &db, &RatestOptions::default()).unwrap();
+        let shared = explain(&q1, &q2, &db, &RatestOptions::default()).unwrap();
+        assert_eq!(shared.algorithm_used, Algorithm::Basic);
+        let unshared = explain(
+            &q1,
+            &q2,
+            &db,
+            &RatestOptions {
+                algorithm: Algorithm::OptSigma,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(unshared.algorithm_used, Algorithm::OptSigma);
         assert_eq!(
             shared.counterexample.unwrap().size(),
-            plain.counterexample.unwrap().size()
+            unshared.counterexample.unwrap().size()
         );
     }
 
     #[test]
-    fn explain_with_reference_detects_agreement_and_monotone_pairs() {
+    fn a_prepared_reference_detects_agreement_and_monotone_pairs() {
         let db = testdata::figure1_db();
         let q1 = rel("Student").project(&["name"]).build();
-        let reference = PreparedReference::prepare(&q1, &db, &Params::new()).unwrap();
+        let session = Session::builder(db).build();
+        let reference = session.prepare(&q1).unwrap();
+        assert!(session.prepared(reference).unwrap().annotation().is_some());
 
         // Agreement: a syntactically different but equivalent query.
         let same = rel("Student")
             .select(col("name").eq(col("name")))
             .project(&["name"])
             .build();
-        let outcome =
-            explain_with_reference(&reference, &same, &db, &RatestOptions::default()).unwrap();
+        let outcome = session.explain(reference, &same).unwrap();
         assert!(outcome.counterexample.is_none());
 
         // A monotone wrong pair takes the poly-time path on the shared handle.
@@ -916,39 +797,9 @@ mod tests {
             .select(col("major").eq(lit("ECON")))
             .project(&["name"])
             .build();
-        let outcome =
-            explain_with_reference(&reference, &wrong, &db, &RatestOptions::default()).unwrap();
+        let outcome = session.explain(reference, &wrong).unwrap();
         assert_eq!(outcome.algorithm_used, Algorithm::PolytimeMonotone);
         assert_eq!(outcome.counterexample.unwrap().size(), 1);
-    }
-
-    #[test]
-    fn explain_with_reference_can_be_shared_across_threads() {
-        let db = std::sync::Arc::new(testdata::figure1_db());
-        let reference = std::sync::Arc::new(
-            PreparedReference::prepare(&testdata::example1_q1(), &db, &Params::new()).unwrap(),
-        );
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let reference = reference.clone();
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    explain_with_reference(
-                        &reference,
-                        &testdata::example1_q2(),
-                        &db,
-                        &RatestOptions::default(),
-                    )
-                    .unwrap()
-                    .counterexample
-                    .unwrap()
-                    .size()
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 3);
-        }
     }
 
     #[test]
@@ -967,22 +818,22 @@ mod tests {
 
         // The flag is shared by clones — the grading engine raises it from
         // the worker thread while the job thread polls its own clone.
-        let flag = CancelFlag::new();
-        let observer = flag.clone();
-        assert!(!observer.is_cancelled());
-        flag.cancel();
-        assert!(observer.is_cancelled());
+        let budget = Budget::unlimited();
+        let observer = budget.clone();
+        assert_eq!(observer.check(), Ok(()));
+        budget.cancel();
+        assert!(observer.is_limited());
         assert_eq!(observer.check(), Err(RatestError::Cancelled));
     }
 
     #[test]
     fn cancellation_interrupts_the_shared_reference_path() {
-        let db = testdata::figure1_db();
-        let reference =
-            PreparedReference::prepare(&testdata::example1_q1(), &db, &Params::new()).unwrap();
-        let options = RatestOptions::default();
-        options.budget.cancel();
-        let err = explain_with_reference(&reference, &testdata::example1_q2(), &db, &options)
+        let session = Session::builder(testdata::figure1_db()).build();
+        let reference = session.prepare(&testdata::example1_q1()).unwrap();
+        let budget = Budget::unlimited();
+        budget.cancel();
+        let err = session
+            .explain_with_budget(reference, &testdata::example1_q2(), &budget)
             .expect_err("cancelled before evaluation");
         assert_eq!(err, RatestError::Cancelled);
     }

@@ -86,19 +86,22 @@ pub fn render_result(caption: &str, result: &ResultSet) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{explain_impl as explain, RatestOptions};
+    use crate::error::Result;
+    use crate::pipeline::ExplainOutcome;
+    use crate::session::Session;
+    use ratest_ra::ast::Query;
     use ratest_ra::testdata;
+    use ratest_storage::Database;
+
+    /// Explain a pair through a fresh session.
+    fn explain(q1: &Query, q2: &Query, db: &Database) -> Result<ExplainOutcome> {
+        Session::builder(db.clone()).build().explain_pair(q1, q2)
+    }
 
     #[test]
     fn explanation_contains_instance_and_results() {
         let db = testdata::figure1_db();
-        let outcome = explain(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &RatestOptions::default(),
-        )
-        .unwrap();
+        let outcome = explain(&testdata::example1_q1(), &testdata::example1_q2(), &db).unwrap();
         let text = render_explanation(&outcome);
         assert!(text.contains("NOT equivalent"));
         assert!(text.contains("Student"));
@@ -112,7 +115,7 @@ mod tests {
     fn agreeing_queries_render_a_pass_message() {
         let db = testdata::figure1_db();
         let q = testdata::example1_q1();
-        let outcome = explain(&q, &q, &db, &RatestOptions::default()).unwrap();
+        let outcome = explain(&q, &q, &db).unwrap();
         let text = render_explanation(&outcome);
         assert!(text.contains("same result"));
     }
@@ -120,13 +123,7 @@ mod tests {
     #[test]
     fn empty_results_render_gracefully() {
         let db = testdata::figure1_db();
-        let outcome = explain(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &RatestOptions::default(),
-        )
-        .unwrap();
+        let outcome = explain(&testdata::example1_q1(), &testdata::example1_q2(), &db).unwrap();
         let cex = outcome.counterexample.unwrap();
         // Q1 on the 3-tuple counterexample is empty.
         let text = render_result("caption", &cex.q1_result);
@@ -135,21 +132,11 @@ mod tests {
 
     #[test]
     fn parameters_are_rendered_when_present() {
-        use ratest_ra::eval::Params;
-        use ratest_storage::Value;
-        let db = testdata::figure1_db();
-        let mut params = Params::new();
-        params.insert("numCS".into(), Value::Int(3));
-        let outcome = explain(
-            &testdata::example6_q1(),
-            &testdata::example6_q2(),
-            &db,
-            &RatestOptions {
-                parameters: params,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let outcome = Session::builder(testdata::figure1_db())
+            .param("numCS", 3)
+            .build()
+            .explain_pair(&testdata::example6_q1(), &testdata::example6_q2())
+            .unwrap();
         let text = render_explanation(&outcome);
         assert!(text.contains("Chosen parameters"));
         assert!(text.contains("@numCS"));

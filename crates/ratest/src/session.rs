@@ -2,11 +2,7 @@
 //! progress events.
 //!
 //! The paper's RATest deployment ran as a long-lived service that students
-//! queried all semester; the one-shot free functions
-//! ([`crate::pipeline::explain`] and friends) re-evaluate and re-annotate
-//! the reference query on every call and spread their resource limits over
-//! an ad-hoc mix of per-algorithm timeouts and [`CancelFlag`]s. A
-//! [`Session`] replaces that surface:
+//! queried all semester. A [`Session`] is that service's core:
 //!
 //! * it **owns the database** and a cache of [`PreparedReference`]s keyed by
 //!   canonical fingerprint, so preparation cost is paid once per reference
@@ -33,7 +29,7 @@
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::{
-    explain_prepared_impl, Algorithm, CancelFlag, ExplainOutcome, PreparedReference, RatestOptions,
+    explain_prepared_impl, Algorithm, ExplainOutcome, PreparedReference, RatestOptions,
     SolverStrategy,
 };
 use ratest_ra::ast::Query;
@@ -42,7 +38,7 @@ use ratest_ra::eval::Params;
 use ratest_ra::interrupt::{Interrupt, InterruptHook, Interrupted};
 use ratest_storage::{Database, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -60,10 +56,9 @@ struct StepQuota {
 /// The unified resource budget of a run: cooperative cancellation, an
 /// optional wall-clock deadline, and an optional deterministic step quota.
 ///
-/// One `Budget` replaces the scattered timeout/[`CancelFlag`] plumbing the
-/// pre-session API grew: every algorithm loop polls [`Budget::check`] at its
-/// boundaries, and [`Budget::interrupt`] hands the same state to the
-/// evaluator/annotator inner loops, so *all* layers observe one limit.
+/// Every algorithm loop polls [`Budget::check`] at its boundaries, and
+/// [`Budget::interrupt`] hands the same state to the evaluator/annotator
+/// inner loops, so *all* layers observe one limit.
 ///
 /// Clones share state: the cancel flag and the step counter are behind
 /// [`Arc`]s, and the deadline is an absolute [`Instant`] fixed when the
@@ -77,7 +72,7 @@ struct StepQuota {
 /// should use a deadline instead.
 #[derive(Debug, Clone, Default)]
 pub struct Budget {
-    cancel: CancelFlag,
+    cancel: Arc<AtomicBool>,
     deadline: Option<Instant>,
     steps: Option<Arc<StepQuota>>,
 }
@@ -118,21 +113,13 @@ impl Budget {
         self
     }
 
-    /// Attach an externally owned cancel flag (e.g. the grading engine's
-    /// per-job flag) instead of this budget's fresh one.
-    pub fn with_cancel(mut self, cancel: CancelFlag) -> Budget {
-        self.cancel = cancel;
-        self
-    }
-
-    /// The budget's cancel flag; raise it (from any clone) to stop the run.
-    pub fn cancel_flag(&self) -> &CancelFlag {
-        &self.cancel
-    }
-
-    /// Request cancellation — shorthand for `cancel_flag().cancel()`.
+    /// Request cancellation. Every clone of the budget observes it.
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.cancel.store(true, Ordering::Relaxed);
+    }
+
+    fn is_cancelled(&self) -> bool {
+        self.cancel.load(Ordering::Relaxed)
     }
 
     /// The absolute deadline, when one is set.
@@ -143,14 +130,14 @@ impl Budget {
     /// Whether any limit (deadline, quota, or a raised flag) is attached —
     /// `false` exactly for (un-cancelled) [`Budget::unlimited`].
     pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.steps.is_some() || self.cancel.is_cancelled()
+        self.deadline.is_some() || self.steps.is_some() || self.is_cancelled()
     }
 
     /// Poll the budget without consuming a step unless a quota is set.
     /// Returns the reason the run should stop, if any. Precedence:
     /// cancellation, then deadline, then quota.
     pub fn poll(&self) -> Option<Interrupted> {
-        if self.cancel.is_cancelled() {
+        if self.is_cancelled() {
             return Some(Interrupted::Cancelled);
         }
         if let Some(deadline) = self.deadline {
@@ -549,46 +536,12 @@ impl Session {
         budget: &Budget,
         events: EventHandle,
     ) -> Result<ExplainOutcome> {
-        self.explain_with_reuse(reference, query, budget, events, None)
-    }
-
-    /// [`Session::explain_with`] plus a caller-supplied warm-solver handle
-    /// shared across several explains — the repair engine passes one handle
-    /// per repair request so every candidate mutation's validation search
-    /// reuses the same incremental solver. With `None` the request joins the
-    /// prepared reference's cross-request pool instead (counted by
-    /// `solver.pool_cross_request_reuses`); callers whose requests race on
-    /// threads should pass their own fresh handle, since a pool shared
-    /// across threads makes clause retention scheduling-dependent.
-    pub fn explain_with_reuse(
-        &self,
-        reference: ReferenceHandle,
-        query: &Query,
-        budget: &Budget,
-        events: EventHandle,
-        solver_reuse: Option<ratest_solver::SolverReuse>,
-    ) -> Result<ExplainOutcome> {
         let prepared = self
             .prepared(reference)
             .ok_or_else(|| RatestError::Unsupported("unknown reference handle".into()))?;
         let mut options = self.options.clone();
         options.budget = budget.clone();
         options.events = events;
-        options.solver_reuse = match solver_reuse {
-            some @ Some(_) => some,
-            // No caller-supplied handle: share the prepared reference's warm
-            // pool, so every request against the same reference keeps the
-            // learned clauses of its cohort's common encoding.
-            None => {
-                let prior_uses = prepared.note_pool_use();
-                if prior_uses > 0 {
-                    options
-                        .metrics
-                        .counter_inc("solver.pool_cross_request_reuses");
-                }
-                Some(prepared.solver_pool().clone())
-            }
-        };
         explain_prepared_impl(&prepared, query, &self.db, &options)
     }
 
@@ -631,25 +584,24 @@ mod tests {
     }
 
     #[test]
-    fn session_outcomes_match_the_one_shot_pipeline() {
+    fn session_outcomes_match_the_unshared_dispatch() {
+        // Auto takes `Basic` over the shared annotation; forcing `Optσ` (the
+        // unshared dispatch for SPJUD*) runs the other exact algorithm.
         let db = testdata::figure1_db();
-        let session = Session::builder(db.clone()).build();
-        let outcome = session
+        let shared = Session::builder(db.clone())
+            .build()
             .explain_pair(&testdata::example1_q1(), &testdata::example1_q2())
             .unwrap();
-        #[allow(deprecated)]
-        let plain = crate::pipeline::explain(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &RatestOptions::default(),
-        )
-        .unwrap();
+        let unshared = Session::builder(db)
+            .algorithm(Algorithm::OptSigma)
+            .build()
+            .explain_pair(&testdata::example1_q1(), &testdata::example1_q2())
+            .unwrap();
         assert_eq!(
-            outcome.counterexample.unwrap().size(),
-            plain.counterexample.unwrap().size()
+            shared.counterexample.unwrap().size(),
+            unshared.counterexample.unwrap().size()
         );
-        assert_eq!(outcome.class, plain.class);
+        assert_eq!(shared.class, unshared.class);
     }
 
     #[test]

@@ -528,10 +528,6 @@ pub fn suggest_repairs(
     });
 
     let per_candidate_budget = Budget::unlimited().with_step_quota(options.per_candidate_steps);
-    // One warm solver for the whole repair request: every candidate's
-    // stage-3 validation search shares the same incremental solver instead
-    // of rebuilding SAT state per candidate.
-    let solver_reuse = ratest_core::SolverReuse::fresh();
 
     let submission_surface = to_surface_string(submission);
     let mut suggestions: Vec<RepairSuggestion> = Vec::new();
@@ -563,12 +559,11 @@ pub fn suggest_repairs(
             Some(Verification::Fingerprint)
         } else {
             // Stage 3: bounded counterexample search on the full instance.
-            match session.explain_with_reuse(
+            match session.explain_with(
                 reference_handle,
                 &m.query,
                 &per_candidate_budget,
                 EventHandle::none(),
-                Some(solver_reuse.clone()),
             ) {
                 Ok(outcome) if outcome.counterexample.is_none() => {
                     Some(Verification::SearchAgreement)

@@ -9,7 +9,6 @@
 //! digits) even when the provenance mentions thousands of tuples.
 
 use crate::cnf::{Cnf, Lit, Var};
-use crate::sat::Solver;
 
 /// Add clauses to `cnf` enforcing that at most `k` of `lits` are true.
 ///
@@ -72,111 +71,6 @@ pub fn at_least_one(cnf: &mut Cnf, lits: &[Lit]) {
     cnf.add_clause(lits.to_vec());
 }
 
-/// An incrementally-widenable sequential counter over a fixed input set,
-/// encoded **one-directionally** so the bound is chosen per `solve` call by
-/// an assumption literal instead of baked into the clause database.
-///
-/// Registers `s[i][j]` mean "at least `j+1` of the first `i+1` inputs are
-/// true"; the implication clauses only force registers *true* (never false),
-/// which keeps every column permanently sound: tightening or loosening the
-/// bound never requires removing clauses. The output literal of column `k`
-/// (`s[n-1][k]`) is forced true whenever more than `k` inputs are true, so
-/// assuming its negation enforces *at most `k`* for one solve.
-///
-/// Columns are built lazily: probing bound `k` materializes columns
-/// `0..=k` only, so a descent that stops early never pays for the full
-/// `O(n·k)` encoding.
-#[derive(Debug, Clone)]
-pub struct SequentialLadder {
-    lits: Vec<Lit>,
-    /// `cols[j][i]` = register `s[i][j]`. Every built column has length `n`.
-    cols: Vec<Vec<Var>>,
-}
-
-impl SequentialLadder {
-    /// A ladder over the given input literals, with no columns built yet.
-    pub fn new(lits: Vec<Lit>) -> SequentialLadder {
-        SequentialLadder {
-            lits,
-            cols: Vec::new(),
-        }
-    }
-
-    /// Number of columns built so far.
-    pub fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The assumption literal enforcing "at most `k` inputs true" for one
-    /// solve, building any missing columns directly into `solver` (which must
-    /// be at decision level 0). Returns `None` when the bound is trivial
-    /// (`k >= n`), i.e. no assumption is needed.
-    pub fn bound_assumption(&mut self, k: usize, solver: &mut Solver) -> Option<Lit> {
-        let n = self.lits.len();
-        if k >= n {
-            return None;
-        }
-        self.ensure_width(k + 1, solver);
-        Some(Lit::neg(self.cols[k][n - 1]))
-    }
-
-    /// Build columns up to `width` (capped at `n`), adding the register
-    /// variables and implication clauses to `solver`.
-    pub fn ensure_width(&mut self, width: usize, solver: &mut Solver) {
-        let n = self.lits.len();
-        let width = width.min(n);
-        while self.cols.len() < width {
-            let j = self.cols.len();
-            let col: Vec<Var> = (0..n).map(|_| solver.fresh_var()).collect();
-            if j == 0 {
-                // x_0 -> s[0][0]
-                solver.add_clause(vec![self.lits[0].negated(), Lit::pos(col[0])]);
-                for i in 1..n {
-                    // x_i -> s[i][0]
-                    solver.add_clause(vec![self.lits[i].negated(), Lit::pos(col[i])]);
-                    // s[i-1][0] -> s[i][0]
-                    solver.add_clause(vec![Lit::neg(col[i - 1]), Lit::pos(col[i])]);
-                }
-            } else {
-                let prev = &self.cols[j - 1];
-                // The first row can never have seen j+1 true inputs.
-                solver.add_clause(vec![Lit::neg(col[0])]);
-                for i in 1..n {
-                    // x_i ∧ s[i-1][j-1] -> s[i][j]
-                    solver.add_clause(vec![
-                        self.lits[i].negated(),
-                        Lit::neg(prev[i - 1]),
-                        Lit::pos(col[i]),
-                    ]);
-                    // s[i-1][j] -> s[i][j]
-                    solver.add_clause(vec![Lit::neg(col[i - 1]), Lit::pos(col[i])]);
-                }
-            }
-            self.cols.push(col);
-        }
-    }
-
-    /// The exact-count closure of the registers for a given input valuation:
-    /// `s[i][j]` is true iff at least `j+1` of the first `i+1` inputs are
-    /// true. Together with any model of the problem clauses this satisfies
-    /// every ladder clause, which is what lets a retired problem pin its
-    /// registers at level 0 without contradicting the clause database.
-    pub fn closure_values(&self, input_true: impl Fn(usize) -> bool) -> Vec<(Var, bool)> {
-        let n = self.lits.len();
-        let mut out = Vec::with_capacity(n * self.cols.len());
-        let mut count = 0usize;
-        for i in 0..n {
-            if input_true(i) {
-                count += 1;
-            }
-            for (j, col) in self.cols.iter().enumerate() {
-                out.push((col[i], count > j));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +86,7 @@ mod tests {
         let vars: Vec<Var> = (1..=n).collect();
         at_most_k_vars(&mut cnf, &vars, k);
         let mut s = Solver::from_cnf(&cnf);
-        match s.solve(&[]).unwrap() {
+        match s.solve().unwrap() {
             SatResult::Sat(m) => Some(m.count_true(&vars)),
             SatResult::Unsat => None,
         }
@@ -238,96 +132,12 @@ mod tests {
     }
 
     #[test]
-    fn ladder_bounds_agree_with_scratch_encoding() {
-        // For every k, base ∧ ladder ∧ ¬out(k) is satisfiable exactly when
-        // base ∧ at_most_k is, and any ladder model respects the bound.
-        let clauses = vec![
-            vec![Lit::pos(1), Lit::pos(2)],
-            vec![Lit::pos(3), Lit::pos(4)],
-            vec![Lit::neg(1), Lit::pos(4)],
-        ];
-        let vars: Vec<Var> = vec![1, 2, 3, 4];
-        for k in 0..=4usize {
-            let scratch = solve_with_bound(4, &clauses, k);
-            let mut s = Solver::new(4);
-            for c in &clauses {
-                s.add_clause(c.clone());
-            }
-            let mut ladder = SequentialLadder::new(vars.iter().map(|&v| Lit::pos(v)).collect());
-            let assumptions: Vec<Lit> = ladder.bound_assumption(k, &mut s).into_iter().collect();
-            match s.solve(&assumptions).unwrap() {
-                SatResult::Sat(m) => {
-                    assert!(scratch.is_some(), "ladder SAT but scratch UNSAT at k={k}");
-                    assert!(m.count_true(&vars) <= k || k >= vars.len());
-                }
-                SatResult::Unsat => {
-                    assert!(scratch.is_none(), "ladder UNSAT but scratch SAT at k={k}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ladder_widens_incrementally_and_stays_sound() {
-        // Probe a descending sequence of bounds on ONE solver: answers must
-        // match fresh scratch encodings at every step.
-        let clauses = vec![
-            vec![Lit::pos(1), Lit::pos(2), Lit::pos(3)],
-            vec![Lit::pos(2), Lit::pos(4), Lit::pos(5)],
-            vec![Lit::pos(1), Lit::pos(5)],
-        ];
-        let vars: Vec<Var> = vec![1, 2, 3, 4, 5];
-        let mut s = Solver::new(5);
-        for c in &clauses {
-            s.add_clause(c.clone());
-        }
-        let mut ladder = SequentialLadder::new(vars.iter().map(|&v| Lit::pos(v)).collect());
-        for k in [3usize, 1, 2, 0, 1] {
-            let scratch = solve_with_bound(5, &clauses, k);
-            let assumptions: Vec<Lit> = ladder.bound_assumption(k, &mut s).into_iter().collect();
-            let warm = s.solve(&assumptions).unwrap();
-            assert_eq!(warm.is_sat(), scratch.is_some(), "bound {k}");
-            if let SatResult::Sat(m) = warm {
-                assert!(m.count_true(&vars) <= k);
-            }
-        }
-        // The solver itself is still usable without assumptions.
-        assert!(s.solve(&[]).unwrap().is_sat());
-    }
-
-    #[test]
-    fn ladder_closure_satisfies_every_ladder_clause() {
-        let vars: Vec<Var> = vec![1, 2, 3, 4];
-        let mut s = Solver::new(4);
-        s.add_clause(vec![Lit::pos(1), Lit::pos(2)]);
-        let mut ladder = SequentialLadder::new(vars.iter().map(|&v| Lit::pos(v)).collect());
-        ladder.ensure_width(3, &mut s);
-        // For every input valuation, the closure plus the inputs satisfies
-        // all ladder implications (checked by re-deriving them directly).
-        for mask in 0..16u32 {
-            let input = |i: usize| mask & (1 << i) != 0;
-            let closure = ladder.closure_values(input);
-            let value: std::collections::BTreeMap<Var, bool> = closure.into_iter().collect();
-            let mut count = 0usize;
-            for i in 0..4 {
-                if input(i) {
-                    count += 1;
-                }
-                for j in 0..3 {
-                    let reg = value[&ladder.cols[j][i]];
-                    assert_eq!(reg, count > j, "mask {mask} i {i} j {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn at_least_one_clause() {
         let mut cnf = Cnf::new(2);
         at_least_one(&mut cnf, &[Lit::pos(1), Lit::pos(2)]);
         at_most_k_vars(&mut cnf, &[1, 2], 1);
         let mut s = Solver::from_cnf(&cnf);
-        let m = match s.solve(&[]).unwrap() {
+        let m = match s.solve().unwrap() {
             SatResult::Sat(m) => m,
             _ => panic!("satisfiable"),
         };

@@ -49,7 +49,7 @@ pub fn enumerate_best(
     let mut exhausted = false;
 
     while count < max_models {
-        match solver.solve(&[])? {
+        match solver.solve()? {
             SatResult::Unsat => {
                 exhausted = true;
                 break;

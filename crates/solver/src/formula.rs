@@ -225,7 +225,7 @@ mod tests {
         let cnf = f.to_cnf(n);
         let mut solver = Solver::from_cnf(&cnf);
         let brute = brute_force_models(f, n);
-        match solver.solve(&[]).unwrap() {
+        match solver.solve().unwrap() {
             SatResult::Sat(model) => {
                 assert!(
                     !brute.is_empty(),
@@ -311,7 +311,7 @@ mod tests {
         assert!(cnf.is_empty());
         let cnf = Formula::False.to_cnf(0);
         let mut solver = Solver::from_cnf(&cnf);
-        assert!(matches!(solver.solve(&[]).unwrap(), SatResult::Unsat));
+        assert!(matches!(solver.solve().unwrap(), SatResult::Unsat));
     }
 
     #[test]

@@ -14,11 +14,7 @@
 //! * [`sat`] — a CDCL SAT solver (two-watched-literals, VSIDS branching,
 //!   first-UIP clause learning, Luby restarts, phase saving),
 //! * [`cardinality`] — sequential-counter *at-most-k* encodings over the
-//!   objective variables, plus the incrementally-widened assumption ladder,
-//! * [`incremental`] — a persistent warm solver ([`SolverReuse`]) that
-//!   retains learned clauses across bound probes, explain candidates, and
-//!   cohort solves while keeping every answer byte-identical to the
-//!   from-scratch path,
+//!   objective variables,
 //! * [`minones`] — the min-ones optimizer (binary-search descent over the
 //!   cardinality bound) with support for an optional *theory callback*: a
 //!   predicate that accepts or rejects candidate models, used by the
@@ -52,7 +48,6 @@ pub mod cnf;
 pub mod enumerate;
 pub mod error;
 pub mod formula;
-pub mod incremental;
 pub mod minones;
 pub mod sat;
 pub mod stats;
@@ -60,7 +55,6 @@ pub mod stats;
 pub use cnf::{Clause, Cnf, Lit, Var};
 pub use error::{Result, SolverError};
 pub use formula::Formula;
-pub use incremental::{IncrementalConfig, IncrementalSolver, SolverReuse};
 pub use minones::{
     minimize_ones, minimize_ones_with_theory, minimize_ones_with_theory_into, MinOnesOptions,
     MinOnesSolution,

@@ -9,24 +9,12 @@
 //! conditions (aggregate value comparisons, "the counterexample must actually
 //! distinguish the two queries" re-checks); rejected models are blocked and
 //! the search continues, mirroring lazy SMT solving.
-//!
-//! ## Incremental descent
-//!
-//! By default ([`MinOnesOptions::incremental`]) the descent consults a
-//! persistent warm solver (see [`crate::incremental`]) before each bound
-//! probe. The warm solver retains learned clauses and the cardinality ladder
-//! across probes, so proving a bound *infeasible* — the common case during a
-//! binary descent — costs a single assumption solve instead of a full CNF
-//! re-encode + fresh solver. Feasible bounds are replayed on the exact
-//! from-scratch path, so the model stream, blocking-clause sequence, and
-//! final answer stay byte-identical to the historical strategy.
 
 use crate::cardinality::at_most_k_vars;
 use crate::cnf::{Cnf, Lit, Var};
 use crate::error::{Result, SolverError};
 use crate::formula::Formula;
-use crate::incremental::{IncrementalConfig, IncrementalSolver, SolverReuse};
-use crate::sat::{Model, SatResult, Solver};
+use crate::sat::{SatResult, Solver};
 use crate::stats::SolverStats;
 
 /// Options controlling the min-ones search.
@@ -44,15 +32,6 @@ pub struct MinOnesOptions {
     /// instance with `Some(k - 1)` and discard it with a single bounded
     /// solve instead of a full optimization.
     pub upper_bound: Option<usize>,
-    /// Use the incremental warm-oracle descent (the default). When `false`,
-    /// every bound probe builds a fresh solver from scratch — the historical
-    /// strategy, kept callable for conformance testing and benchmarking.
-    pub incremental: bool,
-    /// Share one warm solver across several minimize calls — the candidate
-    /// tuples of one explain, `Optσ` direction probes, aggregate groups, or
-    /// a repair request's validation searches. `None` uses a private warm
-    /// solver per call (still incremental within the call's own descent).
-    pub reuse: Option<SolverReuse>,
 }
 
 impl Default for MinOnesOptions {
@@ -61,8 +40,6 @@ impl Default for MinOnesOptions {
             max_theory_rejections: 10_000,
             binary_search: true,
             upper_bound: None,
-            incremental: true,
-            reuse: None,
         }
     }
 }
@@ -90,21 +67,6 @@ pub fn minimize_ones(
 /// Minimize with a theory callback: `accept` receives the set of true
 /// objective variables of a candidate model and may reject it; rejected
 /// candidates are excluded (blocked) and the search continues.
-///
-/// ## Theory-callback contract
-///
-/// The incremental descent caches theory rejections as blocking clauses in
-/// the warm solver, so the callback must be **deterministic** (the same set
-/// of true objective variables always gets the same verdict within one
-/// minimize call) and **side-effect-free on rejection** (observable state may
-/// change only when a model is accepted). Every in-tree caller satisfies
-/// this; a callback that needs to violate it must set
-/// [`MinOnesOptions::incremental`] to `false`. One deliberate edge: when the
-/// warm oracle proves a bound infeasible, the rejected models the
-/// from-scratch path would have re-enumerated at that bound are *not*
-/// re-presented to the callback, so rejection-budget exhaustion that the
-/// historical path could hit at an infeasible bound is reported as plain
-/// infeasibility instead.
 pub fn minimize_ones_with_theory<F>(
     formula: &Formula,
     objective: &[Var],
@@ -142,6 +104,9 @@ where
     })
 }
 
+/// The descent: solve once under the caller's bound, then tighten the
+/// cardinality bound (binary or linear) until no accepted model remains.
+/// Every probe is a fresh solver over a freshly bounded copy of the CNF.
 fn minimize_impl<F>(
     formula: &Formula,
     objective: &[Var],
@@ -158,194 +123,34 @@ where
         .max()
         .unwrap_or(0)
         .max(formula.max_var());
-    let base_cnf = formula.to_cnf(num_vars);
+    let base = formula.to_cnf(num_vars);
+    let max_rejections = options.max_theory_rejections;
+    let mut probe = |bound: Option<usize>| {
+        solve_accepting(&base, objective, bound, max_rejections, accept, stats)
+    };
 
-    if !options.incremental {
-        return scratch_minimize(&base_cnf, objective, options, accept, stats);
-    }
-    match &options.reuse {
-        Some(handle) => {
-            let mut warm = handle.lock();
-            incremental_minimize(&mut warm, &base_cnf, objective, options, accept, stats)
-        }
-        None => {
-            let mut warm = IncrementalSolver::new(IncrementalConfig::default());
-            incremental_minimize(&mut warm, &base_cnf, objective, options, accept, stats)
-        }
-    }
-}
-
-/// The historical strategy: every probe is a fresh solver over a freshly
-/// encoded CNF. This is the reference the incremental path must match
-/// byte-for-byte, and the `scratch` leg of the `solver_incremental` bench
-/// comparison.
-fn scratch_minimize<F>(
-    base: &Cnf,
-    objective: &[Var],
-    options: &MinOnesOptions,
-    accept: &mut F,
-    stats: &mut SolverStats,
-) -> Result<Vec<Var>>
-where
-    F: FnMut(&[Var]) -> bool,
-{
-    let first = solve_accepting(
-        base,
-        objective,
-        options.upper_bound,
-        options.max_theory_rejections,
-        accept,
-        stats,
-    )?;
-    let Some(best) = first.accepted else {
+    let Some(mut best) = probe(options.upper_bound)? else {
         return Err(SolverError::Unsatisfiable);
     };
-    if best.is_empty() {
-        return Ok(best);
-    }
-    descend(
-        best,
-        options.binary_search,
-        &mut |target, accept, stats| {
-            solve_accepting(
-                base,
-                objective,
-                Some(target),
-                options.max_theory_rejections,
-                accept,
-                stats,
-            )
-            .map(|outcome| outcome.accepted)
-        },
-        accept,
-        stats,
-    )
-}
-
-/// The incremental strategy: the initial solve either runs state-identically
-/// on the warm solver (unbounded) or stays on the scratch path (bounded — so
-/// upper-bound probe deaths cost exactly what they always did, with the warm
-/// block built lazily only for survivors); each descent probe then asks the
-/// warm feasibility oracle first and replays on the scratch path only when a
-/// model might exist.
-fn incremental_minimize<F>(
-    warm: &mut IncrementalSolver,
-    base: &Cnf,
-    objective: &[Var],
-    options: &MinOnesOptions,
-    accept: &mut F,
-    stats: &mut SolverStats,
-) -> Result<Vec<Var>>
-where
-    F: FnMut(&[Var]) -> bool,
-{
-    let best = match options.upper_bound {
-        None => {
-            warm.begin_problem(base, objective, stats);
-            let offset = warm.active_offset();
-            let outcome = accept_loop(
-                warm.solver_mut(),
-                objective,
-                offset,
-                options.max_theory_rejections,
-                accept,
-                stats,
-            )?;
-            warm.absorb_initial(outcome.pin, outcome.min_cost, &outcome.rejected);
-            match outcome.accepted {
-                Some(b) => b,
-                None => return Err(SolverError::Unsatisfiable),
-            }
-        }
-        Some(_) => {
-            let outcome = solve_accepting(
-                base,
-                objective,
-                options.upper_bound,
-                options.max_theory_rejections,
-                accept,
-                stats,
-            )?;
-            let Some(b) = outcome.accepted else {
-                return Err(SolverError::Unsatisfiable);
-            };
-            warm.begin_problem(base, objective, stats);
-            if let Some(c) = outcome.min_cost {
-                warm.note_feasible_cost(c);
-            }
-            warm.block_rejections(&outcome.rejected, stats);
-            b
-        }
-    };
-    if best.is_empty() {
-        return Ok(best);
-    }
-    descend(
-        best,
-        options.binary_search,
-        &mut |target, accept, stats| {
-            if warm.probe_feasible(target, stats) == Some(false) {
-                // Exact shortcut: the from-scratch probe would have solved to
-                // UNSAT and returned `None` without consulting the callback.
-                return Ok(None);
-            }
-            let outcome = solve_accepting(
-                base,
-                objective,
-                Some(target),
-                options.max_theory_rejections,
-                accept,
-                stats,
-            )?;
-            if let Some(c) = outcome.min_cost {
-                warm.note_feasible_cost(c);
-            }
-            warm.block_rejections(&outcome.rejected, stats);
-            Ok(outcome.accepted)
-        },
-        accept,
-        stats,
-    )
-}
-
-/// A bound probe: given a target cost, the acceptor, and the stats sink,
-/// either produce a model at or under the target or report infeasibility.
-type Probe<'a, F> = &'a mut dyn FnMut(usize, &mut F, &mut SolverStats) -> Result<Option<Vec<Var>>>;
-
-/// The shared descent driver. Both strategies walk the identical trajectory
-/// because the loop structure lives here and only the probe differs.
-fn descend<F>(
-    mut best: Vec<Var>,
-    binary_search: bool,
-    probe: Probe<'_, F>,
-    accept: &mut F,
-    stats: &mut SolverStats,
-) -> Result<Vec<Var>>
-where
-    F: FnMut(&[Var]) -> bool,
-{
-    if binary_search {
+    if options.binary_search {
         // Invariant: a solution of cost `best.len()` exists; no solution of
         // cost < lo exists.
         let mut lo = 0usize;
         let mut hi = best.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match probe(mid, accept, stats)? {
+            match probe(Some(mid))? {
                 Some(model) => {
                     hi = model.len().min(mid);
                     best = model;
                 }
-                None => {
-                    lo = mid + 1;
-                }
+                None => lo = mid + 1,
             }
         }
     } else {
         // Linear descent.
         while !best.is_empty() {
-            let target = best.len() - 1;
-            match probe(target, accept, stats)? {
+            match probe(Some(best.len() - 1))? {
                 Some(model) => best = model,
                 None => break,
             }
@@ -354,22 +159,11 @@ where
     Ok(best)
 }
 
-/// What one accept loop observed, beyond the accepted model itself: the
-/// rejected objective assignments (for scoped blocking in the warm solver),
-/// the cheapest Boolean cost of *any* model seen (for the feasibility
-/// cache), and the accepted full model (the only model safe to pin, since
-/// rejected ones are excluded by their own blocking clauses).
-struct AcceptOutcome {
-    accepted: Option<Vec<Var>>,
-    rejected: Vec<Vec<Var>>,
-    min_cost: Option<usize>,
-    pin: Option<Model>,
-}
-
 /// Solve the base CNF with an optional at-most-k bound over the objective,
 /// retrying (with blocking clauses) while the theory callback rejects models.
-/// `accepted` holds the true objective variables of an accepted model, or
-/// `None` if unsatisfiable under the bound.
+/// Returns the true objective variables of an accepted model, or `None` if
+/// unsatisfiable under the bound. Merges the solver's counters into `stats`
+/// on **every** exit, errors included.
 fn solve_accepting<F>(
     base: &Cnf,
     objective: &[Var],
@@ -377,7 +171,7 @@ fn solve_accepting<F>(
     max_rejections: usize,
     accept: &mut F,
     stats: &mut SolverStats,
-) -> Result<AcceptOutcome>
+) -> Result<Option<Vec<Var>>>
 where
     F: FnMut(&[Var]) -> bool,
 {
@@ -390,49 +184,19 @@ where
         // Unbounded: solve the base directly, no clone needed.
         None => Solver::from_cnf(base),
     };
-    stats.merge(&solver.stats);
-    accept_loop(&mut solver, objective, 0, max_rejections, accept, stats)
-}
-
-/// The model/accept/block loop, shared by the scratch path (`offset` 0 on a
-/// fresh solver) and the warm solver's state-identical initial solve (the
-/// active block's variable offset). Merges the solver's counter delta into
-/// `stats` on **every** exit, errors included.
-fn accept_loop<F>(
-    solver: &mut Solver,
-    objective: &[Var],
-    offset: Var,
-    max_rejections: usize,
-    accept: &mut F,
-    stats: &mut SolverStats,
-) -> Result<AcceptOutcome>
-where
-    F: FnMut(&[Var]) -> bool,
-{
-    let entry = solver.stats;
     let mut rejections = 0usize;
-    let mut outcome = AcceptOutcome {
-        accepted: None,
-        rejected: Vec::new(),
-        min_cost: None,
-        pin: None,
-    };
     let result = loop {
-        match solver.solve(&[]) {
+        match solver.solve() {
             Err(e) => break Err(e),
-            Ok(SatResult::Unsat) => break Ok(()),
+            Ok(SatResult::Unsat) => break Ok(None),
             Ok(SatResult::Sat(model)) => {
                 let true_vars: Vec<Var> = objective
                     .iter()
                     .copied()
-                    .filter(|&v| model.value(v + offset))
+                    .filter(|&v| model.value(v))
                     .collect();
-                let cost = true_vars.len();
-                outcome.min_cost = Some(outcome.min_cost.map_or(cost, |c| c.min(cost)));
                 if accept(&true_vars) {
-                    outcome.pin = Some(model);
-                    outcome.accepted = Some(true_vars);
-                    break Ok(());
+                    break Ok(Some(true_vars));
                 }
                 rejections += 1;
                 if rejections > max_rejections {
@@ -443,17 +207,16 @@ where
                 // Block this exact assignment of the objective variables.
                 let blocking: Vec<Lit> = objective
                     .iter()
-                    .map(|&v| Lit::new(v + offset, !model.value(v + offset)))
+                    .map(|&v| Lit::new(v, !model.value(v)))
                     .collect();
-                outcome.rejected.push(true_vars);
                 if !solver.add_clause(blocking) {
-                    break Ok(());
+                    break Ok(None);
                 }
             }
         }
     };
-    stats.merge(&solver.stats.diff(&entry));
-    result.map(|()| outcome)
+    stats.merge(&solver.stats);
+    result
 }
 
 #[cfg(test)]
@@ -472,16 +235,13 @@ mod tests {
             Formula::or(vec![v(2), v(3)]),
         ]);
         for binary in [true, false] {
-            for incremental in [true, false] {
-                let opts = MinOnesOptions {
-                    binary_search: binary,
-                    incremental,
-                    ..Default::default()
-                };
-                let sol = minimize_ones(&f, &[1, 2, 3], &opts).unwrap();
-                assert_eq!(sol.cost, 1);
-                assert_eq!(sol.true_vars, vec![2]);
-            }
+            let opts = MinOnesOptions {
+                binary_search: binary,
+                ..Default::default()
+            };
+            let sol = minimize_ones(&f, &[1, 2, 3], &opts).unwrap();
+            assert_eq!(sol.cost, 1);
+            assert_eq!(sol.true_vars, vec![2]);
         }
     }
 
@@ -609,68 +369,5 @@ mod tests {
         );
         assert!(err2.is_err());
         assert!(out2.decisions + out2.propagations > 0);
-    }
-
-    #[test]
-    fn incremental_matches_scratch_with_shared_reuse_handle() {
-        // Several minimize calls over one reuse handle must keep returning
-        // the same answers as independent from-scratch runs.
-        let handle = SolverReuse::fresh();
-        let problems = [
-            Formula::and(vec![
-                Formula::or(vec![v(1), v(2)]),
-                Formula::or(vec![v(2), v(3)]),
-            ]),
-            Formula::and(vec![
-                Formula::or(vec![v(1), v(2), v(3)]),
-                Formula::or(vec![Formula::not(v(1)), v(4)]),
-            ]),
-            Formula::or(vec![v(1), v(2)]),
-        ];
-        for f in &problems {
-            let vars: Vec<Var> = (1..=f.max_var()).collect();
-            let warm_opts = MinOnesOptions {
-                reuse: Some(handle.clone()),
-                ..Default::default()
-            };
-            let cold_opts = MinOnesOptions {
-                incremental: false,
-                ..Default::default()
-            };
-            let warm = minimize_ones(f, &vars, &warm_opts).unwrap();
-            let cold = minimize_ones(f, &vars, &cold_opts).unwrap();
-            assert_eq!(warm.true_vars, cold.true_vars);
-            assert_eq!(warm.cost, cold.cost);
-        }
-    }
-
-    #[test]
-    fn upper_bound_probe_matches_scratch() {
-        // Bounded probes (the Basic algorithm's candidate pruning) must agree
-        // with the scratch path both when they die and when they survive.
-        let f = Formula::and(vec![
-            Formula::or(vec![v(1), v(2)]),
-            Formula::or(vec![v(2), v(3)]),
-        ]);
-        for ub in [0usize, 1, 2] {
-            let warm_opts = MinOnesOptions {
-                upper_bound: Some(ub),
-                ..Default::default()
-            };
-            let cold_opts = MinOnesOptions {
-                upper_bound: Some(ub),
-                incremental: false,
-                ..Default::default()
-            };
-            let warm = minimize_ones(&f, &[1, 2, 3], &warm_opts);
-            let cold = minimize_ones(&f, &[1, 2, 3], &cold_opts);
-            match (warm, cold) {
-                (Ok(w), Ok(c)) => {
-                    assert_eq!(w.true_vars, c.true_vars);
-                    assert_eq!(w.cost, c.cost);
-                }
-                (w, c) => assert_eq!(w.is_err(), c.is_err()),
-            }
-        }
     }
 }

@@ -18,7 +18,7 @@ use crate::stats::SolverStats;
 pub enum SatResult {
     /// Satisfiable, with a model.
     Sat(Model),
-    /// Unsatisfiable (under the given assumptions).
+    /// Unsatisfiable.
     Unsat,
 }
 
@@ -86,7 +86,7 @@ pub struct Solver {
     activity: Vec<f64>,
     var_inc: f64,
     /// Set when a top-level (level-0) conflict has been derived: the formula
-    /// is unsatisfiable regardless of assumptions.
+    /// is unsatisfiable.
     unsat: bool,
     /// Statistics for the experiment harness.
     pub stats: SolverStats,
@@ -129,35 +129,6 @@ impl Solver {
     /// Number of variables.
     pub fn num_vars(&self) -> Var {
         self.num_vars
-    }
-
-    /// Number of clauses currently in the database (problem + learned +
-    /// blocking). The incremental layer uses this for its deterministic
-    /// reduction policy and for the `clauses_retained` accounting.
-    pub fn clause_count(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Whether a top-level (level-0) conflict has been derived, making the
-    /// clause database unconditionally unsatisfiable.
-    pub fn is_unsat(&self) -> bool {
-        self.unsat
-    }
-
-    /// Reset the VSIDS bump increment to its initial scale. A warm solver
-    /// that takes on a fresh block of variables calls this so branching over
-    /// the new block behaves exactly like a fresh solver would (activities of
-    /// the new variables start at zero either way; only the increment scale
-    /// carries history).
-    pub(crate) fn reset_branching_scale(&mut self) {
-        self.var_inc = 1.0;
-    }
-
-    /// Allocate a fresh, unconstrained variable.
-    pub(crate) fn fresh_var(&mut self) -> Var {
-        let v = self.num_vars + 1;
-        self.ensure_vars(v);
-        v
     }
 
     /// Grow the variable space to at least `num_vars`.
@@ -456,17 +427,13 @@ impl Solver {
         best.map(|(v, _)| v)
     }
 
-    /// Solve under assumptions. Assumption literals are forced before any
-    /// decision; if they are inconsistent with the clauses the result is
-    /// [`SatResult::Unsat`] (for this call only — the clause database is
-    /// unchanged). Returns an error only when an internal invariant is
+    /// Solve the clause database. Learned clauses stay in the database, so
+    /// the solver can take more clauses (e.g. blocking clauses) and be
+    /// solved again. Returns an error only when an internal invariant is
     /// violated, which indicates a malformed encoding.
-    pub fn solve(&mut self, assumptions: &[Lit]) -> Result<SatResult> {
+    pub fn solve(&mut self) -> Result<SatResult> {
         if self.unsat {
             return Ok(SatResult::Unsat);
-        }
-        if !assumptions.is_empty() {
-            self.stats.assumption_solves += 1;
         }
         self.backtrack_to(0);
         if self.propagate().is_some() {
@@ -479,31 +446,6 @@ impl Solver {
         let mut restart_limit = luby(restart_count) * 64;
 
         loop {
-            // Force assumptions first (each at its own decision level).
-            while (self.decision_level() as usize) < assumptions.len() {
-                let a = assumptions[self.decision_level() as usize];
-                match self.value(a) {
-                    Some(true) => {
-                        // Already satisfied; open an empty decision level so
-                        // indices stay aligned.
-                        self.trail_lim.push(self.trail.len());
-                    }
-                    Some(false) => {
-                        self.backtrack_to(0);
-                        return Ok(SatResult::Unsat);
-                    }
-                    None => {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(a, None);
-                    }
-                }
-                if let Some(conflict) = self.propagate() {
-                    let _ = conflict;
-                    self.backtrack_to(0);
-                    return Ok(SatResult::Unsat);
-                }
-            }
-
             match self.propagate() {
                 Some(conflict) => {
                     self.stats.conflicts += 1;
@@ -512,25 +454,17 @@ impl Solver {
                         self.unsat = true;
                         return Ok(SatResult::Unsat);
                     }
-                    if (self.decision_level() as usize) <= assumptions.len() {
-                        // Conflict while only assumptions are on the trail.
-                        self.backtrack_to(0);
-                        return Ok(SatResult::Unsat);
-                    }
                     let (learned, level) = self.analyze(conflict)?;
                     let asserting = learned[0];
                     if learned.len() == 1 {
                         // A learned unit is implied by the clause database
-                        // alone: make it permanent at level 0. The outer loop
-                        // re-establishes any assumptions afterwards.
+                        // alone: make it permanent at level 0.
                         self.backtrack_to(0);
                         if !self.enqueue(asserting, None) || self.propagate().is_some() {
                             self.unsat = true;
                             return Ok(SatResult::Unsat);
                         }
                     } else {
-                        // Never backtrack past the assumptions.
-                        let level = level.max(assumptions.len() as u32);
                         self.backtrack_to(level);
                         let idx = self.clauses.len();
                         self.watch(learned[0], idx);
@@ -541,7 +475,7 @@ impl Solver {
                             self.stats.clause_db_size.max(self.clauses.len() as u64);
                         if !self.enqueue(asserting, Some(idx)) {
                             // The asserting literal is already false at the
-                            // backtrack level: the assumptions are inconsistent.
+                            // backtrack level.
                             self.backtrack_to(0);
                             return Ok(SatResult::Unsat);
                         }
@@ -552,7 +486,7 @@ impl Solver {
                         restart_count += 1;
                         restart_limit = luby(restart_count) * 64;
                         conflicts_since_restart = 0;
-                        self.backtrack_to(assumptions.len() as u32);
+                        self.backtrack_to(0);
                     }
                 }
                 None => match self.pick_branch_var() {
@@ -626,12 +560,12 @@ mod tests {
     fn trivial_sat_and_unsat() {
         let mut s = Solver::new(1);
         assert!(s.add_clause(clause(&[1])));
-        assert!(s.solve(&[]).unwrap().is_sat());
+        assert!(s.solve().unwrap().is_sat());
 
         let mut s = Solver::new(1);
         s.add_clause(clause(&[1]));
         assert!(!s.add_clause(clause(&[-1])));
-        assert!(matches!(s.solve(&[]).unwrap(), SatResult::Unsat));
+        assert!(matches!(s.solve().unwrap(), SatResult::Unsat));
     }
 
     #[test]
@@ -642,7 +576,7 @@ mod tests {
         s.add_clause(clause(&[-1, 2]));
         s.add_clause(clause(&[-2, 3]));
         s.add_clause(clause(&[-3, 4]));
-        match s.solve(&[]).unwrap() {
+        match s.solve().unwrap() {
             SatResult::Sat(m) => {
                 assert!(m.value(1) && m.value(2) && m.value(3) && m.value(4));
             }
@@ -665,29 +599,8 @@ mod tests {
                 }
             }
         }
-        assert!(matches!(s.solve(&[]).unwrap(), SatResult::Unsat));
+        assert!(matches!(s.solve().unwrap(), SatResult::Unsat));
         assert!(s.stats.conflicts > 0);
-    }
-
-    #[test]
-    fn assumptions_restrict_but_do_not_persist() {
-        let mut s = Solver::new(2);
-        s.add_clause(clause(&[1, 2]));
-        // Assume ¬x1: model must set x2.
-        match s.solve(&[Lit::neg(1)]).unwrap() {
-            SatResult::Sat(m) => {
-                assert!(!m.value(1));
-                assert!(m.value(2));
-            }
-            _ => panic!("satisfiable under assumption"),
-        }
-        // Conflicting assumptions -> Unsat, but the solver is still usable.
-        s.add_clause(clause(&[-2, 1]));
-        assert!(matches!(
-            s.solve(&[Lit::neg(1), Lit::pos(2)]).unwrap(),
-            SatResult::Unsat
-        ));
-        assert!(s.solve(&[]).unwrap().is_sat());
     }
 
     #[test]
@@ -727,7 +640,7 @@ mod tests {
                 }
             }
             let mut solver = Solver::from_cnf(&cnf);
-            let result = solver.solve(&[]).unwrap();
+            let result = solver.solve().unwrap();
             assert_eq!(result.is_sat(), brute_sat, "instance {instance}");
             if let SatResult::Sat(m) = result {
                 let mut assignment = vec![false; num_vars as usize + 1];
@@ -751,7 +664,7 @@ mod tests {
         s.add_clause(clause(&[1]));
         s.add_clause(clause(&[-2]));
         s.add_clause(clause(&[3]));
-        let m = match s.solve(&[]).unwrap() {
+        let m = match s.solve().unwrap() {
             SatResult::Sat(m) => m,
             _ => panic!(),
         };

@@ -16,16 +16,6 @@ pub struct SolverStats {
     pub learned_clauses: u64,
     /// Number of restarts performed.
     pub restarts: u64,
-    /// Number of `solve` calls made under a non-empty assumption set (the
-    /// incremental layer's bound probes and scoped activations).
-    pub assumption_solves: u64,
-    /// Number of clauses (learned, blocking, certificates) that were already
-    /// present when a warm solver was re-entered — i.e. work carried across
-    /// solve boundaries instead of being rebuilt.
-    pub clauses_retained: u64,
-    /// Number of times a warm incremental solver was re-entered after its
-    /// first solve (per problem).
-    pub incremental_reuses: u64,
     /// High-water mark of the clause database size across the solves these
     /// stats cover. Merged with `max`, observed as a histogram sample by
     /// [`SolverStats::record`].
@@ -41,28 +31,7 @@ impl SolverStats {
         self.conflicts += other.conflicts;
         self.learned_clauses += other.learned_clauses;
         self.restarts += other.restarts;
-        self.assumption_solves += other.assumption_solves;
-        self.clauses_retained += other.clauses_retained;
-        self.incremental_reuses += other.incremental_reuses;
         self.clause_db_size = self.clause_db_size.max(other.clause_db_size);
-    }
-
-    /// The counter delta `self - before`, for attributing the work of one
-    /// solve on a long-lived warm solver to the search that asked for it.
-    /// `clause_db_size` is a high-water mark, not a rate, so the delta simply
-    /// carries the current value.
-    pub fn diff(&self, before: &SolverStats) -> SolverStats {
-        SolverStats {
-            decisions: self.decisions - before.decisions,
-            propagations: self.propagations - before.propagations,
-            conflicts: self.conflicts - before.conflicts,
-            learned_clauses: self.learned_clauses - before.learned_clauses,
-            restarts: self.restarts - before.restarts,
-            assumption_solves: self.assumption_solves - before.assumption_solves,
-            clauses_retained: self.clauses_retained - before.clauses_retained,
-            incremental_reuses: self.incremental_reuses - before.incremental_reuses,
-            clause_db_size: self.clause_db_size,
-        }
     }
 
     /// Fold these counters into a metrics registry under the `solver.*`
@@ -76,9 +45,6 @@ impl SolverStats {
         metrics.counter_add("solver.conflicts", self.conflicts);
         metrics.counter_add("solver.learned_clauses", self.learned_clauses);
         metrics.counter_add("solver.restarts", self.restarts);
-        metrics.counter_add("solver.assumption_solves", self.assumption_solves);
-        metrics.counter_add("solver.clauses_retained", self.clauses_retained);
-        metrics.counter_add("solver.incremental_reuses", self.incremental_reuses);
         metrics.observe("solver.clause_db_size", self.clause_db_size);
     }
 }
@@ -121,31 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn diff_subtracts_fieldwise() {
-        let before = SolverStats {
-            decisions: 1,
-            propagations: 10,
-            conflicts: 2,
-            clause_db_size: 50,
-            ..Default::default()
-        };
-        let after = SolverStats {
-            decisions: 4,
-            propagations: 25,
-            conflicts: 2,
-            assumption_solves: 1,
-            clause_db_size: 60,
-            ..Default::default()
-        };
-        let d = after.diff(&before);
-        assert_eq!(d.decisions, 3);
-        assert_eq!(d.propagations, 15);
-        assert_eq!(d.conflicts, 0);
-        assert_eq!(d.assumption_solves, 1);
-        assert_eq!(d.clause_db_size, 60);
-    }
-
-    #[test]
     fn record_folds_into_the_registry() {
         use std::sync::Arc;
         let registry = Arc::new(ratest_telemetry::MetricsRegistry::new());
@@ -156,9 +97,6 @@ mod tests {
             conflicts: 3,
             learned_clauses: 4,
             restarts: 5,
-            assumption_solves: 6,
-            clauses_retained: 7,
-            incremental_reuses: 8,
             clause_db_size: 9,
         };
         stats.record(&metrics);
@@ -167,8 +105,5 @@ mod tests {
         assert_eq!(registry.counter("solver.decisions"), 2);
         assert_eq!(registry.counter("solver.conflicts"), 6);
         assert_eq!(registry.counter("solver.restarts"), 10);
-        assert_eq!(registry.counter("solver.assumption_solves"), 12);
-        assert_eq!(registry.counter("solver.clauses_retained"), 14);
-        assert_eq!(registry.counter("solver.incremental_reuses"), 16);
     }
 }

@@ -1,8 +1,9 @@
 //! Session-API guarantees at workload scale:
 //!
-//! * the deprecated one-shot shims (`explain`, `explain_with_reference`)
-//!   produce outcomes identical to the [`Session`] path on the course
-//!   workload — the compatibility contract of the API redesign;
+//! * the session's shared-annotation path produces the same outcomes as
+//!   the unshared dispatch (a session forced to the algorithm `Auto` picks
+//!   for the pair's class) on the course workload: two exact algorithms
+//!   cross-check each other;
 //! * a warm session answers repeats with the same outcome as a cold one
 //!   (session-level mirror of the grader's warm-regrade conformance test);
 //! * a [`Budget`] bounds real work on the TPC-H workload: an expired
@@ -11,16 +12,31 @@
 //!   is threaded through `ra::eval`/provenance inner loops rather than only
 //!   algorithm loop boundaries.
 
+use ratest_suite::core::pipeline::Algorithm;
 use ratest_suite::core::session::{Budget, Session};
 use ratest_suite::core::RatestError;
 use ratest_suite::datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
 use ratest_suite::queries::course::course_questions;
 use ratest_suite::queries::mutations::sample_mutations;
 use ratest_suite::queries::tpch_queries;
+use ratest_suite::ra::ast::Query;
+use ratest_suite::ra::classify::{classify_pair, QueryClass};
 use std::time::{Duration, Instant};
 
+/// The algorithm the unshared pipeline's `Auto` dispatch runs for a pair.
+fn unshared_algorithm(q1: &Query, q2: &Query) -> Algorithm {
+    match classify_pair(q1, q2) {
+        QueryClass::Aggregate if q1.params().is_empty() && q2.params().is_empty() => {
+            Algorithm::AggOpt
+        }
+        QueryClass::Aggregate => Algorithm::AggParam,
+        c if c.is_monotone() => Algorithm::PolytimeMonotone,
+        _ => Algorithm::OptSigma,
+    }
+}
+
 #[test]
-fn deprecated_shims_match_the_session_on_the_course_workload() {
+fn the_shared_path_matches_the_unshared_dispatch_on_the_course_workload() {
     let db = university_database(&UniversityConfig::with_total(60));
     let session = Session::builder(db.clone()).build();
     let mut compared = 0usize;
@@ -30,19 +46,16 @@ fn deprecated_shims_match_the_session_on_the_course_workload() {
             let new = session
                 .explain(reference, &mutation.query)
                 .expect("session path runs");
-            #[allow(deprecated)]
-            let old = ratest_suite::core::pipeline::explain(
-                &question.reference,
-                &mutation.query,
-                &db,
-                &ratest_suite::core::pipeline::RatestOptions::default(),
-            )
-            .expect("deprecated shim runs");
+            let old = Session::builder(db.clone())
+                .algorithm(unshared_algorithm(&question.reference, &mutation.query))
+                .build()
+                .explain_pair(&question.reference, &mutation.query)
+                .expect("unshared dispatch runs");
             assert_eq!(new.class, old.class, "q{}: class", question.number);
-            // The session path may dispatch to a different (equally exact)
-            // algorithm — `Basic` over the shared annotation where the
-            // one-shot auto picks `Optσ` — so the contract is the *outcome*:
-            // same agreement and same optimal counterexample size.
+            // The shared path may run a different (equally exact) algorithm —
+            // `Basic` over the shared annotation where the unshared dispatch
+            // picks `Optσ` — so the contract is the *outcome*: same agreement
+            // and same optimal counterexample size.
             assert_eq!(
                 new.counterexample.as_ref().map(|c| c.size()),
                 old.counterexample.as_ref().map(|c| c.size()),
