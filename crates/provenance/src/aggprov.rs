@@ -29,7 +29,7 @@ use ratest_ra::eval::compute_aggregate;
 use ratest_ra::expr::{Expr, ParamMap};
 use ratest_ra::interrupt::{Interrupt, Pacer};
 use ratest_ra::typecheck::output_schema;
-use ratest_storage::{Database, Schema, TupleId, Value};
+use ratest_storage::{Database, Schema, TupleId, TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
 use std::collections::{BTreeSet, HashMap};
 
@@ -116,28 +116,139 @@ pub struct AggregateProvenance {
     /// Column indices (into `group_schema`) kept by the outer projection;
     /// identity when there is no outer projection.
     pub projection: Vec<usize>,
-    /// Per-group provenance.
-    pub groups: Vec<GroupProvenance>,
     /// The (inner) SPJUD query feeding the aggregation — `Q'` in Algorithm 3.
     pub inner: Query,
     /// Additional selection applied *above* the aggregation (outer σ), if any.
     pub outer_having: Option<Expr>,
+    /// Per-group provenance (read-only: `index` is built from it).
+    groups: Vec<GroupProvenance>,
+    /// The group structure, indexed once when the provenance is built.
+    index: GroupIndex,
+}
+
+/// Lookups over [`AggregateProvenance::groups`], built once so that neither
+/// the theory check nor the candidate ordering rescans every group.
+#[derive(Debug, Clone)]
+struct GroupIndex {
+    /// Group key → position in `groups`.
+    by_key: HashMap<Vec<Value>, usize>,
+    /// Per group, [`GroupProvenance::variables`].
+    variables: Vec<BTreeSet<TupleId>>,
+    /// Tuple → the groups whose provenance mentions it, ascending.
+    by_tuple: HashMap<TupleId, Vec<usize>>,
+    /// Groups with a member whose provenance holds on the empty
+    /// sub-instance, ascending. Only a negation allows that: the
+    /// annotator's provenance always needs some base tuple, but
+    /// [`AggregateProvenance::new`] accepts any group.
+    live_when_empty: Vec<usize>,
+}
+
+impl GroupIndex {
+    fn build(groups: &[GroupProvenance]) -> GroupIndex {
+        let by_key = groups
+            .iter()
+            .enumerate()
+            .map(|(gi, g)| (g.key.clone(), gi))
+            .collect();
+        let variables: Vec<BTreeSet<TupleId>> =
+            groups.iter().map(GroupProvenance::variables).collect();
+        let mut by_tuple: HashMap<TupleId, Vec<usize>> = HashMap::new();
+        for (gi, vars) in variables.iter().enumerate() {
+            for &id in vars {
+                by_tuple.entry(id).or_default().push(gi);
+            }
+        }
+        let nothing = |_: TupleId| false;
+        let live_when_empty = groups
+            .iter()
+            .enumerate()
+            .filter(|(_, g)| g.members.iter().any(|m| m.provenance.eval(&nothing)))
+            .map(|(gi, _)| gi)
+            .collect();
+        GroupIndex {
+            by_key,
+            variables,
+            by_tuple,
+            live_when_empty,
+        }
+    }
 }
 
 impl AggregateProvenance {
-    /// Evaluate the aggregate query under a sub-instance, producing the set
-    /// of final output rows. This is the "theory check" used by the lazy
-    /// solving loop: cheaper than re-running the full query because the
-    /// grouping structure is precomputed.
-    pub fn evaluate_under<F: Fn(TupleId) -> bool>(
+    /// Assemble the provenance of an aggregate query from its parts and
+    /// index its groups. `groups` must have pairwise distinct keys.
+    pub fn new(
+        group_schema: Schema,
+        output_schema: Schema,
+        projection: Vec<usize>,
+        groups: Vec<GroupProvenance>,
+        inner: Query,
+        outer_having: Option<Expr>,
+    ) -> AggregateProvenance {
+        let index = GroupIndex::build(&groups);
+        AggregateProvenance {
+            group_schema,
+            output_schema,
+            projection,
+            inner,
+            outer_having,
+            groups,
+            index,
+        }
+    }
+
+    /// Per-group provenance, in the order the groups first appear in the
+    /// annotated aggregation input.
+    pub fn groups(&self) -> &[GroupProvenance] {
+        &self.groups
+    }
+
+    /// The groups that can yield a row on the sub-instance `selection`, in
+    /// ascending order: those whose provenance mentions a selected tuple,
+    /// plus those live on the empty sub-instance. Any other group's member
+    /// provenance evaluates as on the empty sub-instance, where none holds,
+    /// so the group is empty and yields nothing.
+    pub fn groups_under(&self, selection: &TupleSelection) -> Vec<usize> {
+        let mut out = self.index.live_when_empty.clone();
+        for id in selection.iter() {
+            if let Some(groups) = self.index.by_tuple.get(&id) {
+                out.extend_from_slice(groups);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Evaluate the aggregate query on the sub-instance `selection`,
+    /// producing the set of final output rows. This is the "theory check"
+    /// used by the lazy solving loop: it re-evaluates only
+    /// [`AggregateProvenance::groups_under`] the selection, so its cost
+    /// follows the candidate, not the instance.
+    pub fn evaluate_selection(
         &self,
-        present: &F,
+        selection: &TupleSelection,
         params: &ParamMap,
     ) -> Result<Vec<Vec<Value>>> {
+        self.evaluate_groups(&self.groups_under(selection), selection, params)
+    }
+
+    /// [`AggregateProvenance::evaluate_selection`] for a caller that already
+    /// holds `groups_under(selection)` (e.g. to try several parameter
+    /// settings on one candidate). Rows come out in group order, without
+    /// duplicates.
+    pub fn evaluate_groups(
+        &self,
+        groups: &[usize],
+        selection: &TupleSelection,
+        params: &ParamMap,
+    ) -> Result<Vec<Vec<Value>>> {
+        let present = |id| selection.contains(id);
         let mut out = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for g in &self.groups {
-            if let Some(row) = g.evaluate_under(&self.group_schema, present, params)? {
+        for &gi in groups {
+            let g = &self.groups[gi];
+            if let Some(row) = g.evaluate_under(&self.group_schema, &present, params)? {
                 if let Some(h) = &self.outer_having {
                     if !h
                         .eval_predicate(&self.group_schema, &row, params)
@@ -158,16 +269,21 @@ impl AggregateProvenance {
 
     /// All tuple variables appearing anywhere in the provenance.
     pub fn variables(&self) -> BTreeSet<TupleId> {
-        let mut out = BTreeSet::new();
-        for g in &self.groups {
-            out.extend(g.variables());
-        }
-        out
+        self.index.variables.iter().flatten().copied().collect()
     }
 
     /// The group with the given key, if any.
     pub fn group_by_key(&self, key: &[Value]) -> Option<&GroupProvenance> {
-        self.groups.iter().find(|g| g.key == key)
+        self.index.by_key.get(key).map(|&gi| &self.groups[gi])
+    }
+
+    /// Number of tuple variables of the group with the given key (zero when
+    /// there is no such group).
+    pub fn group_var_count(&self, key: &[Value]) -> usize {
+        self.index
+            .by_key
+            .get(key)
+            .map_or(0, |&gi| self.index.variables[gi].len())
     }
 }
 
@@ -303,14 +419,14 @@ pub fn aggregate_provenance_instrumented(
         groups.iter().map(|g| g.members.len() as u64).sum(),
     );
 
-    Ok(AggregateProvenance {
+    Ok(AggregateProvenance::new(
         group_schema,
-        output_schema: output_schema_q,
+        output_schema_q,
         projection,
         groups,
-        inner: input,
-        outer_having: shape.outer_select,
-    })
+        input,
+        shape.outer_select,
+    ))
 }
 
 /// The decomposed shape of a supported aggregate query.
@@ -386,16 +502,14 @@ mod tests {
         let db = testdata::figure1_db();
         let prov = aggregate_provenance(&testdata::example5_q1(), &db, &ParamMap::new()).unwrap();
         // Three groups: Mary, John, Jesse.
-        assert_eq!(prov.groups.len(), 3);
+        assert_eq!(prov.groups().len(), 3);
         let mary = prov.group_by_key(&[Value::from("Mary")]).unwrap();
         // Mary's CS group has two members (courses 216 and 230).
         assert_eq!(mary.members.len(), 2);
         assert_eq!(mary.variables().len(), 3); // t1, t4, t5
                                                // Full instance: Mary fails HAVING count >= 3, Jesse passes.
         let all = all_of(&db);
-        let rows = prov
-            .evaluate_under(&|id| all.contains(id), &ParamMap::new())
-            .unwrap();
+        let rows = prov.evaluate_selection(&all, &ParamMap::new()).unwrap();
         assert_eq!(rows, vec![vec![Value::from("Jesse"), Value::double(90.0)]]);
     }
 
@@ -488,7 +602,7 @@ mod tests {
         )
         .unwrap();
         let prov = aggregate_provenance(&testdata::example5_q1(), &db, &ParamMap::new()).unwrap();
-        let expected_members: u64 = prov.groups.iter().map(|g| g.members.len() as u64).sum();
+        let expected_members: u64 = prov.groups().iter().map(|g| g.members.len() as u64).sum();
         assert_eq!(registry.counter("provenance.aggprov.calls"), 1);
         assert_eq!(registry.counter("provenance.aggprov.groups"), 3);
         assert_eq!(
@@ -505,9 +619,7 @@ mod tests {
         let db = testdata::figure1_db();
         let prov = aggregate_provenance(&testdata::example5_q2(), &db, &ParamMap::new()).unwrap();
         let all = all_of(&db);
-        let rows = prov
-            .evaluate_under(&|id| all.contains(id), &ParamMap::new())
-            .unwrap();
+        let rows = prov.evaluate_selection(&all, &ParamMap::new()).unwrap();
         assert_eq!(rows.len(), 2);
         assert!(rows.contains(&vec![Value::from("Mary"), Value::double(90.0)]));
     }
@@ -518,15 +630,23 @@ mod tests {
         // Q2's average for Mary from 90 to 87.5.
         let db = testdata::figure1_db();
         let prov = aggregate_provenance(&testdata::example4_q2(), &db, &ParamMap::new()).unwrap();
-        let without_econ = |id: TupleId| !(id.relation == 1 && id.row == 2);
+        let econ = TupleId {
+            relation: 1,
+            row: 2,
+        };
+        let all = all_of(&db);
+        let without_econ = TupleSelection::from_ids(all.iter().filter(|&id| id != econ));
         let rows = prov
-            .evaluate_under(&without_econ, &ParamMap::new())
+            .evaluate_selection(&without_econ, &ParamMap::new())
             .unwrap();
         assert!(rows.contains(&vec![Value::from("Mary"), Value::double(87.5)]));
         // And keeping only the ECON registration yields 95 — the paper's
         // single-tuple counterexample C = {(Mary, 208D, ECON, 95)} plus Mary.
-        let only_econ = |id: TupleId| id.relation == 0 || (id.relation == 1 && id.row == 2);
-        let rows = prov.evaluate_under(&only_econ, &ParamMap::new()).unwrap();
+        let only_econ =
+            TupleSelection::from_ids(all.iter().filter(|&id| id.relation == 0 || id == econ));
+        let rows = prov
+            .evaluate_selection(&only_econ, &ParamMap::new())
+            .unwrap();
         assert!(rows.contains(&vec![Value::from("Mary"), Value::double(95.0)]));
     }
 
@@ -537,10 +657,10 @@ mod tests {
         let all = all_of(&db);
         let mut p = ParamMap::new();
         p.insert("numCS".into(), Value::Int(3));
-        let rows = prov.evaluate_under(&|id| all.contains(id), &p).unwrap();
+        let rows = prov.evaluate_selection(&all, &p).unwrap();
         assert_eq!(rows.len(), 1);
         p.insert("numCS".into(), Value::Int(1));
-        let rows = prov.evaluate_under(&|id| all.contains(id), &p).unwrap();
+        let rows = prov.evaluate_selection(&all, &p).unwrap();
         assert_eq!(rows.len(), 3);
     }
 
@@ -555,9 +675,7 @@ mod tests {
             testdata::example5_q2(),
         ] {
             let prov = aggregate_provenance(&q, &db, &ParamMap::new()).unwrap();
-            let via_prov = prov
-                .evaluate_under(&|id| all.contains(id), &ParamMap::new())
-                .unwrap();
+            let via_prov = prov.evaluate_selection(&all, &ParamMap::new()).unwrap();
             let direct = ratest_ra::eval::evaluate(&q, &db).unwrap();
             assert_eq!(via_prov.len(), direct.len(), "query {q:?}");
             for row in &via_prov {

@@ -9,11 +9,11 @@
 //! and continuing. This mirrors the paper's symbolic SMT encoding
 //! (Listing 2) with evaluation standing in for symbolic arithmetic.
 
-use super::pair_provenance;
+use super::{run_standalone, TheoryCheck};
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{check_distinguishes, verify_candidate, CandidateEval, Counterexample};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
@@ -21,7 +21,7 @@ use ratest_ra::eval::Params;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
-use ratest_storage::{Database, TupleSelection, Value};
+use ratest_storage::{Database, Value};
 use ratest_telemetry::MetricsHandle;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -59,28 +59,31 @@ pub fn smallest_counterexample_agg_basic(
     params: &Params,
     options: &AggBasicOptions,
 ) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-
-    let start = Instant::now();
-    let (r1, r2) = check_distinguishes(q1, q2, db, params)?;
-    timings.raw_eval = start.elapsed();
-    if r1.set_eq(&r2) {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
-
-    let start = Instant::now();
-    let (p1, p2) = pair_provenance(
+    run_standalone(
         q1,
         q2,
         db,
         params,
-        &options.budget.interrupt(),
+        &options.budget,
         &options.metrics,
-    )?;
-    timings.provenance = start.elapsed();
+        |p1, p2| agg_basic_core(q1, q2, db, params, p1, p2, options),
+    )
+}
 
+/// `Agg-Basic`'s search over the pair's aggregate provenance `p1`, `p2`
+/// (built on `db` under `params`). The returned [`Timings`] cover the search
+/// alone.
+pub(crate) fn agg_basic_core(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    params: &Params,
+    p1: &AggregateProvenance,
+    p2: &AggregateProvenance,
+    options: &AggBasicOptions,
+) -> Result<(Counterexample, Timings)> {
     let start = Instant::now();
-    let candidates = candidate_group_keys(&p1, &p2, params)?;
+    let candidates = candidate_group_keys(p1, p2, params)?;
     let ctx = CandidateEval {
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
@@ -94,7 +97,7 @@ pub fn smallest_counterexample_agg_basic(
                 index,
                 best_size: best.as_ref().map(|b| b.size()),
             });
-        match solve_for_group(q1, q2, db, params, &p1, &p2, &key, &ctx)? {
+        match solve_for_group(q1, q2, db, params, p1, p2, key, &ctx)? {
             Some(cex) => {
                 let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
                 if better {
@@ -104,8 +107,10 @@ pub fn smallest_counterexample_agg_basic(
             None => continue,
         }
     }
-    timings.solver = start.elapsed();
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
+    let timings = Timings {
+        solver: start.elapsed(),
+        ..Timings::default()
+    };
 
     best.map(|c| (c, timings)).ok_or_else(|| {
         RatestError::Unsupported("no candidate group yields a distinguishing sub-instance".into())
@@ -114,35 +119,28 @@ pub fn smallest_counterexample_agg_basic(
 
 /// Group keys on which the two queries (may) disagree, ordered by the number
 /// of involved tuples so that small groups are attempted first.
-pub(crate) fn candidate_group_keys(
-    p1: &AggregateProvenance,
-    p2: &AggregateProvenance,
+pub(crate) fn candidate_group_keys<'p>(
+    p1: &'p AggregateProvenance,
+    p2: &'p AggregateProvenance,
     params: &Params,
-) -> Result<Vec<Vec<Value>>> {
-    let mut keys: BTreeSet<Vec<Value>> = BTreeSet::new();
-    for g in &p1.groups {
-        keys.insert(g.key.clone());
-    }
-    for g in &p2.groups {
-        keys.insert(g.key.clone());
-    }
-    let mut scored: Vec<(bool, usize, Vec<Value>)> = Vec::new();
+) -> Result<Vec<&'p [Value]>> {
+    let keys: BTreeSet<&[Value]> = p1
+        .groups()
+        .iter()
+        .chain(p2.groups())
+        .map(|g| g.key.as_slice())
+        .collect();
+    let mut scored: Vec<(bool, usize, &[Value])> = Vec::with_capacity(keys.len());
     for key in keys {
-        let size = group_var_count(p1, &key) + group_var_count(p2, &key);
+        let size = p1.group_var_count(key) + p2.group_var_count(key);
         // Groups whose full-instance rows already differ are guaranteed to
         // lead somewhere, so they come first; among those, prefer the group
         // with the fewest involved tuples (Section 5.3.2).
-        let differs = rows_differ_on_full_instance(p1, p2, &key, params)?;
+        let differs = rows_differ_on_full_instance(p1, p2, key, params)?;
         scored.push((!differs, size, key));
     }
     scored.sort();
     Ok(scored.into_iter().map(|(_, _, k)| k).collect())
-}
-
-fn group_var_count(p: &AggregateProvenance, key: &[Value]) -> usize {
-    p.group_by_key(key)
-        .map(|g| g.variables().len())
-        .unwrap_or(0)
 }
 
 fn rows_differ_on_full_instance(
@@ -197,10 +195,12 @@ fn solve_for_group(
     let formula = Formula::and(parts);
     let objective = vars.all_vars();
 
-    let vars_for_theory = vars.clone();
+    let theory = TheoryCheck::new(p1, p2);
     let accept = |true_vars: &[ratest_solver::Var]| -> bool {
-        let selection = vars_for_theory.selection_from_vars(true_vars);
-        queries_differ_under(p1, p2, &selection, params).unwrap_or(false)
+        let selection = vars.selection_from_vars(true_vars);
+        theory
+            .differ(&theory.candidate(&selection), params)
+            .unwrap_or(false)
     };
     metrics.counter_inc("agg.groups_solved");
     metrics.observe("solver.objective_vars", objective.len() as u64);
@@ -215,6 +215,7 @@ fn solve_for_group(
     // Record on every path: groups abandoned as unsatisfiable or budget-capped
     // still did solver work that `--metrics` totals must include.
     solver_stats.record(metrics);
+    theory.record(metrics);
     let sol = match result {
         Ok(sol) => sol,
         Err(ratest_solver::SolverError::Unsatisfiable)
@@ -227,24 +228,6 @@ fn solve_for_group(
         Err(RatestError::Unsupported(_)) => Ok(None),
         Err(e) => Err(e),
     }
-}
-
-/// The lazy theory check: do the two aggregate queries produce different
-/// output sets on the sub-instance described by `selection`?
-pub(crate) fn queries_differ_under(
-    p1: &AggregateProvenance,
-    p2: &AggregateProvenance,
-    selection: &TupleSelection,
-    params: &Params,
-) -> Result<bool> {
-    let present = |id| selection.contains(id);
-    let out1 = p1.evaluate_under(&present, params)?;
-    let out2 = p2.evaluate_under(&present, params)?;
-    if out1.len() != out2.len() {
-        return Ok(true);
-    }
-    let set1: BTreeSet<&Vec<Value>> = out1.iter().collect();
-    Ok(!out2.iter().all(|r| set1.contains(r)))
 }
 
 #[cfg(test)]
@@ -305,6 +288,9 @@ mod tests {
 
     #[test]
     fn theory_check_detects_agreement_and_disagreement() {
+        use crate::aggregates::pair_provenance;
+        use ratest_storage::TupleSelection;
+
         let db = testdata::figure1_db();
         let (p1, p2) = pair_provenance(
             &testdata::example4_q1(),
@@ -315,9 +301,23 @@ mod tests {
             &MetricsHandle::none(),
         )
         .unwrap();
+        let theory = TheoryCheck::new(&p1, &p2);
+        let (nothing, all) = (TupleSelection::new(), TupleSelection::all(&db));
         // Empty sub-instance: both queries return nothing — no difference.
-        assert!(!queries_differ_under(&p1, &p2, &TupleSelection::new(), &Params::new()).unwrap());
+        assert!(!theory
+            .differ(&theory.candidate(&nothing), &Params::new())
+            .unwrap());
         // Full instance: they differ.
-        assert!(queries_differ_under(&p1, &p2, &TupleSelection::all(&db), &Params::new()).unwrap());
+        assert!(theory
+            .differ(&theory.candidate(&all), &Params::new())
+            .unwrap());
+        let registry = std::sync::Arc::new(ratest_telemetry::MetricsRegistry::new());
+        theory.record(&MetricsHandle::new(registry.clone()));
+        assert_eq!(registry.counter("agg.theory.checks"), 2);
+        // Nothing selected touches no group; everything touches all of them.
+        assert_eq!(
+            registry.counter("agg.theory.groups_evaluated"),
+            (p1.groups().len() + p2.groups().len()) as u64
+        );
     }
 }

@@ -9,14 +9,15 @@
 //! solver for a different model and repeat — exactly the repeat-until loop of
 //! the paper.
 
-use super::pair_provenance;
+use super::{run_standalone, TheoryCheck};
 use crate::error::{RatestError, Result};
 use crate::optsigma::{smallest_witness_optsigma_accepting, OptSigmaOptions};
 use crate::pipeline::Timings;
-use crate::problem::{check_distinguishes, verify_candidate, CandidateEval, Counterexample};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample};
+use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
-use ratest_storage::{Database, TupleSelection, Value};
+use ratest_storage::{Database, TupleSelection};
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -48,49 +49,49 @@ pub fn smallest_counterexample_agg_opt(
     original_params: &Params,
     options: &AggOptOptions,
 ) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-
-    let start = Instant::now();
-    let (r1, r2) = check_distinguishes(q1, q2, db, original_params)?;
-    timings.raw_eval = start.elapsed();
-    if r1.set_eq(&r2) {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
-
     // Aggregate provenance gives us (a) the stripped inner queries Q1', Q2'
     // and (b) a fast way to re-check the original queries on candidates.
-    let start = Instant::now();
-    let (p1, p2) = pair_provenance(
+    run_standalone(
         q1,
         q2,
         db,
         original_params,
-        &options.optsigma.budget.interrupt(),
+        &options.optsigma.budget,
         &options.optsigma.metrics,
-    )?;
-    let inner1 = p1.inner.clone();
-    let inner2 = p2.inner.clone();
-    timings.provenance = start.elapsed();
+        |p1, p2| agg_opt_core(q1, q2, db, original_params, p1, p2, options),
+    )
+}
 
+/// `Agg-Opt`'s search over the pair's aggregate provenance `p1`, `p2`
+/// (built on `db` under `original_params`). The returned [`Timings`] cover
+/// the search alone: the inner `Optσ` run's evaluation of the stripped
+/// queries, its tuple provenance, and the rest as solver time.
+pub(crate) fn agg_opt_core(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    original_params: &Params,
+    p1: &AggregateProvenance,
+    p2: &AggregateProvenance,
+    options: &AggOptOptions,
+) -> Result<(Counterexample, Timings)> {
     let param_names: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
     let chosen: RefCell<Params> = RefCell::new(original_params.clone());
 
     // Acceptance check = line 13 of Algorithm 3: the candidate must make the
     // *original* queries disagree under some parameter setting.
+    let theory = TheoryCheck::new(p1, p2);
     let accept = |selection: &TupleSelection| -> bool {
-        for candidate in
-            candidate_params(&param_names, original_params, options, selection, &p1, &p2)
-        {
-            let present = |id| selection.contains(id);
-            let out1 = p1.evaluate_under(&present, &candidate);
-            let out2 = p2.evaluate_under(&present, &candidate);
-            if let (Ok(a), Ok(b)) = (out1, out2) {
-                let sa: BTreeSet<&Vec<Value>> = a.iter().collect();
-                let sb: BTreeSet<&Vec<Value>> = b.iter().collect();
-                if sa != sb {
-                    *chosen.borrow_mut() = candidate;
-                    return true;
-                }
+        let candidate = theory.candidate(selection);
+        for setting in theory.param_settings(
+            &candidate,
+            &param_names,
+            original_params,
+            &options.extra_candidates,
+        ) {
+            if theory.differ(&candidate, &setting).unwrap_or(false) {
+                *chosen.borrow_mut() = setting;
+                return true;
             }
         }
         false
@@ -98,26 +99,30 @@ pub fn smallest_counterexample_agg_opt(
 
     // Run Optσ on the stripped SPJUD queries with the acceptance hook.
     let start = Instant::now();
-    let (inner_cex, inner_timings) = smallest_witness_optsigma_accepting(
-        &inner1,
-        &inner2,
+    let searched = smallest_witness_optsigma_accepting(
+        &p1.inner,
+        &p2.inner,
         db,
         original_params,
         &options.optsigma,
         accept,
-    )
-    .map_err(|e| match e {
+    );
+    theory.record(&options.optsigma.metrics);
+    let (inner_cex, inner_timings) = searched.map_err(|e| match e {
         RatestError::QueriesAgreeOnInstance => RatestError::Unsupported(
             "the aggregation inputs agree on the instance; Agg-Opt does not apply".into(),
         ),
         other => other,
     })?;
-    timings.solver = start
-        .elapsed()
-        .saturating_sub(inner_timings.raw_eval)
-        .saturating_sub(inner_timings.provenance);
-    timings.provenance += inner_timings.provenance;
-    timings.raw_eval += inner_timings.raw_eval;
+    let timings = Timings {
+        raw_eval: inner_timings.raw_eval,
+        provenance: inner_timings.provenance,
+        solver: start
+            .elapsed()
+            .saturating_sub(inner_timings.raw_eval)
+            .saturating_sub(inner_timings.provenance),
+        ..Timings::default()
+    };
 
     // Rebuild the counterexample against the *original* aggregate queries
     // with the chosen parameter setting λ'.
@@ -135,60 +140,7 @@ pub fn smallest_counterexample_agg_opt(
         &params,
         &ctx,
     )?;
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
     Ok((cex, timings))
-}
-
-/// Candidate parameter settings derived from the candidate sub-instance
-/// (paper: COUNT → 1 or 0 depending on the comparison operator; SUM/AVG/
-/// MIN/MAX → a value attained by the candidate), plus the original setting.
-fn candidate_params(
-    param_names: &BTreeSet<String>,
-    original: &Params,
-    options: &AggOptOptions,
-    selection: &TupleSelection,
-    p1: &ratest_provenance::AggregateProvenance,
-    p2: &ratest_provenance::AggregateProvenance,
-) -> Vec<Params> {
-    if param_names.is_empty() {
-        return vec![original.clone()];
-    }
-    let mut values: BTreeSet<i64> = options.extra_candidates.iter().copied().collect();
-    for (name, v) in original.iter() {
-        if param_names.contains(name) {
-            if let Some(i) = v.as_int() {
-                values.insert(i);
-            }
-        }
-    }
-    for p in [p1, p2] {
-        for g in &p.groups {
-            let live = g
-                .members
-                .iter()
-                .filter(|m| m.provenance.eval(&|id| selection.contains(id)))
-                .count() as i64;
-            if live > 0 {
-                values.insert(live);
-            }
-        }
-    }
-    let mut settings: Vec<Params> = vec![Params::new()];
-    for name in param_names {
-        let mut next = Vec::new();
-        for setting in &settings {
-            for v in &values {
-                let mut s = setting.clone();
-                s.insert(name.clone(), Value::Int(*v));
-                next.push(s);
-            }
-        }
-        settings = next;
-        if settings.len() > 256 {
-            settings.truncate(256);
-        }
-    }
-    settings
 }
 
 #[cfg(test)]
@@ -196,6 +148,7 @@ mod tests {
     use super::*;
     use crate::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
     use ratest_ra::testdata;
+    use ratest_storage::Value;
 
     #[test]
     fn example7_heuristic_finds_a_two_tuple_counterexample() {

@@ -8,12 +8,12 @@
 //! paper reports ~70 % smaller counterexamples on TPC-H Q18 for a negligible
 //! runtime increase — Figure 7).
 
-use super::agg_basic::{candidate_group_keys, queries_differ_under};
-use super::pair_provenance;
+use super::agg_basic::candidate_group_keys;
+use super::{run_standalone, TheoryCheck};
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{check_distinguishes, verify_candidate, CandidateEval, Counterexample};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
@@ -21,7 +21,7 @@ use ratest_ra::eval::Params;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
-use ratest_storage::{Database, TupleSelection, Value};
+use ratest_storage::{Database, Value};
 use ratest_telemetry::MetricsHandle;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -65,29 +65,32 @@ pub fn smallest_counterexample_agg_param(
     original_params: &Params,
     options: &AggParamOptions,
 ) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-    let param_names: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
-
-    let start = Instant::now();
-    let (r1, r2) = check_distinguishes(q1, q2, db, original_params)?;
-    timings.raw_eval = start.elapsed();
-    if r1.set_eq(&r2) {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
-
-    let start = Instant::now();
-    let (p1, p2) = pair_provenance(
+    run_standalone(
         q1,
         q2,
         db,
         original_params,
-        &options.budget.interrupt(),
+        &options.budget,
         &options.metrics,
-    )?;
-    timings.provenance = start.elapsed();
+        |p1, p2| agg_param_core(q1, q2, db, original_params, p1, p2, options),
+    )
+}
 
+/// `Agg-Param`'s search over the pair's aggregate provenance `p1`, `p2`
+/// (built on `db` under `original_params`). The returned [`Timings`] cover
+/// the search alone.
+pub(crate) fn agg_param_core(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    original_params: &Params,
+    p1: &AggregateProvenance,
+    p2: &AggregateProvenance,
+    options: &AggParamOptions,
+) -> Result<(Counterexample, Timings)> {
     let start = Instant::now();
-    let candidates = candidate_group_keys(&p1, &p2, original_params)?;
+    let param_names: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
+    let candidates = candidate_group_keys(p1, p2, original_params)?;
     let mut best: Option<Counterexample> = None;
     for (index, key) in candidates.into_iter().take(options.max_groups).enumerate() {
         options.budget.check()?;
@@ -104,9 +107,9 @@ pub fn smallest_counterexample_agg_param(
             original_params,
             &param_names,
             options,
-            &p1,
-            &p2,
-            &key,
+            p1,
+            p2,
+            key,
         )? {
             let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
             if better {
@@ -114,8 +117,10 @@ pub fn smallest_counterexample_agg_param(
             }
         }
     }
-    timings.solver = start.elapsed();
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
+    let timings = Timings {
+        solver: start.elapsed(),
+        ..Timings::default()
+    };
 
     best.map(|c| (c, timings)).ok_or_else(|| {
         RatestError::Unsupported(
@@ -158,14 +163,18 @@ fn solve_group_parameterized(
     // The theory callback searches over candidate parameter settings for one
     // that makes the queries disagree; the successful setting is remembered.
     let chosen: RefCell<Option<Params>> = RefCell::new(None);
-    let vars_for_theory = vars.clone();
+    let theory = TheoryCheck::new(p1, p2);
     let accept = |true_vars: &[ratest_solver::Var]| -> bool {
-        let selection = vars_for_theory.selection_from_vars(true_vars);
-        for candidate in
-            candidate_param_settings(param_names, original_params, options, p1, p2, &selection)
-        {
-            if queries_differ_under(p1, p2, &selection, &candidate).unwrap_or(false) {
-                *chosen.borrow_mut() = Some(candidate);
+        let selection = vars.selection_from_vars(true_vars);
+        let candidate = theory.candidate(&selection);
+        for setting in theory.param_settings(
+            &candidate,
+            param_names,
+            original_params,
+            &options.extra_candidates,
+        ) {
+            if theory.differ(&candidate, &setting).unwrap_or(false) {
+                *chosen.borrow_mut() = Some(setting);
                 return true;
             }
         }
@@ -186,6 +195,7 @@ fn solve_group_parameterized(
     // Record on every path: groups abandoned as unsatisfiable or budget-capped
     // still did solver work that `--metrics` totals must include.
     solver_stats.record(&options.metrics);
+    theory.record(&options.metrics);
     let sol = match result {
         Ok(sol) => sol,
         Err(ratest_solver::SolverError::Unsatisfiable)
@@ -205,61 +215,6 @@ fn solve_group_parameterized(
         Err(RatestError::Unsupported(_)) => Ok(None),
         Err(e) => Err(e),
     }
-}
-
-/// Candidate parameter settings λ' derived from the current selection: the
-/// live member counts of the candidate groups (so COUNT-style thresholds can
-/// be met exactly), the original values, and small constants (0, 1).
-fn candidate_param_settings(
-    param_names: &BTreeSet<String>,
-    original: &Params,
-    options: &AggParamOptions,
-    p1: &AggregateProvenance,
-    p2: &AggregateProvenance,
-    selection: &TupleSelection,
-) -> Vec<Params> {
-    if param_names.is_empty() {
-        return vec![original.clone()];
-    }
-    let mut values: BTreeSet<i64> = options.extra_candidates.iter().copied().collect();
-    for (name, v) in original.iter() {
-        if param_names.contains(name) {
-            if let Some(i) = v.as_int() {
-                values.insert(i);
-            }
-        }
-    }
-    for p in [p1, p2] {
-        for g in &p.groups {
-            let live = g
-                .members
-                .iter()
-                .filter(|m| m.provenance.eval(&|id| selection.contains(id)))
-                .count() as i64;
-            if live > 0 {
-                values.insert(live);
-            }
-        }
-    }
-    // Cartesian product over parameters, capped to keep the search small
-    // (queries in the paper's workloads have a single parameter).
-    let names: Vec<&String> = param_names.iter().collect();
-    let mut settings: Vec<Params> = vec![Params::new()];
-    for name in names {
-        let mut next = Vec::new();
-        for setting in &settings {
-            for v in &values {
-                let mut s = setting.clone();
-                s.insert(name.clone(), Value::Int(*v));
-                next.push(s);
-            }
-        }
-        settings = next;
-        if settings.len() > 256 {
-            settings.truncate(256);
-        }
-    }
-    settings
 }
 
 #[cfg(test)]

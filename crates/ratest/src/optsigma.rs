@@ -94,8 +94,14 @@ where
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let (r1, r2) =
-        crate::problem::check_distinguishes_budgeted(q1, q2, db, params, &options.budget)?;
+    let (r1, r2) = crate::problem::check_distinguishes_instrumented(
+        q1,
+        q2,
+        db,
+        params,
+        &options.budget,
+        &options.metrics,
+    )?;
     timings.raw_eval = start.elapsed();
     let diffs = differing_tuples(&r1, &r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {

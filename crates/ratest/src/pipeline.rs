@@ -7,9 +7,10 @@
 //! queries agree on the instance or returns a small counterexample together
 //! with the results of both queries on it.
 
-use crate::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
-use crate::aggregates::agg_opt::{smallest_counterexample_agg_opt, AggOptOptions};
-use crate::aggregates::agg_param::{smallest_counterexample_agg_param, AggParamOptions};
+use crate::aggregates::agg_basic::{agg_basic_core, AggBasicOptions};
+use crate::aggregates::agg_opt::{agg_opt_core, AggOptOptions};
+use crate::aggregates::agg_param::{agg_param_core, AggParamOptions};
+use crate::aggregates::pair_provenance;
 use crate::basic::{
     smallest_counterexample_basic, smallest_counterexample_from_annotations, BasicOptions,
 };
@@ -20,6 +21,7 @@ use crate::polytime::{
 };
 use crate::problem::{CandidateEval, Counterexample};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
+use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::annotate::{annotate_instrumented, difference_of, AnnotatedResult};
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
@@ -202,9 +204,7 @@ fn candidate_ctx(options: &RatestOptions) -> CandidateEval {
     }
 }
 
-/// The unshared pipeline: evaluate both queries, dispatch on the pair's
-/// class (or the forced algorithm), and fall back to the general path when a
-/// specialized algorithm declines.
+/// The unshared pipeline: evaluate both queries, then [`dispatch`].
 fn explain_inner(
     q1: &Query,
     q2: &Query,
@@ -219,6 +219,7 @@ fn explain_inner(
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
+    let start = Instant::now();
     let (r1, r2) = crate::problem::check_distinguishes_instrumented(
         q1,
         q2,
@@ -227,15 +228,38 @@ fn explain_inner(
         &options.budget,
         &options.metrics,
     )?;
+    let timings = Timings {
+        raw_eval: start.elapsed(),
+        ..Timings::default()
+    };
     if r1.set_eq(&r2) {
         return Ok(ExplainOutcome {
             counterexample: None,
             class,
             algorithm_used: Algorithm::Auto,
-            timings: Timings::default(),
+            timings,
         });
     }
+    dispatch(q1, q2, db, &options.parameters, class, timings, options)
+}
 
+/// Explain a pair already known to disagree on `db`: run the algorithm for
+/// the pair's class (or the forced one), and fall back to the general path
+/// when it declines. `timings` holds the raw evaluation done so far; every
+/// attempt's time is added to it.
+///
+/// The aggregate algorithms share one aggregate provenance of the pair,
+/// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
+/// annotate once between them.
+fn dispatch(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    params: &Params,
+    class: QueryClass,
+    mut timings: Timings,
+    options: &RatestOptions,
+) -> Result<ExplainOutcome> {
     let algorithm = match options.algorithm {
         Algorithm::Auto => match class {
             QueryClass::Aggregate => {
@@ -251,14 +275,32 @@ fn explain_inner(
         other => other,
     };
 
-    let run = |algorithm: Algorithm| -> Result<(Counterexample, Timings)> {
+    let mut aggregate_provenance: Option<(AggregateProvenance, AggregateProvenance)> = None;
+    let mut attempt = |algorithm: Algorithm, timings: &mut Timings| -> Result<Counterexample> {
         options.budget.check()?;
-        match algorithm {
+        let shares_provenance = matches!(
+            algorithm,
+            Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt
+        );
+        if shares_provenance && aggregate_provenance.is_none() {
+            let start = Instant::now();
+            aggregate_provenance = Some(pair_provenance(
+                q1,
+                q2,
+                db,
+                params,
+                &options.budget.interrupt(),
+                &options.metrics,
+            )?);
+            timings.provenance += start.elapsed();
+        }
+        let start = Instant::now();
+        let result = match algorithm {
             Algorithm::Basic => smallest_counterexample_basic(
                 q1,
                 q2,
                 db,
-                &options.parameters,
+                params,
                 &BasicOptions {
                     strategy: options.strategy,
                     budget: options.budget.clone(),
@@ -271,7 +313,7 @@ fn explain_inner(
                 q1,
                 q2,
                 db,
-                &options.parameters,
+                params,
                 &OptSigmaOptions {
                     selection_pushdown: options.selection_pushdown,
                     strategy: options.strategy,
@@ -281,55 +323,27 @@ fn explain_inner(
                 },
             ),
             Algorithm::PolytimeMonotone => {
-                smallest_witness_monotone(q1, q2, db, &options.parameters, &candidate_ctx(options))
+                smallest_witness_monotone(q1, q2, db, params, &candidate_ctx(options))
             }
-            Algorithm::PolytimeSpjudStar => smallest_witness_spjud_star(
-                q1,
-                q2,
-                db,
-                &options.parameters,
-                &candidate_ctx(options),
-            ),
-            Algorithm::AggBasic => smallest_counterexample_agg_basic(
-                q1,
-                q2,
-                db,
-                &options.parameters,
-                &AggBasicOptions {
-                    budget: options.budget.clone(),
-                    events: options.events.clone(),
-                    metrics: options.metrics.clone(),
-                    ..Default::default()
-                },
-            ),
-            Algorithm::AggParam => smallest_counterexample_agg_param(
-                q1,
-                q2,
-                db,
-                &options.parameters,
-                &AggParamOptions {
-                    budget: options.budget.clone(),
-                    events: options.events.clone(),
-                    metrics: options.metrics.clone(),
-                    ..Default::default()
-                },
-            ),
-            Algorithm::AggOpt => smallest_counterexample_agg_opt(
-                q1,
-                q2,
-                db,
-                &options.parameters,
-                &AggOptOptions {
-                    optsigma: OptSigmaOptions {
-                        budget: options.budget.clone(),
-                        events: options.events.clone(),
-                        metrics: options.metrics.clone(),
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            ),
+            Algorithm::PolytimeSpjudStar => {
+                smallest_witness_spjud_star(q1, q2, db, params, &candidate_ctx(options))
+            }
+            Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt => {
+                let (p1, p2) = aggregate_provenance.as_ref().expect("built above");
+                aggregate_search(algorithm, q1, q2, db, params, p1, p2, options)
+            }
             Algorithm::Auto => unreachable!("Auto is resolved above"),
+        };
+        match result {
+            Ok((cex, took)) => {
+                timings.accumulate(&took);
+                Ok(cex)
+            }
+            // A declined attempt's time is search time.
+            Err(e) => {
+                timings.solver += start.elapsed();
+                Err(e)
+            }
         }
     };
 
@@ -344,17 +358,17 @@ fn explain_inner(
     } else {
         Algorithm::OptSigma
     };
-    let (cex, timings, used) = match run(algorithm) {
-        Ok((cex, t)) => (cex, t, algorithm),
+    let (cex, used) = match attempt(algorithm, &mut timings) {
+        Ok(cex) => (cex, algorithm),
         Err(RatestError::Unsupported(_) | RatestError::Solver(_))
             if algorithm != fallback_target =>
         {
             options.metrics.counter_inc("explain.fallbacks");
-            let (cex, t) = run(fallback_target)?;
-            (cex, t, fallback_target)
+            (attempt(fallback_target, &mut timings)?, fallback_target)
         }
         Err(e) => return Err(e),
     };
+    timings.total = timings.raw_eval + timings.provenance + timings.solver;
 
     Ok(ExplainOutcome {
         counterexample: Some(cex),
@@ -362,6 +376,58 @@ fn explain_inner(
         algorithm_used: used,
         timings,
     })
+}
+
+/// Run one aggregate algorithm over the pair's shared aggregate provenance.
+#[allow(clippy::too_many_arguments)]
+fn aggregate_search(
+    algorithm: Algorithm,
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    params: &Params,
+    p1: &AggregateProvenance,
+    p2: &AggregateProvenance,
+    options: &RatestOptions,
+) -> Result<(Counterexample, Timings)> {
+    let (budget, events, metrics) = (
+        options.budget.clone(),
+        options.events.clone(),
+        options.metrics.clone(),
+    );
+    match algorithm {
+        Algorithm::AggOpt => {
+            let optsigma = OptSigmaOptions {
+                budget,
+                events,
+                metrics,
+                ..Default::default()
+            };
+            let options = AggOptOptions {
+                optsigma,
+                ..Default::default()
+            };
+            agg_opt_core(q1, q2, db, params, p1, p2, &options)
+        }
+        Algorithm::AggParam => {
+            let options = AggParamOptions {
+                budget,
+                events,
+                metrics,
+                ..Default::default()
+            };
+            agg_param_core(q1, q2, db, params, p1, p2, &options)
+        }
+        _ => {
+            let options = AggBasicOptions {
+                budget,
+                events,
+                metrics,
+                ..Default::default()
+            };
+            agg_basic_core(q1, q2, db, params, p1, p2, &options)
+        }
+    }
 }
 
 /// A reference (instructor) query prepared once per batch: its result and
@@ -512,14 +578,16 @@ pub(crate) fn explain_prepared_impl(
     }
 
     // Aggregate pairs use dedicated provenance machinery that the shared
-    // annotation does not cover.
-    let (ref_annotation, is_shareable) = match reference.annotation() {
-        Some(ann) if !q2.has_aggregates() && class != QueryClass::Aggregate => (Some(ann), true),
-        _ => (None, false),
-    };
-    if !is_shareable {
-        return explain_unshared(q1, q2, db, options);
+    // annotation does not cover; they reuse both evaluations above.
+    if class == QueryClass::Aggregate {
+        let outcome = dispatch(q1, q2, db, &reference.params, class, timings, options)?;
+        emit_verdict(options, &outcome);
+        return Ok(outcome);
     }
+    let ref_annotation = match reference.annotation() {
+        Some(ann) if !q2.has_aggregates() => ann,
+        _ => return explain_unshared(q1, q2, db, options),
+    };
 
     if class.is_monotone() {
         match smallest_witness_monotone_with_results(
@@ -529,7 +597,7 @@ pub(crate) fn explain_prepared_impl(
             &reference.params,
             r1,
             &r2,
-            ref_annotation,
+            Some(ref_annotation),
             &mut timings,
             &candidate_ctx(options),
         ) {
@@ -552,7 +620,6 @@ pub(crate) fn explain_prepared_impl(
 
     // Solver-backed exact scan over both difference directions, with the
     // reference side of each annotation taken from the shared handle.
-    let ref_annotation = ref_annotation.expect("checked above");
     options.metrics.counter_inc("explain.annotation_reuse_hits");
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::Provenance,

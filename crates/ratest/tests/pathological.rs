@@ -114,3 +114,55 @@ fn basic_cross_product() {
     assert!((1..=12).contains(&candidates), "{candidates} candidates");
     assert!((1..=12).contains(&solves), "{solves} solver calls");
 }
+
+/// The aggregate theory check's work per solver model, on
+/// `examples/pathological/many_small_groups{,_wrong}.sql` (GROUP BY
+/// student, `HAVING COUNT(*) >= @k` against `> @k`) over one instance:
+/// `(groups of both queries, theory checks, groups evaluated)`.
+fn many_small_groups_work(total_tuples: usize) -> (u64, u64, u64) {
+    let db = university_database(&UniversityConfig::with_total(total_tuples));
+    let reference = ratest_sql::compile_sql(
+        include_str!("../../../examples/pathological/many_small_groups.sql"),
+        &db,
+    )
+    .unwrap();
+    let wrong = ratest_sql::compile_sql(
+        include_str!("../../../examples/pathological/many_small_groups_wrong.sql"),
+        &db,
+    )
+    .unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let session = Session::builder(db)
+        .param("k", 2i64)
+        .metrics(registry.clone())
+        .build();
+    let handle = session.prepare(&reference).unwrap();
+    let outcome = session.explain(handle, &wrong).unwrap();
+    assert_eq!(outcome.algorithm_used, Algorithm::AggParam);
+    // One student with exactly k' registrations, and the student.
+    assert_eq!(outcome.counterexample.map(|c| c.size()), Some(2));
+    let counters = registry.snapshot();
+    // Both queries are annotated once per explain.
+    assert_eq!(counters.counter("provenance.aggprov.calls"), 2);
+    (
+        counters.counter("provenance.aggprov.groups"),
+        counters.counter("agg.theory.checks"),
+        counters.counter("agg.theory.groups_evaluated"),
+    )
+}
+
+/// Each theory check evaluates only the groups the model touches, so the
+/// work per check does not grow with the number of groups.
+#[test]
+fn agg_param_many_small_groups() {
+    let (small_groups, small_checks, small_evaluated) = many_small_groups_work(100);
+    let (large_groups, large_checks, large_evaluated) = many_small_groups_work(500);
+    assert!(
+        large_groups >= 4 * small_groups,
+        "{small_groups} vs {large_groups} groups"
+    );
+    assert!(small_checks > 0 && large_checks > 0);
+    // Per check: the one candidate group, in each query.
+    assert_eq!(small_evaluated, 2 * small_checks);
+    assert_eq!(large_evaluated, 2 * large_checks);
+}
