@@ -44,7 +44,7 @@
 //!    context survives across batches — and every consumer speaks
 //!    [`ExplainRequest`]/[`ExplainResponse`] values that serialize via
 //!    `ratest_storage::codec`.
-//! 7. **A persistent daemon** ([`serve`]): `grade serve` speaks the
+//! 7. **A persistent daemon** ([`serve`](mod@serve)): `grade serve` speaks the
 //!    versioned `ratest-serve` NDJSON protocol over stdio with warm
 //!    per-reference state, streaming typed progress events; a served
 //!    re-grade performs zero counterexample searches.

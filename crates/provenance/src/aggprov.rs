@@ -357,25 +357,25 @@ pub fn aggregate_provenance_instrumented(
     let pacer = Pacer::new(interrupt);
     let mut groups: Vec<GroupProvenance> = Vec::new();
     let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for row in annotated.rows() {
+    for (row, provenance) in annotated.iter() {
         pacer.tick()?;
-        let key: Vec<Value> = group_idx.iter().map(|&i| row.values[i].clone()).collect();
+        let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
         let mut agg_args = Vec::with_capacity(aggregates.len());
         for agg in &aggregates {
             agg_args.push(
                 agg.arg
-                    .eval(&input_schema, &row.values, params)
+                    .eval(&input_schema, row, params)
                     .map_err(ProvenanceError::Query)?,
             );
         }
         let member = GroupMember {
-            provenance: row.provenance.clone(),
+            provenance: provenance.clone(),
             agg_args,
         };
         match index.get(&key) {
             Some(&gi) => {
                 let g = &mut groups[gi];
-                g.exists = BoolExpr::or2(g.exists.clone(), row.provenance.clone());
+                g.exists = BoolExpr::or2(g.exists.clone(), provenance.clone());
                 g.members.push(member);
             }
             None => {
@@ -387,7 +387,7 @@ pub fn aggregate_provenance_instrumented(
                 index.insert(key.clone(), groups.len());
                 groups.push(GroupProvenance {
                     key,
-                    exists: row.provenance.clone(),
+                    exists: provenance.clone(),
                     members: vec![member],
                     aggregates: aggregates.clone(),
                     having: having.clone(),

@@ -1,97 +1,54 @@
 //! Provenance-annotated evaluation of SPJUD queries.
 //!
 //! [`annotate`] plays the role of the provenance-rewritten CTE queries of
-//! Section 6: it evaluates the query bottom-up while carrying, for every
-//! derived tuple, the Boolean expression describing *how* the tuple was
-//! derived from base tuples.
+//! Section 6: it runs the query through the executor that evaluates it,
+//! [`ratest_ra::eval::execute`], with every row annotated by the Boolean
+//! expression describing *how* the row was derived from base tuples.
 
 use crate::boolexpr::BoolExpr;
 use crate::error::{ProvenanceError, Result};
 use ratest_ra::ast::Query;
-use ratest_ra::eval::hash_join_keys;
+use ratest_ra::eval::{execute, Annotated, Annotation};
 use ratest_ra::expr::ParamMap;
 use ratest_ra::interrupt::{Interrupt, Pacer};
-use ratest_ra::typecheck::{output_schema, rename_schema};
-use ratest_storage::{Database, Schema, Value};
+use ratest_ra::QueryError;
+use ratest_storage::{Database, TupleId, Value};
 use ratest_telemetry::MetricsHandle;
-use std::collections::HashMap;
-
-/// One output tuple together with its how-provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnnotatedRow {
-    /// The tuple's attribute values.
-    pub values: Vec<Value>,
-    /// Its how-provenance `Prv(t)`.
-    pub provenance: BoolExpr,
-}
 
 /// The annotated result of a query: a set of value rows, each with its
-/// provenance expression.
-#[derive(Debug, Clone)]
-pub struct AnnotatedResult {
-    schema: Schema,
-    rows: Vec<AnnotatedRow>,
-    index: HashMap<Vec<Value>, usize>,
-}
+/// how-provenance `Prv(t)`.
+pub type AnnotatedResult = Annotated<BoolExpr>;
 
-impl AnnotatedResult {
-    /// An empty result with the given schema.
-    pub fn empty(schema: Schema) -> Self {
-        AnnotatedResult {
-            schema,
-            rows: Vec::new(),
-            index: HashMap::new(),
-        }
+/// How-provenance: base tuples are their variables, joins conjoin,
+/// duplicates disjoin (the de-duplication rule of Section 6's `string_agg`
+/// rewrite), and a row of `R − S` that `S` derives too keeps
+/// `Prv_R(t) ∧ ¬Prv_S(t)`.
+impl Annotation for BoolExpr {
+    fn base(id: TupleId) -> BoolExpr {
+        BoolExpr::var(id)
     }
 
-    /// The output schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    fn and(&self, other: &BoolExpr) -> BoolExpr {
+        BoolExpr::and2(self.clone(), other.clone())
     }
 
-    /// The annotated rows.
-    pub fn rows(&self) -> &[AnnotatedRow] {
-        &self.rows
+    fn or(&mut self, other: BoolExpr) {
+        let existing = std::mem::replace(self, BoolExpr::False);
+        *self = BoolExpr::or2(existing, other);
     }
 
-    /// Number of distinct output tuples.
-    pub fn len(&self) -> usize {
-        self.rows.len()
+    fn minus(&self, other: &BoolExpr) -> Option<BoolExpr> {
+        Some(BoolExpr::and2(self.clone(), other.clone().negate()))
     }
 
-    /// Whether the result is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+    fn is_false(&self) -> bool {
+        matches!(self, BoolExpr::False)
     }
 
-    /// The provenance of a specific output tuple, if present.
-    pub fn provenance_of(&self, values: &[Value]) -> Option<&BoolExpr> {
-        self.index.get(values).map(|&i| &self.rows[i].provenance)
-    }
-
-    /// Insert a derived tuple; if the same value-tuple already exists its
-    /// provenance is extended with `∨` (the de-duplication rule of
-    /// Section 6's `string_agg` rewrite).
-    pub fn push(&mut self, values: Vec<Value>, provenance: BoolExpr) {
-        if provenance.is_false() {
-            return;
-        }
-        match self.index.get(&values) {
-            Some(&i) => {
-                let existing = std::mem::replace(&mut self.rows[i].provenance, BoolExpr::False);
-                self.rows[i].provenance = BoolExpr::or2(existing, provenance);
-            }
-            None => {
-                self.index.insert(values.clone(), self.rows.len());
-                self.rows.push(AnnotatedRow { values, provenance });
-            }
-        }
-    }
-
-    /// Total provenance size across all rows (a cost proxy reported by the
-    /// experiment harness: `prov-all` grows with this).
-    pub fn total_provenance_size(&self) -> usize {
-        self.rows.iter().map(|r| r.provenance.size()).sum()
+    /// Aggregate values need the symbolic annotation of
+    /// [`crate::aggprov::aggregate_provenance`].
+    fn aggregate() -> Option<BoolExpr> {
+        None
     }
 }
 
@@ -102,23 +59,12 @@ impl AnnotatedResult {
 /// annotation is computed once per batch and combined — via this function —
 /// with each distinct submission's annotation to obtain `ann(Q1 − Q2)` and
 /// `ann(Q2 − Q1)`, instead of annotating the full difference query per pair.
-/// The combination rule matches the `Difference` case of
-/// [`annotate_with_params`] exactly: every row of `left` survives with
-/// `Prv_L(t) ∧ ¬Prv_R(t)` when `right` can also derive `t`, unchanged
-/// otherwise. The inputs must be union compatible (value tuples are matched
-/// positionally).
-pub fn difference_of(left: &AnnotatedResult, right: &AnnotatedResult) -> AnnotatedResult {
-    let mut out = AnnotatedResult::empty(left.schema().clone());
-    for row in left.rows() {
-        match right.provenance_of(&row.values) {
-            Some(rp) => out.push(
-                row.values.clone(),
-                BoolExpr::and2(row.provenance.clone(), rp.clone().negate()),
-            ),
-            None => out.push(row.values.clone(), row.provenance.clone()),
-        }
-    }
-    out
+/// It is the executor's own `Difference` arm,
+/// [`ratest_ra::eval::difference_of`], so the result matches annotating the
+/// difference query exactly. The inputs must be union compatible.
+pub fn difference_of(left: &AnnotatedResult, right: &AnnotatedResult) -> Result<AnnotatedResult> {
+    let pacer = Pacer::new(&Interrupt::none());
+    Ok(ratest_ra::eval::difference_of(left, right, &pacer)?)
 }
 
 /// Annotate a parameter-free SPJUD query.
@@ -165,153 +111,17 @@ pub fn annotate_instrumented(
     metrics: &MetricsHandle,
 ) -> Result<AnnotatedResult> {
     let pacer = Pacer::new(interrupt);
-    let result = annotate_node(query, db, params, &pacer);
+    let result = execute(query, db, params, &pacer).map_err(|e| match e {
+        QueryError::AnnotatedGroupBy => ProvenanceError::UnsupportedAggregateShape(
+            "use aggregate_provenance for queries with group-by".into(),
+        ),
+        e => ProvenanceError::Query(e),
+    });
     metrics.counter_inc("provenance.annotate.calls");
     metrics.counter_add("provenance.annotate.rows", pacer.work());
     metrics.counter_add("provenance.annotate.batches", pacer.batches());
     metrics.counter_add("provenance.annotate.interrupt_polls", pacer.polls());
     result
-}
-
-fn annotate_node(
-    query: &Query,
-    db: &Database,
-    params: &ParamMap,
-    pacer: &Pacer,
-) -> Result<AnnotatedResult> {
-    pacer.note_batch();
-    match query {
-        Query::Relation(name) => {
-            let rel = db.relation(name)?;
-            let mut out = AnnotatedResult::empty(rel.schema().clone());
-            for t in rel.iter() {
-                out.push(
-                    t.values.clone(),
-                    BoolExpr::var(t.id.expect("base tuples carry ids")),
-                );
-            }
-            Ok(out)
-        }
-        Query::Select { input, predicate } => {
-            let inp = annotate_node(input, db, params, pacer)?;
-            let mut out = AnnotatedResult::empty(inp.schema().clone());
-            for row in inp.rows() {
-                pacer.tick()?;
-                if predicate.eval_predicate(inp.schema(), &row.values, params)? {
-                    out.push(row.values.clone(), row.provenance.clone());
-                }
-            }
-            Ok(out)
-        }
-        Query::Project { input, items } => {
-            let inp = annotate_node(input, db, params, pacer)?;
-            let schema = output_schema(query, db)?;
-            let mut out = AnnotatedResult::empty(schema);
-            for row in inp.rows() {
-                pacer.tick()?;
-                let mut projected = Vec::with_capacity(items.len());
-                for item in items {
-                    projected.push(item.expr.eval(inp.schema(), &row.values, params)?);
-                }
-                out.push(projected, row.provenance.clone());
-            }
-            Ok(out)
-        }
-        Query::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let l = annotate_node(left, db, params, pacer)?;
-            let r = annotate_node(right, db, params, pacer)?;
-            let schema = l.schema().concat(r.schema());
-            let mut out = AnnotatedResult::empty(schema.clone());
-            if let Some(pred) = predicate {
-                if let Some((lk, rk, residual)) = hash_join_keys(pred, l.schema(), r.schema()) {
-                    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                    for (i, row) in r.rows().iter().enumerate() {
-                        let key: Vec<Value> = rk.iter().map(|&k| row.values[k].clone()).collect();
-                        table.entry(key).or_default().push(i);
-                    }
-                    for lrow in l.rows() {
-                        pacer.tick()?;
-                        let key: Vec<Value> = lk.iter().map(|&k| lrow.values[k].clone()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for &ri in matches {
-                                pacer.tick()?;
-                                let rrow = &r.rows()[ri];
-                                let mut values = lrow.values.clone();
-                                values.extend(rrow.values.iter().cloned());
-                                let ok = match &residual {
-                                    Some(res) => res.eval_predicate(&schema, &values, params)?,
-                                    None => true,
-                                };
-                                if ok {
-                                    out.push(
-                                        values,
-                                        BoolExpr::and2(
-                                            lrow.provenance.clone(),
-                                            rrow.provenance.clone(),
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    return Ok(out);
-                }
-            }
-            for lrow in l.rows() {
-                for rrow in r.rows() {
-                    pacer.tick()?;
-                    let mut values = lrow.values.clone();
-                    values.extend(rrow.values.iter().cloned());
-                    let keep = match predicate {
-                        Some(p) => p.eval_predicate(&schema, &values, params)?,
-                        None => true,
-                    };
-                    if keep {
-                        out.push(
-                            values,
-                            BoolExpr::and2(lrow.provenance.clone(), rrow.provenance.clone()),
-                        );
-                    }
-                }
-            }
-            Ok(out)
-        }
-        Query::Union { left, right } => {
-            let l = annotate_node(left, db, params, pacer)?;
-            let r = annotate_node(right, db, params, pacer)?;
-            let mut out = AnnotatedResult::empty(l.schema().clone());
-            for row in l.rows() {
-                pacer.tick()?;
-                out.push(row.values.clone(), row.provenance.clone());
-            }
-            for row in r.rows() {
-                pacer.tick()?;
-                out.push(row.values.clone(), row.provenance.clone());
-            }
-            Ok(out)
-        }
-        Query::Difference { left, right } => {
-            let l = annotate_node(left, db, params, pacer)?;
-            let r = annotate_node(right, db, params, pacer)?;
-            Ok(difference_of(&l, &r))
-        }
-        Query::Rename { input, prefix } => {
-            let inp = annotate_node(input, db, params, pacer)?;
-            let schema = rename_schema(inp.schema(), prefix);
-            let mut out = AnnotatedResult::empty(schema);
-            for row in inp.rows() {
-                out.push(row.values.clone(), row.provenance.clone());
-            }
-            Ok(out)
-        }
-        Query::GroupBy { .. } => Err(ProvenanceError::UnsupportedAggregateShape(
-            "use aggregate_provenance for queries with group-by".into(),
-        )),
-    }
 }
 
 /// Compute the how-provenance of a *specific* output tuple of `Q1 − Q2`,
@@ -349,9 +159,9 @@ pub fn consistent_with_evaluation(query: &Query, db: &Database, params: &ParamMa
     let annotated = annotate_with_params(query, db, params)?;
     let plain = ratest_ra::eval::evaluate_with_params(query, db, params)?;
     let all = ratest_storage::TupleSelection::all(db);
-    for row in annotated.rows() {
-        let derivable = row.provenance.eval(&|id| all.contains(id));
-        if derivable != plain.contains(&row.values) {
+    for (row, provenance) in annotated.iter() {
+        let derivable = provenance.eval(&|id| all.contains(id));
+        if derivable != plain.contains(row) {
             return Ok(false);
         }
     }
@@ -367,7 +177,7 @@ pub fn consistent_with_evaluation(query: &Query, db: &Database, params: &ParamMa
 mod tests {
     use super::*;
     use ratest_ra::testdata;
-    use ratest_storage::TupleId;
+    use ratest_storage::{DataType, Relation, Schema};
 
     fn student(row: u32) -> TupleId {
         TupleId::new(0, row)
@@ -459,7 +269,6 @@ mod tests {
         let prv = out.provenance_of(&[Value::from("Mary")]).unwrap();
         assert_eq!(prv.variables().len(), 3);
         assert!(prv.is_monotone());
-        assert!(out.total_provenance_size() > out.len());
     }
 
     #[test]
@@ -491,6 +300,82 @@ mod tests {
         assert!(prv.is_false());
     }
 
+    /// `R(x)` holding `0..r_rows`, `S(x)` holding the even numbers below
+    /// `r_rows`, and the two-column `T(x, y)`.
+    fn numbers_db(r_rows: i64) -> Database {
+        let mut db = Database::new("numbers");
+        let one = Schema::new(vec![("x", DataType::Int)]);
+        let mut r = Relation::new("R", one.clone());
+        r.insert_all((0..r_rows).map(|i| vec![Value::Int(i)]))
+            .unwrap();
+        let mut s = Relation::new("S", one);
+        s.insert_all((0..r_rows).step_by(2).map(|i| vec![Value::Int(i)]))
+            .unwrap();
+        let mut t = Relation::new(
+            "T",
+            Schema::new(vec![("x", DataType::Int), ("y", DataType::Int)]),
+        );
+        t.insert_all([vec![Value::Int(1), Value::Int(2)]]).unwrap();
+        for rel in [r, s, t] {
+            db.add_relation(rel).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn the_annotated_difference_polls_the_interrupt() {
+        use ratest_ra::interrupt::{InterruptHook, Interrupted};
+        use std::sync::Arc;
+
+        #[derive(Debug)]
+        struct FireAtOnce;
+        impl InterruptHook for FireAtOnce {
+            fn interrupted(&self) -> Option<Interrupted> {
+                Some(Interrupted::StepQuotaExhausted)
+            }
+        }
+
+        // Scans tick nothing, so only the difference's own row loop can
+        // reach the first poll.
+        let db = numbers_db(2 * Pacer::STRIDE as i64);
+        let r_minus_s = Query::Difference {
+            left: Arc::new(Query::relation("R")),
+            right: Arc::new(Query::relation("S")),
+        };
+        let interrupt = Interrupt::hooked(Arc::new(FireAtOnce));
+        let err = annotate_interruptible(&r_minus_s, &db, &ParamMap::new(), &interrupt)
+            .expect_err("the hook fires on the first poll");
+        assert_eq!(
+            err,
+            ProvenanceError::Query(QueryError::Interrupted(Interrupted::StepQuotaExhausted))
+        );
+        // Uninterrupted, every row of R is a candidate: the even ones with
+        // `Prv_R ∧ ¬Prv_S`.
+        assert_eq!(
+            annotate(&r_minus_s, &db).unwrap().len(),
+            2 * Pacer::STRIDE as usize
+        );
+    }
+
+    #[test]
+    fn annotated_set_operations_check_union_compatibility() {
+        let db = numbers_db(4);
+        let r = ratest_ra::builder::rel("R");
+        for q in [
+            r.clone().union(Query::relation("T")).build(),
+            r.difference(Query::relation("T")).build(),
+        ] {
+            let err = annotate(&q, &db).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProvenanceError::Query(QueryError::NotUnionCompatible { .. })
+                ),
+                "{q:?}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn groupby_is_rejected_by_the_spjud_annotator() {
         let db = testdata::figure1_db();
@@ -508,15 +393,8 @@ mod tests {
             right: std::sync::Arc::new(q1.clone()),
         };
         let whole = annotate(&diff, &db).unwrap();
-        let combined = difference_of(&annotate(&q2, &db).unwrap(), &annotate(&q1, &db).unwrap());
-        assert_eq!(whole.len(), combined.len());
-        for row in whole.rows() {
-            assert_eq!(
-                Some(&row.provenance),
-                combined.provenance_of(&row.values),
-                "row {:?} differs",
-                row.values
-            );
-        }
+        let combined =
+            difference_of(&annotate(&q2, &db).unwrap(), &annotate(&q1, &db).unwrap()).unwrap();
+        assert_eq!(whole, combined);
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! The original prototype obtained provenance by rewriting SQL CTEs to carry
 //! an extra `prv` string column and letting SQL Server evaluate them. Here
-//! the [`annotate`] module evaluates the relational algebra directly while
-//! propagating provenance expressions:
+//! the [`annotate`](mod@annotate) module does the same with the executor that
+//! evaluates queries, [`ratest_ra::eval::execute`]: [`BoolExpr`] implements
+//! its row annotation, so the one executor propagates provenance expressions:
 //!
 //! * base tuples are annotated with their [`ratest_storage::TupleId`]
 //!   variables,
@@ -44,7 +45,6 @@ pub use aggprov::{
 };
 pub use annotate::{
     annotate, annotate_interruptible, annotate_with_params, difference_of, AnnotatedResult,
-    AnnotatedRow,
 };
 pub use boolexpr::BoolExpr;
 pub use dnf::{Dnf, Minterm};

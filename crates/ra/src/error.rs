@@ -50,6 +50,10 @@ pub enum QueryError {
     /// [`crate::interrupt::InterruptHook`] (cancellation, deadline, step
     /// quota) before it finished.
     Interrupted(crate::interrupt::Interrupted),
+    /// A `GroupBy` reached an annotated evaluation whose annotation gives
+    /// aggregate values no meaning (see
+    /// [`crate::eval::Annotation::aggregate`]).
+    AnnotatedGroupBy,
 }
 
 impl fmt::Display for QueryError {
@@ -81,6 +85,7 @@ impl fmt::Display for QueryError {
             QueryError::Interrupted(reason) => {
                 write!(f, "evaluation interrupted: {reason}")
             }
+            QueryError::AnnotatedGroupBy => write!(f, "group-by under an annotated evaluation"),
         }
     }
 }

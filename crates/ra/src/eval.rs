@@ -1,69 +1,126 @@
-//! Set-semantics evaluation of [`Query`] trees over a [`Database`].
+//! Set-semantics evaluation of [`Query`] trees over a [`Database`], plain
+//! or annotated.
 //!
-//! The evaluator is deliberately simple — hash joins for equality conjuncts,
-//! nested loops otherwise, hash-based duplicate elimination and grouping —
-//! because RATest only needs correct set-semantics answers and predictable
-//! relative costs; it is the substrate replacing the SQL Server backend of
-//! the original prototype.
+//! One executor, [`execute`], walks the tree for both jobs. It is generic
+//! over the [`Annotation`] each row carries: `()` for plain evaluation, and
+//! a Boolean how-provenance formula (`ratest_provenance::BoolExpr`) for the
+//! annotated evaluation that stands in for the provenance-rewritten queries
+//! of Section 6 of the paper. The executor is deliberately simple — hash
+//! joins for equality conjuncts, nested loops otherwise, hash-based
+//! duplicate elimination and grouping — because RATest only needs correct
+//! set-semantics answers and predictable relative costs; it is the substrate
+//! replacing the SQL Server backend of the original prototype.
 
 use crate::ast::{AggFunc, Query};
 use crate::error::{QueryError, Result};
 use crate::expr::{BinaryOp, Expr, ParamMap};
 use crate::interrupt::{Interrupt, Pacer};
 use crate::typecheck::{output_schema, rename_schema};
-use ratest_storage::{Database, RowIndex, Schema, Value};
+use ratest_storage::{Database, RowIndex, Schema, TupleId, Value};
 use ratest_telemetry::MetricsHandle;
 use std::collections::HashMap;
 
 /// Parameter bindings passed to [`evaluate_with_params`].
 pub type Params = ParamMap;
 
-/// The result of evaluating a query: an output schema plus a *set* of value
-/// rows (no duplicates, insertion order preserved for readability). Rows are
-/// deduplicated through a [`RowIndex`] of their positions, so each row is
-/// stored once.
-#[derive(Debug, Clone)]
-pub struct ResultSet {
-    schema: Schema,
-    rows: Vec<Vec<Value>>,
-    index: RowIndex,
+/// What [`execute`] carries alongside every row: how the row was derived.
+///
+/// Scans give each base tuple its own annotation, joins combine two with
+/// [`Annotation::and`], and a duplicate derivation of a row is merged in with
+/// [`Annotation::or`]. A row whose annotation [`Annotation::is_false`] can
+/// never be derived and is skipped.
+pub trait Annotation: Clone {
+    /// The annotation of a base tuple.
+    fn base(id: TupleId) -> Self;
+    /// The annotation of a row joined from rows annotated `self` and `other`.
+    fn and(&self, other: &Self) -> Self;
+    /// Merge in the annotation of another derivation of the same row.
+    fn or(&mut self, other: Self);
+    /// The annotation of a row of `R − S` annotated `self` in `R` that `S`
+    /// derives as well, annotated `other`; `None` drops the row.
+    fn minus(&self, other: &Self) -> Option<Self>;
+    /// Whether the annotation says the row is never derived.
+    fn is_false(&self) -> bool;
+    /// The annotation of a `GroupBy` output row, or `None` when aggregate
+    /// values have no meaning under this annotation: the executor then
+    /// refuses the node with [`QueryError::AnnotatedGroupBy`].
+    fn aggregate() -> Option<Self>;
 }
 
-/// Equal schemas and equal rows in the same order.
-impl PartialEq for ResultSet {
-    fn eq(&self, other: &ResultSet) -> bool {
-        self.schema == other.schema && self.rows == other.rows
+/// Plain evaluation: every row present is derived, and a difference drops
+/// every row its right side has.
+impl Annotation for () {
+    fn base(_: TupleId) {}
+    fn and(&self, _: &()) {}
+    fn or(&mut self, _: ()) {}
+    fn minus(&self, _: &()) -> Option<()> {
+        None
+    }
+    fn is_false(&self) -> bool {
+        false
+    }
+    fn aggregate() -> Option<()> {
+        Some(())
     }
 }
 
-impl ResultSet {
-    /// Create an empty result set with the given schema.
+/// The output of [`execute`]: an output schema plus a *set* of value rows
+/// (no duplicates, insertion order preserved for readability), each with
+/// its annotation. Rows are deduplicated through a [`RowIndex`] of their
+/// positions, so each row is stored once; the annotations sit in a parallel
+/// vector, which for `()` takes no memory.
+#[derive(Debug, Clone)]
+pub struct Annotated<A> {
+    schema: Schema,
+    rows: Vec<Vec<Value>>,
+    annotations: Vec<A>,
+    index: RowIndex,
+}
+
+/// The result of evaluating a query.
+pub type ResultSet = Annotated<()>;
+
+/// Equal schemas and equal rows with equal annotations, in the same order.
+impl<A: PartialEq> PartialEq for Annotated<A> {
+    fn eq(&self, other: &Annotated<A>) -> bool {
+        self.schema == other.schema
+            && self.rows == other.rows
+            && self.annotations == other.annotations
+    }
+}
+
+impl<A: Annotation> Annotated<A> {
+    /// An empty result with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        ResultSet {
+        Annotated {
             schema,
             rows: Vec::new(),
+            annotations: Vec::new(),
             index: RowIndex::new(),
         }
     }
 
-    /// Create a result set from rows, removing duplicates.
-    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
-        let mut rs = ResultSet::empty(schema);
-        for r in rows {
-            rs.push(r);
-        }
-        rs
-    }
-
-    /// Insert a row if not already present. Returns true if inserted.
-    pub fn push(&mut self, row: Vec<Value>) -> bool {
-        let rows = &self.rows;
-        let pos = u32::try_from(rows.len()).expect("a result set holds fewer than 2^32 rows");
-        if !self.index.insert(&row, pos, |i| &rows[i as usize]) {
+    /// Add a derivation of `row`. A new row is appended; the annotation of a
+    /// row already present is merged with [`Annotation::or`]. A derivation
+    /// whose annotation [`Annotation::is_false`] is skipped. Returns whether
+    /// the row was appended.
+    pub fn add(&mut self, row: Vec<Value>, annotation: A) -> bool {
+        if annotation.is_false() {
             return false;
         }
-        self.rows.push(row);
-        true
+        let rows = &self.rows;
+        let pos = u32::try_from(rows.len()).expect("a result set holds fewer than 2^32 rows");
+        match self.index.insert(&row, pos, |i| &rows[i as usize]) {
+            Ok(()) => {
+                self.rows.push(row);
+                self.annotations.push(annotation);
+                true
+            }
+            Err(equal) => {
+                self.annotations[equal as usize].or(annotation);
+                false
+            }
+        }
     }
 
     /// The output schema.
@@ -74,6 +131,11 @@ impl ResultSet {
     /// The rows, in first-derivation order.
     pub fn rows(&self) -> &[Vec<Value>] {
         &self.rows
+    }
+
+    /// The rows with their annotations, in first-derivation order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &A)> {
+        self.rows.iter().map(Vec::as_slice).zip(&self.annotations)
     }
 
     /// Number of rows.
@@ -88,7 +150,34 @@ impl ResultSet {
 
     /// Whether the result contains a row.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.index.find(row, |i| &self.rows[i as usize]).is_some()
+        self.provenance_of(row).is_some()
+    }
+
+    /// The annotation of a row — its provenance — if the row is present.
+    pub fn provenance_of(&self, row: &[Value]) -> Option<&A> {
+        let pos = self.index.find(row, |i| &self.rows[i as usize])?;
+        Some(&self.annotations[pos as usize])
+    }
+
+    /// The schema and the rows with their annotations, by value.
+    fn into_parts(self) -> (Schema, impl Iterator<Item = (Vec<Value>, A)>) {
+        (self.schema, self.rows.into_iter().zip(self.annotations))
+    }
+}
+
+impl ResultSet {
+    /// Create a result set from rows, removing duplicates.
+    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
+        let mut rs = ResultSet::empty(schema);
+        for r in rows {
+            rs.push(r);
+        }
+        rs
+    }
+
+    /// Insert a row if not already present. Returns true if inserted.
+    pub fn push(&mut self, row: Vec<Value>) -> bool {
+        self.add(row, ())
     }
 
     /// Rows present in `self` but not in `other` (set difference by value).
@@ -150,7 +239,7 @@ pub fn evaluate_instrumented(
 ) -> Result<ResultSet> {
     // One pacer for the whole tree: the stride counts global work.
     let pacer = Pacer::new(interrupt);
-    let result = eval_node(query, db, params, &pacer);
+    let result = execute(query, db, params, &pacer);
     metrics.counter_inc("ra.eval.calls");
     metrics.counter_add("ra.eval.rows_scanned", pacer.work());
     metrics.counter_add("ra.eval.batches", pacer.batches());
@@ -158,37 +247,50 @@ pub fn evaluate_instrumented(
     result
 }
 
-fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Result<ResultSet> {
+/// Run `query` over `db` with every row annotated by `A`. The pacer counts
+/// one batch per operator and one tick per row an operator loop visits
+/// (scans and renames visit none), and polls its interrupt every
+/// [`Pacer::STRIDE`] ticks.
+pub fn execute<A: Annotation>(
+    query: &Query,
+    db: &Database,
+    params: &Params,
+    pacer: &Pacer,
+) -> Result<Annotated<A>> {
     pacer.note_batch();
     match query {
         Query::Relation(name) => {
             let rel = db.relation(name)?;
-            let schema = rel.schema().clone();
-            let rows = rel.iter().map(|t| t.values.clone()).collect();
-            Ok(ResultSet::from_rows(schema, rows))
+            let mut out = Annotated::empty(rel.schema().clone());
+            for t in rel.iter() {
+                out.add(
+                    t.values.clone(),
+                    A::base(t.id.expect("base tuples carry ids")),
+                );
+            }
+            Ok(out)
         }
         Query::Select { input, predicate } => {
-            let inp = eval_node(input, db, params, pacer)?;
-            let mut out = ResultSet::empty(inp.schema().clone());
-            for row in inp.rows() {
+            let (schema, rows) = execute::<A>(input, db, params, pacer)?.into_parts();
+            let mut out = Annotated::empty(schema.clone());
+            for (row, annotation) in rows {
                 pacer.tick()?;
-                if predicate.eval_predicate(inp.schema(), row, params)? {
-                    out.push(row.clone());
+                if predicate.eval_predicate(&schema, &row, params)? {
+                    out.add(row, annotation);
                 }
             }
             Ok(out)
         }
         Query::Project { input, items } => {
-            let inp = eval_node(input, db, params, pacer)?;
-            let schema = output_schema(query, db)?;
-            let mut out = ResultSet::empty(schema);
-            for row in inp.rows() {
+            let (input_schema, rows) = execute::<A>(input, db, params, pacer)?.into_parts();
+            let mut out = Annotated::empty(output_schema(query, db)?);
+            for (row, annotation) in rows {
                 pacer.tick()?;
                 let mut projected = Vec::with_capacity(items.len());
                 for item in items {
-                    projected.push(item.expr.eval(inp.schema(), row, params)?);
+                    projected.push(item.expr.eval(&input_schema, &row, params)?);
                 }
-                out.push(projected);
+                out.add(projected, annotation);
             }
             Ok(out)
         }
@@ -197,10 +299,10 @@ fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Re
             right,
             predicate,
         } => {
-            let l = eval_node(left, db, params, pacer)?;
-            let r = eval_node(right, db, params, pacer)?;
+            let l = execute::<A>(left, db, params, pacer)?;
+            let r = execute::<A>(right, db, params, pacer)?;
             let schema = l.schema().concat(r.schema());
-            let mut out = ResultSet::empty(schema.clone());
+            let mut out = Annotated::empty(schema.clone());
             // Use a hash join on equality conjuncts when possible.
             if let Some(pred) = predicate {
                 if let Some((lk, rk, residual)) = hash_join_keys(pred, l.schema(), r.schema()) {
@@ -209,20 +311,20 @@ fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Re
                         let key: Vec<Value> = rk.iter().map(|&k| row[k].clone()).collect();
                         table.entry(key).or_default().push(i);
                     }
-                    for lrow in l.rows() {
+                    for (lrow, la) in l.iter() {
                         pacer.tick()?;
                         let key: Vec<Value> = lk.iter().map(|&k| lrow[k].clone()).collect();
                         if let Some(matches) = table.get(&key) {
                             for &ri in matches {
                                 pacer.tick()?;
-                                let mut row = lrow.clone();
-                                row.extend(r.rows()[ri].iter().cloned());
+                                let mut row = lrow.to_vec();
+                                row.extend(r.rows[ri].iter().cloned());
                                 let ok = match &residual {
                                     Some(res) => res.eval_predicate(&schema, &row, params)?,
                                     None => true,
                                 };
                                 if ok {
-                                    out.push(row);
+                                    out.add(row, la.and(&r.annotations[ri]));
                                 }
                             }
                         }
@@ -231,54 +333,43 @@ fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Re
                 }
             }
             // Fallback: nested loops.
-            for lrow in l.rows() {
-                for rrow in r.rows() {
+            for (lrow, la) in l.iter() {
+                for (rrow, ra) in r.iter() {
                     pacer.tick()?;
-                    let mut row = lrow.clone();
+                    let mut row = lrow.to_vec();
                     row.extend(rrow.iter().cloned());
                     let keep = match predicate {
                         Some(p) => p.eval_predicate(&schema, &row, params)?,
                         None => true,
                     };
                     if keep {
-                        out.push(row);
+                        out.add(row, la.and(ra));
                     }
                 }
             }
             Ok(out)
         }
         Query::Union { left, right } => {
-            let l = eval_node(left, db, params, pacer)?;
-            let r = eval_node(right, db, params, pacer)?;
-            check_union_compat(&l, &r)?;
-            let mut out = ResultSet::empty(l.schema().clone());
-            for row in l.rows() {
+            let l = execute::<A>(left, db, params, pacer)?;
+            let r = execute::<A>(right, db, params, pacer)?;
+            check_union_compat(l.schema(), r.schema())?;
+            let (schema, left_rows) = l.into_parts();
+            let mut out = Annotated::empty(schema);
+            for (row, annotation) in left_rows.chain(r.into_parts().1) {
                 pacer.tick()?;
-                out.push(row.clone());
-            }
-            for row in r.rows() {
-                pacer.tick()?;
-                out.push(row.clone());
+                out.add(row, annotation);
             }
             Ok(out)
         }
         Query::Difference { left, right } => {
-            let l = eval_node(left, db, params, pacer)?;
-            let r = eval_node(right, db, params, pacer)?;
-            check_union_compat(&l, &r)?;
-            let mut out = ResultSet::empty(l.schema().clone());
-            for row in l.rows() {
-                pacer.tick()?;
-                if !r.contains(row) {
-                    out.push(row.clone());
-                }
-            }
-            Ok(out)
+            let l = execute::<A>(left, db, params, pacer)?;
+            let r = execute::<A>(right, db, params, pacer)?;
+            difference_of(&l, &r, pacer)
         }
         Query::Rename { input, prefix } => {
-            let inp = eval_node(input, db, params, pacer)?;
-            let schema = rename_schema(inp.schema(), prefix);
-            Ok(ResultSet::from_rows(schema, inp.rows().to_vec()))
+            let mut out = execute::<A>(input, db, params, pacer)?;
+            out.schema = rename_schema(&out.schema, prefix);
+            Ok(out)
         }
         Query::GroupBy {
             input,
@@ -286,7 +377,10 @@ fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Re
             aggregates,
             having,
         } => {
-            let inp = eval_node(input, db, params, pacer)?;
+            let Some(annotation) = A::aggregate() else {
+                return Err(QueryError::AnnotatedGroupBy);
+            };
+            let inp = execute::<A>(input, db, params, pacer)?;
             let out_schema = output_schema(query, db)?;
             let group_idx: Vec<usize> = group_by
                 .iter()
@@ -305,7 +399,7 @@ fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Re
             }
             // A global aggregate over an empty input still produces no row
             // under set/RA semantics used by the paper's interpreter.
-            let mut out = ResultSet::empty(out_schema.clone());
+            let mut out = Annotated::empty(out_schema.clone());
             for key in order {
                 let rows = &groups[&key];
                 let mut output_row = key.clone();
@@ -322,12 +416,37 @@ fn eval_node(query: &Query, db: &Database, params: &Params, pacer: &Pacer) -> Re
                     None => true,
                 };
                 if keep {
-                    out.push(output_row);
+                    out.add(output_row, annotation.clone());
                 }
             }
             Ok(out)
         }
     }
+}
+
+/// The `Difference` arm of [`execute`]: each row of `left` that `right`
+/// lacks keeps its annotation, and each row both derive is annotated by
+/// [`Annotation::minus`] (or dropped). Batch grading calls it directly to
+/// combine two annotations computed once each. The inputs must be union
+/// compatible; rows are matched by value, position by position.
+pub fn difference_of<A: Annotation>(
+    left: &Annotated<A>,
+    right: &Annotated<A>,
+    pacer: &Pacer,
+) -> Result<Annotated<A>> {
+    check_union_compat(left.schema(), right.schema())?;
+    let mut out = Annotated::empty(left.schema().clone());
+    for (row, annotation) in left.iter() {
+        pacer.tick()?;
+        let kept = match right.provenance_of(row) {
+            Some(other) => annotation.minus(other),
+            None => Some(annotation.clone()),
+        };
+        if let Some(kept) = kept {
+            out.add(row.to_vec(), kept);
+        }
+    }
+    Ok(out)
 }
 
 /// Compute an aggregate over the argument values of one group.
@@ -398,11 +517,11 @@ pub fn compute_aggregate(func: AggFunc, args: &[Value]) -> Result<Value> {
     }
 }
 
-fn check_union_compat(l: &ResultSet, r: &ResultSet) -> Result<()> {
-    if !l.schema().union_compatible(r.schema()) {
+fn check_union_compat(l: &Schema, r: &Schema) -> Result<()> {
+    if !l.union_compatible(r) {
         return Err(QueryError::NotUnionCompatible {
-            left: l.schema().to_string(),
-            right: r.schema().to_string(),
+            left: l.to_string(),
+            right: r.to_string(),
         });
     }
     Ok(())
@@ -411,11 +530,7 @@ fn check_union_compat(l: &ResultSet, r: &ResultSet) -> Result<()> {
 /// Extract hash-join keys from a predicate: returns `(left key columns,
 /// right key columns, residual predicate)` when the predicate contains at
 /// least one top-level equality between a left column and a right column.
-///
-/// Exposed so that the provenance-annotated evaluator (in
-/// `ratest-provenance`) can use the same join strategy and therefore the same
-/// asymptotic cost profile as the plain evaluator.
-pub fn hash_join_keys(
+fn hash_join_keys(
     pred: &Expr,
     left: &Schema,
     right: &Schema,

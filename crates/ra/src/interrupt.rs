@@ -1,9 +1,9 @@
 //! Cooperative interruption of long-running query evaluation.
 //!
-//! The evaluator and the provenance annotator sit at the bottom of every
+//! The executor, evaluating or annotating, sits at the bottom of every
 //! RATest run: a single pathological submission can join millions of rows
 //! before any algorithm-level loop boundary is reached. The types here let a
-//! higher layer (the `ratest-core` [`Budget`], the grading engine's per-job
+//! higher layer (the `ratest-core` `Budget`, the grading engine's per-job
 //! timeout) reach *into* those inner loops without this crate depending on
 //! it: the caller supplies an [`InterruptHook`], the evaluation polls it at a
 //! fixed stride via a [`Pacer`], and a raised hook surfaces as

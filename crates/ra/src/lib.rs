@@ -10,12 +10,15 @@
 //!   parameters (`@numCS`) used by the *parameterized counterexample*
 //!   algorithm,
 //! * a type checker ([`typecheck`]) that computes output schemas,
-//! * a set-semantics evaluator ([`eval`]) over `ratest-storage` databases,
+//! * a set-semantics executor ([`eval`]) over `ratest-storage` databases,
+//!   generic over a row annotation: plain evaluation carries `()`, and the
+//!   provenance crate runs how-provenance through the same executor,
 //! * a textual surface syntax and parser ([`parser`]) modelled after the
 //!   relational-algebra interpreter used in the course deployment,
-//! * a query classifier ([`classify`]) that detects the sub-language a query
-//!   pair falls into (SJ, SPU, JU*, SPJU, SPJUD*, ... — Table 1 of the
-//!   paper) so the core crate can dispatch to poly-time algorithms, and
+//! * a query classifier ([`classify`](mod@classify)) that detects the
+//!   sub-language a query pair falls into (SJ, SPU, JU*, SPJU, SPJUD*, ... —
+//!   Table 1 of the paper) so the core crate can dispatch to poly-time
+//!   algorithms, and
 //! * complexity metrics (operator count, number of differences, tree height)
 //!   reported by Figure 3.
 //!

@@ -152,7 +152,7 @@ pub fn smallest_counterexample_from_annotations(
     let mut candidates: Vec<(Vec<ratest_storage::Value>, bool)> = Vec::new();
     for (ann, from_q1) in [(ann_q1_minus_q2, true), (ann_q2_minus_q1, false)] {
         for row in ann.rows() {
-            candidates.push((row.values.clone(), from_q1));
+            candidates.push((row.clone(), from_q1));
         }
     }
     // Try the differences observed on the full instance first so the best

@@ -632,8 +632,8 @@ pub(crate) fn explain_prepared_impl(
         &options.budget.interrupt(),
         &options.metrics,
     )?;
-    let ann_q1_minus_q2 = difference_of(ref_annotation, &ann_q2);
-    let ann_q2_minus_q1 = difference_of(&ann_q2, ref_annotation);
+    let ann_q1_minus_q2 = difference_of(ref_annotation, &ann_q2)?;
+    let ann_q2_minus_q1 = difference_of(&ann_q2, ref_annotation)?;
     timings.provenance += start.elapsed();
 
     let basic_options = BasicOptions {

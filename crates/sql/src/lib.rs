@@ -9,7 +9,7 @@
 //!
 //! 1. a hand-rolled [`lexer`] producing byte-span tokens,
 //! 2. a recursive-descent [`parser`] building a spanned SQL AST ([`ast`]),
-//! 3. a name-resolving [`lower`] pass that desugars the AST into
+//! 3. a name-resolving [`lower`](mod@lower) pass that desugars the AST into
 //!    `ratest_ra` operators, resolving every relation and column against a
 //!    `ratest_storage::Database` catalog.
 //!

@@ -87,7 +87,10 @@ impl Relation {
         let row = self.rows.len() as u32;
         let rows = &self.rows;
         let dedup = self.dedup.get_mut().expect("built by `index` above");
-        if !dedup.insert(&values, row, |pos| &rows[pos as usize].values) {
+        if dedup
+            .insert(&values, row, |pos| &rows[pos as usize].values)
+            .is_err()
+        {
             return Ok(None);
         }
         let id = TupleId::new(self.relation_index, row);

@@ -16,7 +16,7 @@ const SMALL: usize = 8;
 /// Indexing a row costs one slot instead of a copy of its values. The table
 /// holds no rows, so every operation takes a `row_at` function that resolves
 /// a stored position to its row. A small index allocates nothing: while it
-/// holds the positions `0..len` of at most [`SMALL`] rows it finds them by a
+/// holds the positions `0..len` of at most eight rows it finds them by a
 /// scan, and it builds a hash table when it outgrows that.
 #[derive(Debug, Clone, Default)]
 pub struct RowIndex {
@@ -44,7 +44,7 @@ impl RowIndex {
     pub fn build<'a>(n: usize, row_at: impl Fn(u32) -> &'a [Value]) -> Self {
         let mut index = RowIndex::new();
         for pos in 0..n as u32 {
-            index.insert(row_at(pos), pos, &row_at);
+            let _ = index.insert(row_at(pos), pos, &row_at);
         }
         index
     }
@@ -58,24 +58,25 @@ impl RowIndex {
     }
 
     /// Index position `pos`, whose row is `row`, unless an equal row is
-    /// already indexed. Returns whether `pos` was added. `row_at` need only
-    /// resolve the positions already indexed.
+    /// already indexed: then `pos` is left out and the error holds the
+    /// position of that equal row. `row_at` need only resolve the positions
+    /// already indexed.
     pub fn insert<'a>(
         &mut self,
         row: &[Value],
         pos: u32,
         row_at: impl Fn(u32) -> &'a [Value],
-    ) -> bool {
+    ) -> Result<(), u32> {
         assert_ne!(pos, EMPTY, "row position {pos} is reserved");
         let table = match &mut self.table {
             Some(table) => table,
             None => {
-                if self.find(row, &row_at).is_some() {
-                    return false;
+                if let Some(equal) = self.find(row, &row_at) {
+                    return Err(equal);
                 }
                 if pos as usize == self.len && self.len < SMALL {
                     self.len += 1;
-                    return true;
+                    return Ok(());
                 }
                 let scanned = 0..self.len as u32;
                 let table = Table::new(RandomState::new(), self.len + 1, scanned, &row_at);
@@ -88,11 +89,11 @@ impl RowIndex {
             **table = Table::new(table.hasher.clone(), self.len + 1, indexed, &row_at);
         }
         match table.probe(table.hasher.hash_one(row), row, row_at) {
-            Ok(_) => false,
+            Ok(equal) => Err(equal),
             Err(slot) => {
                 table.slots[slot] = pos;
                 self.len += 1;
-                true
+                Ok(())
             }
         }
     }
@@ -149,8 +150,9 @@ mod tests {
         let mut index = RowIndex::new();
         let mut kept = 0;
         for (pos, row) in rows.iter().enumerate() {
-            if index.insert(row, pos as u32, |p| &rows[p as usize]) {
-                kept += 1;
+            match index.insert(row, pos as u32, |p| &rows[p as usize]) {
+                Ok(()) => kept += 1,
+                Err(equal) => assert_eq!(rows[equal as usize], *row),
             }
         }
         assert_eq!(kept, 40);

@@ -17,7 +17,7 @@ use std::hash::{Hash, Hasher};
 /// to: it is equal to itself and sorts before every other value. (The paper
 /// restricts group-by attributes to be non-null and uses set semantics, so a
 /// full SQL three-valued logic is unnecessary; predicates over null simply
-/// evaluate to false via [`Value::sql_eq`] style helpers in the `ra` crate.)
+/// evaluate to false in the `ra` crate's expression evaluator.)
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// Absent value.

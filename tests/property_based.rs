@@ -187,13 +187,25 @@ proptest! {
         let sub = db.subinstance(|id| sel.contains(id));
         let direct = evaluate(q, &sub).unwrap();
         let annotated = ratest_suite::provenance::annotate(q, &db).unwrap();
-        for row in annotated.rows() {
-            let present = row.provenance.eval(&|id| sel.contains(id));
+        for (row, provenance) in annotated.iter() {
+            let present = provenance.eval(&|id| sel.contains(id));
             prop_assert_eq!(
                 present,
-                direct.contains(&row.values),
+                direct.contains(row),
                 "tuple {:?} provenance disagrees with evaluation on the sub-instance",
-                row.values
+                row
+            );
+        }
+        // Completeness: every tuple of the sub-instance's answer has an
+        // annotated row whose provenance the selection satisfies.
+        for row in direct.rows() {
+            let derived = annotated
+                .provenance_of(row)
+                .is_some_and(|provenance| provenance.eval(&|id| sel.contains(id)));
+            prop_assert!(
+                derived,
+                "tuple {:?} of the sub-instance has no satisfied provenance",
+                row
             );
         }
     }
