@@ -28,6 +28,7 @@ use ratest_ra::ast::{AggCall, ProjectItem, Query};
 use ratest_ra::eval::compute_aggregate;
 use ratest_ra::expr::{Expr, ParamMap};
 use ratest_ra::interrupt::{Interrupt, Pacer};
+use ratest_ra::plan::Scalar;
 use ratest_ra::typecheck::output_schema;
 use ratest_storage::{Database, Schema, TupleId, TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
@@ -75,12 +76,32 @@ impl GroupProvenance {
     ///
     /// `schema` is the group-by output schema (key columns then aggregate
     /// aliases) and `params` supplies values for `@parameters` in HAVING.
+    /// This resolves HAVING's columns by name;
+    /// [`AggregateProvenance::evaluate_selection`] runs the same check
+    /// resolved once.
     pub fn evaluate_under<F: Fn(TupleId) -> bool>(
         &self,
         schema: &Schema,
         present: &F,
         params: &ParamMap,
     ) -> Result<Option<Vec<Value>>> {
+        let Some(row) = self.aggregate_row(present)? else {
+            return Ok(None);
+        };
+        if let Some(h) = &self.having {
+            if !h
+                .eval_predicate(schema, &row, params)
+                .map_err(ProvenanceError::Query)?
+            {
+                return Ok(None);
+            }
+        }
+        Ok(Some(row))
+    }
+
+    /// The group key and aggregate values over the members live under
+    /// `present`, or `None` when no member is.
+    fn aggregate_row<F: Fn(TupleId) -> bool>(&self, present: &F) -> Result<Option<Vec<Value>>> {
         let live: Vec<&GroupMember> = self
             .members
             .iter()
@@ -93,14 +114,6 @@ impl GroupProvenance {
         for (i, agg) in self.aggregates.iter().enumerate() {
             let args: Vec<Value> = live.iter().map(|m| m.agg_args[i].clone()).collect();
             row.push(compute_aggregate(agg.func, &args).map_err(ProvenanceError::Query)?);
-        }
-        if let Some(h) = &self.having {
-            if !h
-                .eval_predicate(schema, &row, params)
-                .map_err(ProvenanceError::Query)?
-            {
-                return Ok(None);
-            }
         }
         Ok(Some(row))
     }
@@ -124,6 +137,10 @@ pub struct AggregateProvenance {
     groups: Vec<GroupProvenance>,
     /// The group structure, indexed once when the provenance is built.
     index: GroupIndex,
+    /// The groups' HAVING and `outer_having`, resolved against
+    /// `group_schema` once.
+    having: Option<Scalar>,
+    outer: Option<Scalar>,
 }
 
 /// Lookups over [`AggregateProvenance::groups`], built once so that neither
@@ -175,8 +192,10 @@ impl GroupIndex {
 }
 
 impl AggregateProvenance {
-    /// Assemble the provenance of an aggregate query from its parts and
-    /// index its groups. `groups` must have pairwise distinct keys.
+    /// Assemble the provenance of an aggregate query from its parts, index
+    /// its groups and resolve its predicates against `group_schema`.
+    /// `groups` must have pairwise distinct keys and, as the groups of one
+    /// query, one HAVING.
     pub fn new(
         group_schema: Schema,
         output_schema: Schema,
@@ -184,9 +203,22 @@ impl AggregateProvenance {
         groups: Vec<GroupProvenance>,
         inner: Query,
         outer_having: Option<Expr>,
-    ) -> AggregateProvenance {
+    ) -> Result<AggregateProvenance> {
+        let having = groups.first().and_then(|g| g.having.as_ref());
+        if groups.iter().any(|g| g.having.as_ref() != having) {
+            return Err(ProvenanceError::UnsupportedAggregateShape(
+                "the groups of one query share its HAVING".into(),
+            ));
+        }
+        let resolve = |e: Option<&Expr>| {
+            e.map(|e| Scalar::compile(e, &group_schema))
+                .transpose()
+                .map_err(ProvenanceError::Query)
+        };
+        let having = resolve(having)?;
+        let outer = resolve(outer_having.as_ref())?;
         let index = GroupIndex::build(&groups);
-        AggregateProvenance {
+        Ok(AggregateProvenance {
             group_schema,
             output_schema,
             projection,
@@ -194,7 +226,9 @@ impl AggregateProvenance {
             outer_having,
             groups,
             index,
-        }
+            having,
+            outer,
+        })
     }
 
     /// Per-group provenance, in the order the groups first appear in the
@@ -247,15 +281,9 @@ impl AggregateProvenance {
         let mut out = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for &gi in groups {
-            let g = &self.groups[gi];
-            if let Some(row) = g.evaluate_under(&self.group_schema, &present, params)? {
-                if let Some(h) = &self.outer_having {
-                    if !h
-                        .eval_predicate(&self.group_schema, &row, params)
-                        .map_err(ProvenanceError::Query)?
-                    {
-                        continue;
-                    }
+            if let Some(row) = self.evaluate_group(&self.groups[gi], &present, params)? {
+                if !holds(self.outer.as_ref(), &row, params)? {
+                    continue;
                 }
                 let projected: Vec<Value> =
                     self.projection.iter().map(|&i| row[i].clone()).collect();
@@ -265,6 +293,20 @@ impl AggregateProvenance {
             }
         }
         Ok(out)
+    }
+
+    /// [`GroupProvenance::evaluate_under`] for one of this query's groups,
+    /// with HAVING resolved once.
+    pub fn evaluate_group<F: Fn(TupleId) -> bool>(
+        &self,
+        group: &GroupProvenance,
+        present: &F,
+        params: &ParamMap,
+    ) -> Result<Option<Vec<Value>>> {
+        let Some(row) = group.aggregate_row(present)? else {
+            return Ok(None);
+        };
+        Ok(holds(self.having.as_ref(), &row, params)?.then_some(row))
     }
 
     /// All tuple variables appearing anywhere in the provenance.
@@ -284,6 +326,14 @@ impl AggregateProvenance {
             .by_key
             .get(key)
             .map_or(0, |&gi| self.index.variables[gi].len())
+    }
+}
+
+/// Whether `row` passes an optional resolved predicate.
+fn holds(predicate: Option<&Scalar>, row: &[Value], params: &ParamMap) -> Result<bool> {
+    match predicate {
+        Some(p) => p.holds(row, params).map_err(ProvenanceError::Query),
+        None => Ok(true),
     }
 }
 
@@ -351,6 +401,10 @@ pub fn aggregate_provenance_instrumented(
         .iter()
         .map(|g| Expr::resolve_column(&input_schema, g).map_err(ProvenanceError::Query))
         .collect::<Result<_>>()?;
+    let agg_args: Vec<Scalar> = aggregates
+        .iter()
+        .map(|agg| Scalar::compile(&agg.arg, &input_schema).map_err(ProvenanceError::Query))
+        .collect::<Result<_>>()?;
 
     // Build the groups. The loop is paced as well: group assembly over a
     // huge annotated input is itself linear work that must honour deadlines.
@@ -360,17 +414,13 @@ pub fn aggregate_provenance_instrumented(
     for (row, provenance) in annotated.iter() {
         pacer.tick()?;
         let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
-        let mut agg_args = Vec::with_capacity(aggregates.len());
-        for agg in &aggregates {
-            agg_args.push(
-                agg.arg
-                    .eval(&input_schema, row, params)
-                    .map_err(ProvenanceError::Query)?,
-            );
-        }
         let member = GroupMember {
             provenance: provenance.clone(),
-            agg_args,
+            agg_args: agg_args
+                .iter()
+                .map(|arg| arg.eval(row, params))
+                .collect::<ratest_ra::Result<_>>()
+                .map_err(ProvenanceError::Query)?,
         };
         match index.get(&key) {
             Some(&gi) => {
@@ -419,14 +469,14 @@ pub fn aggregate_provenance_instrumented(
         groups.iter().map(|g| g.members.len() as u64).sum(),
     );
 
-    Ok(AggregateProvenance::new(
+    AggregateProvenance::new(
         group_schema,
         output_schema_q,
         projection,
         groups,
         input,
         shape.outer_select,
-    ))
+    )
 }
 
 /// The decomposed shape of a supported aggregate query.

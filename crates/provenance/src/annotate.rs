@@ -11,6 +11,7 @@ use ratest_ra::ast::Query;
 use ratest_ra::eval::{execute, Annotated, Annotation};
 use ratest_ra::expr::ParamMap;
 use ratest_ra::interrupt::{Interrupt, Pacer};
+use ratest_ra::plan::Plan;
 use ratest_ra::QueryError;
 use ratest_storage::{Database, TupleId, Value};
 use ratest_telemetry::MetricsHandle;
@@ -33,8 +34,7 @@ impl Annotation for BoolExpr {
     }
 
     fn or(&mut self, other: BoolExpr) {
-        let existing = std::mem::replace(self, BoolExpr::False);
-        *self = BoolExpr::or2(existing, other);
+        self.or_assign(other);
     }
 
     fn minus(&self, other: &BoolExpr) -> Option<BoolExpr> {
@@ -110,8 +110,31 @@ pub fn annotate_instrumented(
     interrupt: &Interrupt,
     metrics: &MetricsHandle,
 ) -> Result<AnnotatedResult> {
+    paced(interrupt, metrics, |pacer| {
+        execute(&Plan::compile(query, db)?, db, params, pacer)
+    })
+}
+
+/// [`annotate_instrumented`] for a query compiled once, e.g. against the
+/// instance whose sub-instances it is run on.
+pub fn annotate_plan(
+    plan: &Plan,
+    db: &Database,
+    params: &ParamMap,
+    interrupt: &Interrupt,
+    metrics: &MetricsHandle,
+) -> Result<AnnotatedResult> {
+    paced(interrupt, metrics, |pacer| execute(plan, db, params, pacer))
+}
+
+/// Run `run` on one pacer and fold its counters into `metrics`.
+fn paced(
+    interrupt: &Interrupt,
+    metrics: &MetricsHandle,
+    run: impl FnOnce(&Pacer) -> ratest_ra::Result<AnnotatedResult>,
+) -> Result<AnnotatedResult> {
     let pacer = Pacer::new(interrupt);
-    let result = execute(query, db, params, &pacer).map_err(|e| match e {
+    let result = run(&pacer).map_err(|e| match e {
         QueryError::AnnotatedGroupBy => ProvenanceError::UnsupportedAggregateShape(
             "use aggregate_provenance for queries with group-by".into(),
         ),

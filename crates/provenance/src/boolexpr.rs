@@ -75,12 +75,39 @@ impl BoolExpr {
 
     /// Binary conjunction convenience.
     pub fn and2(a: BoolExpr, b: BoolExpr) -> BoolExpr {
+        // Operands that `and` neither drops nor flattens only dedup.
+        let plain =
+            |e: &BoolExpr| !matches!(e, BoolExpr::True | BoolExpr::False | BoolExpr::And(_));
+        if plain(&a) && plain(&b) {
+            return if a == b { a } else { BoolExpr::And(vec![a, b]) };
+        }
         BoolExpr::and(vec![a, b])
     }
 
     /// Binary disjunction convenience.
     pub fn or2(a: BoolExpr, b: BoolExpr) -> BoolExpr {
+        let plain = |e: &BoolExpr| !matches!(e, BoolExpr::True | BoolExpr::False | BoolExpr::Or(_));
+        if plain(&a) && plain(&b) {
+            return if a == b { a } else { BoolExpr::Or(vec![a, b]) };
+        }
         BoolExpr::or(vec![a, b])
+    }
+
+    /// `*self = or2(*self, other)`, appending in place when `self` is a
+    /// disjunction built by [`BoolExpr::or`] (flat, with no two equal
+    /// neighbours) and `other` is a plain operand: merging `k` derivations
+    /// one at a time then costs `O(k)`, not `O(k²)`.
+    pub fn or_assign(&mut self, other: BoolExpr) {
+        if let BoolExpr::Or(parts) = self {
+            if !matches!(other, BoolExpr::True | BoolExpr::False | BoolExpr::Or(_)) {
+                if parts.last() != Some(&other) {
+                    parts.push(other);
+                }
+                return;
+            }
+        }
+        let existing = std::mem::replace(self, BoolExpr::False);
+        *self = BoolExpr::or2(existing, other);
     }
 
     /// Smart negation: constant folding and double-negation elimination.

@@ -54,6 +54,13 @@ pub enum QueryError {
     /// aggregate values no meaning (see
     /// [`crate::eval::Annotation::aggregate`]).
     AnnotatedGroupBy,
+    /// A compiled [`crate::plan::Plan`] ran against a database whose
+    /// relation of this name has a different schema than the one it was
+    /// compiled against.
+    PlanMismatch {
+        /// The relation whose schema differs.
+        relation: String,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -86,6 +93,10 @@ impl fmt::Display for QueryError {
                 write!(f, "evaluation interrupted: {reason}")
             }
             QueryError::AnnotatedGroupBy => write!(f, "group-by under an annotated evaluation"),
+            QueryError::PlanMismatch { relation } => write!(
+                f,
+                "relation `{relation}` has a different schema than the plan was compiled against"
+            ),
         }
     }
 }

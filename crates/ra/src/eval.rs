@@ -1,24 +1,36 @@
-//! Set-semantics evaluation of [`Query`] trees over a [`Database`], plain
-//! or annotated.
+//! Set-semantics evaluation of compiled query [`Plan`]s over a
+//! [`Database`], plain or annotated.
 //!
-//! One executor, [`execute`], walks the tree for both jobs. It is generic
-//! over the [`Annotation`] each row carries: `()` for plain evaluation, and
-//! a Boolean how-provenance formula (`ratest_provenance::BoolExpr`) for the
+//! One executor, [`execute`], runs a plan for both jobs. It is generic over
+//! the [`Annotation`] each row carries: `()` for plain evaluation, and a
+//! Boolean how-provenance formula (`ratest_provenance::BoolExpr`) for the
 //! annotated evaluation that stands in for the provenance-rewritten queries
 //! of Section 6 of the paper. The executor is deliberately simple — hash
 //! joins for equality conjuncts, nested loops otherwise, hash-based
 //! duplicate elimination and grouping — because RATest only needs correct
 //! set-semantics answers and predictable relative costs; it is the substrate
 //! replacing the SQL Server backend of the original prototype.
+//!
+//! Rows are read in place wherever an operator does not keep them:
+//! selections, joins, projections and groupings over a scan read its base
+//! tuples, a left-deep chain of joins streams each joined row into the next
+//! join without copying it, and a selection or projection fused into a join
+//! reads the joined row before anything of it is copied. The entry points
+//! that take a [`Query`] compile it first ([`Plan::compile`]); a caller that
+//! runs one query many times compiles it once and calls [`evaluate_plan`].
 
 use crate::ast::{AggFunc, Query};
 use crate::error::{QueryError, Result};
-use crate::expr::{BinaryOp, Expr, ParamMap};
+use crate::expr::ParamMap;
 use crate::interrupt::{Interrupt, Pacer};
-use crate::typecheck::{output_schema, rename_schema};
-use ratest_storage::{Database, RowIndex, Schema, TupleId, Value};
+use crate::plan::{Node, Op, Plan, Row, View};
+use ratest_storage::hash::RowHashBuilder;
+use ratest_storage::{Database, RowIndex, Schema, Tuple, TupleId, Value};
 use ratest_telemetry::MetricsHandle;
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Parameter bindings passed to [`evaluate_with_params`].
 pub type Params = ParamMap;
@@ -66,15 +78,16 @@ impl Annotation for () {
 
 /// The output of [`execute`]: an output schema plus a *set* of value rows
 /// (no duplicates, insertion order preserved for readability), each with
-/// its annotation. Rows are deduplicated through a [`RowIndex`] of their
-/// positions, so each row is stored once; the annotations sit in a parallel
-/// vector, which for `()` takes no memory.
+/// its annotation. The annotations sit in a parallel vector, which for `()`
+/// takes no memory. Lookups go through a [`RowIndex`] of row positions,
+/// built on first use, so each row is stored once and a result that is only
+/// iterated never hashes its rows.
 #[derive(Debug, Clone)]
 pub struct Annotated<A> {
     schema: Schema,
     rows: Vec<Vec<Value>>,
     annotations: Vec<A>,
-    index: RowIndex,
+    index: OnceLock<RowIndex>,
 }
 
 /// The result of evaluating a query.
@@ -96,7 +109,7 @@ impl<A: Annotation> Annotated<A> {
             schema,
             rows: Vec::new(),
             annotations: Vec::new(),
-            index: RowIndex::new(),
+            index: OnceLock::new(),
         }
     }
 
@@ -108,9 +121,11 @@ impl<A: Annotation> Annotated<A> {
         if annotation.is_false() {
             return false;
         }
+        self.index();
         let rows = &self.rows;
         let pos = u32::try_from(rows.len()).expect("a result set holds fewer than 2^32 rows");
-        match self.index.insert(&row, pos, |i| &rows[i as usize]) {
+        let index = self.index.get_mut().expect("built above");
+        match index.insert(&row, pos, |i| &rows[i as usize]) {
             Ok(()) => {
                 self.rows.push(row);
                 self.annotations.push(annotation);
@@ -121,6 +136,28 @@ impl<A: Annotation> Annotated<A> {
                 false
             }
         }
+    }
+
+    /// Append a row the caller knows is not present yet (e.g. a row of a
+    /// join of two sets), skipping it when its annotation is false.
+    fn push_new(&mut self, row: Vec<Value>, annotation: A) {
+        if annotation.is_false() {
+            return;
+        }
+        self.index.take();
+        self.rows.push(row);
+        self.annotations.push(annotation);
+    }
+
+    /// Release spare capacity, and the lookup index until the next lookup:
+    /// for results kept long after they are computed.
+    pub fn shrink_to_fit(&mut self) {
+        for row in &mut self.rows {
+            row.shrink_to_fit();
+        }
+        self.rows.shrink_to_fit();
+        self.annotations.shrink_to_fit();
+        self.index.take();
     }
 
     /// The output schema.
@@ -155,13 +192,19 @@ impl<A: Annotation> Annotated<A> {
 
     /// The annotation of a row — its provenance — if the row is present.
     pub fn provenance_of(&self, row: &[Value]) -> Option<&A> {
-        let pos = self.index.find(row, |i| &self.rows[i as usize])?;
+        let pos = self.index().find(row, |i| &self.rows[i as usize])?;
         Some(&self.annotations[pos as usize])
     }
 
-    /// The schema and the rows with their annotations, by value.
-    fn into_parts(self) -> (Schema, impl Iterator<Item = (Vec<Value>, A)>) {
-        (self.schema, self.rows.into_iter().zip(self.annotations))
+    /// The index of the rows' positions, built on first use.
+    fn index(&self) -> &RowIndex {
+        self.index
+            .get_or_init(|| RowIndex::build(self.rows.len(), |i| &self.rows[i as usize]))
+    }
+
+    /// The rows with their annotations, by value.
+    fn into_parts(self) -> impl Iterator<Item = (Vec<Value>, A)> {
+        self.rows.into_iter().zip(self.annotations)
     }
 }
 
@@ -237,9 +280,32 @@ pub fn evaluate_instrumented(
     interrupt: &Interrupt,
     metrics: &MetricsHandle,
 ) -> Result<ResultSet> {
-    // One pacer for the whole tree: the stride counts global work.
+    paced(interrupt, metrics, |pacer| {
+        execute(&Plan::compile(query, db)?, db, params, pacer)
+    })
+}
+
+/// [`evaluate_instrumented`] for a query compiled once, e.g. against the
+/// instance whose sub-instances it is run on.
+pub fn evaluate_plan(
+    plan: &Plan,
+    db: &Database,
+    params: &Params,
+    interrupt: &Interrupt,
+    metrics: &MetricsHandle,
+) -> Result<ResultSet> {
+    paced(interrupt, metrics, |pacer| execute(plan, db, params, pacer))
+}
+
+/// Run `run` on one pacer for the whole tree (the stride counts global
+/// work), then fold its counters into `metrics`.
+fn paced(
+    interrupt: &Interrupt,
+    metrics: &MetricsHandle,
+    run: impl FnOnce(&Pacer) -> Result<ResultSet>,
+) -> Result<ResultSet> {
     let pacer = Pacer::new(interrupt);
-    let result = execute(query, db, params, &pacer);
+    let result = run(&pacer);
     metrics.counter_inc("ra.eval.calls");
     metrics.counter_add("ra.eval.rows_scanned", pacer.work());
     metrics.counter_add("ra.eval.batches", pacer.batches());
@@ -247,180 +313,358 @@ pub fn evaluate_instrumented(
     result
 }
 
-/// Run `query` over `db` with every row annotated by `A`. The pacer counts
+/// Run `plan` over `db` with every row annotated by `A`. The pacer counts
 /// one batch per operator and one tick per row an operator loop visits
 /// (scans and renames visit none), and polls its interrupt every
 /// [`Pacer::STRIDE`] ticks.
 pub fn execute<A: Annotation>(
-    query: &Query,
+    plan: &Plan,
     db: &Database,
     params: &Params,
     pacer: &Pacer,
 ) -> Result<Annotated<A>> {
-    pacer.note_batch();
-    match query {
-        Query::Relation(name) => {
-            let rel = db.relation(name)?;
-            let mut out = Annotated::empty(rel.schema().clone());
-            for t in rel.iter() {
-                out.add(
-                    t.values.clone(),
-                    A::base(t.id.expect("base tuples carry ids")),
-                );
-            }
-            Ok(out)
+    let root = plan.root();
+    Ok(run(root, db, params, pacer)?.into_annotated(&root.schema))
+}
+
+/// What an operator hands its parent: base tuples read in place, or rows of
+/// its own.
+enum Rows<'d, A> {
+    /// Tuples of a base relation (a scan, possibly renamed or filtered),
+    /// each annotated [`Annotation::base`].
+    Base(Vec<&'d Tuple>),
+    Owned(Annotated<A>),
+}
+
+impl<'d, A: Annotation> Rows<'d, A> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Base(tuples) => tuples.len(),
+            Rows::Owned(out) => out.len(),
         }
-        Query::Select { input, predicate } => {
-            let (schema, rows) = execute::<A>(input, db, params, pacer)?.into_parts();
-            let mut out = Annotated::empty(schema.clone());
-            for (row, annotation) in rows {
-                pacer.tick()?;
-                if predicate.eval_predicate(&schema, &row, params)? {
-                    out.add(row, annotation);
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        match self {
+            Rows::Base(tuples) => &tuples[i].values,
+            Rows::Owned(out) => &out.rows[i],
+        }
+    }
+
+    fn annotation(&self, i: usize) -> Cow<'_, A> {
+        match self {
+            Rows::Base(tuples) => Cow::Owned(base_annotation(tuples[i])),
+            Rows::Owned(out) => Cow::Borrowed(&out.annotations[i]),
+        }
+    }
+
+    /// The rows with their annotations, by value; base rows stay borrowed.
+    fn into_rows(self) -> impl Iterator<Item = (Cow<'d, [Value]>, A)> {
+        let (base, owned) = match self {
+            Rows::Base(tuples) => (Some(tuples), None),
+            Rows::Owned(out) => (None, Some(out)),
+        };
+        let base = base
+            .into_iter()
+            .flatten()
+            .map(|t| (Cow::Borrowed(t.values.as_slice()), base_annotation(t)));
+        let owned = owned
+            .into_iter()
+            .flat_map(Annotated::into_parts)
+            .map(|(row, a)| (Cow::Owned(row), a));
+        base.chain(owned)
+    }
+
+    /// A result with `schema`, copying base rows.
+    fn into_annotated(self, schema: &Schema) -> Annotated<A> {
+        match self {
+            Rows::Owned(out) => out,
+            Rows::Base(tuples) => Annotated {
+                schema: schema.clone(),
+                rows: tuples.iter().map(|t| t.values.clone()).collect(),
+                annotations: tuples.iter().map(|t| base_annotation(t)).collect(),
+                index: OnceLock::new(),
+            },
+        }
+    }
+}
+
+fn base_annotation<A: Annotation>(t: &Tuple) -> A {
+    A::base(t.id.expect("base tuples carry ids"))
+}
+
+/// The hash of a row's values in the `keys` slots.
+fn key_hash(row: &View<'_>, keys: &[usize]) -> u64 {
+    let mut hasher = RowHashBuilder::default().build_hasher();
+    for &k in keys {
+        row.at(k).hash(&mut hasher);
+    }
+    hasher.finish()
+}
+
+/// Whether `left`'s values in `left_keys` equal `right`'s in `right_keys`.
+fn keys_equal(left: &View<'_>, left_keys: &[usize], right: &[Value], right_keys: &[usize]) -> bool {
+    left_keys
+        .iter()
+        .zip(right_keys)
+        .all(|(&a, &b)| *left.at(a) == right[b])
+}
+
+/// Run one plan node. Every operator's output is a set, so only projections
+/// and unions need a duplicate check.
+fn run<'d, A: Annotation>(
+    node: &Node,
+    db: &'d Database,
+    params: &Params,
+    pacer: &Pacer,
+) -> Result<Rows<'d, A>> {
+    pacer.note_batch();
+    let mut out = Annotated::empty(node.schema.clone());
+    match &node.op {
+        Op::Scan { relation } => {
+            let rel = db.relation(relation)?;
+            if rel.schema() != &node.schema {
+                return Err(QueryError::PlanMismatch {
+                    relation: relation.to_string(),
+                });
+            }
+            return Ok(Rows::Base(rel.iter().collect()));
+        }
+        Op::Select { input, predicate } => match run::<A>(input, db, params, pacer)? {
+            Rows::Base(tuples) => {
+                let mut kept = Vec::new();
+                for t in tuples {
+                    pacer.tick()?;
+                    if predicate.holds(&t.values, params)? {
+                        kept.push(t);
+                    }
+                }
+                return Ok(Rows::Base(kept));
+            }
+            Rows::Owned(rows) => {
+                for (row, annotation) in rows.into_parts() {
+                    pacer.tick()?;
+                    if predicate.holds(&row, params)? {
+                        out.push_new(row, annotation);
+                    }
                 }
             }
-            Ok(out)
-        }
-        Query::Project { input, items } => {
-            let (input_schema, rows) = execute::<A>(input, db, params, pacer)?.into_parts();
-            let mut out = Annotated::empty(output_schema(query, db)?);
-            for (row, annotation) in rows {
+        },
+        Op::Project { input, items } => {
+            for (row, annotation) in run::<A>(input, db, params, pacer)?.into_rows() {
                 pacer.tick()?;
                 let mut projected = Vec::with_capacity(items.len());
                 for item in items {
-                    projected.push(item.expr.eval(&input_schema, &row, params)?);
+                    projected.push(item.eval(&row, params)?);
                 }
                 out.add(projected, annotation);
             }
-            Ok(out)
         }
-        Query::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let l = execute::<A>(left, db, params, pacer)?;
-            let r = execute::<A>(right, db, params, pacer)?;
-            let schema = l.schema().concat(r.schema());
-            let mut out = Annotated::empty(schema.clone());
-            // Use a hash join on equality conjuncts when possible.
-            if let Some(pred) = predicate {
-                if let Some((lk, rk, residual)) = hash_join_keys(pred, l.schema(), r.schema()) {
-                    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                    for (i, row) in r.rows().iter().enumerate() {
-                        let key: Vec<Value> = rk.iter().map(|&k| row[k].clone()).collect();
-                        table.entry(key).or_default().push(i);
-                    }
-                    for (lrow, la) in l.iter() {
+        Op::Join { project, .. } => {
+            join::<A>(node, db, params, pacer, &mut |row, annotation| {
+                match project {
+                    None => out.push_new(row.to_vec(), annotation),
+                    Some(items) => {
                         pacer.tick()?;
-                        let key: Vec<Value> = lk.iter().map(|&k| lrow[k].clone()).collect();
-                        if let Some(matches) = table.get(&key) {
-                            for &ri in matches {
-                                pacer.tick()?;
-                                let mut row = lrow.to_vec();
-                                row.extend(r.rows[ri].iter().cloned());
-                                let ok = match &residual {
-                                    Some(res) => res.eval_predicate(&schema, &row, params)?,
-                                    None => true,
-                                };
-                                if ok {
-                                    out.add(row, la.and(&r.annotations[ri]));
-                                }
-                            }
+                        let mut projected = Vec::with_capacity(items.len());
+                        for item in items {
+                            projected.push(item.eval_in(row, params)?.into_owned());
                         }
-                    }
-                    return Ok(out);
-                }
-            }
-            // Fallback: nested loops.
-            for (lrow, la) in l.iter() {
-                for (rrow, ra) in r.iter() {
-                    pacer.tick()?;
-                    let mut row = lrow.to_vec();
-                    row.extend(rrow.iter().cloned());
-                    let keep = match predicate {
-                        Some(p) => p.eval_predicate(&schema, &row, params)?,
-                        None => true,
-                    };
-                    if keep {
-                        out.add(row, la.and(ra));
+                        out.add(projected, annotation);
                     }
                 }
-            }
-            Ok(out)
+                Ok(())
+            })?;
         }
-        Query::Union { left, right } => {
-            let l = execute::<A>(left, db, params, pacer)?;
-            let r = execute::<A>(right, db, params, pacer)?;
-            check_union_compat(l.schema(), r.schema())?;
-            let (schema, left_rows) = l.into_parts();
-            let mut out = Annotated::empty(schema);
-            for (row, annotation) in left_rows.chain(r.into_parts().1) {
+        Op::Union { left, right } => {
+            let l = run::<A>(left, db, params, pacer)?;
+            let r = run::<A>(right, db, params, pacer)?;
+            for (row, annotation) in l.into_rows().chain(r.into_rows()) {
                 pacer.tick()?;
-                out.add(row, annotation);
+                out.add(row.into_owned(), annotation);
             }
-            Ok(out)
         }
-        Query::Difference { left, right } => {
-            let l = execute::<A>(left, db, params, pacer)?;
-            let r = execute::<A>(right, db, params, pacer)?;
-            difference_of(&l, &r, pacer)
+        Op::Difference { left, right } => {
+            let l = run::<A>(left, db, params, pacer)?;
+            let r = run::<A>(right, db, params, pacer)?.into_annotated(&right.schema);
+            for (row, annotation) in l.into_rows() {
+                pacer.tick()?;
+                if let Some(kept) = subtract(&row, annotation, &r) {
+                    out.push_new(row.into_owned(), kept);
+                }
+            }
         }
-        Query::Rename { input, prefix } => {
-            let mut out = execute::<A>(input, db, params, pacer)?;
-            out.schema = rename_schema(&out.schema, prefix);
-            Ok(out)
+        Op::Rename { input } => {
+            return Ok(match run::<A>(input, db, params, pacer)? {
+                Rows::Base(tuples) => Rows::Base(tuples),
+                Rows::Owned(renamed) => Rows::Owned(Annotated {
+                    schema: node.schema.clone(),
+                    ..renamed
+                }),
+            });
         }
-        Query::GroupBy {
+        Op::GroupBy {
             input,
-            group_by,
+            keys,
             aggregates,
             having,
         } => {
             let Some(annotation) = A::aggregate() else {
                 return Err(QueryError::AnnotatedGroupBy);
             };
-            let inp = execute::<A>(input, db, params, pacer)?;
-            let out_schema = output_schema(query, db)?;
-            let group_idx: Vec<usize> = group_by
-                .iter()
-                .map(|g| Expr::resolve_column(inp.schema(), g))
-                .collect::<Result<_>>()?;
-            // Group rows.
-            let mut groups: HashMap<Vec<Value>, Vec<&Vec<Value>>> = HashMap::new();
-            let mut order: Vec<Vec<Value>> = Vec::new();
-            for row in inp.rows() {
+            let inp = run::<A>(input, db, params, pacer)?;
+            // Group rows, in order of first appearance.
+            let mut positions: HashMap<Vec<&Value>, usize, RowHashBuilder> = HashMap::default();
+            let mut groups: Vec<(Vec<&Value>, Vec<usize>)> = Vec::new();
+            let mut key: Vec<&Value> = Vec::with_capacity(keys.len());
+            for i in 0..inp.len() {
                 pacer.tick()?;
-                let key: Vec<Value> = group_idx.iter().map(|&i| row[i].clone()).collect();
-                if !groups.contains_key(&key) {
-                    order.push(key.clone());
+                let row = inp.row(i);
+                key.clear();
+                key.extend(keys.iter().map(|&k| &row[k]));
+                match positions.get(key.as_slice()) {
+                    Some(&g) => groups[g].1.push(i),
+                    None => {
+                        positions.insert(key.clone(), groups.len());
+                        groups.push((key.clone(), vec![i]));
+                    }
                 }
-                groups.entry(key).or_default().push(row);
             }
             // A global aggregate over an empty input still produces no row
             // under set/RA semantics used by the paper's interpreter.
-            let mut out = Annotated::empty(out_schema.clone());
-            for key in order {
-                let rows = &groups[&key];
-                let mut output_row = key.clone();
-                for agg in aggregates {
-                    let mut args = Vec::with_capacity(rows.len());
-                    for row in rows {
+            for (key, members) in groups {
+                let mut output_row: Vec<Value> = key.into_iter().cloned().collect();
+                for (func, arg) in aggregates {
+                    let mut args = Vec::with_capacity(members.len());
+                    for &i in &members {
                         pacer.tick()?;
-                        args.push(agg.arg.eval(inp.schema(), row, params)?);
+                        args.push(arg.eval(inp.row(i), params)?);
                     }
-                    output_row.push(compute_aggregate(agg.func, &args)?);
+                    output_row.push(compute_aggregate(*func, &args)?);
                 }
                 let keep = match having {
-                    Some(h) => h.eval_predicate(&out_schema, &output_row, params)?,
+                    Some(h) => h.holds(&output_row, params)?,
                     None => true,
                 };
                 if keep {
-                    out.add(output_row, annotation.clone());
+                    out.push_new(output_row, annotation.clone());
                 }
             }
-            Ok(out)
         }
+    }
+    Ok(Rows::Owned(out))
+}
+
+/// Run the join `node`, passing each joined row that passes its predicate
+/// and fused selection, with its annotation, to `emit` (its fused
+/// projection is the caller's). A left input that is itself a join without
+/// a projection streams its rows into this one as it makes them, so a
+/// left-deep chain of joins copies no row before its last one: the right
+/// input is run first, to build the hash table the left rows probe.
+fn join<'d, A: Annotation>(
+    node: &Node,
+    db: &'d Database,
+    params: &Params,
+    pacer: &Pacer,
+    emit: &mut dyn FnMut(&View<'_>, A) -> Result<()>,
+) -> Result<()> {
+    let Op::Join {
+        left,
+        right,
+        keys,
+        predicate,
+        select,
+        project,
+    } = &node.op
+    else {
+        unreachable!("only joins stream their rows")
+    };
+    // The fused selection and projection are operators of their own.
+    if select.is_some() {
+        pacer.note_batch();
+    }
+    if project.is_some() {
+        pacer.note_batch();
+    }
+    let chained = matches!(left.op, Op::Join { project: None, .. });
+    let l = if chained {
+        None
+    } else {
+        Some(run::<A>(left, db, params, pacer)?)
+    };
+    let r = run::<A>(right, db, params, pacer)?;
+    // For a hash join, the right rows by key hash, each hash chaining its
+    // rows in ascending order.
+    let mut heads: HashMap<u64, usize, RowHashBuilder> = HashMap::default();
+    let mut next = vec![usize::MAX; if keys.is_some() { r.len() } else { 0 }];
+    if let Some(keys) = keys {
+        for j in (0..r.len()).rev() {
+            let hash = key_hash(&View::of(r.row(j)), &keys.right);
+            next[j] = heads.insert(hash, j).unwrap_or(usize::MAX);
+        }
+    }
+    // One right row joined to the left row `lrow`.
+    let mut pair = |lrow: &View<'_>, la: &A, j: usize| -> Result<()> {
+        let row = lrow.then(r.row(j));
+        if let Some(predicate) = predicate {
+            if !predicate.holds_in(&row, params)? {
+                return Ok(());
+            }
+        }
+        if let Some(select) = select {
+            pacer.tick()?;
+            if !select.holds_in(&row, params)? {
+                return Ok(());
+            }
+        }
+        emit(&row, la.and(&r.annotation(j)))
+    };
+    let mut probe = |lrow: &View<'_>, la: &A| -> Result<()> {
+        match keys {
+            Some(keys) => {
+                pacer.tick()?;
+                let mut chain = match heads.get(&key_hash(lrow, &keys.left)) {
+                    Some(&head) => head,
+                    None => usize::MAX,
+                };
+                while chain != usize::MAX {
+                    let j = chain;
+                    chain = next[j];
+                    if keys_equal(lrow, &keys.left, r.row(j), &keys.right) {
+                        pacer.tick()?;
+                        pair(lrow, la, j)?;
+                    }
+                }
+            }
+            None => {
+                for j in 0..r.len() {
+                    pacer.tick()?;
+                    pair(lrow, la, j)?;
+                }
+            }
+        }
+        Ok(())
+    };
+    match l {
+        Some(l) => {
+            for i in 0..l.len() {
+                probe(&View::of(l.row(i)), &l.annotation(i))?;
+            }
+        }
+        None => {
+            pacer.note_batch();
+            join::<A>(left, db, params, pacer, &mut |lrow, la| probe(lrow, &la))?;
+        }
+    }
+    Ok(())
+}
+
+/// The annotation a row of `R − S` keeps, given its annotation in `R` and
+/// the rows of `S`; `None` drops it.
+fn subtract<A: Annotation>(row: &[Value], annotation: A, right: &Annotated<A>) -> Option<A> {
+    match right.provenance_of(row) {
+        Some(other) => annotation.minus(other),
+        None => Some(annotation),
     }
 }
 
@@ -438,12 +682,8 @@ pub fn difference_of<A: Annotation>(
     let mut out = Annotated::empty(left.schema().clone());
     for (row, annotation) in left.iter() {
         pacer.tick()?;
-        let kept = match right.provenance_of(row) {
-            Some(other) => annotation.minus(other),
-            None => Some(annotation.clone()),
-        };
-        if let Some(kept) = kept {
-            out.add(row.to_vec(), kept);
+        if let Some(kept) = subtract(row, annotation.clone(), right) {
+            out.push_new(row.to_vec(), kept);
         }
     }
     Ok(out)
@@ -525,60 +765,6 @@ fn check_union_compat(l: &Schema, r: &Schema) -> Result<()> {
         });
     }
     Ok(())
-}
-
-/// Extract hash-join keys from a predicate: returns `(left key columns,
-/// right key columns, residual predicate)` when the predicate contains at
-/// least one top-level equality between a left column and a right column.
-fn hash_join_keys(
-    pred: &Expr,
-    left: &Schema,
-    right: &Schema,
-) -> Option<(Vec<usize>, Vec<usize>, Option<Expr>)> {
-    let mut lk = Vec::new();
-    let mut rk = Vec::new();
-    let mut residual: Vec<Expr> = Vec::new();
-    for conj in pred.conjuncts() {
-        if let Expr::Binary {
-            op: BinaryOp::Eq,
-            left: a,
-            right: b,
-        } = conj
-        {
-            if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                let a_left = Expr::resolve_column(left, ca).ok();
-                let b_right = Expr::resolve_column(right, cb).ok();
-                if let (Some(i), Some(j)) = (a_left, b_right) {
-                    // Guard against ambiguous resolution: `ca` must not also
-                    // resolve on the right side and vice versa.
-                    if Expr::resolve_column(right, ca).is_err()
-                        && Expr::resolve_column(left, cb).is_err()
-                    {
-                        lk.push(i);
-                        rk.push(j);
-                        continue;
-                    }
-                }
-                let a_right = Expr::resolve_column(right, ca).ok();
-                let b_left = Expr::resolve_column(left, cb).ok();
-                if let (Some(j), Some(i)) = (a_right, b_left) {
-                    if Expr::resolve_column(left, ca).is_err()
-                        && Expr::resolve_column(right, cb).is_err()
-                    {
-                        lk.push(i);
-                        rk.push(j);
-                        continue;
-                    }
-                }
-            }
-        }
-        residual.push(conj.clone());
-    }
-    if lk.is_empty() {
-        None
-    } else {
-        Some((lk, rk, Expr::conjunction(residual)))
-    }
 }
 
 #[cfg(test)]

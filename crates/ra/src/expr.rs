@@ -305,21 +305,7 @@ impl Expr {
                 .get(p)
                 .cloned()
                 .ok_or_else(|| QueryError::MissingParameter(p.clone())),
-            Expr::Unary { op, expr } => {
-                let v = expr.eval(schema, values, params)?;
-                match op {
-                    UnaryOp::Not => match v {
-                        Value::Bool(b) => Ok(Value::Bool(!b)),
-                        Value::Null => Ok(Value::Bool(false)),
-                        other => Err(QueryError::TypeError(format!("NOT applied to {other}"))),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Int(i) => Ok(Value::Int(-i)),
-                        Value::Double(f) => Ok(Value::double(-f)),
-                        other => Err(QueryError::TypeError(format!("negation of {other}"))),
-                    },
-                }
-            }
+            Expr::Unary { op, expr } => eval_unary(*op, expr.eval(schema, values, params)?),
             Expr::Binary { op, left, right } => {
                 let l = left.eval(schema, values, params)?;
                 let r = right.eval(schema, values, params)?;
@@ -337,14 +323,7 @@ impl Expr {
         values: &[Value],
         params: &ParamMap,
     ) -> Result<bool> {
-        match self.eval(schema, values, params) {
-            Ok(Value::Bool(b)) => Ok(b),
-            Ok(Value::Null) => Ok(false),
-            Ok(other) => Err(QueryError::TypeError(format!(
-                "predicate evaluated to non-Boolean value {other}"
-            ))),
-            Err(e) => Err(e),
-        }
+        truth(&self.eval(schema, values, params)?)
     }
 
     /// Infer the output type of the expression against a schema.
@@ -400,7 +379,34 @@ impl Expr {
     }
 }
 
-fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
+/// The truth of a predicate's value: nulls are false, and a non-Boolean is a
+/// type error.
+pub(crate) fn truth(v: &Value) -> Result<bool> {
+    match v {
+        Value::Bool(b) => Ok(*b),
+        Value::Null => Ok(false),
+        other => Err(QueryError::TypeError(format!(
+            "predicate evaluated to non-Boolean value {other}"
+        ))),
+    }
+}
+
+pub(crate) fn eval_unary(op: UnaryOp, v: Value) -> Result<Value> {
+    match op {
+        UnaryOp::Not => match v {
+            Value::Bool(b) => Ok(Value::Bool(!b)),
+            Value::Null => Ok(Value::Bool(false)),
+            other => Err(QueryError::TypeError(format!("NOT applied to {other}"))),
+        },
+        UnaryOp::Neg => match v {
+            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Double(f) => Ok(Value::double(-f)),
+            other => Err(QueryError::TypeError(format!("negation of {other}"))),
+        },
+    }
+}
+
+pub(crate) fn eval_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value> {
     if op.is_logical() {
         let lb = matches!(l, Value::Bool(true));
         let rb = matches!(r, Value::Bool(true));

@@ -10,9 +10,14 @@
 //!   parameters (`@numCS`) used by the *parameterized counterexample*
 //!   algorithm,
 //! * a type checker ([`typecheck`]) that computes output schemas,
-//! * a set-semantics executor ([`eval`]) over `ratest-storage` databases,
-//!   generic over a row annotation: plain evaluation carries `()`, and the
-//!   provenance crate runs how-provenance through the same executor,
+//! * a plan compiler ([`plan`]) that resolves a query once against a
+//!   database's schemas — column slots, hash-join keys, output schemas — so
+//!   the row loops never look a name up, and one plan runs on every
+//!   sub-instance of that database,
+//! * a set-semantics executor ([`eval`]) that runs plans over
+//!   `ratest-storage` databases, generic over a row annotation: plain
+//!   evaluation carries `()`, and the provenance crate runs how-provenance
+//!   through the same executor,
 //! * a textual surface syntax and parser ([`parser`]) modelled after the
 //!   relational-algebra interpreter used in the course deployment,
 //! * a query classifier ([`classify`](mod@classify)) that detects the
@@ -59,6 +64,7 @@ pub mod expr;
 pub mod interrupt;
 pub mod metrics;
 pub mod parser;
+pub mod plan;
 pub mod rewrite;
 pub mod testdata;
 pub mod typecheck;
@@ -68,10 +74,13 @@ pub use builder::{col, lit, param, rel, QueryBuilder};
 pub use canonical::{canonical_form, fingerprint};
 pub use classify::{classify, classify_pair, QueryClass};
 pub use error::{QueryError, Result};
-pub use eval::{evaluate, evaluate_interruptible, evaluate_with_params, Params, ResultSet};
+pub use eval::{
+    evaluate, evaluate_interruptible, evaluate_plan, evaluate_with_params, Params, ResultSet,
+};
 pub use expr::{BinaryOp, Expr, UnaryOp};
 pub use interrupt::{Interrupt, InterruptHook, Interrupted};
 pub use metrics::QueryMetrics;
+pub use plan::Plan;
 pub use typecheck::output_schema;
 
 /// Commonly used items, re-exported for convenience.

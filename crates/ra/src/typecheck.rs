@@ -4,123 +4,20 @@
 use crate::ast::{AggFunc, Query};
 use crate::error::{QueryError, Result};
 use crate::expr::Expr;
+use crate::plan::Plan;
 use ratest_storage::{Column, DataType, Database, Schema};
 
 /// Compute the output schema of `query` when evaluated against `db`.
 ///
-/// This performs all the static checks the evaluator relies on:
+/// This is the schema of the query's compiled [`Plan`], so it performs all
+/// the static checks the evaluator relies on:
 /// * base relations exist,
 /// * every column reference resolves (unambiguously) against its input,
 /// * union/difference inputs are union compatible,
 /// * group-by columns exist and HAVING only references group-by columns and
 ///   aggregate aliases.
 pub fn output_schema(query: &Query, db: &Database) -> Result<Schema> {
-    match query {
-        Query::Relation(name) => Ok(db.relation(name)?.schema().clone()),
-        Query::Select { input, predicate } => {
-            let schema = output_schema(input, db)?;
-            // Check that every referenced column resolves and the predicate
-            // is Boolean-typed.
-            for c in predicate.columns() {
-                Expr::resolve_column(&schema, &c)?;
-            }
-            let t = predicate.infer_type(&schema)?;
-            if t != DataType::Bool {
-                return Err(QueryError::TypeError(format!(
-                    "selection predicate has type {t}, expected BOOL"
-                )));
-            }
-            Ok(schema)
-        }
-        Query::Project { input, items } => {
-            let schema = output_schema(input, db)?;
-            let mut columns = Vec::with_capacity(items.len());
-            for item in items {
-                for c in item.expr.columns() {
-                    Expr::resolve_column(&schema, &c)?;
-                }
-                let dt = item.expr.infer_type(&schema)?;
-                columns.push(Column::new(item.alias.clone(), dt));
-            }
-            Ok(Schema::from_columns(columns))
-        }
-        Query::Join {
-            left,
-            right,
-            predicate,
-        } => {
-            let ls = output_schema(left, db)?;
-            let rs = output_schema(right, db)?;
-            let joined = ls.concat(&rs);
-            if let Some(p) = predicate {
-                for c in p.columns() {
-                    Expr::resolve_column(&joined, &c)?;
-                }
-                let t = p.infer_type(&joined)?;
-                if t != DataType::Bool {
-                    return Err(QueryError::TypeError(format!(
-                        "join predicate has type {t}, expected BOOL"
-                    )));
-                }
-            }
-            Ok(joined)
-        }
-        Query::Union { left, right } | Query::Difference { left, right } => {
-            let ls = output_schema(left, db)?;
-            let rs = output_schema(right, db)?;
-            if !ls.union_compatible(&rs) {
-                return Err(QueryError::NotUnionCompatible {
-                    left: ls.to_string(),
-                    right: rs.to_string(),
-                });
-            }
-            // The left schema's names win (SQL convention).
-            Ok(ls)
-        }
-        Query::Rename { input, prefix } => {
-            let schema = output_schema(input, db)?;
-            Ok(rename_schema(&schema, prefix))
-        }
-        Query::GroupBy {
-            input,
-            group_by,
-            aggregates,
-            having,
-        } => {
-            let schema = output_schema(input, db)?;
-            let mut columns = Vec::new();
-            for g in group_by {
-                let idx = Expr::resolve_column(&schema, g)?;
-                let c = schema.column(idx);
-                // Strip qualifiers in the output, mirroring SQL result naming.
-                let alias = g
-                    .rsplit_once('.')
-                    .map(|(_, last)| last.to_owned())
-                    .unwrap_or_else(|| g.clone());
-                columns.push(Column::new(alias, c.data_type));
-            }
-            for a in aggregates {
-                for c in a.arg.columns() {
-                    Expr::resolve_column(&schema, &c)?;
-                }
-                let dt = aggregate_type(a.func, &a.arg, &schema)?;
-                columns.push(Column::new(a.alias.clone(), dt));
-            }
-            let out = Schema::from_columns(columns);
-            if let Some(h) = having {
-                for c in h.columns() {
-                    Expr::resolve_column(&out, &c)?;
-                }
-                let t = h.infer_type(&out)?;
-                if t != DataType::Bool {
-                    return Err(QueryError::TypeError(format!(
-                        "HAVING predicate has type {t}, expected BOOL"
-                    )));
-                }
-            }
-            Ok(out)
-        }
-    }
+    Ok(Plan::compile(query, db)?.schema().clone())
 }
 
 /// The output type of an aggregate call.

@@ -13,7 +13,7 @@ use super::{run_standalone, TheoryCheck};
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{verify_candidate, CandidateEval, Counterexample};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
@@ -66,16 +66,15 @@ pub fn smallest_counterexample_agg_basic(
         params,
         &options.budget,
         &options.metrics,
-        |p1, p2| agg_basic_core(q1, q2, db, params, p1, p2, options),
+        |plans, p1, p2| agg_basic_core(plans, db, params, p1, p2, options),
     )
 }
 
 /// `Agg-Basic`'s search over the pair's aggregate provenance `p1`, `p2`
-/// (built on `db` under `params`). The returned [`Timings`] cover the search
-/// alone.
+/// (built on `db` under `params`), verifying candidates through `plans`. The
+/// returned [`Timings`] cover the search alone.
 pub(crate) fn agg_basic_core(
-    q1: &Query,
-    q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     params: &Params,
     p1: &AggregateProvenance,
@@ -97,7 +96,7 @@ pub(crate) fn agg_basic_core(
                 index,
                 best_size: best.as_ref().map(|b| b.size()),
             });
-        match solve_for_group(q1, q2, db, params, p1, p2, key, &ctx)? {
+        match solve_for_group(plans, db, params, p1, p2, key, &ctx)? {
             Some(cex) => {
                 let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
                 if better {
@@ -150,22 +149,16 @@ fn rows_differ_on_full_instance(
     params: &Params,
 ) -> Result<bool> {
     let always = |_id| true;
-    let row1 = match p1.group_by_key(key) {
-        Some(g) => g.evaluate_under(&p1.group_schema, &always, params)?,
-        None => None,
+    let row = |p: &AggregateProvenance| match p.group_by_key(key) {
+        Some(g) => p.evaluate_group(g, &always, params),
+        None => Ok(None),
     };
-    let row2 = match p2.group_by_key(key) {
-        Some(g) => g.evaluate_under(&p2.group_schema, &always, params)?,
-        None => None,
-    };
-    Ok(row1 != row2)
+    Ok(row(p1)? != row(p2)?)
 }
 
 /// Solve the min-ones problem restricted to one group.
-#[allow(clippy::too_many_arguments)]
 fn solve_for_group(
-    q1: &Query,
-    q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     params: &Params,
     p1: &AggregateProvenance,
@@ -223,7 +216,7 @@ fn solve_for_group(
         Err(e) => return Err(e.into()),
     };
     let selection = vars.selection_from_vars(&sol.true_vars);
-    match verify_candidate(q1, q2, db, selection, None, params, ctx) {
+    match verify_candidate(plans, db, selection, None, params, ctx) {
         Ok(cex) => Ok(Some(cex)),
         Err(RatestError::Unsupported(_)) => Ok(None),
         Err(e) => Err(e),

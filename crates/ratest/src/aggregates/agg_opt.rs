@@ -13,7 +13,7 @@ use super::{run_standalone, TheoryCheck};
 use crate::error::{RatestError, Result};
 use crate::optsigma::{smallest_witness_optsigma_accepting, OptSigmaOptions};
 use crate::pipeline::Timings;
-use crate::problem::{verify_candidate, CandidateEval, Counterexample};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
@@ -58,17 +58,20 @@ pub fn smallest_counterexample_agg_opt(
         original_params,
         &options.optsigma.budget,
         &options.optsigma.metrics,
-        |p1, p2| agg_opt_core(q1, q2, db, original_params, p1, p2, options),
+        |plans, p1, p2| agg_opt_core(q1, q2, plans, db, original_params, p1, p2, options),
     )
 }
 
 /// `Agg-Opt`'s search over the pair's aggregate provenance `p1`, `p2`
-/// (built on `db` under `original_params`). The returned [`Timings`] cover
-/// the search alone: the inner `Optσ` run's evaluation of the stripped
-/// queries, its tuple provenance, and the rest as solver time.
+/// (built on `db` under `original_params`); `plans` is the pair compiled on
+/// `db`. The returned [`Timings`] cover the search alone: the inner `Optσ`
+/// run's evaluation of the stripped queries, its tuple provenance, and the
+/// rest as solver time.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_opt_core(
     q1: &Query,
     q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     original_params: &Params,
     p1: &AggregateProvenance,
@@ -132,8 +135,7 @@ pub(crate) fn agg_opt_core(
         interrupt: options.optsigma.budget.interrupt(),
     };
     let cex = verify_candidate(
-        q1,
-        q2,
+        plans,
         db,
         inner_cex.subinstance.selection,
         None,

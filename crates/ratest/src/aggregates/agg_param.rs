@@ -13,7 +13,7 @@ use super::{run_standalone, TheoryCheck};
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{verify_candidate, CandidateEval, Counterexample};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
@@ -72,16 +72,18 @@ pub fn smallest_counterexample_agg_param(
         original_params,
         &options.budget,
         &options.metrics,
-        |p1, p2| agg_param_core(q1, q2, db, original_params, p1, p2, options),
+        |plans, p1, p2| agg_param_core(q1, q2, plans, db, original_params, p1, p2, options),
     )
 }
 
 /// `Agg-Param`'s search over the pair's aggregate provenance `p1`, `p2`
-/// (built on `db` under `original_params`). The returned [`Timings`] cover
-/// the search alone.
+/// (built on `db` under `original_params`); `plans` is the pair compiled on
+/// `db`. The returned [`Timings`] cover the search alone.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_param_core(
     q1: &Query,
     q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     original_params: &Params,
     p1: &AggregateProvenance,
@@ -101,8 +103,7 @@ pub(crate) fn agg_param_core(
                 best_size: best.as_ref().map(|b| b.size()),
             });
         if let Some(cex) = solve_group_parameterized(
-            q1,
-            q2,
+            plans,
             db,
             original_params,
             &param_names,
@@ -131,8 +132,7 @@ pub(crate) fn agg_param_core(
 
 #[allow(clippy::too_many_arguments)]
 fn solve_group_parameterized(
-    q1: &Query,
-    q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     original_params: &Params,
     param_names: &BTreeSet<String>,
@@ -210,7 +210,7 @@ fn solve_group_parameterized(
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };
-    match verify_candidate(q1, q2, db, selection, None, &params, &ctx) {
+    match verify_candidate(plans, db, selection, None, &params, &ctx) {
         Ok(cex) => Ok(Some(cex)),
         Err(RatestError::Unsupported(_)) => Ok(None),
         Err(e) => Err(e),

@@ -32,7 +32,7 @@ pub use agg_param::smallest_counterexample_agg_param;
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{check_distinguishes_instrumented, Counterexample};
+use crate::problem::{Counterexample, PairPlans};
 use crate::session::Budget;
 use ratest_provenance::aggprov::{aggregate_provenance_instrumented, AggregateProvenance};
 use ratest_ra::ast::Query;
@@ -71,11 +71,16 @@ fn run_standalone(
     params: &Params,
     budget: &Budget,
     metrics: &MetricsHandle,
-    search: impl FnOnce(&AggregateProvenance, &AggregateProvenance) -> Result<(Counterexample, Timings)>,
+    search: impl FnOnce(
+        &PairPlans,
+        &AggregateProvenance,
+        &AggregateProvenance,
+    ) -> Result<(Counterexample, Timings)>,
 ) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
     let start = Instant::now();
-    let (r1, r2) = check_distinguishes_instrumented(q1, q2, db, params, budget, metrics)?;
+    let plans = PairPlans::compile(q1, q2, db)?;
+    let (r1, r2) = plans.distinguish(db, params, budget, metrics)?;
     timings.raw_eval = start.elapsed();
     if r1.set_eq(&r2) {
         return Err(RatestError::QueriesAgreeOnInstance);
@@ -83,7 +88,7 @@ fn run_standalone(
     let start = Instant::now();
     let (p1, p2) = pair_provenance(q1, q2, db, params, &budget.interrupt(), metrics)?;
     timings.provenance = start.elapsed();
-    let (cex, searched) = search(&p1, &p2)?;
+    let (cex, searched) = search(&plans, &p1, &p2)?;
     timings.accumulate(&searched);
     timings.total = timings.raw_eval + timings.provenance + timings.solver;
     Ok((cex, timings))

@@ -11,7 +11,9 @@
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::{SolverStrategy, Timings};
-use crate::problem::{difference_query, verify_candidate, CandidateEval, Counterexample, Witness};
+use crate::problem::{
+    difference_query, verify_candidate, CandidateEval, Counterexample, PairPlans, Witness,
+};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
 use ratest_ra::ast::Query;
@@ -65,14 +67,32 @@ pub fn smallest_counterexample_basic(
     params: &Params,
     options: &BasicOptions,
 ) -> Result<(Counterexample, Timings)> {
+    basic_core(
+        q1,
+        q2,
+        &PairPlans::compile(q1, q2, db)?,
+        db,
+        params,
+        options,
+    )
+}
+
+/// [`smallest_counterexample_basic`] for the pair compiled on `db`.
+pub(crate) fn basic_core(
+    q1: &Query,
+    q2: &Query,
+    plans: &PairPlans,
+    db: &Database,
+    params: &Params,
+    options: &BasicOptions,
+) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
 
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let (r1, r2) =
-        crate::problem::check_distinguishes_budgeted(q1, q2, db, params, &options.budget)?;
+    let (r1, r2) = plans.distinguish(db, params, &options.budget, &MetricsHandle::none())?;
     timings.raw_eval = start.elapsed();
     if r1.set_eq(&r2) {
         return Err(RatestError::QueriesAgreeOnInstance);
@@ -103,6 +123,7 @@ pub fn smallest_counterexample_basic(
     let cex = smallest_counterexample_from_annotations(
         q1,
         q2,
+        plans,
         db,
         params,
         &r1,
@@ -122,10 +143,12 @@ pub fn smallest_counterexample_basic(
 /// `ann(Q1 − Q2)` / `ann(Q2 − Q1)` via
 /// [`ratest_provenance::difference_of`] from cached per-query annotations
 /// and hands them here, instead of re-annotating the reference per pair.
+/// Every candidate is verified through `plans`, the pair compiled on `db`.
 #[allow(clippy::too_many_arguments)]
 pub fn smallest_counterexample_from_annotations(
     q1: &Query,
     q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     params: &Params,
     r1: &ratest_ra::eval::ResultSet,
@@ -256,7 +279,7 @@ pub fn smallest_counterexample_from_annotations(
             from_q1,
             selection: selection.clone(),
         };
-        match verify_candidate(q1, q2, db, selection, Some(witness), params, &ctx) {
+        match verify_candidate(plans, db, selection, Some(witness), params, &ctx) {
             Ok(cex) => {
                 let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
                 if better {

@@ -13,7 +13,8 @@ use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::{SolverStrategy, Timings};
 use crate::problem::{
-    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, Witness,
+    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, PairPlans,
+    Witness,
 };
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
@@ -82,6 +83,23 @@ pub fn smallest_witness_optsigma_accepting<F>(
     db: &Database,
     params: &Params,
     options: &OptSigmaOptions,
+    accept: F,
+) -> Result<(Counterexample, Timings)>
+where
+    F: FnMut(&TupleSelection) -> bool,
+{
+    let plans = PairPlans::compile(q1, q2, db)?;
+    optsigma_core(q1, q2, &plans, db, params, options, accept)
+}
+
+/// [`smallest_witness_optsigma_accepting`] for the pair compiled on `db`.
+pub(crate) fn optsigma_core<F>(
+    q1: &Query,
+    q2: &Query,
+    plans: &PairPlans,
+    db: &Database,
+    params: &Params,
+    options: &OptSigmaOptions,
     mut accept: F,
 ) -> Result<(Counterexample, Timings)>
 where
@@ -94,14 +112,7 @@ where
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let (r1, r2) = crate::problem::check_distinguishes_instrumented(
-        q1,
-        q2,
-        db,
-        params,
-        &options.budget,
-        &options.metrics,
-    )?;
+    let (r1, r2) = plans.distinguish(db, params, &options.budget, &options.metrics)?;
     timings.raw_eval = start.elapsed();
     let diffs = differing_tuples(&r1, &r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
@@ -215,7 +226,7 @@ where
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };
-    let cex = verify_candidate(q1, q2, db, selection, Some(witness), params, &ctx)?;
+    let cex = verify_candidate(plans, db, selection, Some(witness), params, &ctx)?;
     timings.total = timings.raw_eval + timings.provenance + timings.solver;
     Ok((cex, timings))
 }

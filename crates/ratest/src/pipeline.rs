@@ -11,22 +11,20 @@ use crate::aggregates::agg_basic::{agg_basic_core, AggBasicOptions};
 use crate::aggregates::agg_opt::{agg_opt_core, AggOptOptions};
 use crate::aggregates::agg_param::{agg_param_core, AggParamOptions};
 use crate::aggregates::pair_provenance;
-use crate::basic::{
-    smallest_counterexample_basic, smallest_counterexample_from_annotations, BasicOptions,
-};
+use crate::basic::{basic_core, smallest_counterexample_from_annotations, BasicOptions};
 use crate::error::{RatestError, Result};
-use crate::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
-use crate::polytime::{
-    smallest_witness_monotone, smallest_witness_monotone_with_results, smallest_witness_spjud_star,
-};
-use crate::problem::{CandidateEval, Counterexample};
+use crate::optsigma::{optsigma_core, OptSigmaOptions};
+use crate::polytime::monotone::monotone_core;
+use crate::polytime::smallest_witness_monotone_with_results;
+use crate::polytime::spjud_star::spjud_star_core;
+use crate::problem::{CandidateEval, Counterexample, PairPlans};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::aggprov::AggregateProvenance;
-use ratest_provenance::annotate::{annotate_instrumented, difference_of, AnnotatedResult};
+use ratest_provenance::annotate::{annotate_plan, difference_of, AnnotatedResult};
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
-use ratest_ra::eval::{Params, ResultSet};
-use ratest_ra::typecheck::output_schema;
+use ratest_ra::eval::{evaluate_plan, Params, ResultSet};
+use ratest_ra::plan::Plan;
 use ratest_storage::Database;
 use ratest_telemetry::MetricsHandle;
 use serde::{Deserialize, Serialize};
@@ -220,14 +218,8 @@ fn explain_inner(
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let (r1, r2) = crate::problem::check_distinguishes_instrumented(
-        q1,
-        q2,
-        db,
-        &options.parameters,
-        &options.budget,
-        &options.metrics,
-    )?;
+    let plans = PairPlans::compile(q1, q2, db)?;
+    let (r1, r2) = plans.distinguish(db, &options.parameters, &options.budget, &options.metrics)?;
     let timings = Timings {
         raw_eval: start.elapsed(),
         ..Timings::default()
@@ -240,20 +232,32 @@ fn explain_inner(
             timings,
         });
     }
-    dispatch(q1, q2, db, &options.parameters, class, timings, options)
+    dispatch(
+        q1,
+        q2,
+        &plans,
+        db,
+        &options.parameters,
+        class,
+        timings,
+        options,
+    )
 }
 
-/// Explain a pair already known to disagree on `db`: run the algorithm for
-/// the pair's class (or the forced one), and fall back to the general path
-/// when it declines. `timings` holds the raw evaluation done so far; every
-/// attempt's time is added to it.
+/// Explain a pair already known to disagree on `db`, with `plans` the pair
+/// compiled on `db`: run the algorithm for the pair's class (or the forced
+/// one), and fall back to the general path when it declines. `timings`
+/// holds the raw evaluation done so far; every attempt's time is added to
+/// it.
 ///
 /// The aggregate algorithms share one aggregate provenance of the pair,
 /// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
 /// annotate once between them.
+#[allow(clippy::too_many_arguments)]
 fn dispatch(
     q1: &Query,
     q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     params: &Params,
     class: QueryClass,
@@ -296,9 +300,10 @@ fn dispatch(
         }
         let start = Instant::now();
         let result = match algorithm {
-            Algorithm::Basic => smallest_counterexample_basic(
+            Algorithm::Basic => basic_core(
                 q1,
                 q2,
+                plans,
                 db,
                 params,
                 &BasicOptions {
@@ -309,9 +314,10 @@ fn dispatch(
                     ..Default::default()
                 },
             ),
-            Algorithm::OptSigma => smallest_witness_optsigma(
+            Algorithm::OptSigma => optsigma_core(
                 q1,
                 q2,
+                plans,
                 db,
                 params,
                 &OptSigmaOptions {
@@ -321,16 +327,17 @@ fn dispatch(
                     events: options.events.clone(),
                     metrics: options.metrics.clone(),
                 },
+                |_| true,
             ),
             Algorithm::PolytimeMonotone => {
-                smallest_witness_monotone(q1, q2, db, params, &candidate_ctx(options))
+                monotone_core(q1, q2, plans, db, params, &candidate_ctx(options))
             }
             Algorithm::PolytimeSpjudStar => {
-                smallest_witness_spjud_star(q1, q2, db, params, &candidate_ctx(options))
+                spjud_star_core(q1, q2, plans, db, params, &candidate_ctx(options))
             }
             Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt => {
                 let (p1, p2) = aggregate_provenance.as_ref().expect("built above");
-                aggregate_search(algorithm, q1, q2, db, params, p1, p2, options)
+                aggregate_search(algorithm, q1, q2, plans, db, params, p1, p2, options)
             }
             Algorithm::Auto => unreachable!("Auto is resolved above"),
         };
@@ -384,6 +391,7 @@ fn aggregate_search(
     algorithm: Algorithm,
     q1: &Query,
     q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     params: &Params,
     p1: &AggregateProvenance,
@@ -407,7 +415,7 @@ fn aggregate_search(
                 optsigma,
                 ..Default::default()
             };
-            agg_opt_core(q1, q2, db, params, p1, p2, &options)
+            agg_opt_core(q1, q2, plans, db, params, p1, p2, &options)
         }
         Algorithm::AggParam => {
             let options = AggParamOptions {
@@ -416,7 +424,7 @@ fn aggregate_search(
                 metrics,
                 ..Default::default()
             };
-            agg_param_core(q1, q2, db, params, p1, p2, &options)
+            agg_param_core(q1, q2, plans, db, params, p1, p2, &options)
         }
         _ => {
             let options = AggBasicOptions {
@@ -425,15 +433,15 @@ fn aggregate_search(
                 metrics,
                 ..Default::default()
             };
-            agg_basic_core(q1, q2, db, params, p1, p2, &options)
+            agg_basic_core(plans, db, params, p1, p2, &options)
         }
     }
 }
 
-/// A reference (instructor) query prepared once per batch: its result and
-/// provenance annotation over the hidden instance are computed a single time
-/// and shared — via cheap [`Arc`] clones — across every worker grading a
-/// submission against it.
+/// A reference (instructor) query prepared once per batch: its plan, result
+/// and provenance annotation over the hidden instance are computed a single
+/// time and shared — via cheap [`Arc`] clones — across every worker grading
+/// a submission against it.
 ///
 /// All fields are immutable after [`PreparedReference::prepare`], so the
 /// handle is `Clone + Send + Sync` and can be moved freely across a thread
@@ -441,6 +449,9 @@ fn aggregate_search(
 #[derive(Debug, Clone)]
 pub struct PreparedReference {
     query: Arc<Query>,
+    /// The query compiled against the instance; it runs unchanged on every
+    /// sub-instance a search verifies.
+    plan: Plan,
     params: Params,
     result: Arc<ResultSet>,
     /// `None` when the reference is an aggregate query (the SPJUD annotator
@@ -450,7 +461,7 @@ pub struct PreparedReference {
 }
 
 impl PreparedReference {
-    /// Evaluate and annotate the reference query once.
+    /// Compile, evaluate and annotate the reference query once.
     pub fn prepare(q1: &Query, db: &Database, params: &Params) -> Result<PreparedReference> {
         PreparedReference::prepare_budgeted(q1, db, params, &Budget::unlimited())
     }
@@ -477,17 +488,19 @@ impl PreparedReference {
         metrics: &MetricsHandle,
     ) -> Result<PreparedReference> {
         let interrupt = budget.interrupt();
-        let result = ratest_ra::eval::evaluate_instrumented(q1, db, params, &interrupt, metrics)?;
+        let plan = Plan::compile(q1, db)?;
+        let result = evaluate_plan(&plan, db, params, &interrupt, metrics)?;
         let annotation = if q1.has_aggregates() {
             None
         } else {
-            Some(Arc::new(annotate_instrumented(
-                q1, db, params, &interrupt, metrics,
+            Some(Arc::new(annotate_plan(
+                &plan, db, params, &interrupt, metrics,
             )?))
         };
         metrics.counter_inc("explain.references_prepared");
         Ok(PreparedReference {
             query: Arc::new(q1.clone()),
+            plan,
             params: params.clone(),
             result: Arc::new(result),
             annotation,
@@ -497,6 +510,11 @@ impl PreparedReference {
     /// The reference query.
     pub fn query(&self) -> &Query {
         &self.query
+    }
+
+    /// The reference query compiled against the instance it was prepared on.
+    pub fn plan(&self) -> &Plan {
+        &self.plan
     }
 
     /// The reference query's result on the instance it was prepared on.
@@ -543,10 +561,10 @@ pub(crate) fn explain_prepared_impl(
     let class = classify_pair(q1, q2);
 
     // Union compatibility + evaluation of the submission only — the
-    // reference result is already on the handle.
-    let s1 = output_schema(q1, db)?;
-    let s2 = output_schema(q2, db)?;
-    if !s1.union_compatible(&s2) {
+    // reference plan and result are already on the handle.
+    let plans = PairPlans::new(reference.plan.clone(), Plan::compile(q2, db)?);
+    let (s1, s2) = (plans.q1.schema(), plans.q2.schema());
+    if !s1.union_compatible(s2) {
         return Err(RatestError::NotUnionCompatible {
             left: s1.to_string(),
             right: s2.to_string(),
@@ -557,8 +575,8 @@ pub(crate) fn explain_prepared_impl(
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let r2 = ratest_ra::eval::evaluate_instrumented(
-        q2,
+    let r2 = evaluate_plan(
+        &plans.q2,
         db,
         &reference.params,
         &options.budget.interrupt(),
@@ -580,7 +598,16 @@ pub(crate) fn explain_prepared_impl(
     // Aggregate pairs use dedicated provenance machinery that the shared
     // annotation does not cover; they reuse both evaluations above.
     if class == QueryClass::Aggregate {
-        let outcome = dispatch(q1, q2, db, &reference.params, class, timings, options)?;
+        let outcome = dispatch(
+            q1,
+            q2,
+            &plans,
+            db,
+            &reference.params,
+            class,
+            timings,
+            options,
+        )?;
         emit_verdict(options, &outcome);
         return Ok(outcome);
     }
@@ -593,6 +620,7 @@ pub(crate) fn explain_prepared_impl(
         match smallest_witness_monotone_with_results(
             q1,
             q2,
+            &plans,
             db,
             &reference.params,
             r1,
@@ -625,8 +653,8 @@ pub(crate) fn explain_prepared_impl(
         phase: Phase::Provenance,
     });
     let start = Instant::now();
-    let ann_q2 = annotate_instrumented(
-        q2,
+    let ann_q2 = annotate_plan(
+        &plans.q2,
         db,
         &reference.params,
         &options.budget.interrupt(),
@@ -646,6 +674,7 @@ pub(crate) fn explain_prepared_impl(
     match smallest_counterexample_from_annotations(
         q1,
         q2,
+        &plans,
         db,
         &reference.params,
         r1,

@@ -10,14 +10,16 @@
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{
-    check_distinguishes, differing_tuples, verify_candidate, CandidateEval, Counterexample, Witness,
+    differing_tuples, verify_candidate, CandidateEval, Counterexample, PairPlans, Witness,
 };
-use ratest_provenance::annotate::{annotate_instrumented, AnnotatedResult};
+use crate::session::Budget;
+use ratest_provenance::annotate::{annotate_plan, AnnotatedResult};
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
 use ratest_ra::eval::{Params, ResultSet};
 use ratest_storage::{Database, TupleSelection, Value};
+use ratest_telemetry::MetricsHandle;
 use std::time::Instant;
 
 /// Maximum number of DNF minterms expanded before giving up (the caller then
@@ -35,13 +37,26 @@ pub fn smallest_witness_monotone(
     params: &Params,
     ctx: &CandidateEval,
 ) -> Result<(Counterexample, Timings)> {
+    monotone_core(q1, q2, &PairPlans::compile(q1, q2, db)?, db, params, ctx)
+}
+
+/// [`smallest_witness_monotone`] for the pair compiled on `db`.
+pub(crate) fn monotone_core(
+    q1: &Query,
+    q2: &Query,
+    plans: &PairPlans,
+    db: &Database,
+    params: &Params,
+    ctx: &CandidateEval,
+) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
     let start = Instant::now();
-    let (r1, r2) = check_distinguishes(q1, q2, db, params)?;
+    let (r1, r2) = plans.distinguish(db, params, &Budget::unlimited(), &MetricsHandle::none())?;
     timings.raw_eval = start.elapsed();
     let cex = smallest_witness_monotone_with_results(
         q1,
         q2,
+        plans,
         db,
         params,
         &r1,
@@ -56,6 +71,7 @@ pub fn smallest_witness_monotone(
 
 /// The monotone algorithm operating on *precomputed* query results, so a
 /// batch caller can evaluate the (shared) reference query once per cohort.
+/// `plans` is the pair compiled on `db`.
 /// `q1_annotation` is `Q1`'s provenance annotation over `db` when the caller
 /// already holds one (a prepared reference); otherwise each query is
 /// annotated at most once, on the first differing tuple it produces.
@@ -63,6 +79,7 @@ pub fn smallest_witness_monotone(
 pub fn smallest_witness_monotone_with_results(
     q1: &Query,
     q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     params: &Params,
     r1: &ResultSet,
@@ -105,14 +122,14 @@ pub fn smallest_witness_monotone_with_results(
         let producer = match q1_annotation {
             Some(shared) if from_q1 => shared,
             _ => {
-                let (slot, query) = if from_q1 {
-                    (&mut own_q1, q1)
+                let (slot, plan) = if from_q1 {
+                    (&mut own_q1, &plans.q1)
                 } else {
-                    (&mut own_q2, q2)
+                    (&mut own_q2, &plans.q2)
                 };
                 if slot.is_none() {
-                    *slot = Some(annotate_instrumented(
-                        query,
+                    *slot = Some(annotate_plan(
+                        plan,
                         db,
                         params,
                         &ctx.interrupt,
@@ -160,7 +177,7 @@ pub fn smallest_witness_monotone_with_results(
         from_q1,
         selection: selection.clone(),
     };
-    verify_candidate(q1, q2, db, selection, Some(witness), params, ctx)
+    verify_candidate(plans, db, selection, Some(witness), params, ctx)
 }
 
 #[cfg(test)]

@@ -15,16 +15,19 @@
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{
-    check_distinguishes, difference_query, differing_tuples, verify_candidate, CandidateEval,
-    Counterexample, Witness,
+    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, PairPlans,
+    Witness,
 };
-use ratest_provenance::annotate::annotate_instrumented;
+use crate::session::Budget;
+use ratest_provenance::annotate::annotate_plan;
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify, QueryClass};
-use ratest_ra::eval::{evaluate_interruptible, Params};
+use ratest_ra::eval::{evaluate_plan, Params};
+use ratest_ra::plan::Plan;
 use ratest_ra::typecheck::output_schema;
 use ratest_storage::{Database, TupleSelection, Value};
+use ratest_telemetry::MetricsHandle;
 use std::time::Instant;
 
 /// Cap on the number of witness combinations tried before giving up.
@@ -42,9 +45,21 @@ pub fn smallest_witness_spjud_star(
     params: &Params,
     ctx: &CandidateEval,
 ) -> Result<(Counterexample, Timings)> {
+    spjud_star_core(q1, q2, &PairPlans::compile(q1, q2, db)?, db, params, ctx)
+}
+
+/// [`smallest_witness_spjud_star`] for the pair compiled on `db`.
+pub(crate) fn spjud_star_core(
+    q1: &Query,
+    q2: &Query,
+    plans: &PairPlans,
+    db: &Database,
+    params: &Params,
+    ctx: &CandidateEval,
+) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
     let start = Instant::now();
-    let (r1, r2) = check_distinguishes(q1, q2, db, params)?;
+    let (r1, r2) = plans.distinguish(db, params, &Budget::unlimited(), &MetricsHandle::none())?;
     timings.raw_eval = start.elapsed();
     let diffs = differing_tuples(&r1, &r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
@@ -84,7 +99,7 @@ pub fn smallest_witness_spjud_star(
         from_q1: direction,
         selection: selection.clone(),
     };
-    let cex = verify_candidate(q1, q2, db, selection, Some(witness), params, ctx)?;
+    let cex = verify_candidate(plans, db, selection, Some(witness), params, ctx)?;
     timings.total = timings.raw_eval + timings.provenance + timings.solver;
     Ok((cex, timings))
 }
@@ -123,8 +138,9 @@ fn direction_best(
     for leaf in &leaves {
         let mut options: Vec<Option<TupleSelection>> = vec![None];
         // Only consider leaves that are union compatible with the output.
-        if output_schema(leaf, db)?.arity() == tuple.len() {
-            let annotated = annotate_instrumented(leaf, db, params, &ctx.interrupt, &ctx.metrics)?;
+        let plan = Plan::compile(leaf, db)?;
+        if plan.schema().arity() == tuple.len() {
+            let annotated = annotate_plan(&plan, db, params, &ctx.interrupt, &ctx.metrics)?;
             if let Some(prv) = annotated.provenance_of(tuple) {
                 let dnf = Dnf::from_monotone(prv, LEAF_DNF_LIMIT).map_err(|e| match e {
                     ratest_provenance::ProvenanceError::DnfTooLarge { limit } => {
@@ -153,6 +169,7 @@ fn direction_best(
     // Try every combination, smallest total size first would require sorting
     // the cross product; instead evaluate all (bounded) and keep the best.
     let start = Instant::now();
+    let diff = Plan::compile(&diff, db)?;
     let mut best: Option<TupleSelection> = None;
     let mut indices = vec![0usize; per_leaf.len()];
     loop {
@@ -203,9 +220,10 @@ fn direction_best(
     Ok(best)
 }
 
-/// Does `tuple` appear in `diff = Qa − Qb` on the sub-instance `closed`?
+/// Does `tuple` appear in `diff = Qa − Qb`, compiled on `db`, on the
+/// sub-instance `closed`?
 fn membership_in_difference(
-    diff: &Query,
+    diff: &Plan,
     db: &Database,
     params: &Params,
     tuple: &[Value],
@@ -213,7 +231,7 @@ fn membership_in_difference(
     ctx: &CandidateEval,
 ) -> Result<bool> {
     let sub = db.subinstance(|id| closed.contains(id));
-    let out = evaluate_interruptible(diff, &sub, params, &ctx.interrupt)?;
+    let out = evaluate_plan(diff, &sub, params, &ctx.interrupt, &MetricsHandle::none())?;
     Ok(out.contains(tuple))
 }
 

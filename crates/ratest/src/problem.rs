@@ -3,9 +3,9 @@
 
 use crate::error::{RatestError, Result};
 use ratest_ra::ast::Query;
-use ratest_ra::eval::{evaluate_instrumented, evaluate_with_params, Params, ResultSet};
+use ratest_ra::eval::{evaluate_plan, Params, ResultSet};
 use ratest_ra::interrupt::Interrupt;
-use ratest_ra::typecheck::output_schema;
+use ratest_ra::plan::Plan;
 use ratest_storage::{Database, SubInstance, TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
 use std::sync::Arc;
@@ -102,18 +102,58 @@ pub fn check_distinguishes_instrumented(
     budget: &crate::session::Budget,
     metrics: &ratest_telemetry::MetricsHandle,
 ) -> Result<(ResultSet, ResultSet)> {
-    let s1 = output_schema(q1, db)?;
-    let s2 = output_schema(q2, db)?;
-    if !s1.union_compatible(&s2) {
-        return Err(RatestError::NotUnionCompatible {
-            left: s1.to_string(),
-            right: s2.to_string(),
-        });
+    PairPlans::compile(q1, q2, db)?.distinguish(db, params, budget, metrics)
+}
+
+/// Both queries of a pair compiled against an instance. Every sub-instance
+/// of that instance is evaluated through these plans, so a search compiles
+/// each query once however many candidates it verifies.
+#[derive(Debug, Clone)]
+pub struct PairPlans {
+    /// `Q1`'s plan.
+    pub q1: Plan,
+    /// `Q2`'s plan.
+    pub q2: Plan,
+}
+
+impl PairPlans {
+    /// Compile both queries against `db`.
+    pub fn compile(q1: &Query, q2: &Query, db: &Database) -> Result<PairPlans> {
+        Ok(PairPlans::new(
+            Plan::compile(q1, db)?,
+            Plan::compile(q2, db)?,
+        ))
     }
-    let interrupt = budget.interrupt();
-    let r1 = ratest_ra::eval::evaluate_instrumented(q1, db, params, &interrupt, metrics)?;
-    let r2 = ratest_ra::eval::evaluate_instrumented(q2, db, params, &interrupt, metrics)?;
-    Ok((r1, r2))
+
+    /// Pair two plans. When their output schemas are equal, `Q2`'s results
+    /// share `Q1`'s copy of the columns.
+    pub fn new(q1: Plan, mut q2: Plan) -> PairPlans {
+        q2.share_schema(q1.schema());
+        PairPlans { q1, q2 }
+    }
+
+    /// Check that the two outputs are union compatible, then evaluate both
+    /// queries on `db` under the budget, folding their row counters into
+    /// `metrics`.
+    pub fn distinguish(
+        &self,
+        db: &Database,
+        params: &Params,
+        budget: &crate::session::Budget,
+        metrics: &MetricsHandle,
+    ) -> Result<(ResultSet, ResultSet)> {
+        let (s1, s2) = (self.q1.schema(), self.q2.schema());
+        if !s1.union_compatible(s2) {
+            return Err(RatestError::NotUnionCompatible {
+                left: s1.to_string(),
+                right: s2.to_string(),
+            });
+        }
+        let interrupt = budget.interrupt();
+        let r1 = evaluate_plan(&self.q1, db, params, &interrupt, metrics)?;
+        let r2 = evaluate_plan(&self.q2, db, params, &interrupt, metrics)?;
+        Ok((r1, r2))
+    }
 }
 
 /// Materialize a tuple selection into a full [`Counterexample`], evaluating
@@ -124,30 +164,19 @@ pub fn build_counterexample(
     q1: &Query,
     q2: &Query,
     db: &Database,
-    mut selection: TupleSelection,
+    selection: TupleSelection,
     witness: Option<Witness>,
     params: &Params,
 ) -> Result<Counterexample> {
-    // Close under foreign keys so the sub-instance is a valid instance.
-    selection.close_under_foreign_keys(db)?;
-    let sub = SubInstance::materialize(db, selection);
-    debug_assert!(db.contains_subinstance(&sub.database));
-    sub.database.validate_constraints()?;
-    let q1_result = evaluate_with_params(q1, &sub.database, params)?;
-    let q2_result = evaluate_with_params(q2, &sub.database, params)?;
-    if q1_result.set_eq(&q2_result) {
-        return Err(RatestError::Unsupported(format!(
-            "candidate sub-instance of {} tuples does not distinguish the queries",
-            sub.size()
-        )));
-    }
-    Ok(Counterexample {
-        subinstance: sub,
-        q1_result,
-        q2_result,
+    let plans = PairPlans::compile(q1, q2, db)?;
+    verify_candidate(
+        &plans,
+        db,
+        selection,
         witness,
-        parameters: params.clone(),
-    })
+        params,
+        &CandidateEval::none(),
+    )
 }
 
 /// Evaluation context threaded into the candidate loops of the search
@@ -172,29 +201,33 @@ impl CandidateEval {
 }
 
 /// [`build_counterexample`] for the hot candidate loops: close a candidate
-/// selection under foreign keys, materialize it and verify it by evaluating
-/// both queries under the context's interrupt and metrics.
+/// selection under foreign keys, materialize it and verify it by running
+/// the pair's plans under the context's interrupt and metrics.
 pub fn verify_candidate(
-    q1: &Query,
-    q2: &Query,
+    plans: &PairPlans,
     db: &Database,
     mut selection: TupleSelection,
     witness: Option<Witness>,
     params: &Params,
     ctx: &CandidateEval,
 ) -> Result<Counterexample> {
+    // Close under foreign keys so the sub-instance is a valid instance.
     selection.close_under_foreign_keys(db)?;
     let sub = SubInstance::materialize(db, selection);
     debug_assert!(db.contains_subinstance(&sub.database));
     sub.database.validate_constraints()?;
-    let q1_result = evaluate_instrumented(q1, &sub.database, params, &ctx.interrupt, &ctx.metrics)?;
-    let q2_result = evaluate_instrumented(q2, &sub.database, params, &ctx.interrupt, &ctx.metrics)?;
+    let eval = |plan| evaluate_plan(plan, &sub.database, params, &ctx.interrupt, &ctx.metrics);
+    let mut q1_result = eval(&plans.q1)?;
+    let mut q2_result = eval(&plans.q2)?;
     if q1_result.set_eq(&q2_result) {
         return Err(RatestError::Unsupported(format!(
             "candidate sub-instance of {} tuples does not distinguish the queries",
             sub.size()
         )));
     }
+    // Counterexamples outlive the search; keep them at their size.
+    q1_result.shrink_to_fit();
+    q2_result.shrink_to_fit();
     Ok(Counterexample {
         subinstance: sub,
         q1_result,
@@ -245,6 +278,7 @@ pub fn brute_force_smallest(
 ) -> Result<Option<Counterexample>> {
     let all: Vec<ratest_storage::TupleId> = TupleSelection::all(db).iter().collect();
     let n = all.len();
+    let plans = PairPlans::compile(q1, q2, db)?;
     assert!(n <= 20, "brute force is only intended for tiny instances");
     let mut best: Option<Counterexample> = None;
     for mask in 0u32..(1 << n) {
@@ -267,7 +301,7 @@ pub fn brute_force_smallest(
         if closed.len() != sel.len() {
             continue;
         }
-        if let Ok(cex) = build_counterexample(q1, q2, db, sel, None, params) {
+        if let Ok(cex) = verify_candidate(&plans, db, sel, None, params, &CandidateEval::none()) {
             let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
             if better {
                 best = Some(cex);

@@ -325,7 +325,8 @@ fn groups_live_on_the_empty_instance_are_evaluated() {
         groups,
         annotated.inner.clone(),
         annotated.outer_having.clone(),
-    );
+    )
+    .unwrap();
 
     // With nothing selected every group keeps all its members: x (3), y (2)
     // and w (2) pass the outer HAVING, z (1) does not.

@@ -16,13 +16,23 @@ use std::sync::{Arc, OnceLock};
 /// clone, and every sub-instance shares one copy of them. The foreign-key
 /// index is built on first use and shared with every clone, including
 /// clones made before that use; changing the relations or constraints drops
-/// it, and a sub-instance starts without one.
+/// it. A sub-instance starts without one and without the shared slot for
+/// it, which it allocates on first use: counterexamples, which never use
+/// it, do not carry it.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Database {
     meta: Arc<Meta>,
     relations: Vec<Relation>,
     #[serde(skip)]
-    fk_index: Arc<OnceLock<Result<ForeignKeyIndex>>>,
+    fk_index: OnceLock<FkSlot>,
+}
+
+/// Where a database and its clones keep their foreign-key index.
+type FkSlot = Arc<OnceLock<Result<ForeignKeyIndex>>>;
+
+/// An allocated, empty slot: shared by every clone made from here on.
+fn fresh_fk_slot() -> OnceLock<FkSlot> {
+    OnceLock::from(FkSlot::default())
 }
 
 impl std::fmt::Debug for Database {
@@ -64,7 +74,7 @@ impl Database {
         let idx = self.relations.len() as u32;
         relation.set_relation_index(idx);
         self.relations.push(relation);
-        self.fk_index = Arc::default();
+        self.fk_index = fresh_fk_slot();
         Ok(idx)
     }
 
@@ -77,7 +87,7 @@ impl Database {
 
     /// Look up a relation mutably by name.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        self.fk_index = Arc::default();
+        self.fk_index = fresh_fk_slot();
         match self.position(name) {
             Some(i) => Ok(&mut self.relations[i]),
             None => Err(StorageError::UnknownRelation(name.into())),
@@ -122,7 +132,7 @@ impl Database {
     /// Mutable access to Γ (copied first if a clone or sub-instance still
     /// shares it).
     pub fn constraints_mut(&mut self) -> &mut ConstraintSet {
-        self.fk_index = Arc::default();
+        self.fk_index = fresh_fk_slot();
         let meta = Arc::make_mut(&mut self.meta);
         meta.subinstance = OnceLock::new();
         &mut meta.constraints
@@ -132,6 +142,7 @@ impl Database {
     /// shared with every clone.
     pub fn foreign_key_index(&self) -> Result<&ForeignKeyIndex> {
         self.fk_index
+            .get_or_init(FkSlot::default)
             .get_or_init(|| ForeignKeyIndex::build(self))
             .as_ref()
             .map_err(Clone::clone)
@@ -164,7 +175,7 @@ impl Database {
         Database {
             meta: meta.clone(),
             relations: self.relations.iter().map(|r| r.restrict(&keep)).collect(),
-            fk_index: Arc::default(),
+            fk_index: OnceLock::new(),
         }
     }
 
@@ -206,7 +217,7 @@ impl Database {
                 subinstance: OnceLock::new(),
             }),
             relations,
-            fk_index: Arc::default(),
+            fk_index: fresh_fk_slot(),
         }
     }
 

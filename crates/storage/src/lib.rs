@@ -49,6 +49,7 @@ pub mod database;
 pub mod display;
 pub mod error;
 pub mod fk_index;
+pub mod hash;
 pub mod relation;
 pub mod row_index;
 pub mod schema;

@@ -1,7 +1,7 @@
 //! A set index over rows that stores positions instead of copies.
 
+use crate::hash::RowHashBuilder;
 use crate::value::Value;
-use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
 /// Marks an unused slot.
@@ -28,9 +28,13 @@ pub struct RowIndex {
 /// The hashed form: slots kept at most half full.
 #[derive(Debug, Clone)]
 struct Table {
-    hasher: RandomState,
     /// `EMPTY` or a row position; the length is a power of two.
     slots: Box<[u32]>,
+}
+
+/// The hash a row is indexed by.
+fn hash(row: &[Value]) -> u64 {
+    RowHashBuilder::default().hash_one(row)
 }
 
 impl RowIndex {
@@ -53,7 +57,7 @@ impl RowIndex {
     pub fn find<'a>(&self, row: &[Value], row_at: impl Fn(u32) -> &'a [Value]) -> Option<u32> {
         match &self.table {
             None => (0..self.len as u32).find(|&pos| row_at(pos) == row),
-            Some(table) => table.probe(table.hasher.hash_one(row), row, row_at).ok(),
+            Some(table) => table.probe(hash(row), row, row_at).ok(),
         }
     }
 
@@ -79,16 +83,16 @@ impl RowIndex {
                     return Ok(());
                 }
                 let scanned = 0..self.len as u32;
-                let table = Table::new(RandomState::new(), self.len + 1, scanned, &row_at);
+                let table = Table::new(self.len + 1, scanned, &row_at);
                 self.table.insert(Box::new(table))
             }
         };
         if 2 * (self.len + 1) > table.slots.len() {
             let old = std::mem::take(&mut table.slots);
             let indexed = old.iter().copied().filter(|&p| p != EMPTY);
-            **table = Table::new(table.hasher.clone(), self.len + 1, indexed, &row_at);
+            **table = Table::new(self.len + 1, indexed, &row_at);
         }
-        match table.probe(table.hasher.hash_one(row), row, row_at) {
+        match table.probe(hash(row), row, row_at) {
             Ok(equal) => Err(equal),
             Err(slot) => {
                 table.slots[slot] = pos;
@@ -103,7 +107,6 @@ impl Table {
     /// A table with room for `n` positions, holding `positions` (whose rows
     /// are distinct).
     fn new<'a>(
-        hasher: RandomState,
         n: usize,
         positions: impl Iterator<Item = u32>,
         row_at: impl Fn(u32) -> &'a [Value],
@@ -111,13 +114,13 @@ impl Table {
         let size = (2 * n).next_power_of_two().max(2 * SMALL);
         let mut slots = vec![EMPTY; size].into_boxed_slice();
         for pos in positions {
-            let mut slot = hasher.hash_one(row_at(pos)) as usize & (size - 1);
+            let mut slot = hash(row_at(pos)) as usize & (size - 1);
             while slots[slot] != EMPTY {
                 slot = (slot + 1) & (size - 1);
             }
             slots[slot] = pos;
         }
-        Table { hasher, slots }
+        Table { slots }
     }
 
     /// Walk the probe sequence of `hash`: `Ok` with the position of a row

@@ -4,6 +4,7 @@ use crate::error::{Result, StorageError};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -80,9 +81,26 @@ impl Column {
 }
 
 /// An ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+///
+/// The columns sit behind an [`Arc`], so a clone shares them: every result
+/// set of a compiled plan node carries that node's schema without copying
+/// the column names.
+#[derive(Debug, Clone, Eq, Serialize, Deserialize, Default)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
+}
+
+/// Equal columns in the same order; a clone compares without a scan.
+impl PartialEq for Schema {
+    fn eq(&self, other: &Schema) -> bool {
+        Arc::ptr_eq(&self.columns, &other.columns) || self.columns == other.columns
+    }
+}
+
+impl std::hash::Hash for Schema {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.columns.hash(state);
+    }
 }
 
 impl Schema {
@@ -99,13 +117,15 @@ impl Schema {
 
     /// Build a schema from fully specified columns.
     pub fn from_columns(columns: Vec<Column>) -> Self {
-        Schema { columns }
+        Schema {
+            columns: columns.into(),
+        }
     }
 
     /// Empty schema (zero columns) — the output schema of a projection onto
     /// nothing, used by some reductions in the paper's appendix.
     pub fn empty() -> Self {
-        Schema { columns: vec![] }
+        Schema::default()
     }
 
     /// Number of columns.
@@ -165,9 +185,14 @@ impl Schema {
     /// Concatenate two schemas (used for joins / cross products). Column
     /// names are qualified by the caller if disambiguation is needed.
     pub fn concat(&self, other: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        Schema { columns }
+        Schema {
+            columns: self
+                .columns
+                .iter()
+                .chain(other.columns.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Project the schema onto the given column indices.

@@ -7,16 +7,23 @@
 //! (d) no larger than the brute-force optimum computed by exhaustive search
 //! (on the tiniest instances where that is feasible).
 //! In addition the provenance layer is cross-checked against plain
-//! evaluation on random sub-instances.
+//! evaluation on random sub-instances, and a plan compiled once against an
+//! instance is checked against compiling afresh on its sub-instances.
 
 use proptest::prelude::*;
 use ratest_suite::core::problem::brute_force_smallest;
 use ratest_suite::core::session::Session;
-use ratest_suite::provenance::annotate::consistent_with_evaluation;
+use ratest_suite::datagen::{university_database, UniversityConfig};
+use ratest_suite::provenance::annotate::{annotate_plan, consistent_with_evaluation};
+use ratest_suite::queries::course::course_questions;
+use ratest_suite::queries::mutations::mutate;
 use ratest_suite::ra::ast::Query;
 use ratest_suite::ra::builder::{col, lit, rel, QueryBuilder};
-use ratest_suite::ra::eval::{evaluate, Params};
+use ratest_suite::ra::eval::{evaluate, evaluate_plan, Params};
+use ratest_suite::ra::plan::Plan;
+use ratest_suite::ra::Interrupt;
 use ratest_suite::storage::{DataType, Database, Relation, Schema, TupleSelection, Value};
+use ratest_telemetry::MetricsHandle;
 
 /// Build a small instance from compact tuple descriptions.
 fn build_db(students: &[(u8, u8)], registrations: &[(u8, u8, u8, i64)]) -> Database {
@@ -114,6 +121,16 @@ fn query_pool() -> Vec<Query> {
     ]
 }
 
+/// The course references and every mutation of each.
+fn course_queries() -> Vec<Query> {
+    let mut queries = Vec::new();
+    for question in course_questions() {
+        queries.extend(mutate(&question.reference).into_iter().map(|m| m.query));
+        queries.push(question.reference);
+    }
+    queries
+}
+
 fn registrations_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, i64)>> {
     prop::collection::vec((0u8..4, 0u8..5, 0u8..2, 0i64..41), 1..8)
 }
@@ -207,6 +224,34 @@ proptest! {
                 "tuple {:?} of the sub-instance has no satisfied provenance",
                 row
             );
+        }
+    }
+
+    /// A plan compiled against `D` runs unchanged on a random `D' ⊆ D`: the
+    /// same rows, in the same order, with the same annotations, as
+    /// evaluating and annotating on `D'` (which compile against `D'`), for
+    /// every course reference and mutation.
+    #[test]
+    fn plans_compiled_on_an_instance_run_on_its_subinstances(
+        keep in 0u64..u64::MAX,
+    ) {
+        let db = university_database(&UniversityConfig::with_total(30));
+        // Keep each tuple by one bit of a xorshift stream seeded by `keep`.
+        let mut bits = keep | 1;
+        let kept = TupleSelection::from_ids(TupleSelection::all(&db).iter().filter(|_| {
+            bits ^= bits << 13;
+            bits ^= bits >> 7;
+            bits ^= bits << 17;
+            bits & 1 == 1
+        }));
+        let sub = db.subinstance(|id| kept.contains(id));
+        let (params, none) = (Params::new(), Interrupt::none());
+        for q in course_queries() {
+            let plan = Plan::compile(&q, &db).unwrap();
+            let run = evaluate_plan(&plan, &sub, &params, &none, &MetricsHandle::none());
+            prop_assert_eq!(run, evaluate(&q, &sub), "evaluating {:?}", q);
+            let annotated = annotate_plan(&plan, &sub, &params, &none, &MetricsHandle::none());
+            prop_assert_eq!(annotated, ratest_suite::provenance::annotate(&q, &sub), "annotating {:?}", q);
         }
     }
 }
