@@ -223,7 +223,6 @@ fn grade_throughput(quick: bool) -> Section {
         per_job_timeout: Duration::ZERO,
         options: Default::default(),
         repair: None,
-        warm_cap: None,
     });
     let cold_start = Instant::now();
     let cold = grader

@@ -183,6 +183,7 @@ pub fn decode_response(d: &mut Decoder) -> Result<ExplainResponse, String> {
 mod tests {
     use super::*;
     use crate::engine::{Grader, GraderConfig};
+    use ratest_core::session::EventHandle;
     use ratest_ra::testdata;
 
     fn roundtrip_response(resp: &ExplainResponse) -> ExplainResponse {
@@ -220,17 +221,18 @@ mod tests {
         let db = testdata::figure1_db();
         let reference = testdata::example1_q1();
         let grader = Grader::new(GraderConfig::default());
-        let responses = grader
-            .respond_all(
-                &reference,
-                &db,
-                &[
-                    ExplainRequest::new("s0", "Ada", reference.clone()),
-                    ExplainRequest::new("s1", "Ben", testdata::example1_q2()),
-                ],
-            )
-            .unwrap();
-        assert_eq!(responses.len(), 2);
+        let context = grader.prepare_context(&reference, &db).unwrap();
+        let responses: Vec<ExplainResponse> = [
+            ExplainRequest::new("s0", "Ada", reference.clone()),
+            ExplainRequest::new("s1", "Ben", testdata::example1_q2()),
+        ]
+        .iter()
+        .map(|r| {
+            grader
+                .respond(context, r, EventHandle::none(), None)
+                .unwrap()
+        })
+        .collect();
         for resp in &responses {
             let back = roundtrip_response(resp);
             assert_eq!(back.verdict.tag(), resp.verdict.tag());

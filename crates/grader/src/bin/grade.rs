@@ -65,8 +65,9 @@
 //! `--admit-timeout-ms` before being rejected with an overload verdict),
 //! `--warm-cap` LRU-evicts warm references beyond the cap, and `--cache`
 //! persists verdicts to the same store `grade --cache` uses, so a restarted
-//! daemon warm-starts. See `ratest_grader::serve` for the protocol
-//! reference.
+//! daemon warm-starts. `--warm-cap` is a daemon flag only: a batch run
+//! grades one context per process and never evicts. See
+//! `ratest_grader::serve` for the protocol reference.
 //!
 //! ## Merge mode: fuse shard artifacts into the class report
 //!
@@ -94,7 +95,6 @@ use ratest_grader::{
 use ratest_queries::course::course_questions;
 use ratest_ra::ast::Query;
 use ratest_storage::{Database, Value};
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -103,7 +103,7 @@ const USAGE: &str = "usage: grade <DIR> --reference <N|path.sql|path.ra> \
      [--db-tuples N] [--seed N] [--workers N] [--timeout-ms N] \
      [--param name=value]... [--json PATH] [--explain ID] [--diagnostics] \
      [--suggest] [--shard i/N | --spawn N] [--cache PATH.rvc] \
-     [--metrics PATH.json] [--trace PATH.ndjson] [--warm-cap N]\n\
+     [--metrics PATH.json] [--trace PATH.ndjson]\n\
        grade serve [--threads N] [--warm-cap N] [--cache PATH.rvc] \
      [--admit-timeout-ms N]\n\
        grade fmt <file.ra>... [--write]\n\
@@ -142,9 +142,6 @@ struct Args {
     trace_path: Option<String>,
     /// Enrich wrong verdicts with provenance-directed repair suggestions.
     suggest: bool,
-    /// Cap on warm per-context sessions held by the engine (LRU-evicted
-    /// beyond it); `None` = unbounded.
-    warm_cap: Option<usize>,
 }
 
 /// Arguments of the `merge` subcommand.
@@ -239,7 +236,6 @@ fn parse_args(rest: impl Iterator<Item = String>) -> Result<Args, String> {
         metrics_path: None,
         trace_path: None,
         suggest: false,
-        warm_cap: None,
     };
     let mut it = rest;
     while let Some(flag) = it.next() {
@@ -274,7 +270,6 @@ fn parse_args(rest: impl Iterator<Item = String>) -> Result<Args, String> {
             "--metrics" => args.metrics_path = Some(value("--metrics")?),
             "--trace" => args.trace_path = Some(value("--trace")?),
             "--suggest" => args.suggest = true,
-            "--warm-cap" => args.warm_cap = Some(parse(&value("--warm-cap")?)?),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -409,7 +404,7 @@ fn run_merge(args: MergeArgs) -> ExitCode {
             }
             match store::load(Path::new(path)) {
                 Ok(loaded) => {
-                    report_skipped(path, &loaded.skipped);
+                    store::report_skipped(Path::new(path), &loaded.skipped);
                     entries.extend(loaded.entries);
                 }
                 Err(e) => {
@@ -544,32 +539,19 @@ fn run_spawn_in(args: &Args, raw_args: &[String], n: usize, exe: &Path, tmp: &Pa
     // fingerprint two shards both graded lands once (the verdicts are
     // deterministic, so first-shard-wins loses nothing).
     if let Some(user) = user_cache {
-        let persisted: HashSet<(u64, u64)> = if cache_preexists {
-            match store::load(user) {
-                Ok(loaded) => loaded
-                    .entries
-                    .iter()
-                    .map(|e| (e.context, e.fingerprint))
-                    .collect(),
-                Err(e) => {
-                    eprintln!("grade: {}: {e}", user.display());
-                    return ExitCode::FAILURE;
-                }
+        let mut cache = match store::Store::open(user) {
+            Ok(cache) => cache,
+            Err(e) => {
+                eprintln!("grade: {}: {e}", user.display());
+                return ExitCode::FAILURE;
             }
-        } else {
-            HashSet::new()
         };
-        let mut seen = persisted;
-        let mut fresh: Vec<CacheEntry> = Vec::new();
+        let mut shard_entries: Vec<CacheEntry> = Vec::new();
         for scratch in &shard_caches {
             match store::load(scratch) {
                 Ok(loaded) => {
-                    report_skipped(&scratch.display().to_string(), &loaded.skipped);
-                    for e in loaded.entries {
-                        if seen.insert((e.context, e.fingerprint)) {
-                            fresh.push(e);
-                        }
-                    }
+                    store::report_skipped(scratch, &loaded.skipped);
+                    shard_entries.extend(loaded.entries);
                 }
                 Err(e) => {
                     eprintln!("grade: {}: {e}", scratch.display());
@@ -577,15 +559,16 @@ fn run_spawn_in(args: &Args, raw_args: &[String], n: usize, exe: &Path, tmp: &Pa
                 }
             }
         }
-        if let Err(e) = store::append(user, &fresh) {
-            eprintln!("grade: cannot update {}: {e}", user.display());
-            return ExitCode::FAILURE;
+        match cache.append_new(shard_entries) {
+            Ok(appended) => eprintln!(
+                "verdict cache: appended {appended} new record(s) to {}",
+                user.display()
+            ),
+            Err(e) => {
+                eprintln!("grade: cannot update {}: {e}", user.display());
+                return ExitCode::FAILURE;
+            }
         }
-        eprintln!(
-            "verdict cache: appended {} new record(s) to {}",
-            fresh.len(),
-            user.display()
-        );
     }
 
     // Fuse the shard reports exactly like `grade merge` would.
@@ -647,15 +630,6 @@ fn run_fmt(files: &[String], write: bool) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-fn report_skipped(path: &str, skipped: &[store::SkippedRecord]) {
-    for s in skipped {
-        eprintln!(
-            "grade: {path}: skipped corrupt record at line {}: {}",
-            s.line, s.reason
-        );
     }
 }
 
@@ -737,23 +711,18 @@ fn main() -> ExitCode {
         per_job_timeout: Duration::from_millis(args.timeout_ms),
         options,
         repair: args.suggest.then(ratest_repair::RepairOptions::default),
-        warm_cap: args.warm_cap,
     });
 
-    // Seed the engine from the persistent verdict cache, remembering which
-    // keys were already on disk so only the fresh ones are appended later.
-    let mut persisted_keys: HashSet<(u64, u64)> = HashSet::new();
+    // Seed the engine from the persistent verdict cache; the store handle
+    // remembers which keys are on disk, so only fresh ones are appended.
+    let mut cache = None;
     if let Some(path) = &args.cache_path {
-        match store::load(Path::new(path)) {
-            Ok(loaded) => {
-                report_skipped(path, &loaded.skipped);
-                persisted_keys = loaded
-                    .entries
-                    .iter()
-                    .map(|e| (e.context, e.fingerprint))
-                    .collect();
-                let inserted = grader.preload_cache(loaded.entries);
+        match store::Store::open(path) {
+            Ok(opened) => {
+                opened.report_skipped();
+                let inserted = grader.preload_cache(opened.entries().iter().cloned());
                 println!("verdict cache: loaded {inserted} record(s) from {path}");
+                cache = Some(opened);
             }
             Err(e) => {
                 eprintln!("grade: {path}: {e}");
@@ -892,20 +861,14 @@ fn main() -> ExitCode {
 
     // Append-only persistence: records that were already on disk are never
     // rewritten, only this run's fresh verdicts go out.
-    if let Some(path) = &args.cache_path {
-        let fresh: Vec<CacheEntry> = grader
-            .cache_entries()
-            .into_iter()
-            .filter(|e| !persisted_keys.contains(&(e.context, e.fingerprint)))
-            .collect();
-        if let Err(e) = store::append(Path::new(path), &fresh) {
-            eprintln!("grade: cannot update {path}: {e}");
-            return ExitCode::FAILURE;
+    if let (Some(cache), Some(path)) = (&mut cache, &args.cache_path) {
+        match cache.append_new(grader.cache_entries()) {
+            Ok(appended) => println!("verdict cache: appended {appended} new record(s) to {path}"),
+            Err(e) => {
+                eprintln!("grade: cannot update {path}: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-        println!(
-            "verdict cache: appended {} new record(s) to {path}",
-            fresh.len()
-        );
     }
 
     if let Some(path) = &args.metrics_path {

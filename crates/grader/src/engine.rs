@@ -4,6 +4,10 @@
 //! bounded worker pool enforces per-job [`Budget`]s (deadline + cooperative
 //! cancellation — a timed-out job is asked to stop, not just abandoned, and
 //! the deadline reaches *into* evaluator row loops via the budget hook).
+//!
+//! Every verdict — a batch group's or a daemon request's — goes through one
+//! path: the verdict cache, then single-flight, then the timed search, then
+//! publication into the cache.
 
 use crate::api::{ExplainRequest, ExplainResponse};
 use crate::ingest::{IngestEntry, IngestedCohort};
@@ -11,7 +15,7 @@ use crate::report::{BatchReport, BatchStats};
 use crate::submission::{group_by_fingerprint, Submission};
 use crate::verdict::{GradedSubmission, Verdict};
 use ratest_core::pipeline::RatestOptions;
-use ratest_core::session::{Budget, ReferenceHandle, Session};
+use ratest_core::session::{Budget, EventHandle, ReferenceHandle, Session};
 use ratest_core::RatestError;
 use ratest_ra::ast::Query;
 use ratest_repair::RepairOptions;
@@ -44,18 +48,11 @@ pub struct GraderConfig {
     pub per_job_timeout: Duration,
     /// Pipeline options forwarded to every explanation run.
     pub options: RatestOptions,
-    /// When set, every [`Verdict::Wrong`] is enriched with ranked repair
-    /// suggestions (see [`ratest_repair`]). `None` keeps grading
-    /// suggestion-free; per-request opt-in is available through
-    /// [`Grader::respond_prepared_with`].
+    /// When set, every [`Verdict::Wrong`] a batch produces is enriched with
+    /// ranked repair suggestions (see [`ratest_repair`]). `None` keeps
+    /// batches suggestion-free; a single request opts in through the
+    /// `repair` argument of [`Grader::respond`].
     pub repair: Option<RepairOptions>,
-    /// Maximum number of warm per-context sessions held at once; `None` is
-    /// unbounded (the batch default). When the cap is exceeded the
-    /// least-recently-used session is evicted (`grader.session_evictions`
-    /// counts them, `grader.warm_sessions` tracks the real current size).
-    /// A [`GradeContext`] handle whose session was evicted answers
-    /// [`GraderError::UnknownContext`] — re-prepare it to warm it again.
-    pub warm_cap: Option<usize>,
 }
 
 impl Default for GraderConfig {
@@ -65,7 +62,6 @@ impl Default for GraderConfig {
             per_job_timeout: Duration::from_secs(30),
             options: RatestOptions::default(),
             repair: None,
-            warm_cap: None,
         }
     }
 }
@@ -77,8 +73,8 @@ pub enum GraderError {
     /// The reference query itself failed to evaluate or annotate; nothing
     /// can be graded against it.
     Reference(RatestError),
-    /// A [`GradeContext`] handle from a different engine (or a bug) was
-    /// presented to [`Grader::respond_prepared`].
+    /// A [`GradeContext`] handle from a different engine was presented to
+    /// [`Grader::respond`].
     UnknownContext,
 }
 
@@ -96,8 +92,8 @@ impl std::fmt::Display for GraderError {
 /// A handle to a warm grading context — the `(reference, hidden instance,
 /// options)` identity hash. Computing it walks the whole database, so
 /// request-per-call servers obtain it once via [`Grader::prepare_context`]
-/// and answer every subsequent request through
-/// [`Grader::respond_prepared`] without re-hashing the instance.
+/// and answer every subsequent request through [`Grader::respond`] without
+/// re-hashing the instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GradeContext(u64);
 
@@ -125,11 +121,12 @@ pub struct Grader {
     /// options, so one engine can serve multiple assignments without
     /// leaking verdicts between them.
     cache: Mutex<HashMap<(u64, u64), Verdict>>,
-    /// Warm per-context sessions (context key → prepared session, with an
-    /// access stamp for LRU eviction under `config.warm_cap`). This is what
-    /// makes a served re-grade — and the second batch of a long-lived
-    /// daemon — skip reference preparation entirely.
-    sessions: Mutex<SessionLru>,
+    /// Warm per-context sessions (context key → prepared session). This is
+    /// what makes a served re-grade — and the second batch of a long-lived
+    /// process — skip reference preparation entirely. The engine never
+    /// evicts: `grade serve` bounds warm state by dropping whole
+    /// per-reference engines.
+    sessions: Mutex<HashMap<u64, Arc<GradingSession>>>,
     /// Counterexample searches currently running, keyed like the cache.
     /// Concurrent requests for the same key single-flight: one leader runs
     /// the search, everyone else waits on the [`Flight`] and reuses the
@@ -141,60 +138,6 @@ pub struct Grader {
     /// pipeline/solver/evaluator counters because the same registry is wired
     /// into every session via `config.options.metrics`.
     metrics: Arc<MetricsRegistry>,
-}
-
-/// The warm-session map with clock-stamped LRU bookkeeping. Eviction is an
-/// O(n) min-stamp scan — n is bounded by `warm_cap`, which is small (it
-/// exists precisely because sessions are big).
-#[derive(Debug, Default)]
-struct SessionLru {
-    map: HashMap<u64, (Arc<GradingSession>, u64)>,
-    clock: u64,
-}
-
-impl SessionLru {
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Look up a context and mark it most-recently-used.
-    fn touch(&mut self, key: u64) -> Option<Arc<GradingSession>> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.map.get_mut(&key).map(|slot| {
-            slot.1 = clock;
-            slot.0.clone()
-        })
-    }
-
-    /// Insert (first writer wins) and mark most-recently-used.
-    fn insert(&mut self, key: u64, warm: Arc<GradingSession>) -> Arc<GradingSession> {
-        self.clock += 1;
-        let clock = self.clock;
-        let slot = self.map.entry(key).or_insert((warm, clock));
-        slot.1 = clock;
-        slot.0.clone()
-    }
-
-    /// Evict least-recently-used entries until at most `cap` remain;
-    /// returns how many were evicted. The entry just touched carries the
-    /// newest stamp, so it is never the victim.
-    fn evict_over(&mut self, cap: usize) -> u64 {
-        let mut evicted = 0;
-        while self.map.len() > cap.max(1) {
-            let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(&k, _)| k)
-            else {
-                break;
-            };
-            self.map.remove(&victim);
-            evicted += 1;
-        }
-        evicted
-    }
 }
 
 /// One in-flight counterexample search: the leader publishes the verdict
@@ -229,12 +172,6 @@ struct GradingSession {
     reference: ReferenceHandle,
 }
 
-/// One unit of work: a distinct fingerprint group to explain.
-struct Job {
-    fingerprint: u64,
-    query: Arc<Query>,
-}
-
 impl Grader {
     /// Create an engine with the given configuration. If the configuration
     /// does not already carry a metrics registry, the engine creates one and
@@ -253,7 +190,7 @@ impl Grader {
         Grader {
             config,
             cache: Mutex::new(HashMap::new()),
-            sessions: Mutex::new(SessionLru::default()),
+            sessions: Mutex::new(HashMap::new()),
             inflight: Mutex::new(HashMap::new()),
             metrics,
         }
@@ -268,11 +205,6 @@ impl Grader {
     /// underlying pipeline recorded.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &GraderConfig {
-        &self.config
     }
 
     /// Number of fingerprints in the cross-batch verdict cache.
@@ -356,7 +288,9 @@ impl Grader {
     }
 
     /// Grade a batch of submissions against one reference query on a hidden
-    /// test instance.
+    /// test instance. Each distinct fingerprint goes through the request
+    /// path: the cached groups answer first, in group order, then the misses
+    /// are searched on a pool of `workers` threads.
     pub fn grade(
         &self,
         label: &str,
@@ -369,105 +303,88 @@ impl Grader {
         // Evaluate + annotate the reference once per *context* (not per
         // batch): a warm engine reuses the prepared session.
         let (context, warm) = self.session_for(reference, db)?;
+        let events = warm.session.options().events.clone();
+        let repair = self.config.repair.as_ref();
 
         // Dedup: each distinct canonical fingerprint is explained once.
         let groups = group_by_fingerprint(submissions);
-        let mut verdicts: HashMap<u64, (Verdict, Duration, bool)> = HashMap::new();
-        let mut jobs: VecDeque<Job> = VecDeque::new();
-        {
-            let cache = lock(&self.cache);
-            for g in &groups {
-                match cache.get(&(context, g.fingerprint)) {
-                    Some(v) => {
-                        verdicts.insert(g.fingerprint, (v.clone(), Duration::ZERO, true));
-                    }
-                    None => jobs.push_back(Job {
-                        fingerprint: g.fingerprint,
-                        query: g.query.clone(),
-                    }),
-                }
-            }
+        // The request path counts hits and misses one by one; touching the
+        // counters here keeps every key in a snapshot even when it is zero.
+        for name in [
+            "grader.cache_hits",
+            "grader.cache_misses",
+            "grader.searches",
+        ] {
+            self.metrics.counter_add(name, 0);
         }
-        let cache_hits = verdicts.len();
-        let pipeline_runs = jobs.len();
-
-        // Suggestions are a *monotone enrichment* of a Wrong verdict, not
-        // part of the cache key: a suggestion-less hit is upgraded in place
-        // when repair is requested, and an enriched hit is stripped from the
-        // report (never from the cache) when it is not — so the cache always
-        // keeps the richest form it has seen.
-        match &self.config.repair {
-            Some(repair) => {
-                let events = warm.session.options().events.clone();
-                let mut upgraded: Vec<(u64, Verdict)> = Vec::new();
-                for g in &groups {
-                    if let Some((v, _, true)) = verdicts.get_mut(&g.fingerprint) {
-                        if enrich_with_repairs(&warm, &g.query, v, repair, &events) {
-                            upgraded.push((g.fingerprint, v.clone()));
-                        }
-                    }
-                }
-                if !upgraded.is_empty() {
-                    let mut cache = lock(&self.cache);
-                    for (fp, v) in upgraded {
-                        cache.insert((context, fp), v);
-                    }
-                }
-            }
-            None => {
-                for (v, _, _) in verdicts.values_mut() {
-                    if !v.suggestions().is_empty() {
-                        *v = v.without_suggestions();
-                    }
-                }
-            }
-        }
-
-        self.metrics
-            .counter_add("grader.cache_hits", cache_hits as u64);
-        self.metrics
-            .counter_add("grader.cache_misses", pipeline_runs as u64);
         self.metrics.counter_add(
             "grader.dedup_hits",
             (submissions.len() - groups.len()) as u64,
         );
+
+        let mut answers: Vec<Option<(Verdict, Duration, bool)>> = vec![None; groups.len()];
+        let mut misses: VecDeque<usize> = VecDeque::new();
+        for (i, g) in groups.iter().enumerate() {
+            let key = (context, g.fingerprint);
+            match self.lookup(key, &warm, &g.query, &events, repair) {
+                Some(verdict) => answers[i] = Some((verdict, Duration::ZERO, true)),
+                None => misses.push_back(i),
+            }
+        }
+
         // A real occupancy gauge, not a high-water mark: it is set to the
         // queue length here and decremented as workers pop jobs, so a
         // drained batch reads 0 (pinned by the conformance suite).
         self.metrics
-            .gauge_set("grader.queue_depth", pipeline_runs as i64);
-
-        // Grade the distinct jobs on a bounded worker pool.
-        self.metrics
-            .counter_add("grader.searches", pipeline_runs as u64);
-        let fresh = run_jobs(jobs, warm.clone(), &self.config, &self.metrics);
-        {
-            let mut cache = lock(&self.cache);
-            for (fp, (v, _)) in &fresh {
-                // Timeout verdicts are load-dependent: caching them would
-                // make a transient stall permanent and defeat regrading with
-                // a larger budget. Correct/Wrong/Error are deterministic.
-                if !matches!(v, Verdict::Timeout { .. }) {
-                    cache.insert((context, *fp), v.clone());
+            .gauge_set("grader.queue_depth", misses.len() as i64);
+        let worker_count = self.config.workers.max(1).min(misses.len());
+        let queue = Mutex::new(misses);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..worker_count)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            let next = {
+                                let mut queue = lock(&queue);
+                                let next = queue.pop_front();
+                                self.metrics
+                                    .gauge_set("grader.queue_depth", queue.len() as i64);
+                                next
+                            };
+                            let Some(i) = next else { break };
+                            let start = Instant::now();
+                            let key = (context, groups[i].fingerprint);
+                            let (verdict, from_cache) =
+                                self.search(key, &warm, &groups[i].query, events.clone(), repair);
+                            done.push((i, (verdict, start.elapsed(), from_cache)));
+                        }
+                        done
+                    })
+                })
+                .collect();
+            for worker in workers {
+                // Grading panics already became error verdicts inside the
+                // request path; a worker that still died leaves its groups
+                // unanswered, which the join below reports per group.
+                for (i, answer) in worker.join().unwrap_or_default() {
+                    answers[i] = Some(answer);
                 }
             }
-        }
-        for (fp, (v, d)) in fresh {
-            verdicts.insert(fp, (v, d, false));
-        }
+        });
 
         // Join verdicts back onto every submission, in submission order.
-        let mut graded: Vec<GradedSubmission> = Vec::with_capacity(submissions.len());
         let mut by_index: Vec<Option<GradedSubmission>> = vec![None; submissions.len()];
-        for g in &groups {
-            let (verdict, duration, from_cache) =
-                verdicts.get(&g.fingerprint).cloned().unwrap_or((
-                    Verdict::Error {
-                        message: "internal: no verdict recorded for fingerprint group".into(),
-                    },
-                    Duration::ZERO,
-                    false,
-                ));
+        let mut cache_hits = 0;
+        for (g, answer) in groups.iter().zip(answers) {
+            let (verdict, duration, from_cache) = answer.unwrap_or((
+                Verdict::Error {
+                    message: "internal: no verdict recorded for fingerprint group".into(),
+                },
+                Duration::ZERO,
+                false,
+            ));
+            cache_hits += from_cache as usize;
             for &i in &g.members {
                 by_index[i] = Some(GradedSubmission {
                     submission_id: submissions[i].id.clone(),
@@ -479,15 +396,16 @@ impl Grader {
                 });
             }
         }
-        for slot in by_index {
-            graded.push(slot.expect("every submission belongs to a group"));
-        }
+        let graded: Vec<GradedSubmission> = by_index
+            .into_iter()
+            .map(|slot| slot.expect("every submission belongs to a group"))
+            .collect();
 
         let stats = BatchStats::collect(
             &graded,
             groups.len(),
             cache_hits,
-            pipeline_runs,
+            groups.len() - cache_hits,
             self.config.workers,
             wall_start.elapsed(),
         );
@@ -510,8 +428,8 @@ impl Grader {
         db: &Database,
     ) -> Result<(u64, Arc<GradingSession>), GraderError> {
         let context = self.context_key(reference, db);
-        if let Some(warm) = lock(&self.sessions).touch(context) {
-            return Ok((context, warm));
+        if let Some(warm) = lock(&self.sessions).get(&context) {
+            return Ok((context, warm.clone()));
         }
         // Built outside the lock: preparation evaluates + annotates the
         // reference, which can be slow, and a second thread racing to the
@@ -520,62 +438,42 @@ impl Grader {
             .options(self.config.options.clone())
             .build();
         let handle = session.prepare(reference).map_err(GraderError::Reference)?;
-        let warm = Arc::new(GradingSession {
-            session,
-            reference: handle,
-        });
-        let warm = {
-            let mut sessions = lock(&self.sessions);
-            let warm = sessions.insert(context, warm);
-            if let Some(cap) = self.config.warm_cap {
-                let evicted = sessions.evict_over(cap);
-                if evicted > 0 {
-                    self.metrics
-                        .counter_add("grader.session_evictions", evicted);
-                }
-            }
-            // Set on insert *and* after eviction: the gauge is the real
-            // current occupancy, not a high-water mark.
-            self.metrics
-                .gauge_set("grader.warm_sessions", sessions.len() as i64);
-            warm
-        };
+        let mut sessions = lock(&self.sessions);
+        // First writer wins.
+        let warm = sessions
+            .entry(context)
+            .or_insert_with(|| {
+                Arc::new(GradingSession {
+                    session,
+                    reference: handle,
+                })
+            })
+            .clone();
+        self.metrics
+            .gauge_set("grader.warm_sessions", sessions.len() as i64);
         Ok((context, warm))
+    }
+
+    /// The warm session of an already-prepared context.
+    fn warm(&self, context: GradeContext) -> Result<Arc<GradingSession>, GraderError> {
+        lock(&self.sessions)
+            .get(&context.0)
+            .cloned()
+            .ok_or(GraderError::UnknownContext)
     }
 
     /// Whether the reference's provenance annotation is shared across the
     /// context's workers (`false` for aggregate references — the `aggprov`
-    /// gap). Prepares the context's warm session if needed.
-    pub fn shared_annotation(&self, reference: &Query, db: &Database) -> Result<bool, GraderError> {
-        let (_, warm) = self.session_for(reference, db)?;
-        Ok(warm.shared_annotation())
-    }
-
-    /// [`Grader::shared_annotation`] for an already-prepared context — no
-    /// instance re-hash.
+    /// gap).
     pub fn shared_annotation_for(&self, context: GradeContext) -> Result<bool, GraderError> {
-        lock(&self.sessions)
-            .touch(context.0)
-            .map(|warm| warm.shared_annotation())
-            .ok_or(GraderError::UnknownContext)
-    }
-
-    /// Number of warm per-context sessions currently held.
-    pub fn warm_sessions(&self) -> usize {
-        lock(&self.sessions).len()
-    }
-
-    /// Counterexample searches this engine has run (cache hits excluded) —
-    /// a registry read of the `grader.searches` counter.
-    pub fn searches_total(&self) -> u64 {
-        self.metrics.counter("grader.searches")
+        Ok(self.warm(context)?.shared_annotation())
     }
 
     /// Warm up (or look up) the grading context for a `(reference, db)`
     /// pair and return its handle. The expensive part — hashing the full
     /// instance and preparing the reference — happens at most once per
     /// context; servers call this at prepare time and then use
-    /// [`Grader::respond_prepared`] per request.
+    /// [`Grader::respond`] per request.
     pub fn prepare_context(
         &self,
         reference: &Query,
@@ -585,82 +483,78 @@ impl Grader {
         Ok(GradeContext(context))
     }
 
-    /// Answer one [`ExplainRequest`] against a reference — the `grade
-    /// serve` request path. Warm state short-circuits twice: the context's
-    /// session skips reference preparation, and the verdict cache answers
-    /// repeated fingerprints with zero counterexample searches.
-    pub fn respond(
-        &self,
-        reference: &Query,
-        db: &Database,
-        request: &ExplainRequest,
-    ) -> Result<ExplainResponse, GraderError> {
-        let (context, warm) = self.session_for(reference, db)?;
-        self.respond_impl(
-            context,
-            &warm,
-            request,
-            warm.session.options().events.clone(),
-            self.config.repair.as_ref(),
-        )
-    }
-
-    /// Answer one request against an already-prepared [`GradeContext`],
-    /// streaming progress into a per-request event sink. This is the
-    /// daemon's hot path: no instance re-hashing, no reference
-    /// re-preparation — and because the sink belongs to *this* request, a
+    /// Answer one [`ExplainRequest`] against an already-prepared
+    /// [`GradeContext`] — the `grade serve` request path. Warm state
+    /// short-circuits twice: the context's session skips reference
+    /// preparation, and the verdict cache answers repeated fingerprints with
+    /// zero counterexample searches.
+    ///
+    /// Progress streams into `events`, a sink owned by *this* request: a
     /// stale thread from an earlier timed-out job keeps emitting into its
     /// own retired sink instead of polluting this request's stream.
-    pub fn respond_prepared(
+    /// `repair` is the per-request opt-in: `Some` enriches a Wrong verdict
+    /// with ranked suggestions (upgrading a suggestion-less cache hit in
+    /// place); `None` answers suggestion-free even when the cached verdict
+    /// has been enriched by an earlier opted-in request.
+    pub fn respond(
         &self,
         context: GradeContext,
         request: &ExplainRequest,
-        events: ratest_core::session::EventHandle,
-    ) -> Result<ExplainResponse, GraderError> {
-        self.respond_prepared_with(context, request, events, self.config.repair.as_ref())
-    }
-
-    /// [`Grader::respond_prepared`] with a per-request repair override —
-    /// the daemon's `repair` opt-in. `Some` enriches a Wrong verdict with
-    /// ranked suggestions (upgrading a suggestion-less cache hit in place);
-    /// `None` answers suggestion-free even when the cached verdict has been
-    /// enriched by an earlier opted-in request.
-    pub fn respond_prepared_with(
-        &self,
-        context: GradeContext,
-        request: &ExplainRequest,
-        events: ratest_core::session::EventHandle,
+        events: EventHandle,
         repair: Option<&RepairOptions>,
     ) -> Result<ExplainResponse, GraderError> {
-        let warm = lock(&self.sessions)
-            .touch(context.0)
-            .ok_or(GraderError::UnknownContext)?;
-        self.respond_impl(context.0, &warm, request, events, repair)
-    }
-
-    fn respond_impl(
-        &self,
-        context: u64,
-        warm: &Arc<GradingSession>,
-        request: &ExplainRequest,
-        events: ratest_core::session::EventHandle,
-        repair: Option<&RepairOptions>,
-    ) -> Result<ExplainResponse, GraderError> {
+        let warm = self.warm(context)?;
         let fingerprint = request.fingerprint();
-        let key = (context, fingerprint);
-        // Bind the lookup before branching: an `if let` on the guard itself
-        // would keep the cache locked across `respond_cached`, which re-locks
-        // it to upgrade a repair-enriched verdict.
-        let cached = lock(&self.cache).get(&key).cloned();
-        if let Some(verdict) = cached {
-            self.metrics.counter_inc("grader.cache_hits");
-            return Ok(self.respond_cached(key, warm, request, verdict, events, repair));
-        }
-        match self.claim_flight(key) {
-            Claim::Cached(verdict) => {
-                self.metrics.counter_inc("grader.cache_hits");
-                Ok(self.respond_cached(key, warm, request, verdict, events, repair))
-            }
+        let key = (context.0, fingerprint);
+        let (verdict, from_cache) = match self.lookup(key, &warm, &request.query, &events, repair) {
+            Some(verdict) => (verdict, true),
+            None => self.search(key, &warm, &request.query, events, repair),
+        };
+        Ok(ExplainResponse {
+            id: request.id.clone(),
+            author: request.author.clone(),
+            fingerprint,
+            verdict,
+            from_cache,
+        })
+    }
+
+    /// The request path's first step: the verdict cache.
+    fn lookup(
+        &self,
+        key: (u64, u64),
+        warm: &GradingSession,
+        query: &Query,
+        events: &EventHandle,
+        repair: Option<&RepairOptions>,
+    ) -> Option<Verdict> {
+        // Bind the lookup before branching: holding the guard across
+        // `apply_repair` would self-deadlock when it re-locks the cache to
+        // upgrade a repair-enriched verdict.
+        let cached = lock(&self.cache).get(&key).cloned()?;
+        self.metrics.counter_inc("grader.cache_hits");
+        Some(self.apply_repair(key, warm, query, cached, events, repair))
+    }
+
+    /// The request path after a cache miss: join or lead the key's flight;
+    /// a leader runs the timed search and publishes the verdict. The flag
+    /// is `true` when the verdict came out of warm state (a racing
+    /// leader's search) rather than a search this request ran.
+    fn search(
+        &self,
+        key: (u64, u64),
+        warm: &Arc<GradingSession>,
+        query: &Arc<Query>,
+        events: EventHandle,
+        repair: Option<&RepairOptions>,
+    ) -> (Verdict, bool) {
+        let verdict = match self.claim_flight(key) {
+            Claim::Cached(verdict) => verdict,
+            // A duplicate fingerprint already being graded: wait for the
+            // leader's verdict instead of searching again. Counted as a
+            // cache hit — by the time this request is answered, the verdict
+            // *is* cached state.
+            Claim::Follower(flight) => self.await_flight(&flight),
             Claim::Leader(flight) => {
                 self.metrics.counter_inc("grader.cache_misses");
                 self.metrics.counter_inc("grader.searches");
@@ -670,7 +564,7 @@ impl Grader {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     grade_one_with_timeout(
                         warm.clone(),
-                        request.query.clone(),
+                        query.clone(),
                         self.config.per_job_timeout,
                         events,
                         repair.cloned(),
@@ -680,58 +574,39 @@ impl Grader {
                     message: format!("grading panicked: {}", panic_message(&panic)),
                 });
                 self.finish_flight(key, &flight, verdict.clone());
-                Ok(ExplainResponse {
-                    id: request.id.clone(),
-                    author: request.author.clone(),
-                    fingerprint,
-                    verdict,
-                    from_cache: false,
-                })
+                return (verdict, false);
             }
-            Claim::Follower(flight) => {
-                // A duplicate fingerprint already being graded: wait for the
-                // leader's verdict instead of searching again. Counted as a
-                // cache hit — by the time this request is answered, the
-                // verdict *is* cached state.
-                self.metrics.counter_inc("grader.cache_hits");
-                let verdict = self.await_flight(&flight);
-                Ok(self.respond_cached(key, warm, request, verdict, events, repair))
-            }
-        }
+        };
+        self.metrics.counter_inc("grader.cache_hits");
+        (
+            self.apply_repair(key, warm, query, verdict, &events, repair),
+            true,
+        )
     }
 
-    /// Build the response for a verdict that came out of warm state (the
-    /// cache or a completed in-flight search), applying the per-request
-    /// repair opt-in: `Some` enriches a Wrong verdict in place (and
-    /// upgrades the cached copy), `None` strips suggestions added by an
-    /// earlier opted-in request.
-    fn respond_cached(
+    /// Apply the repair opt-in to a verdict that came out of warm state:
+    /// `Some` enriches a Wrong verdict in place (and upgrades the cached
+    /// copy), `None` strips suggestions added by an earlier opted-in
+    /// request. Suggestions are a *monotone enrichment*, not part of the
+    /// cache key, so the cache always keeps the richest form it has seen.
+    fn apply_repair(
         &self,
         key: (u64, u64),
-        warm: &Arc<GradingSession>,
-        request: &ExplainRequest,
+        warm: &GradingSession,
+        query: &Query,
         mut verdict: Verdict,
-        events: ratest_core::session::EventHandle,
+        events: &EventHandle,
         repair: Option<&RepairOptions>,
-    ) -> ExplainResponse {
+    ) -> Verdict {
         match repair {
             Some(opts) => {
-                if enrich_with_repairs(warm, &request.query, &mut verdict, opts, &events) {
+                if enrich_with_repairs(warm, query, &mut verdict, opts, events) {
                     lock(&self.cache).insert(key, verdict.clone());
                 }
+                verdict
             }
-            None => {
-                if !verdict.suggestions().is_empty() {
-                    verdict = verdict.without_suggestions();
-                }
-            }
-        }
-        ExplainResponse {
-            id: request.id.clone(),
-            author: request.author.clone(),
-            fingerprint: key.1,
-            verdict,
-            from_cache: true,
+            None if !verdict.suggestions().is_empty() => verdict.without_suggestions(),
+            None => verdict,
         }
     }
 
@@ -759,6 +634,9 @@ impl Grader {
     fn finish_flight(&self, key: (u64, u64), flight: &Flight, verdict: Verdict) {
         {
             let mut inflight = lock(&self.inflight);
+            // Timeout verdicts are load-dependent: caching them would make
+            // a transient stall permanent and defeat regrading with a larger
+            // budget. Correct/Wrong/Error are deterministic.
             if !matches!(verdict, Verdict::Timeout { .. }) {
                 lock(&self.cache).insert(key, verdict.clone());
             }
@@ -770,8 +648,8 @@ impl Grader {
 
     /// Block until the flight's leader publishes. Bounded: a leader that
     /// dies without publishing (it can't under normal operation — see
-    /// `catch_unwind` in `respond_impl`) is treated as a timeout rather
-    /// than hanging this request forever.
+    /// `catch_unwind` in `search`) is treated as a timeout rather than
+    /// hanging this request forever.
     fn await_flight(&self, flight: &Flight) -> Verdict {
         let wait_cap = if self.config.per_job_timeout.is_zero() {
             Duration::from_secs(600)
@@ -796,19 +674,6 @@ impl Grader {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-    }
-
-    /// Answer a batch of requests in order (dedup/cache apply per request).
-    pub fn respond_all(
-        &self,
-        reference: &Query,
-        db: &Database,
-        requests: &[ExplainRequest],
-    ) -> Result<Vec<ExplainResponse>, GraderError> {
-        requests
-            .iter()
-            .map(|r| self.respond(reference, db, r))
-            .collect()
     }
 
     /// Grade an ingested directory cohort: the parsed submissions run
@@ -876,76 +741,6 @@ impl GradingSession {
     }
 }
 
-/// Drain the job queue with `config.workers` threads; returns
-/// fingerprint → (verdict, grading time).
-fn run_jobs(
-    jobs: VecDeque<Job>,
-    warm: Arc<GradingSession>,
-    config: &GraderConfig,
-    metrics: &Arc<MetricsRegistry>,
-) -> HashMap<u64, (Verdict, Duration)> {
-    let results: Arc<Mutex<HashMap<u64, (Verdict, Duration)>>> =
-        Arc::new(Mutex::new(HashMap::new()));
-    if jobs.is_empty() {
-        return Arc::try_unwrap(results)
-            .map(|m| m.into_inner().unwrap_or_default())
-            .unwrap_or_default();
-    }
-    let worker_count = config.workers.max(1).min(jobs.len());
-    let queue = Arc::new(Mutex::new(jobs));
-
-    let mut handles = Vec::with_capacity(worker_count);
-    for _ in 0..worker_count {
-        let queue = queue.clone();
-        let results = results.clone();
-        let warm = warm.clone();
-        let timeout = config.per_job_timeout;
-        let repair = config.repair.clone();
-        let metrics = metrics.clone();
-        handles.push(std::thread::spawn(move || loop {
-            let job = match queue.lock() {
-                Ok(mut q) => {
-                    let job = q.pop_front();
-                    if job.is_some() {
-                        // Decrement under the queue lock so the gauge is the
-                        // real remaining depth: a drained batch reads 0
-                        // (pinned by the conformance suite).
-                        metrics.gauge_set("grader.queue_depth", q.len() as i64);
-                    }
-                    job
-                }
-                Err(_) => None,
-            };
-            let Some(job) = job else {
-                break;
-            };
-            let start = Instant::now();
-            let verdict = grade_one_with_timeout(
-                warm.clone(),
-                job.query.clone(),
-                timeout,
-                warm.session.options().events.clone(),
-                repair.clone(),
-            );
-            let elapsed = start.elapsed();
-            if let Ok(mut r) = results.lock() {
-                r.insert(job.fingerprint, (verdict, elapsed));
-            }
-        }));
-    }
-    for h in handles {
-        // A panicking worker has already converted its job's panic into a
-        // `Verdict::Error` inside `grade_one`; a panic here would mean the
-        // pool plumbing itself failed, which we surface by ignoring the
-        // worker (its remaining queue share is drained by the others).
-        let _ = h.join();
-    }
-
-    Arc::try_unwrap(results)
-        .map(|m| m.into_inner().unwrap_or_default())
-        .unwrap_or_default()
-}
-
 /// Grade one submission, enforcing the per-job wall-clock budget.
 ///
 /// Belt and braces: the job runs under a per-job [`Budget`] whose deadline
@@ -959,7 +754,7 @@ fn grade_one_with_timeout(
     warm: Arc<GradingSession>,
     query: Arc<Query>,
     timeout: Duration,
-    events: ratest_core::session::EventHandle,
+    events: EventHandle,
     repair: Option<RepairOptions>,
 ) -> Verdict {
     if timeout.is_zero() {
@@ -1011,7 +806,7 @@ fn enrich_with_repairs(
     query: &Query,
     verdict: &mut Verdict,
     options: &RepairOptions,
-    events: &ratest_core::session::EventHandle,
+    events: &EventHandle,
 ) -> bool {
     let Verdict::Wrong {
         counterexample,
@@ -1051,7 +846,7 @@ fn grade_one(
     warm: &GradingSession,
     query: &Query,
     budget: &Budget,
-    events: ratest_core::session::EventHandle,
+    events: EventHandle,
     repair: Option<&RepairOptions>,
 ) -> Verdict {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -1277,32 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_cap_evicts_lru_sessions_and_tracks_real_occupancy() {
-        let db = testdata::figure1_db();
-        let q1 = testdata::example1_q1();
-        let q2 = testdata::example1_q2();
-        let grader = Grader::new(GraderConfig {
-            warm_cap: Some(1),
-            ..Default::default()
-        });
-        let c1 = grader.prepare_context(&q1, &db).unwrap();
-        assert_eq!(grader.warm_sessions(), 1);
-        let c2 = grader.prepare_context(&q2, &db).unwrap();
-        assert_eq!(
-            grader.warm_sessions(),
-            1,
-            "cap of 1 evicts the older context"
-        );
-        assert_eq!(grader.metrics().gauge("grader.warm_sessions"), Some(1));
-        assert_eq!(grader.metrics().counter("grader.session_evictions"), 1);
-        assert!(matches!(
-            grader.shared_annotation_for(c1),
-            Err(GraderError::UnknownContext)
-        ));
-        assert!(grader.shared_annotation_for(c2).is_ok());
-    }
-
-    #[test]
     fn queue_depth_gauge_reads_zero_after_the_batch_drains() {
         let (reference, db, subs) = toy_batch();
         let grader = Grader::new(GraderConfig {
@@ -1311,6 +1080,32 @@ mod tests {
         });
         grader.grade("batch", &reference, &db, &subs).unwrap();
         assert_eq!(grader.metrics().gauge("grader.queue_depth"), Some(0));
+    }
+
+    #[test]
+    fn batches_and_requests_share_one_verdict_cache() {
+        let (reference, db, subs) = toy_batch();
+        let grader = Grader::new(GraderConfig::default());
+        let context = grader.prepare_context(&reference, &db).unwrap();
+        let wrong = ExplainRequest::new("r1", "Ben", testdata::example1_q2());
+        let first = grader
+            .respond(context, &wrong, EventHandle::none(), None)
+            .unwrap();
+        assert!(!first.from_cache);
+        // The request's verdict answers s1..s3; only s0's group searches.
+        let report = grader.grade("batch", &reference, &db, &subs).unwrap();
+        assert_eq!(report.stats.cache_hits, 1);
+        assert_eq!(report.stats.pipeline_runs, 1);
+        assert!(!report.graded[0].from_cache);
+        assert!(report.graded[1].from_cache);
+        // And the batch's verdict answers a later request.
+        let correct = ExplainRequest::new("r2", "Ada", reference.clone());
+        let again = grader
+            .respond(context, &correct, EventHandle::none(), None)
+            .unwrap();
+        assert!(again.from_cache);
+        assert_eq!(grader.metrics().counter("grader.searches"), 2);
+        assert_eq!(grader.metrics().gauge("grader.warm_sessions"), Some(1));
     }
 
     #[test]
@@ -1329,10 +1124,11 @@ mod tests {
             let wrong = wrong.clone();
             handles.push(std::thread::spawn(move || {
                 grader
-                    .respond_prepared(
+                    .respond(
                         context,
                         &ExplainRequest::new(format!("s{i}"), format!("s{i}"), wrong),
-                        ratest_core::session::EventHandle::none(),
+                        EventHandle::none(),
+                        None,
                     )
                     .expect("respond")
             }));
@@ -1342,7 +1138,7 @@ mod tests {
         // Six identical fingerprints in flight at once → one leader searched,
         // five followers joined it (counted as cache hits: by the time they
         // were answered, the verdict was cached state).
-        assert_eq!(grader.searches_total(), 1);
+        assert_eq!(grader.metrics().counter("grader.searches"), 1);
         assert_eq!(grader.metrics().counter("grader.cache_misses"), 1);
         assert_eq!(grader.metrics().counter("grader.cache_hits"), 5);
         let tags: std::collections::HashSet<&str> =

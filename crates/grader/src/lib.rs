@@ -37,17 +37,24 @@
 //! 5. **Cohort sharding** ([`shard`]): `grade --shard i/N` grades a
 //!    deterministic slice of the cohort in its own process; `grade merge`
 //!    fuses the shard reports and caches into exactly the unsharded
-//!    artifacts, and `grade --spawn N` drives all N shards (as sequential
+//!    artifacts, and `grade --spawn N` drives all N shards (as concurrent
 //!    subprocesses) plus the merge from one invocation.
-//! 6. **Warm sessions + a wire API** ([`api`]): the engine is built on
-//!    [`ratest_core::session::Session`] — one prepared session per grading
-//!    context survives across batches — and every consumer speaks
-//!    [`ExplainRequest`]/[`ExplainResponse`] values that serialize via
-//!    `ratest_storage::codec`.
+//! 6. **Warm sessions, one request path + a wire API** ([`api`]): the
+//!    engine is built on [`ratest_core::session::Session`] — one prepared
+//!    session per grading context survives across batches (the engine never
+//!    evicts one) — and every verdict, a batch group's or a daemon
+//!    request's, takes one path: the verdict cache, then single-flight, then
+//!    the timed search, then publication into the cache
+//!    ([`Grader::respond`] is that path for one request). Every consumer
+//!    speaks [`ExplainRequest`]/[`ExplainResponse`] values that serialize
+//!    via `ratest_storage::codec`.
 //! 7. **A persistent daemon** ([`serve`](mod@serve)): `grade serve` speaks the
 //!    versioned `ratest-serve` NDJSON protocol over stdio with warm
 //!    per-reference state, streaming typed progress events; a served
-//!    re-grade performs zero counterexample searches.
+//!    re-grade performs zero counterexample searches. Each reference owns
+//!    one engine, and the daemon's LRU over references (`--warm-cap`) is
+//!    the only eviction path: an evicted reference's verdicts are appended
+//!    to the [`store::Store`] first.
 //!
 //! Real-world cohorts come from the [`ingest`] module: a directory of
 //! `.sql` / `.ra` submission files is dispatched by extension through the
@@ -84,6 +91,6 @@ pub use ingest::{
 pub use report::{BatchReport, BatchStats};
 pub use serve::{serve, serve_with, ServeConfig};
 pub use shard::{merge_reports, shard_cohort, shard_of, ShardSpec};
-pub use store::{CacheEntry, LoadedCache, SkippedRecord, StoreError};
+pub use store::{CacheEntry, LoadedCache, SkippedRecord, Store, StoreError};
 pub use submission::{group_by_fingerprint, Submission, SubmissionGroup};
 pub use verdict::{GradedSubmission, Verdict};

@@ -62,18 +62,21 @@
 //!   queues unboundedly.
 //! - **LRU eviction** — `warm_cap` bounds the number of warm references;
 //!   preparing one more evicts the least-recently-used (its unpersisted
-//!   verdicts are flushed to the store first when one is configured).
+//!   verdicts are flushed to the store first when one is configured). This
+//!   is the daemon's only eviction path: each reference owns one engine
+//!   holding one context, and the engine never evicts.
 //! - **Persistence** — with a `cache` store, verdicts land in the same
 //!   append-only file `grade --cache` uses; a restarted daemon preloads it
 //!   at `prepare` time, so re-grades after a crash perform zero
-//!   counterexample searches.
+//!   counterexample searches. Records that fail to load are named on
+//!   stderr.
 //! - **Disconnect tolerance** — a client vanishing mid-stream (`EPIPE`) is
 //!   a clean shutdown: the daemon drains in-flight work, flushes the store,
 //!   and exits 0.
 //!
 //! Frontend rejections are *successful* gradings with a `rejected` verdict
-//! (the diagnostic is the answer); only malformed requests get
-//! `"ok":false`.
+//! (the diagnostic is the answer); only malformed requests — including a
+//! line that is not UTF-8 — get `"ok":false`.
 //!
 //! [`Session`]: ratest_core::session::Session
 
@@ -87,7 +90,7 @@ use ratest_core::pipeline::RatestOptions;
 use ratest_core::session::{Budget, EventHandle, EventSink, ExplainEvent};
 use ratest_queries::course::course_questions;
 use ratest_storage::{Database, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -193,7 +196,7 @@ impl RefLru {
 
     /// Evict least-recently-used references until at most `cap` remain
     /// (never fewer than one — the reference just prepared stays warm).
-    fn evict_over(&mut self, cap: usize) -> Vec<(String, Arc<RefState>)> {
+    fn evict_over(&mut self, cap: usize) -> Vec<Arc<RefState>> {
         let mut evicted = Vec::new();
         while self.map.len() > cap.max(1) {
             let victim = self
@@ -203,20 +206,20 @@ impl RefLru {
                 .map(|(id, _)| id.clone())
                 .expect("non-empty map has a minimum stamp");
             let (state, _) = self.map.remove(&victim).expect("victim key present");
-            evicted.push((victim, state));
+            evicted.push(state);
         }
         evicted
     }
 
     /// All warm references in deterministic (id) order.
-    fn sorted(&self) -> Vec<(&str, &Arc<RefState>)> {
-        let mut refs: Vec<(&str, &Arc<RefState>)> = self
+    fn in_id_order(&self) -> Vec<&Arc<RefState>> {
+        let mut refs: Vec<(&String, &Arc<RefState>)> = self
             .map
             .iter()
-            .map(|(id, (state, _))| (id.as_str(), state))
+            .map(|(id, (state, _))| (id, state))
             .collect();
         refs.sort_by_key(|(id, _)| *id);
-        refs
+        refs.into_iter().map(|(_, state)| state).collect()
     }
 }
 
@@ -266,62 +269,6 @@ impl Inflight {
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-    }
-}
-
-/// The daemon's view of the on-disk verdict store: every entry known to be
-/// on disk (loaded at startup, grown by each flush — so an evicted
-/// reference's verdicts are found again on re-prepare without re-reading
-/// the file), plus the key set for exact-append bookkeeping.
-struct StoreState {
-    path: PathBuf,
-    entries: Vec<store::CacheEntry>,
-    persisted: HashSet<(u64, u64)>,
-    appended: u64,
-}
-
-impl StoreState {
-    fn open(path: PathBuf) -> Result<StoreState, store::StoreError> {
-        let loaded = store::load(&path)?;
-        let persisted = loaded
-            .entries
-            .iter()
-            .map(|e| (e.context, e.fingerprint))
-            .collect();
-        Ok(StoreState {
-            path,
-            entries: loaded.entries,
-            persisted,
-            appended: 0,
-        })
-    }
-
-    /// Seed a freshly-prepared grader with this context's stored verdicts —
-    /// the restart-equals-warm-start path.
-    fn preload(&self, grader: &Grader, context: crate::engine::GradeContext) -> usize {
-        let key = context.key();
-        grader.preload_cache(self.entries.iter().filter(|e| e.context == key).cloned())
-    }
-
-    /// Append the reference's not-yet-persisted verdicts to the store.
-    fn flush(&mut self, state: &RefState) -> Result<u64, store::StoreError> {
-        let fresh: Vec<store::CacheEntry> = state
-            .grader
-            .cache_entries()
-            .into_iter()
-            .filter(|e| !self.persisted.contains(&(e.context, e.fingerprint)))
-            .collect();
-        if fresh.is_empty() {
-            return Ok(0);
-        }
-        store::append(&self.path, &fresh)?;
-        for e in &fresh {
-            self.persisted.insert((e.context, e.fingerprint));
-        }
-        self.appended += fresh.len() as u64;
-        let appended = fresh.len() as u64;
-        self.entries.extend(fresh);
-        Ok(appended)
     }
 }
 
@@ -467,7 +414,11 @@ pub fn serve_with<R: BufRead, W: Write + Send + 'static>(
     let out = Arc::new(Mutex::new(output));
     let disconnected = Arc::new(AtomicBool::new(false));
     let store = match config.cache.clone() {
-        Some(path) => Some(StoreState::open(path).map_err(store_io_error)?),
+        Some(path) => {
+            let store = store::Store::open(path).map_err(store_io_error)?;
+            store.report_skipped();
+            Some(store)
+        }
         None => None,
     };
     let mut daemon = Daemon {
@@ -493,21 +444,32 @@ pub fn serve_with<R: BufRead, W: Write + Send + 'static>(
     }
 
     let mut result = Ok(());
-    for line in input.lines() {
-        if disconnected.load(Ordering::Relaxed) {
-            break;
-        }
-        let line = match line {
-            Ok(line) => line,
+    let mut input = input;
+    let mut raw = Vec::new();
+    while !disconnected.load(Ordering::Relaxed) {
+        // Raw bytes, not `lines()`: a non-UTF-8 request is one protocol
+        // error, not the end of the transport.
+        raw.clear();
+        match input.read_until(b'\n', &mut raw) {
+            Ok(0) => break,
+            Ok(_) => {}
             Err(e) => {
                 result = Err(e);
                 break;
             }
-        };
-        if line.trim().is_empty() {
-            continue;
         }
-        match daemon.dispatch(&line) {
+        if raw.ends_with(b"\n") {
+            raw.pop();
+            if raw.ends_with(b"\r") {
+                raw.pop();
+            }
+        }
+        let flow = match std::str::from_utf8(&raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => daemon.dispatch(line),
+            Err(e) => Flow::Respond(error_response(None, format!("request is not UTF-8: {e}"))),
+        };
+        match flow {
             Flow::Spawned => {}
             Flow::Respond(response) => {
                 if let Err(e) = write_line(&out, &response) {
@@ -582,7 +544,7 @@ enum Flow {
 struct Daemon<W: Write + Send + 'static> {
     config: ServeConfig,
     refs: RefLru,
-    store: Option<StoreState>,
+    store: Option<store::Store>,
     inflight: Arc<Inflight>,
     evictions: u64,
     out: Arc<Mutex<W>>,
@@ -805,16 +767,14 @@ impl<W: Write + Send + 'static> Daemon<W> {
                 options.parameters.insert(name.clone(), value);
             }
         }
+        // One engine per reference, holding exactly one context: the
+        // whole engine is what `RefLru` evicts. Repair is a per-request
+        // opt-in on `grade`, never ambient state.
         let grader = Grader::new(GraderConfig {
             workers: 1,
             per_job_timeout: Duration::from_millis(timeout_ms),
             options,
-            // Repair is a per-request opt-in on `grade`, never ambient
-            // state; each serve grader holds exactly one context, so the
-            // engine-level session cap is moot — eviction happens at the
-            // whole-reference level (`RefLru`).
             repair: None,
-            warm_cap: None,
         });
 
         // Warm the session now: the context is established (instance
@@ -828,13 +788,16 @@ impl<W: Write + Send + 'static> Daemon<W> {
         // Preload stored verdicts *before* the warmup probe: on a restart
         // the probe itself is answered from the store, so a prepared-again
         // reference performs zero counterexample searches.
-        let preloaded = self
-            .store
-            .as_ref()
-            .map(|s| s.preload(&grader, context) as i64);
+        let preloaded = self.store.as_ref().map(|store| {
+            let stored = store
+                .entries()
+                .iter()
+                .filter(|e| e.context == context.key());
+            grader.preload_cache(stored.cloned()) as i64
+        });
         let probe = ExplainRequest::new("__warmup__", "__warmup__", reference.clone());
         let fingerprint = probe.fingerprint();
-        if let Err(e) = grader.respond_prepared(context, &probe, EventHandle::none()) {
+        if let Err(e) = grader.respond(context, &probe, EventHandle::none(), None) {
             return error_response(Some("prepare"), e.to_string());
         }
         let shared_annotation = grader.shared_annotation_for(context).unwrap_or(false);
@@ -849,24 +812,18 @@ impl<W: Write + Send + 'static> Daemon<W> {
             baseline,
         });
 
-        let mut flushed: Vec<Arc<RefState>> = Vec::new();
-        if let Some(old) = self.refs.insert(ref_id.clone(), state.clone()) {
-            flushed.push(old);
-        }
+        let mut displaced: Vec<Arc<RefState>> = Vec::new();
+        displaced.extend(self.refs.insert(ref_id.clone(), state.clone()));
         if let Some(cap) = self.config.warm_cap {
             let evicted = self.refs.evict_over(cap);
             self.evictions += evicted.len() as u64;
-            flushed.extend(evicted.into_iter().map(|(_, s)| s));
+            displaced.extend(evicted);
         }
-        if let Some(store) = self.store.as_mut() {
-            for old in &flushed {
-                if let Err(e) = store.flush(old) {
-                    return error_response(
-                        Some("prepare"),
-                        format!("flushing evicted reference failed: {e}"),
-                    );
-                }
-            }
+        if let Err(e) = flush(self.store.as_mut(), &displaced) {
+            return error_response(
+                Some("prepare"),
+                format!("flushing evicted reference failed: {e}"),
+            );
         }
 
         let mut pairs = vec![
@@ -928,7 +885,7 @@ impl<W: Write + Send + 'static> Daemon<W> {
     fn cmd_stats_daemon(&self) -> Json {
         let mut graded = 0i64;
         let mut searches = 0i64;
-        for (_, state) in self.refs.sorted() {
+        for state in self.refs.in_id_order() {
             let snapshot = state.grader.metrics_snapshot();
             graded += snapshot.counter_since(&state.baseline, "serve.requests.grade") as i64;
             searches += snapshot.counter_since(&state.baseline, "grader.searches") as i64;
@@ -953,8 +910,8 @@ impl<W: Write + Send + 'static> Daemon<W> {
         ];
         match &self.store {
             Some(store) => {
-                pairs.push(("persisted", Json::Int(store.persisted.len() as i64)));
-                pairs.push(("appended", Json::Int(store.appended as i64)));
+                pairs.push(("persisted", Json::Int(store.persisted() as i64)));
+                pairs.push(("appended", Json::Int(store.appended() as i64)));
             }
             None => {
                 pairs.push(("persisted", Json::Null));
@@ -976,7 +933,7 @@ impl<W: Write + Send + 'static> Daemon<W> {
                     ("ok", Json::Bool(true)),
                     ("cmd", Json::str("sync")),
                     ("appended", Json::Int(appended as i64)),
-                    ("persisted", Json::Int(store.persisted.len() as i64)),
+                    ("persisted", Json::Int(store.persisted() as i64)),
                 ])
             }
             Err(e) => error_response(Some("sync"), format!("verdict store append failed: {e}")),
@@ -986,19 +943,25 @@ impl<W: Write + Send + 'static> Daemon<W> {
     /// Flush all warm references (deterministic id order); returns how many
     /// entries were appended.
     fn flush_all(&mut self) -> Result<u64, store::StoreError> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(0);
-        };
-        let mut ids: Vec<String> = self.refs.map.keys().cloned().collect();
-        ids.sort();
-        let mut appended = 0;
-        for id in ids {
-            if let Some((state, _)) = self.refs.map.get(&id) {
-                appended += store.flush(state)?;
-            }
-        }
-        Ok(appended)
+        flush(self.store.as_mut(), self.refs.in_id_order())
     }
+}
+
+/// The daemon's one flush path: append each reference's unpersisted
+/// verdicts to the store, in the order given; returns how many entries were
+/// appended (none without a store).
+fn flush<'a>(
+    store: Option<&mut store::Store>,
+    states: impl IntoIterator<Item = &'a Arc<RefState>>,
+) -> Result<u64, store::StoreError> {
+    let Some(store) = store else {
+        return Ok(0);
+    };
+    let mut appended = 0;
+    for state in states {
+        appended += store.append_new(state.grader.cache_entries())?;
+    }
+    Ok(appended)
 }
 
 fn ref_field<'a>(request: &'a Json, cmd: &str) -> Result<&'a str, Json> {
@@ -1094,7 +1057,7 @@ fn cmd_grade<W: Write + Send + 'static>(
                 None => EventHandle::none(),
             };
             let repair_options = want_repair.then(ratest_repair::RepairOptions::default);
-            let outcome = state.grader.respond_prepared_with(
+            let outcome = state.grader.respond(
                 state.context,
                 &ExplainRequest::new(submission.id.clone(), author.clone(), submission.query),
                 events,
@@ -1201,6 +1164,27 @@ mod tests {
         );
         let hello = Json::parse(lines.next().unwrap()).unwrap();
         assert_eq!(hello.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn a_non_utf8_request_line_is_one_error_not_the_end_of_the_daemon() {
+        let out = SharedBuf::default();
+        let input: &[u8] = b"{\"cmd\":\"hello\"}\n\xff\xfe\n{\"cmd\":\"hello\"}\n";
+        serve(input, out.clone()).expect("a bad line is not a transport error");
+        let docs: Vec<Json> = out
+            .contents()
+            .lines()
+            .skip(1)
+            .map(|l| Json::parse(l).unwrap())
+            .collect();
+        assert_eq!(docs.len(), 3);
+        assert_eq!(docs[1].get("ok").and_then(Json::as_bool), Some(false));
+        assert!(docs[1]
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("UTF-8"));
+        assert_eq!(docs[2].get("cmd").and_then(Json::as_str), Some("hello"));
     }
 
     #[test]

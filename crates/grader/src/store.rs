@@ -26,8 +26,8 @@
 //! `\`, newline and carriage return escaped so a record is always exactly
 //! one line. The checksum is the FNV-1a hash of the unescaped payload.
 //!
-//! Loading is **corruption tolerant**: a record that fails to parse, fails
-//! its checksum, or decodes to garbage is skipped and reported in
+//! Loading is **corruption tolerant**: a record that is not UTF-8, fails to
+//! parse, fails its checksum, or decodes to garbage is skipped and reported in
 //! [`LoadedCache::skipped`] — never a panic, and never fatal to the
 //! surrounding records. Only a missing/foreign header is fatal (that is a
 //! version or file-identity problem, not bit rot).
@@ -49,9 +49,10 @@ use ratest_storage::codec::{
     encode_value, Decoder, Encoder,
 };
 use ratest_storage::SubInstance;
+use std::collections::HashSet;
 use std::fmt;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Magic first line of a verdict cache file; bump the version suffix on any
 /// format change (golden tests pin the current schema).
@@ -455,19 +456,27 @@ fn parse_record(line: &str) -> Result<CacheEntry, String> {
 
 /// Load a verdict cache file. A missing file is an empty cache (the first
 /// cold run starts from nothing); corrupt records are skipped and reported.
+/// Lines are decoded one at a time, so a record with a non-UTF-8 byte is one
+/// skipped record, not an unreadable file.
 pub fn load(path: &Path) -> Result<LoadedCache, StoreError> {
-    let contents = match std::fs::read_to_string(path) {
+    let contents = match std::fs::read(path) {
         Ok(c) => c,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(LoadedCache::default()),
         Err(e) => return Err(StoreError::Io(e)),
     };
-    let mut lines = contents.lines().enumerate();
+    // The line endings of `str::lines`: `\n`, or `\r\n`.
+    let mut lines = contents
+        .split_inclusive(|&b| b == b'\n')
+        .map(|line| {
+            let line = line.strip_suffix(b"\n").unwrap_or(line);
+            line.strip_suffix(b"\r").unwrap_or(line)
+        })
+        .enumerate();
     match lines.next() {
         None => return Ok(LoadedCache::default()), // empty file: empty cache
-        Some((_, header)) if header == CACHE_HEADER => {}
+        Some((_, header)) if header == CACHE_HEADER.as_bytes() => {}
         Some((_, header)) => {
-            let mut found = header.to_owned();
-            found.truncate(64);
+            let found = String::from_utf8_lossy(header).chars().take(64).collect();
             return Err(StoreError::Header { found });
         }
     }
@@ -476,7 +485,10 @@ pub fn load(path: &Path) -> Result<LoadedCache, StoreError> {
         if line.is_empty() {
             continue;
         }
-        match parse_record(line) {
+        let parsed = std::str::from_utf8(line)
+            .map_err(|e| format!("record is not UTF-8: {e}"))
+            .and_then(parse_record);
+        match parsed {
             Ok(entry) => out.entries.push(entry),
             Err(reason) => out.skipped.push(SkippedRecord {
                 line: idx + 1,
@@ -485,6 +497,102 @@ pub fn load(path: &Path) -> Result<LoadedCache, StoreError> {
         }
     }
     Ok(out)
+}
+
+/// Print every skipped record of `path` to stderr, one line each, naming
+/// the file and the 1-based line number.
+pub fn report_skipped(path: &Path, skipped: &[SkippedRecord]) {
+    for s in skipped {
+        eprintln!(
+            "grade: {}: skipped corrupt record at line {}: {}",
+            path.display(),
+            s.line,
+            s.reason
+        );
+    }
+}
+
+/// A verdict store file and the records known to be on it: those loaded
+/// when it was opened plus every record appended through this handle.
+/// [`Store::append_new`] writes only the records whose key is not on disk
+/// yet — the one bookkeeping rule of `grade --cache`, `grade --spawn` and
+/// the `grade serve` flushes.
+#[derive(Debug)]
+pub struct Store {
+    path: PathBuf,
+    entries: Vec<CacheEntry>,
+    on_disk: HashSet<(u64, u64)>,
+    skipped: Vec<SkippedRecord>,
+    appended: u64,
+}
+
+impl Store {
+    /// Load the store at `path` (see [`load`]: a missing file is an empty
+    /// store, corrupt records are kept aside for [`Store::report_skipped`]).
+    pub fn open(path: impl Into<PathBuf>) -> Result<Store, StoreError> {
+        let path = path.into();
+        let loaded = load(&path)?;
+        let on_disk = loaded
+            .entries
+            .iter()
+            .map(|e| (e.context, e.fingerprint))
+            .collect();
+        Ok(Store {
+            path,
+            entries: loaded.entries,
+            on_disk,
+            skipped: loaded.skipped,
+            appended: 0,
+        })
+    }
+
+    /// Every record on disk, loaded or appended through this handle, in
+    /// file order.
+    pub fn entries(&self) -> &[CacheEntry] {
+        &self.entries
+    }
+
+    /// [`report_skipped`] for the records that failed to load when the
+    /// store was opened.
+    pub fn report_skipped(&self) {
+        report_skipped(&self.path, &self.skipped);
+    }
+
+    /// Number of distinct keys on disk.
+    pub fn persisted(&self) -> usize {
+        self.on_disk.len()
+    }
+
+    /// Number of records appended through this handle.
+    pub fn appended(&self) -> u64 {
+        self.appended
+    }
+
+    /// Append the entries whose key is not on disk yet (of several with
+    /// one key, the first wins); returns how many records were written.
+    /// Nothing fresh means no write at all.
+    pub fn append_new(
+        &mut self,
+        entries: impl IntoIterator<Item = CacheEntry>,
+    ) -> Result<u64, StoreError> {
+        let mut keys = HashSet::new();
+        let fresh: Vec<CacheEntry> = entries
+            .into_iter()
+            .filter(|e| {
+                let key = (e.context, e.fingerprint);
+                !self.on_disk.contains(&key) && keys.insert(key)
+            })
+            .collect();
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        append(&self.path, &fresh)?;
+        let written = fresh.len() as u64;
+        self.on_disk.extend(keys);
+        self.appended += written;
+        self.entries.extend(fresh);
+        Ok(written)
+    }
 }
 
 /// Append entries to a cache file, creating it (with its version header) if
@@ -535,7 +643,7 @@ pub fn append(path: &Path, entries: &[CacheEntry]) -> Result<(), StoreError> {
 /// Write a fresh cache file containing exactly `entries` (sorted, deduped by
 /// key — first occurrence wins). Used by `grade merge` to fuse shard caches.
 pub fn write_merged(path: &Path, entries: &[CacheEntry]) -> Result<(), StoreError> {
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     let mut unique: Vec<&CacheEntry> = Vec::with_capacity(entries.len());
     for e in entries {
         if seen.insert((e.context, e.fingerprint)) {
@@ -683,6 +791,49 @@ mod tests {
         assert!(loaded.skipped[0].reason.contains("checksum"));
         // Line numbers are 1-based and point at the corrupt lines.
         assert_eq!(loaded.skipped[0].line, entries.len() + 2);
+    }
+
+    #[test]
+    fn a_non_utf8_record_is_skipped_not_fatal() {
+        let path = scratch("non-utf8");
+        let entries = graded_entries();
+        append(&path, &entries).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[CACHE_HEADER.len() + 5] = 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let loaded = load(&path).expect("one bad byte is not an unreadable file");
+        assert_eq!(loaded.entries.len(), entries.len() - 1);
+        assert_eq!(loaded.skipped.len(), 1, "{:?}", loaded.skipped);
+        assert_eq!(loaded.skipped[0].line, 2);
+        assert!(loaded.skipped[0].reason.contains("UTF-8"));
+    }
+
+    #[test]
+    fn the_store_appends_only_keys_not_on_disk() {
+        let path = scratch("append-new");
+        let entries = graded_entries();
+        let mut store = Store::open(&path).unwrap();
+        assert_eq!(
+            store.append_new(entries.clone()).unwrap(),
+            entries.len() as u64
+        );
+        // Known keys — and a duplicate within one call — are not written again.
+        let extra = CacheEntry {
+            context: 7,
+            fingerprint: 9,
+            verdict: Verdict::Correct,
+        };
+        let again = entries.iter().cloned().chain([extra.clone(), extra]);
+        assert_eq!(store.append_new(again).unwrap(), 1);
+        assert_eq!(store.append_new(Vec::new()).unwrap(), 0);
+        assert_eq!(store.persisted(), entries.len() + 1);
+        assert_eq!(store.appended(), entries.len() as u64 + 1);
+
+        let reopened = Store::open(&path).unwrap();
+        assert_eq!(reopened.entries().len(), entries.len() + 1);
+        assert_eq!(reopened.persisted(), entries.len() + 1);
+        assert_eq!(reopened.appended(), 0);
     }
 
     #[test]

@@ -306,3 +306,42 @@ fn the_binary_accepts_the_serve_flags() {
     assert_eq!(stats.get("persisted").and_then(Json::as_i64), Some(0));
     let _ = std::fs::remove_file(&cache);
 }
+
+#[test]
+fn the_daemon_reports_skipped_store_records_on_stderr() {
+    let cache = tmp_path("skipped.rvc");
+    std::fs::write(
+        &cache,
+        format!(
+            "{}\nnot a record at all\n",
+            ratest_grader::store::CACHE_HEADER
+        ),
+    )
+    .unwrap();
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_grade"))
+        .arg("serve")
+        .arg("--cache")
+        .arg(&cache)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("grade serve starts");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"cmd\":\"stats\"}\n{\"cmd\":\"shutdown\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("daemon exits on shutdown");
+    assert!(out.status.success());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("skipped corrupt record at line 2"),
+        "stderr: {stderr}"
+    );
+    // The corrupt line is reported, not loaded, and the daemon still serves.
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("\"persisted\":0"), "{stdout}");
+    let _ = std::fs::remove_file(&cache);
+}

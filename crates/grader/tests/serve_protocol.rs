@@ -16,7 +16,10 @@
 //! * **Binary transport**: the same conversation piped through the real
 //!   `grade serve` subprocess matches the in-process output, so the CI
 //!   `serve-protocol` job and the library tests pin one artifact.
+//! * **Front-door fuzz**: arbitrary bytes and truncated conversation lines
+//!   each get exactly one response, and the daemon never dies of them.
 
+use proptest::prelude::*;
 use ratest_grader::json::Json;
 use ratest_grader::serve::serve;
 use std::io::Write as _;
@@ -201,4 +204,97 @@ fn spawn_driver_matches_the_unsharded_report() {
         "spawn-merged report differs from the unsharded run"
     );
     let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// A non-UTF-8 request line through the real binary is answered with one
+/// protocol error; the daemon keeps serving and exits 0.
+#[test]
+fn a_non_utf8_request_line_does_not_kill_the_daemon() {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_grade"))
+        .arg("serve")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .spawn()
+        .expect("grade serve starts");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"{\"cmd\":\"hello\"}\n\xff\xfe\n{\"cmd\":\"hello\"}\n{\"cmd\":\"shutdown\"}\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("daemon exits on shutdown");
+    assert!(out.status.success(), "{out:?}");
+    let oks: Vec<Option<bool>> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .skip(1)
+        .map(|l| Json::parse(l).unwrap().get("ok").and_then(Json::as_bool))
+        .collect();
+    assert_eq!(oks, [Some(true), Some(false), Some(true), Some(true)]);
+}
+
+/// The number of responses a request stream must produce: one per
+/// non-blank line, up to and including the first `shutdown`.
+fn expected_responses(input: &[u8]) -> usize {
+    let mut expected = 0;
+    for line in input.split(|&b| b == b'\n') {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let text = std::str::from_utf8(line).ok();
+        if text.is_some_and(|t| t.trim().is_empty()) {
+            continue;
+        }
+        expected += 1;
+        let request = text.and_then(|t| Json::parse(t).ok());
+        if request.is_some_and(|r| r.get("cmd").and_then(Json::as_str) == Some("shutdown")) {
+            break;
+        }
+    }
+    expected
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary bytes, truncations and whole lines of the golden
+    /// conversation, after its `prepare` (so whole `grade` lines really
+    /// grade): each non-blank line gets exactly one response carrying an
+    /// `ok` field, and the loop returns `Ok` without panicking.
+    #[test]
+    fn every_request_line_gets_exactly_one_response(
+        lines in prop::collection::vec(
+            (
+                0u8..3,
+                0usize..64,
+                0usize..1024,
+                prop::collection::vec((0u16..256).prop_map(|b| b as u8), 0..24),
+            ),
+            1..8,
+        ),
+    ) {
+        let golden: Vec<&str> = include_str!("fixtures/serve/course_conversation.ndjson")
+            .lines()
+            .collect();
+        let prepare = golden.iter().find(|l| l.contains("\"prepare\"")).expect("golden prepares");
+        let mut input = format!("{prepare}\n").into_bytes();
+        for (kind, which, cut, bytes) in lines {
+            let line = golden[which % golden.len()].as_bytes();
+            match kind {
+                0 => input.extend_from_slice(&bytes),
+                1 => input.extend_from_slice(&line[..cut % (line.len() + 1)]),
+                _ => input.extend_from_slice(line),
+            }
+            input.push(b'\n');
+        }
+        let out = SharedBuf::default();
+        let served = serve(&input[..], out.clone());
+        prop_assert!(served.is_ok(), "{served:?} on {input:?}");
+        let bytes = out.0.lock().unwrap().clone();
+        let responses = String::from_utf8(bytes)
+            .expect("daemon output is UTF-8")
+            .lines()
+            .filter(|l| Json::parse(l).expect("output lines are JSON").get("ok").is_some())
+            .count();
+        let input_text = String::from_utf8_lossy(&input);
+        prop_assert_eq!(responses, expected_responses(&input), "on {:?}", input_text);
+    }
 }
