@@ -12,6 +12,7 @@ use ratest_core::aggregates::agg_param::{smallest_counterexample_agg_param, AggP
 use ratest_core::basic::{smallest_counterexample_basic, BasicOptions};
 use ratest_core::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
 use ratest_core::pipeline::SolverStrategy;
+use ratest_core::RatestError;
 use ratest_datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
 use ratest_queries::tpch_queries::{q18_parameterized, q18_parameterized_wrong, tpch_experiments};
 use ratest_ra::eval::Params;
@@ -346,10 +347,12 @@ pub struct Fig6Row {
     pub query: String,
     /// Which wrong variant (0 or 1).
     pub variant: usize,
-    /// Agg-Basic component times (raw, provenance, solver), `None` on timeout.
-    pub agg_basic: Option<(Duration, Duration, Duration, usize)>,
-    /// Agg-Opt component times (raw, provenance, solver) and size.
-    pub agg_opt: Option<(Duration, Duration, Duration, usize)>,
+    /// Agg-Basic component times (raw, provenance, solver) and size, or
+    /// the error the search ended with.
+    pub agg_basic: Result<(Duration, Duration, Duration, usize), RatestError>,
+    /// Agg-Opt component times (raw, provenance, solver) and size, or the
+    /// error (Agg-Opt declines the pairs it cannot decompose).
+    pub agg_opt: Result<(Duration, Duration, Duration, usize), RatestError>,
 }
 
 /// Run the Figure 6 experiment at the given TPC-H scale factor.
@@ -365,7 +368,6 @@ pub fn fig6(scale_factor: f64, seed: u64) -> Vec<Fig6Row> {
                 &Params::new(),
                 &AggBasicOptions::default(),
             )
-            .ok()
             .map(|(c, t)| (t.raw_eval, t.provenance, t.solver, c.size()));
             let opt = smallest_counterexample_agg_opt(
                 &exp.reference,
@@ -374,7 +376,6 @@ pub fn fig6(scale_factor: f64, seed: u64) -> Vec<Fig6Row> {
                 &Params::new(),
                 &AggOptOptions::default(),
             )
-            .ok()
             .map(|(c, t)| (t.raw_eval, t.provenance, t.solver, c.size()));
             rows.push(Fig6Row {
                 query: exp.name.to_owned(),
@@ -512,7 +513,7 @@ mod tests {
     fn fig6_and_fig7_run_at_tiny_scale() {
         let rows = fig6(0.0006, 3);
         assert!(!rows.is_empty());
-        assert!(rows.iter().any(|r| r.agg_opt.is_some()));
+        assert!(rows.iter().any(|r| r.agg_opt.is_ok()));
         let f7 = fig7(0.0008, 3);
         if f7.pairs > 0 {
             assert!(f7.param_size <= f7.basic_size);

@@ -105,7 +105,7 @@ pub fn render_fig6(rows: &[Fig6Row]) -> String {
     for r in rows {
         for (name, data) in [("Agg-Basic", &r.agg_basic), ("Agg-Opt", &r.agg_opt)] {
             match data {
-                Some((raw, prov, solver, size)) => s.push_str(&format!(
+                Ok((raw, prov, solver, size)) => s.push_str(&format!(
                     "{:<5}  {:>3}  {:<9}  {:>9}  {:>9}  {:>9}  {:>4}\n",
                     r.query,
                     r.variant,
@@ -115,9 +115,15 @@ pub fn render_fig6(rows: &[Fig6Row]) -> String {
                     ms(*solver),
                     size
                 )),
-                None => s.push_str(&format!(
+                Err(e) => s.push_str(&format!(
                     "{:<5}  {:>3}  {:<9}  {:>9}  {:>9}  {:>9}  {:>4}\n",
-                    r.query, r.variant, name, "timeout", "-", "-", "-"
+                    r.query,
+                    r.variant,
+                    name,
+                    e.kind(),
+                    "-",
+                    "-",
+                    "-"
                 )),
             }
         }
@@ -143,6 +149,7 @@ pub fn render_fig7(r: &Fig7Result) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ratest_core::RatestError;
 
     #[test]
     fn renderings_are_nonempty_and_well_formed() {
@@ -167,5 +174,18 @@ mod tests {
             pairs: 1,
         });
         assert!(f7.contains("Agg-Param"));
+    }
+
+    #[test]
+    fn fig6_names_the_kind_of_each_error() {
+        let f6 = render_fig6(&[Fig6Row {
+            query: "Q21-S".into(),
+            variant: 0,
+            agg_basic: Err(RatestError::Unsupported("no candidate group".into())),
+            agg_opt: Err(RatestError::DeadlineExceeded),
+        }]);
+        let line = |algorithm: &str| f6.lines().find(|l| l.contains(algorithm)).unwrap();
+        assert!(line("Agg-Basic").contains("unsupported"), "{f6}");
+        assert!(line("Agg-Opt").contains("deadline"), "{f6}");
     }
 }

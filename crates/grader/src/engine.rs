@@ -748,8 +748,11 @@ impl GradingSession {
 /// so a flooding evaluation self-terminates; *and* the worker watches from
 /// outside via a channel, so even a job stuck somewhere unpolled is
 /// recorded as [`Verdict::Timeout`] on time (its budget is cancelled so the
-/// stray thread stops consuming CPU shortly after). With `timeout == 0` the
-/// job runs inline on the worker under the session budget.
+/// stray thread stops consuming CPU shortly after). The job counts into a
+/// registry of its own, folded into the engine's only when it finishes
+/// within its budget, so a timeout leaves the engine's counters as they
+/// were whenever the stray thread stops. With `timeout == 0` the job runs
+/// inline on the worker under the session budget.
 fn grade_one_with_timeout(
     warm: Arc<GradingSession>,
     query: Arc<Query>,
@@ -770,10 +773,21 @@ fn grade_one_with_timeout(
     // batch's other jobs.
     let budget = Budget::unlimited().with_deadline(timeout);
     let job_budget = budget.clone();
+    // And its own registry: an abandoned job's thread keeps counting until
+    // it next polls its cancelled budget, so only a job that finishes
+    // within its budget has its counters folded into the engine's.
+    let engine_metrics = warm.session.options().metrics.clone();
+    let job_metrics = Arc::new(MetricsRegistry::new());
+    let job = GradingSession {
+        session: warm
+            .session
+            .with_metrics(MetricsHandle::new(job_metrics.clone())),
+        reference: warm.reference,
+    };
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(grade_one(
-            &warm,
+            &job,
             &query,
             &job_budget,
             events,
@@ -788,7 +802,12 @@ fn grade_one_with_timeout(
         Ok(Verdict::Error { .. }) if budget.poll().is_some() => {
             Verdict::Timeout { budget: timeout }
         }
-        Ok(verdict) => verdict,
+        Ok(verdict) => {
+            if let Some(engine) = engine_metrics.registry() {
+                engine.absorb(&job_metrics);
+            }
+            verdict
+        }
         Err(_) => {
             budget.cancel();
             Verdict::Timeout { budget: timeout }
@@ -858,7 +877,7 @@ fn grade_one(
             None => Verdict::Correct,
             Some(cex) => {
                 let mut verdict = Verdict::Wrong {
-                    counterexample: Box::new(cex),
+                    counterexample: cex,
                     class: outcome.class,
                     algorithm: outcome.algorithm_used,
                     timings: outcome.timings,
@@ -987,6 +1006,48 @@ mod tests {
         let second = strict.grade("b2", &reference, &db, &subs).unwrap();
         assert_eq!(second.stats.cache_hits, 0, "{:?}", second.stats);
         assert_eq!(second.stats.pipeline_runs, second.stats.distinct_groups);
+    }
+
+    #[test]
+    fn an_abandoned_job_adds_nothing_to_the_engine_metrics() {
+        use ratest_datagen::{university_database, UniversityConfig};
+        use ratest_queries::course::q6_common_course_pairs;
+        use ratest_queries::mutations::mutate;
+        // The q6 self-join without its course equality takes far longer
+        // than 1 ms here, and counts rows, annotations and solves as it
+        // goes until it notices its deadline.
+        let db = university_database(&UniversityConfig::with_total(2_000));
+        let reference = q6_common_course_pairs();
+        let slow = mutate(&reference)
+            .into_iter()
+            .find(|m| {
+                m.description
+                    .contains("dropped conjunct `(a.course = b.course)`")
+            })
+            .expect("the q6 mutation exists");
+        let subs = [Submission::new("s1", "Ann", slow.query)];
+        let snapshots: Vec<String> = (0..3)
+            .map(|_| {
+                let grader = Grader::new(GraderConfig {
+                    workers: 1,
+                    per_job_timeout: Duration::from_millis(1),
+                    ..Default::default()
+                });
+                let report = grader.grade("slow", &reference, &db, &subs).unwrap();
+                assert_eq!(report.graded[0].verdict.tag(), "timeout");
+                let at_verdict = grader.metrics_snapshot().to_json(false);
+                // Give the detached job time to run on past its verdict.
+                std::thread::sleep(Duration::from_millis(200));
+                assert_eq!(
+                    grader.metrics_snapshot().to_json(false),
+                    at_verdict,
+                    "the abandoned job kept counting"
+                );
+                at_verdict
+            })
+            .collect();
+        assert_eq!(snapshots[0], snapshots[1]);
+        assert_eq!(snapshots[0], snapshots[2]);
     }
 
     #[test]

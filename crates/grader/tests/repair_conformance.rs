@@ -62,7 +62,7 @@ fn cex_for(
     session
         .explain(handle, wrong)
         .ok()
-        .and_then(|o| o.counterexample)
+        .and_then(|o| o.counterexample.map(|c| *c))
 }
 
 /// Every caught sampled mutation of every course question, with its

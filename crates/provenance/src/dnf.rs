@@ -80,55 +80,74 @@ impl Dnf {
     /// [`ProvenanceError::DnfTooLarge`] once more than `limit` minterms would
     /// be produced.
     pub fn from_monotone(expr: &BoolExpr, limit: usize) -> Result<Dnf> {
-        let mut dnf = expand(expr, limit)?;
+        let mut dnf = Dnf::from_monotone_within(expr, limit, usize::MAX)?;
         dnf.minimize();
         Ok(dnf)
     }
-}
 
-fn expand(expr: &BoolExpr, limit: usize) -> Result<Dnf> {
-    match expr {
-        BoolExpr::True => Ok(Dnf::tautology()),
-        BoolExpr::False => Ok(Dnf::none()),
-        BoolExpr::Var(id) => Ok(Dnf {
-            minterms: vec![std::iter::once(*id).collect()],
-        }),
-        BoolExpr::Or(parts) => {
-            let mut out = Dnf::none();
-            for p in parts {
-                let sub = expand(p, limit)?;
-                out.minterms.extend(sub.minterms);
-                if out.minterms.len() > limit {
+    /// [`Dnf::from_monotone`] keeping only the minterms of at most
+    /// `max_len` tuples (the only ones a witness of at most `max_len`
+    /// tuples can contain), without dropping non-minimal ones. Longer
+    /// minterms are dropped as they are built, so they never count against
+    /// `limit`.
+    pub fn from_monotone_within(expr: &BoolExpr, limit: usize, max_len: usize) -> Result<Dnf> {
+        match expr {
+            BoolExpr::True => Ok(Dnf::tautology()),
+            BoolExpr::False => Ok(Dnf::none()),
+            BoolExpr::Var(id) if max_len > 0 => Ok(Dnf {
+                minterms: vec![std::iter::once(*id).collect()],
+            }),
+            BoolExpr::Var(_) => Ok(Dnf::none()),
+            BoolExpr::Or(parts) => {
+                let mut out = Dnf::none();
+                for p in parts {
+                    let sub = Dnf::from_monotone_within(p, limit, max_len)?;
+                    out.minterms.extend(sub.minterms);
+                    if out.minterms.len() > limit {
+                        return Err(ProvenanceError::DnfTooLarge { limit });
+                    }
+                }
+                Ok(out)
+            }
+            BoolExpr::And(parts) => {
+                let mut acc = Dnf::tautology();
+                for p in parts {
+                    acc = acc.and(
+                        &Dnf::from_monotone_within(p, limit, max_len)?,
+                        limit,
+                        max_len,
+                    )?;
+                    if acc.is_empty() {
+                        break;
+                    }
+                }
+                Ok(acc)
+            }
+            BoolExpr::Not(_) => Err(ProvenanceError::UnsupportedAggregateShape(
+                "DNF expansion requires a monotone (negation-free) formula".into(),
+            )),
+        }
+    }
+
+    /// The conjunction of two DNFs: the union of every pair of minterms,
+    /// keeping those of at most `max_len` tuples, or
+    /// [`ProvenanceError::DnfTooLarge`] past `limit` of them.
+    pub fn and(&self, other: &Dnf, limit: usize, max_len: usize) -> Result<Dnf> {
+        let mut minterms = Vec::new();
+        for a in &self.minterms {
+            for b in &other.minterms {
+                let mut merged = a.clone();
+                merged.extend(b.iter().copied());
+                if merged.len() > max_len {
+                    continue;
+                }
+                minterms.push(merged);
+                if minterms.len() > limit {
                     return Err(ProvenanceError::DnfTooLarge { limit });
                 }
             }
-            Ok(out)
         }
-        BoolExpr::And(parts) => {
-            let mut acc = Dnf::tautology();
-            for p in parts {
-                let sub = expand(p, limit)?;
-                let mut next = Vec::new();
-                for a in &acc.minterms {
-                    for b in &sub.minterms {
-                        let mut merged = a.clone();
-                        merged.extend(b.iter().copied());
-                        next.push(merged);
-                        if next.len() > limit {
-                            return Err(ProvenanceError::DnfTooLarge { limit });
-                        }
-                    }
-                }
-                acc.minterms = next;
-                if acc.minterms.is_empty() {
-                    return Ok(Dnf::none());
-                }
-            }
-            Ok(acc)
-        }
-        BoolExpr::Not(_) => Err(ProvenanceError::UnsupportedAggregateShape(
-            "DNF expansion requires a monotone (negation-free) formula".into(),
-        )),
+        Ok(Dnf { minterms })
     }
 }
 

@@ -367,7 +367,7 @@ impl<'d, A: Annotation> Rows<'d, A> {
         let base = base
             .into_iter()
             .flatten()
-            .map(|t| (Cow::Borrowed(t.values.as_slice()), base_annotation(t)));
+            .map(|t| (Cow::Borrowed(&t.values[..]), base_annotation(t)));
         let owned = owned
             .into_iter()
             .flat_map(Annotated::into_parts)
@@ -381,7 +381,7 @@ impl<'d, A: Annotation> Rows<'d, A> {
             Rows::Owned(out) => out,
             Rows::Base(tuples) => Annotated {
                 schema: schema.clone(),
-                rows: tuples.iter().map(|t| t.values.clone()).collect(),
+                rows: tuples.iter().map(|t| t.values.to_vec()).collect(),
                 annotations: tuples.iter().map(|t| base_annotation(t)).collect(),
                 index: OnceLock::new(),
             },

@@ -12,8 +12,7 @@
 use crate::error::{QueryError, Result};
 use ratest_storage::{DataType, Schema, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Unary operators.
@@ -124,8 +123,10 @@ pub enum Expr {
     },
 }
 
-/// Parameter bindings for parameterized queries.
-pub type ParamMap = HashMap<String, Value>;
+/// Parameter bindings for parameterized queries, by name (an ordered map:
+/// the empty binding most queries carry takes no heap and little inline
+/// space in every counterexample that keeps it).
+pub type ParamMap = BTreeMap<String, Value>;
 
 impl Expr {
     /// Build a binary expression.

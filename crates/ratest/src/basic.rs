@@ -7,6 +7,17 @@
 //! `Q2 − Q1` (not just one), and a separate solver instance runs per tuple.
 //! In exchange it is guaranteed to reach the global SCP optimum (when the
 //! per-witness solver is exact).
+//!
+//! Most candidates of a scan cannot beat the incumbent, and proving that
+//! with a bounded solve is most of the scan's work. A candidate whose
+//! provenance has the shape of a difference of two SPJU queries,
+//! `P ∧ ¬N₁ ∧ … ∧ ¬Nₘ` with monotone parts, or is a disjunction of a few
+//! such conjunctions, has its exact minimum computed directly instead
+//! ([`closed_minterm_minimum`]): the smallest witness of monotone
+//! provenance is a smallest minterm (Theorem 6), here closed under foreign
+//! keys and checked against the negated parts. Such a candidate is skipped
+//! when that minimum cannot beat the incumbent, which is exactly when its
+//! bounded solve would have found no model.
 
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
@@ -16,13 +27,14 @@ use crate::problem::{
 };
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
+use ratest_provenance::{BoolExpr, Dnf};
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
-use ratest_storage::Database;
+use ratest_storage::{Database, ForeignKeyIndex, TupleSelection};
 use ratest_telemetry::MetricsHandle;
 use std::time::Instant;
 
@@ -190,6 +202,7 @@ pub fn smallest_counterexample_from_annotations(
         interrupt: options.budget.interrupt(),
     };
     let solver_start = Instant::now();
+    let foreign_keys = db.foreign_key_index()?;
     let mut best: Option<Counterexample> = None;
     for (index, (tuple, from_q1)) in candidates.into_iter().take(options.max_tuples).enumerate() {
         options.budget.check()?;
@@ -215,7 +228,17 @@ pub fn smallest_counterexample_from_annotations(
         let Some(prv) = annotated.provenance_of(&tuple) else {
             continue;
         };
-        if matches!(prv, ratest_provenance::BoolExpr::False) {
+        if matches!(prv, BoolExpr::False) {
+            continue;
+        }
+        options.metrics.counter_inc("basic.candidates");
+        // Only candidates that can beat the incumbent matter: the solver is
+        // bounded at `best − 1` true variables. A candidate whose exact
+        // minimum is known to exceed that bound, or not to exist, would
+        // come back `Unsatisfiable`, so it is not encoded at all.
+        let upper_bound = best.as_ref().map(|b| b.size().saturating_sub(1));
+        let limit = upper_bound.unwrap_or(usize::MAX);
+        if closed_minimum_within(prv, foreign_keys, limit) == Some(None) {
             continue;
         }
         let mut vars = VarMap::new();
@@ -224,14 +247,10 @@ pub fn smallest_counterexample_from_annotations(
         let formula = Formula::and(parts);
         let objective = vars.all_vars();
 
-        // Only candidates that can beat the incumbent matter: bound the
-        // solver at `best − 1` true variables so hopeless candidates are
-        // discarded with a single bounded solve.
         let solve_options = MinOnesOptions {
-            upper_bound: best.as_ref().map(|b| b.size().saturating_sub(1)),
+            upper_bound,
             ..Default::default()
         };
-        options.metrics.counter_inc("basic.candidates");
         options
             .metrics
             .observe("solver.objective_vars", objective.len() as u64);
@@ -293,6 +312,134 @@ pub fn smallest_counterexample_from_annotations(
     timings.solver += solver_start.elapsed();
 
     best.ok_or(RatestError::QueriesAgreeOnInstance)
+}
+
+/// The most conjunctions [`closed_minterm_minimum`] splits a candidate's
+/// provenance into, and the most minterms it expands one conjunction's
+/// monotone part into, before leaving the candidate to the solver.
+const BRANCH_CAP: usize = 16;
+const MINTERM_CAP: usize = 256;
+
+/// The exact minimum of `Prv ∧ FK` over the tuples `Prv` mentions and
+/// their foreign-key ancestors — what `minimize_ones` finds for the
+/// candidate's encoding — when `prv` has the shape `P ∧ ¬N₁ ∧ … ∧ ¬Nₘ`
+/// with `P` and every `Nᵢ` monotone and `P`'s DNF within a small cap.
+/// That is the shape of every tuple's provenance in the difference of two
+/// SPJU queries. Provenance with nested differences is first rewritten,
+/// by pushing each negation down to the largest monotone subformulas
+/// beneath it, into a disjunction of a few such conjunctions, whose
+/// minimum is the smallest of theirs.
+///
+/// Returns `None` for any other shape, `Some(None)` when no sub-instance
+/// satisfies the formula, and `Some(Some(k))` for a minimum of `k` tuples.
+///
+/// Every model of a conjunction contains a minterm of `P` and, being
+/// closed under foreign keys, that minterm's closure. The closure
+/// satisfies `P` and the keys, and, as a subset of a model that falsifies
+/// every monotone `Nᵢ`, falsifies them too. So the conjunction's minimum
+/// is the smallest closure of a `P`-minterm that falsifies every `Nᵢ`.
+pub fn closed_minterm_minimum(
+    prv: &BoolExpr,
+    foreign_keys: &ForeignKeyIndex,
+) -> Option<Option<usize>> {
+    closed_minimum_within(prv, foreign_keys, usize::MAX)
+}
+
+/// [`closed_minterm_minimum`] among sub-instances of at most `limit`
+/// tuples: `Some(None)` when none of them satisfies `prv`. Minterms
+/// larger than the limit are dropped as they are expanded, so a tight
+/// limit keeps the expansion small.
+fn closed_minimum_within(
+    prv: &BoolExpr,
+    foreign_keys: &ForeignKeyIndex,
+    mut limit: usize,
+) -> Option<Option<usize>> {
+    let mut smallest = None;
+    for branch in conjunctions(prv, false)? {
+        // The DNF of `P`, the conjunction of the positive parts.
+        let mut minterms = Dnf::tautology();
+        for part in branch.positive {
+            let part = Dnf::from_monotone_within(part, MINTERM_CAP, limit).ok()?;
+            minterms = minterms.and(&part, MINTERM_CAP, limit).ok()?;
+        }
+        for minterm in minterms.minterms() {
+            let mut closure = TupleSelection::from_ids(minterm.iter().copied());
+            closure.close_under(foreign_keys);
+            if closure.len() > limit {
+                continue;
+            }
+            let present = |id| closure.contains(id);
+            if branch.negated.iter().all(|n| !n.eval(&present)) {
+                smallest = Some(closure.len());
+                // Only a strictly smaller closure improves on this one.
+                match closure.len().checked_sub(1) {
+                    Some(below) => limit = below,
+                    None => return Some(smallest),
+                }
+            }
+        }
+    }
+    Some(smallest)
+}
+
+/// One conjunction `P₁ ∧ … ∧ ¬N₁ ∧ …` of monotone subformulas.
+#[derive(Clone, Default)]
+struct Conjunction<'a> {
+    positive: Vec<&'a BoolExpr>,
+    negated: Vec<&'a BoolExpr>,
+}
+
+/// `expr` (or `¬expr`, when `negate`) as a disjunction of at most
+/// [`BRANCH_CAP`] conjunctions of monotone subformulas and their
+/// negations, or `None` when that takes more.
+fn conjunctions(expr: &BoolExpr, negate: bool) -> Option<Vec<Conjunction<'_>>> {
+    if expr.is_monotone() {
+        let mut single = Conjunction::default();
+        if negate {
+            single.negated.push(expr);
+        } else {
+            single.positive.push(expr);
+        }
+        return Some(vec![single]);
+    }
+    match (expr, negate) {
+        (BoolExpr::Not(inner), _) => conjunctions(inner, !negate),
+        // A conjunction: every combination of one branch per part.
+        (BoolExpr::And(parts), false) | (BoolExpr::Or(parts), true) => {
+            let mut product = vec![Conjunction::default()];
+            for part in parts {
+                let branches = conjunctions(part, negate)?;
+                if branches.len() * product.len() > BRANCH_CAP {
+                    return None;
+                }
+                product = product
+                    .iter()
+                    .flat_map(|left| {
+                        branches.iter().map(move |right| {
+                            let mut both = left.clone();
+                            both.positive.extend(&right.positive);
+                            both.negated.extend(&right.negated);
+                            both
+                        })
+                    })
+                    .collect();
+            }
+            Some(product)
+        }
+        // A disjunction: the branches of every part.
+        (BoolExpr::Or(parts), false) | (BoolExpr::And(parts), true) => {
+            let mut union = Vec::new();
+            for part in parts {
+                union.extend(conjunctions(part, negate)?);
+                if union.len() > BRANCH_CAP {
+                    return None;
+                }
+            }
+            Some(union)
+        }
+        // Constants and variables are monotone.
+        (BoolExpr::True | BoolExpr::False | BoolExpr::Var(_), _) => None,
+    }
 }
 
 #[cfg(test)]

@@ -49,6 +49,22 @@ impl RatestError {
         }
     }
 
+    /// A short name for the kind of error, for tables that have no room
+    /// for the message (`reproduce fig6`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            RatestError::Query(_) => "query",
+            RatestError::Provenance(_) => "provenance",
+            RatestError::Solver(_) => "solver",
+            RatestError::NotUnionCompatible { .. } => "schema",
+            RatestError::QueriesAgreeOnInstance => "agree",
+            RatestError::Unsupported(_) => "unsupported",
+            RatestError::Cancelled => "cancelled",
+            RatestError::DeadlineExceeded => "deadline",
+            RatestError::StepQuotaExhausted => "quota",
+        }
+    }
+
     /// Whether this error means the run hit its budget (cancelled, deadline,
     /// quota) rather than failing on the inputs.
     pub fn is_budget_exhausted(&self) -> bool {

@@ -136,8 +136,9 @@ impl Default for RatestOptions {
 #[derive(Debug, Clone)]
 pub struct ExplainOutcome {
     /// The counterexample, or `None` when the queries agree on the instance
-    /// (i.e. the test passes).
-    pub counterexample: Option<Counterexample>,
+    /// (i.e. the test passes). Boxed: a caller that keeps many outcomes
+    /// pays for a counterexample only where there is one.
+    pub counterexample: Option<Box<Counterexample>>,
     /// The query class the pair was classified into.
     pub class: QueryClass,
     /// Which algorithm actually ran.
@@ -378,7 +379,7 @@ fn dispatch(
     timings.total = timings.raw_eval + timings.provenance + timings.solver;
 
     Ok(ExplainOutcome {
-        counterexample: Some(cex),
+        counterexample: Some(Box::new(cex)),
         class,
         algorithm_used: used,
         timings,
@@ -632,7 +633,7 @@ pub(crate) fn explain_prepared_impl(
             Ok(cex) => {
                 timings.total = timings.raw_eval + timings.provenance + timings.solver;
                 let outcome = ExplainOutcome {
-                    counterexample: Some(cex),
+                    counterexample: Some(Box::new(cex)),
                     class,
                     algorithm_used: Algorithm::PolytimeMonotone,
                     timings,
@@ -687,7 +688,7 @@ pub(crate) fn explain_prepared_impl(
         Ok(cex) => {
             timings.total = timings.raw_eval + timings.provenance + timings.solver;
             let outcome = ExplainOutcome {
-                counterexample: Some(cex),
+                counterexample: Some(Box::new(cex)),
                 class,
                 algorithm_used: Algorithm::Basic,
                 timings,

@@ -432,7 +432,7 @@ impl SessionBuilder {
         Session {
             db: Arc::new(self.db),
             options: self.options,
-            references: RwLock::new(HashMap::new()),
+            references: Arc::new(RwLock::new(HashMap::new())),
         }
     }
 }
@@ -446,7 +446,7 @@ impl SessionBuilder {
 pub struct Session {
     db: Arc<Database>,
     options: RatestOptions,
-    references: RwLock<HashMap<u64, Arc<PreparedReference>>>,
+    references: Arc<RwLock<HashMap<u64, Arc<PreparedReference>>>>,
 }
 
 impl Session {
@@ -468,6 +468,22 @@ impl Session {
     /// The session-wide default budget.
     pub fn budget(&self) -> &Budget {
         &self.options.budget
+    }
+
+    /// The same session — instance, prepared references, options — with
+    /// its counters going to `metrics` instead. A caller that may abandon a
+    /// request (a grading job past its deadline) explains through such a
+    /// view with a registry of its own, and keeps the counters only of the
+    /// requests that finished.
+    pub fn with_metrics(&self, metrics: ratest_telemetry::MetricsHandle) -> Session {
+        Session {
+            db: self.db.clone(),
+            options: RatestOptions {
+                metrics,
+                ..self.options.clone()
+            },
+            references: self.references.clone(),
+        }
     }
 
     /// Evaluate + annotate a reference query once, caching the prepared

@@ -311,7 +311,7 @@ fn gather_evidence(
         for id in prov.variables() {
             if let Some(rel) = relations.get(id.relation as usize) {
                 if let Ok(row) = rel.tuple(id.row as usize) {
-                    for v in &row.values {
+                    for v in row.values.iter() {
                         implicated_values.insert(v.to_string());
                     }
                 }
@@ -680,7 +680,7 @@ mod tests {
         session
             .explain(handle, wrong)
             .ok()
-            .and_then(|o| o.counterexample)
+            .and_then(|o| o.counterexample.map(|c| *c))
     }
 
     #[test]

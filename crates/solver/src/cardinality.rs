@@ -14,49 +14,52 @@ use crate::cnf::{Cnf, Lit, Var};
 ///
 /// `k = 0` forces all literals false; `k >= lits.len()` adds nothing.
 pub fn at_most_k(cnf: &mut Cnf, lits: &[Lit], k: usize) {
+    let mut next_var = cnf.num_vars;
+    at_most_k_with(lits, k, &mut next_var, |clause| {
+        cnf.add_clause(clause.to_vec())
+    });
+    cnf.num_vars = cnf.num_vars.max(next_var);
+}
+
+/// The clauses of [`at_most_k`], handed one at a time to `emit`. Register
+/// variables are numbered from `*next_var + 1` on, and `*next_var` ends at
+/// the last one allocated. The min-ones probes feed these clauses straight
+/// into a solver.
+pub fn at_most_k_with(lits: &[Lit], k: usize, next_var: &mut Var, mut emit: impl FnMut(&[Lit])) {
     let n = lits.len();
     if k >= n {
         return;
     }
     if k == 0 {
         for &l in lits {
-            cnf.add_unit(l.negated());
+            emit(&[l.negated()]);
         }
         return;
     }
-    // s[i][j] (1-based j ≤ k) ⇔ at least j of the first i+1 literals are true.
-    // Allocate the register variables.
-    let mut s: Vec<Vec<Var>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row = Vec::with_capacity(k);
-        for _ in 0..k {
-            row.push(cnf.fresh_var());
-        }
-        s.push(row);
+    // s(i, j) (0-based j < k) ⇔ at least j+1 of the first i+1 literals are
+    // true; the n·k register variables are allocated row by row.
+    let first = *next_var + 1;
+    *next_var += (n * k) as Var;
+    let s = |i: usize, j: usize| first + (i * k + j) as Var;
+    // x1 -> s(0, 0)
+    emit(&[lits[0].negated(), Lit::pos(s(0, 0))]);
+    // ¬s(0, j) for j in 1..k
+    for j in 1..k {
+        emit(&[Lit::neg(s(0, j))]);
     }
-    // x1 -> s[0][1]
-    cnf.add_clause(vec![lits[0].negated(), Lit::pos(s[0][0])]);
-    // ¬s[0][j] for j in 2..=k
-    for &sj in &s[0][1..k] {
-        cnf.add_unit(Lit::neg(sj));
-    }
-    for i in 1..n {
-        // xi -> s[i][1]
-        cnf.add_clause(vec![lits[i].negated(), Lit::pos(s[i][0])]);
-        // s[i-1][1] -> s[i][1]
-        cnf.add_clause(vec![Lit::neg(s[i - 1][0]), Lit::pos(s[i][0])]);
+    for (i, &x) in lits.iter().enumerate().skip(1) {
+        // xi -> s(i, 0)
+        emit(&[x.negated(), Lit::pos(s(i, 0))]);
+        // s(i-1, 0) -> s(i, 0)
+        emit(&[Lit::neg(s(i - 1, 0)), Lit::pos(s(i, 0))]);
         for j in 1..k {
-            // xi ∧ s[i-1][j] -> s[i][j+1]
-            cnf.add_clause(vec![
-                lits[i].negated(),
-                Lit::neg(s[i - 1][j - 1]),
-                Lit::pos(s[i][j]),
-            ]);
-            // s[i-1][j+1] -> s[i][j+1]
-            cnf.add_clause(vec![Lit::neg(s[i - 1][j]), Lit::pos(s[i][j])]);
+            // xi ∧ s(i-1, j-1) -> s(i, j)
+            emit(&[x.negated(), Lit::neg(s(i - 1, j - 1)), Lit::pos(s(i, j))]);
+            // s(i-1, j) -> s(i, j)
+            emit(&[Lit::neg(s(i - 1, j)), Lit::pos(s(i, j))]);
         }
-        // xi ∧ s[i-1][k] -> ⊥  (would exceed k)
-        cnf.add_clause(vec![lits[i].negated(), Lit::neg(s[i - 1][k - 1])]);
+        // xi ∧ s(i-1, k-1) -> ⊥  (would exceed k)
+        emit(&[x.negated(), Lit::neg(s(i - 1, k - 1))]);
     }
 }
 

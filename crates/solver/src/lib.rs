@@ -12,11 +12,17 @@
 //!   are translated into),
 //! * [`cnf`] — Tseitin transformation to clausal form,
 //! * [`sat`] — a CDCL SAT solver (two-watched-literals, VSIDS branching,
-//!   first-UIP clause learning, Luby restarts, phase saving),
+//!   first-UIP clause learning, Luby restarts, phase saving). Clauses live
+//!   in one flat literal arena, watch lists are compacted in place during
+//!   propagation, conflict analysis reuses its buffers, and the branching
+//!   variable comes from an activity heap (ties to the lowest variable), so
+//!   a solve allocates little while searching exactly as a plain
+//!   clause-per-`Vec` kernel would,
 //! * [`cardinality`] — sequential-counter *at-most-k* encodings over the
 //!   objective variables,
 //! * [`minones`] — the min-ones optimizer (binary-search descent over the
-//!   cardinality bound) with support for an optional *theory callback*: a
+//!   cardinality bound; each probe loads the base CNF by reference and
+//!   streams its at-most-k clauses after it) with support for an optional *theory callback*: a
 //!   predicate that accepts or rejects candidate models, used by the
 //!   aggregate algorithms to implement lazy SMT-style solving (the Boolean
 //!   skeleton is solved exactly; arithmetic side conditions are checked by

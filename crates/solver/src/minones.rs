@@ -10,7 +10,7 @@
 //! distinguish the two queries" re-checks); rejected models are blocked and
 //! the search continues, mirroring lazy SMT solving.
 
-use crate::cardinality::at_most_k_vars;
+use crate::cardinality::at_most_k_with;
 use crate::cnf::{Cnf, Lit, Var};
 use crate::error::{Result, SolverError};
 use crate::formula::Formula;
@@ -106,7 +106,7 @@ where
 
 /// The descent: solve once under the caller's bound, then tighten the
 /// cardinality bound (binary or linear) until no accepted model remains.
-/// Every probe is a fresh solver over a freshly bounded copy of the CNF.
+/// Every probe is a fresh solver over the CNF plus that probe's bound.
 fn minimize_impl<F>(
     formula: &Formula,
     objective: &[Var],
@@ -175,15 +175,17 @@ fn solve_accepting<F>(
 where
     F: FnMut(&[Var]) -> bool,
 {
-    let mut solver = match bound {
-        Some(k) => {
-            let mut cnf = base.clone();
-            at_most_k_vars(&mut cnf, objective, k);
-            Solver::from_cnf(&cnf)
-        }
-        // Unbounded: solve the base directly, no clone needed.
-        None => Solver::from_cnf(base),
-    };
+    let mut solver = Solver::from_cnf(base);
+    if let Some(k) = bound {
+        // The at-most-k clauses follow the base clauses, over register
+        // variables numbered after the base's, as if appended to the CNF.
+        let lits: Vec<Lit> = objective.iter().map(|&v| Lit::pos(v)).collect();
+        let mut next_var = base.num_vars;
+        at_most_k_with(&lits, k, &mut next_var, |clause| {
+            solver.add_lits(clause);
+        });
+        solver.ensure_vars(next_var);
+    }
     let mut rejections = 0usize;
     let result = loop {
         match solver.solve() {

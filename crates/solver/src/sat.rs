@@ -4,10 +4,13 @@
 //! (which the paper cites as one possible backend): two-watched-literal
 //! propagation, VSIDS-style variable activities, first-UIP conflict analysis
 //! with clause learning, phase saving, and Luby-sequence restarts. The
-//! implementation favours clarity over raw speed — the formulas produced by
-//! provenance of a single output tuple are small (tens to a few thousand
-//! variables) — but the asymptotics are the real thing, which is what the
-//! scalability experiments need.
+//! formulas produced by provenance of a single output tuple are small (tens
+//! to a few thousand variables) but solved by the thousand, so the kernel
+//! avoids per-step allocation: one literal arena for every clause, watch
+//! lists compacted in place, reused conflict-analysis buffers and an
+//! activity heap for branching. Clause, literal and watch order, and so the
+//! whole search, are those of the straightforward clause-per-`Vec`
+//! implementation (pinned by `tests/search_pin.rs`).
 
 use crate::cnf::{Clause, Cnf, Lit, Var};
 use crate::error::{Result, SolverError};
@@ -69,11 +72,31 @@ enum Assign {
     False,
 }
 
+/// Where a clause's literals sit in the solver's literal arena.
+#[derive(Debug, Clone, Copy)]
+struct ClauseSpan {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseSpan {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// The CDCL solver.
+///
+/// Clauses live in one flat literal arena (`lits`), addressed by index
+/// through `clauses`; a clause index is stable for the solver's lifetime.
+/// Watch lists are compacted in place during propagation, and conflict
+/// analysis reuses the solver's `seen` and learned-clause buffers, so a
+/// solve allocates only when a list or the arena grows.
 #[derive(Debug)]
 pub struct Solver {
     num_vars: Var,
-    clauses: Vec<Clause>,
+    lits: Vec<Lit>,
+    clauses: Vec<ClauseSpan>,
     watches: Vec<Vec<usize>>,   // lit.index() -> clause indices
     assigns: Vec<Assign>,       // var -> value
     phase: Vec<bool>,           // saved phase
@@ -85,6 +108,13 @@ pub struct Solver {
     propagated_up_to: usize,
     activity: Vec<f64>,
     var_inc: f64,
+    /// Unassigned variables by activity (see [`VarOrder`]).
+    order: VarOrder,
+    /// Conflict-analysis scratch: variables already on the learned clause
+    /// or pending resolution. All false between analyses.
+    seen: Vec<bool>,
+    /// Conflict-analysis scratch: the clause being learned.
+    learned: Vec<Lit>,
     /// Set when a top-level (level-0) conflict has been derived: the formula
     /// is unsatisfiable.
     unsat: bool,
@@ -98,30 +128,38 @@ const RESCALE_LIMIT: f64 = 1e100;
 impl Solver {
     /// Create a solver over `num_vars` variables.
     pub fn new(num_vars: Var) -> Solver {
-        let n = num_vars as usize;
-        Solver {
-            num_vars,
+        let mut solver = Solver {
+            num_vars: 0,
+            lits: Vec::new(),
             clauses: Vec::new(),
-            watches: vec![Vec::new(); 2 * n + 2],
-            assigns: vec![Assign::Unassigned; n + 1],
-            phase: vec![false; n + 1],
-            level: vec![0; n + 1],
-            reason: vec![None; n + 1],
+            watches: vec![Vec::new(); 2],
+            assigns: vec![Assign::Unassigned],
+            phase: vec![false],
+            level: vec![0],
+            reason: vec![None],
             trail: Vec::new(),
             trail_lim: Vec::new(),
             propagated_up_to: 0,
-            activity: vec![0.0; n + 1],
+            activity: vec![0.0],
             var_inc: 1.0,
+            order: VarOrder::default(),
+            seen: vec![false],
+            learned: Vec::new(),
             unsat: false,
             stats: SolverStats::default(),
-        }
+        };
+        solver.ensure_vars(num_vars);
+        solver
     }
 
     /// Create a solver pre-loaded with the clauses of a CNF.
     pub fn from_cnf(cnf: &Cnf) -> Solver {
         let mut s = Solver::new(cnf.num_vars);
+        let total: usize = cnf.clauses.iter().map(Vec::len).sum();
+        s.lits.reserve(total);
+        s.clauses.reserve(cnf.clauses.len());
         for c in &cnf.clauses {
-            s.add_clause(c.clone());
+            s.add_lits(c);
         }
         s
     }
@@ -137,6 +175,7 @@ impl Solver {
             return;
         }
         let n = num_vars as usize;
+        let first_new = self.num_vars + 1;
         self.num_vars = num_vars;
         self.watches.resize(2 * n + 2, Vec::new());
         self.assigns.resize(n + 1, Assign::Unassigned);
@@ -144,11 +183,23 @@ impl Solver {
         self.level.resize(n + 1, 0);
         self.reason.resize(n + 1, None);
         self.activity.resize(n + 1, 0.0);
+        self.seen.resize(n + 1, false);
+        self.order.grow(n);
+        for v in first_new..=num_vars {
+            self.order.insert(v, &self.activity);
+        }
     }
 
     /// Add a clause. Returns `false` if the clause (together with what is
     /// already known at level 0) makes the formula unsatisfiable.
-    pub fn add_clause(&mut self, mut clause: Clause) -> bool {
+    pub fn add_clause(&mut self, clause: Clause) -> bool {
+        self.add_lits(&clause)
+    }
+
+    /// [`Solver::add_clause`] from a borrowed literal slice: the literals
+    /// are simplified in place at the end of the arena, so adding a clause
+    /// allocates nothing beyond the arena's growth.
+    pub fn add_lits(&mut self, clause: &[Lit]) -> bool {
         if self.unsat {
             return false;
         }
@@ -156,31 +207,51 @@ impl Solver {
             self.decision_level() == 0,
             "clauses may only be added at decision level 0"
         );
-        for l in &clause {
+        for l in clause {
             self.ensure_vars(l.var());
         }
         // Simplify: drop false literals, drop duplicates, detect tautologies
-        // and already-satisfied clauses.
-        clause.sort();
-        clause.dedup();
-        let mut simplified = Vec::with_capacity(clause.len());
-        for &l in &clause {
-            if clause.contains(&l.negated()) {
+        // and already-satisfied clauses. Sorted, a literal and its negation
+        // are neighbours.
+        let start = self.lits.len();
+        self.lits.extend_from_slice(clause);
+        self.lits[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..self.lits.len() {
+            let l = self.lits[i];
+            if kept > start && self.lits[kept - 1] == l {
+                continue; // duplicate
+            }
+            if kept > start && self.lits[kept - 1] == l.negated() {
+                self.lits.truncate(start);
                 return true; // tautology
             }
+            if i + 1 < self.lits.len() && self.lits[i + 1] == l.negated() {
+                self.lits.truncate(start);
+                return true; // tautology (the earlier literal was dropped)
+            }
             match self.value(l) {
-                Some(true) => return true, // already satisfied at level 0
-                Some(false) => {}          // drop the literal
-                None => simplified.push(l),
+                Some(true) => {
+                    self.lits.truncate(start);
+                    return true; // already satisfied at level 0
+                }
+                Some(false) => {} // drop the literal
+                None => {
+                    self.lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match simplified.len() {
+        self.lits.truncate(kept);
+        match kept - start {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                if !self.enqueue(simplified[0], None) {
+                let unit = self.lits[start];
+                self.lits.truncate(start);
+                if !self.enqueue(unit, None) {
                     self.unsat = true;
                     return false;
                 }
@@ -190,16 +261,25 @@ impl Solver {
                 }
                 true
             }
-            _ => {
-                let idx = self.clauses.len();
-                self.watch(simplified[0], idx);
-                self.watch(simplified[1], idx);
-                self.clauses.push(simplified);
-                self.stats.clause_db_size =
-                    self.stats.clause_db_size.max(self.clauses.len() as u64);
+            len => {
+                self.push_clause(start, len);
                 true
             }
         }
+    }
+
+    /// Register the arena's literals `start..start + len` as a clause,
+    /// watching its first two literals. Returns the clause index.
+    fn push_clause(&mut self, start: usize, len: usize) -> usize {
+        let idx = self.clauses.len();
+        self.watch(self.lits[start], idx);
+        self.watch(self.lits[start + 1], idx);
+        self.clauses.push(ClauseSpan {
+            start: start as u32,
+            len: len as u32,
+        });
+        self.stats.clause_db_size = self.stats.clause_db_size.max(self.clauses.len() as u64);
+        idx
     }
 
     fn watch(&mut self, lit: Lit, clause: usize) {
@@ -239,6 +319,7 @@ impl Solver {
     }
 
     /// Unit propagation. Returns the index of a conflicting clause, if any.
+    /// Each watch list is compacted in place, keeping its order.
     fn propagate(&mut self) -> Option<usize> {
         let mut head = self.propagated_up_to.min(self.trail.len());
         while head < self.trail.len() {
@@ -246,32 +327,34 @@ impl Solver {
             head += 1;
             self.stats.propagations += 1;
             let falsified = lit.negated();
-            let watch_list = std::mem::take(&mut self.watches[falsified.index()]);
-            let mut new_watch_list = Vec::with_capacity(watch_list.len());
+            // Taken out while it is compacted; no clause moves its watch to
+            // `falsified`, which is false.
+            let mut watch_list = std::mem::take(&mut self.watches[falsified.index()]);
             let mut conflict = None;
-            for (pos, &ci) in watch_list.iter().enumerate() {
-                if conflict.is_some() {
-                    new_watch_list.extend_from_slice(&watch_list[pos..]);
-                    break;
-                }
+            let mut kept = 0;
+            let mut next = 0;
+            while next < watch_list.len() {
+                let ci = watch_list[next];
+                next += 1;
+                let span = self.clauses[ci];
+                let c = span.start as usize;
                 // Ensure the falsified literal is at position 1.
-                let clause = &mut self.clauses[ci];
-                if clause[0] == falsified {
-                    clause.swap(0, 1);
+                if self.lits[c] == falsified {
+                    self.lits.swap(c, c + 1);
                 }
-                let first = clause[0];
+                let first = self.lits[c];
                 if self.value(first) == Some(true) {
-                    new_watch_list.push(ci);
+                    watch_list[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 // Look for a new literal to watch.
                 let mut moved = false;
-                for k in 2..self.clauses[ci].len() {
-                    let lk = self.clauses[ci][k];
+                for k in c + 2..c + span.len as usize {
+                    let lk = self.lits[k];
                     if self.value(lk) != Some(false) {
-                        self.clauses[ci].swap(1, k);
-                        let new_lit = self.clauses[ci][1];
-                        self.watches[new_lit.index()].push(ci);
+                        self.lits.swap(c + 1, k);
+                        self.watches[lk.index()].push(ci);
                         moved = true;
                         break;
                     }
@@ -280,13 +363,17 @@ impl Solver {
                     continue;
                 }
                 // Clause is unit or conflicting.
-                new_watch_list.push(ci);
-                let first = self.clauses[ci][0];
+                watch_list[kept] = ci;
+                kept += 1;
                 if !self.enqueue(first, Some(ci)) {
                     conflict = Some(ci);
+                    watch_list.copy_within(next.., kept);
+                    kept += watch_list.len() - next;
+                    break;
                 }
             }
-            self.watches[falsified.index()] = new_watch_list;
+            watch_list.truncate(kept);
+            self.watches[falsified.index()] = watch_list;
             if let Some(ci) = conflict {
                 self.propagated_up_to = self.trail.len();
                 return Some(ci);
@@ -303,6 +390,11 @@ impl Solver {
                 *a /= RESCALE_LIMIT;
             }
             self.var_inc /= RESCALE_LIMIT;
+            // Rescaling can turn two different activities into equal ones,
+            // whose order is then decided by the variable index.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(var, &self.activity);
         }
     }
 
@@ -310,89 +402,99 @@ impl Solver {
         self.var_inc /= VAR_DECAY;
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause and the level
-    /// to backtrack to, or [`SolverError::InvariantViolation`] when the
+    /// First-UIP conflict analysis. Leaves the learned clause in
+    /// `self.learned` (asserting literal first) and returns the level to
+    /// backtrack to, or [`SolverError::InvariantViolation`] when the
     /// conflict structure is inconsistent (a symptom of a malformed encoding
     /// rather than of an unsatisfiable formula).
-    fn analyze(&mut self, conflict: usize) -> Result<(Clause, u32)> {
-        let mut learned: Clause = Vec::new();
-        let mut seen = vec![false; self.num_vars as usize + 1];
+    fn analyze(&mut self, conflict: usize) -> Result<u32> {
+        self.learned.clear();
+        // Slot 0 is the asserting literal, filled in once it is known.
+        self.learned.push(Lit::pos(1));
         let mut counter = 0usize;
-        let mut lit_to_resolve: Option<Lit> = None;
+        let mut resolving = false;
         let mut clause_idx = conflict;
         let mut trail_pos = self.trail.len();
         let current_level = self.decision_level();
 
         loop {
-            let start = if lit_to_resolve.is_some() { 1 } else { 0 };
             // Skip the asserting literal itself when resolving a reason clause.
-            let clause = self.clauses[clause_idx].clone();
-            for &l in clause.iter().skip(start) {
+            let range = self.clauses[clause_idx].range();
+            let start = range.start + usize::from(resolving);
+            for k in start..range.end {
+                let l = self.lits[k];
                 let v = l.var();
-                if !seen[v as usize] && self.level[v as usize] > 0 {
-                    seen[v as usize] = true;
+                if !self.seen[v as usize] && self.level[v as usize] > 0 {
+                    self.seen[v as usize] = true;
                     self.bump(v);
                     if self.level[v as usize] >= current_level {
                         counter += 1;
                     } else {
-                        learned.push(l);
+                        self.learned.push(l);
                     }
                 }
             }
             // Find the next literal on the trail to resolve on.
-            lit_to_resolve = None;
+            let mut lit_to_resolve = None;
             while trail_pos > 0 {
                 trail_pos -= 1;
                 let l = self.trail[trail_pos];
-                if seen[l.var() as usize] {
+                if self.seen[l.var() as usize] {
                     lit_to_resolve = Some(l);
                     break;
                 }
             }
             let Some(l) = lit_to_resolve else {
+                self.seen.fill(false);
                 return Err(SolverError::InvariantViolation {
                     detail: "conflict analysis found no literal of the current level on the trail",
                 });
             };
-            seen[l.var() as usize] = false;
+            self.seen[l.var() as usize] = false;
             counter -= 1;
             if counter == 0 {
                 // l is the first UIP.
-                learned.insert(0, l.negated());
+                self.learned[0] = l.negated();
                 break;
             }
             clause_idx = match self.reason[l.var() as usize] {
                 Some(idx) => idx,
                 None => {
+                    self.seen.fill(false);
                     return Err(SolverError::InvariantViolation {
                         detail: "non-decision literal has no reason clause",
-                    })
+                    });
                 }
             };
+            resolving = true;
             // Reason clauses have their asserting literal first; re-order so
             // that position 0 holds the literal we are resolving on.
-            let reason = &mut self.clauses[clause_idx];
-            if let Some(p) = reason.iter().position(|&x| x == l) {
-                reason.swap(0, p);
+            let reason = self.clauses[clause_idx].range();
+            if let Some(p) = self.lits[reason.clone()].iter().position(|&x| x == l) {
+                self.lits.swap(reason.start, reason.start + p);
             }
         }
+        // Only the lower-level literals are still marked.
+        for l in &self.learned[1..] {
+            self.seen[l.var() as usize] = false;
+        }
 
-        let backtrack_level = if learned.len() == 1 {
+        let backtrack_level = if self.learned.len() == 1 {
             0
         } else {
             // Second-highest level among the learned literals.
             let mut max_level = 0;
             let mut max_pos = 1;
-            for (i, l) in learned.iter().enumerate().skip(1) {
+            for (i, l) in self.learned.iter().enumerate().skip(1) {
                 if self.level[l.var() as usize] > max_level {
                     max_level = self.level[l.var() as usize];
                     max_pos = i;
                 }
             }
-            learned.swap(1, max_pos);
+            self.learned.swap(1, max_pos);
             max_level
         };
-        Ok((learned, backtrack_level))
+        Ok(backtrack_level)
     }
 
     fn backtrack_to(&mut self, level: u32) {
@@ -405,26 +507,24 @@ impl Solver {
                 let Some(l) = self.trail.pop() else {
                     break;
                 };
-                let v = l.var() as usize;
-                self.assigns[v] = Assign::Unassigned;
-                self.reason[v] = None;
+                let v = l.var();
+                self.assigns[v as usize] = Assign::Unassigned;
+                self.reason[v as usize] = None;
+                self.order.insert(v, &self.activity);
             }
         }
         self.propagated_up_to = self.propagated_up_to.min(self.trail.len());
     }
 
-    fn pick_branch_var(&self) -> Option<Var> {
-        let mut best: Option<(Var, f64)> = None;
-        for v in 1..=self.num_vars {
+    /// The unassigned variable of highest activity, the lowest-numbered
+    /// one among equals.
+    fn pick_branch_var(&mut self) -> Option<Var> {
+        while let Some(v) = self.order.pop(&self.activity) {
             if self.assigns[v as usize] == Assign::Unassigned {
-                let a = self.activity[v as usize];
-                match best {
-                    Some((_, ba)) if ba >= a => {}
-                    _ => best = Some((v, a)),
-                }
+                return Some(v);
             }
         }
-        best.map(|(v, _)| v)
+        None
     }
 
     /// Solve the clause database. Learned clauses stay in the database, so
@@ -454,9 +554,9 @@ impl Solver {
                         self.unsat = true;
                         return Ok(SatResult::Unsat);
                     }
-                    let (learned, level) = self.analyze(conflict)?;
-                    let asserting = learned[0];
-                    if learned.len() == 1 {
+                    let level = self.analyze(conflict)?;
+                    let asserting = self.learned[0];
+                    if self.learned.len() == 1 {
                         // A learned unit is implied by the clause database
                         // alone: make it permanent at level 0.
                         self.backtrack_to(0);
@@ -466,13 +566,10 @@ impl Solver {
                         }
                     } else {
                         self.backtrack_to(level);
-                        let idx = self.clauses.len();
-                        self.watch(learned[0], idx);
-                        self.watch(learned[1], idx);
-                        self.clauses.push(learned);
+                        let start = self.lits.len();
+                        self.lits.extend_from_slice(&self.learned);
+                        let idx = self.push_clause(start, self.learned.len());
                         self.stats.learned_clauses += 1;
-                        self.stats.clause_db_size =
-                            self.stats.clause_db_size.max(self.clauses.len() as u64);
                         if !self.enqueue(asserting, Some(idx)) {
                             // The asserting literal is already false at the
                             // backtrack level.
@@ -515,6 +612,106 @@ impl Solver {
             *value = *assign == Assign::True;
         }
         Model { values }
+    }
+}
+
+/// The branching order: a binary max-heap of variables keyed by activity,
+/// ties broken towards the lower variable, so its top is exactly the
+/// variable a scan over `1..=num_vars` for the highest activity would
+/// pick. Every unassigned variable is in the heap; assigned ones may linger
+/// and are skipped when popped.
+#[derive(Debug, Default)]
+struct VarOrder {
+    heap: Vec<Var>,
+    /// `position[v]`: the index of `v` in `heap`, if it is there.
+    position: Vec<Option<u32>>,
+}
+
+impl VarOrder {
+    fn grow(&mut self, num_vars: usize) {
+        self.position.resize(num_vars + 1, None);
+    }
+
+    /// Whether `a` goes before `b`.
+    fn before(a: Var, b: Var, activity: &[f64]) -> bool {
+        let (x, y) = (activity[a as usize], activity[b as usize]);
+        x > y || (x == y && a < b)
+    }
+
+    fn insert(&mut self, v: Var, activity: &[f64]) {
+        if self.position[v as usize].is_some() {
+            return;
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restore the heap after `v`'s activity grew.
+    fn increased(&mut self, v: Var, activity: &[f64]) {
+        if let Some(i) = self.position[v as usize] {
+            self.sift_up(i as usize, activity);
+        }
+    }
+
+    fn pop(&mut self, activity: &[f64]) -> Option<Var> {
+        let top = *self.heap.first()?;
+        let last = self.heap.pop().expect("the heap has a top");
+        self.position[top as usize] = None;
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.position[last as usize] = Some(0);
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    fn rebuild(&mut self, activity: &[f64]) {
+        for i in (0..self.heap.len() / 2).rev() {
+            self.sift_down(i, activity);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.heap[parent];
+            if !Self::before(v, p, activity) {
+                break;
+            }
+            self.heap[i] = p;
+            self.position[p as usize] = Some(i as u32);
+            i = parent;
+        }
+        self.heap[i] = v;
+        self.position[v as usize] = Some(i as u32);
+    }
+
+    fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && Self::before(self.heap[right], self.heap[left], activity)
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !Self::before(c, v, activity) {
+                break;
+            }
+            self.heap[i] = c;
+            self.position[c as usize] = Some(i as u32);
+            i = child;
+        }
+        self.heap[i] = v;
+        self.position[v as usize] = Some(i as u32);
     }
 }
 

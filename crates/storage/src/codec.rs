@@ -475,7 +475,7 @@ pub fn encode_relation(r: &Relation, e: &mut Encoder) {
             }
         }
         e.u(t.values.len() as u64);
-        for v in &t.values {
+        for v in t.values.iter() {
             encode_value(v, e);
         }
     }
@@ -509,7 +509,10 @@ pub fn decode_relation(d: &mut Decoder) -> DecodeResult<Relation> {
         for _ in 0..nvals {
             values.push(decode_value(d)?);
         }
-        rows.push(Tuple { values, id });
+        rows.push(Tuple {
+            values: values.into(),
+            id,
+        });
     }
     Ok(Relation::from_parts(name, schema, index, rows))
 }

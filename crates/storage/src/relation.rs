@@ -16,14 +16,22 @@ use std::sync::{Arc, OnceLock};
 /// value-tuples are rejected on insert, mirroring the paper's set-based
 /// relational algebra). The index is built on first use and never copied:
 /// a clone or a restriction builds its own only if it is inserted into or
-/// probed. The name and schema are shared with every clone and restriction.
+/// probed. The name, schema and relation index sit behind one pointer
+/// shared with every clone and restriction, so a sub-instance's relation
+/// costs little more than its rows.
 #[derive(Debug, Serialize, Deserialize)]
 pub struct Relation {
-    name: Arc<str>,
-    schema: Arc<Schema>,
+    header: Arc<Header>,
     rows: Vec<Tuple>,
     #[serde(skip)]
     dedup: OnceLock<Box<RowIndex>>,
+}
+
+/// What a relation shares with its clones and restrictions.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Header {
+    name: Box<str>,
+    schema: Schema,
     /// Index of this relation inside its database; assigned by
     /// [`crate::Database::add_relation`]. `u32::MAX` while detached.
     relation_index: u32,
@@ -32,11 +40,9 @@ pub struct Relation {
 impl Clone for Relation {
     fn clone(&self) -> Self {
         Relation {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
+            header: self.header.clone(),
             rows: self.rows.clone(),
             dedup: OnceLock::new(),
-            relation_index: self.relation_index,
         }
     }
 }
@@ -49,12 +55,12 @@ impl Relation {
 
     /// Relation name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.header.name
     }
 
     /// Relation schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        &self.header.schema
     }
 
     /// Number of tuples.
@@ -69,11 +75,11 @@ impl Relation {
 
     /// The index assigned by the owning database (`u32::MAX` if detached).
     pub fn relation_index(&self) -> u32 {
-        self.relation_index
+        self.header.relation_index
     }
 
     pub(crate) fn set_relation_index(&mut self, idx: u32) {
-        self.relation_index = idx;
+        Arc::make_mut(&mut self.header).relation_index = idx;
         for (row, t) in self.rows.iter_mut().enumerate() {
             t.id = Some(TupleId::new(idx, row as u32));
         }
@@ -82,7 +88,7 @@ impl Relation {
     /// Insert a tuple (by values). Returns the assigned [`TupleId`], or
     /// `None` if an identical value-tuple is already present (set semantics).
     pub fn insert(&mut self, values: Vec<Value>) -> Result<Option<TupleId>> {
-        self.schema.validate(&self.name, &values)?;
+        self.header.schema.validate(&self.header.name, &values)?;
         self.index();
         let row = self.rows.len() as u32;
         let rows = &self.rows;
@@ -93,7 +99,7 @@ impl Relation {
         {
             return Ok(None);
         }
-        let id = TupleId::new(self.relation_index, row);
+        let id = TupleId::new(self.header.relation_index, row);
         self.rows.push(Tuple::base(values, id));
         Ok(Some(id))
     }
@@ -119,7 +125,7 @@ impl Relation {
         self.rows
             .get(row)
             .ok_or_else(|| StorageError::UnknownTuple {
-                relation: self.name.to_string(),
+                relation: self.header.name.to_string(),
                 index: row,
             })
     }
@@ -144,11 +150,9 @@ impl Relation {
         // Counterexamples outlive the search; keep them at their size.
         rows.shrink_to_fit();
         Relation {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
+            header: self.header.clone(),
             rows,
             dedup: OnceLock::new(),
-            relation_index: self.relation_index,
         }
     }
 
@@ -179,11 +183,13 @@ impl Relation {
         rows: Vec<Tuple>,
     ) -> Relation {
         Relation {
-            name: name.into(),
-            schema: Arc::new(schema),
+            header: Arc::new(Header {
+                name: name.into(),
+                schema,
+                relation_index,
+            }),
             rows,
             dedup: OnceLock::new(),
-            relation_index,
         }
     }
 }

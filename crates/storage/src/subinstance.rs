@@ -9,12 +9,14 @@ use crate::error::Result;
 use crate::fk_index::ForeignKeyIndex;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A set of base-tuple identifiers describing a sub-instance, kept as a
-/// sorted slice without duplicates.
+/// sorted slice without duplicates. Clones share the slice (a
+/// counterexample and its witness usually select the same tuples).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TupleSelection {
-    ids: Box<[TupleId]>,
+    ids: Arc<[TupleId]>,
 }
 
 impl TupleSelection {
@@ -28,9 +30,7 @@ impl TupleSelection {
         let mut ids: Vec<TupleId> = ids.into_iter().collect();
         ids.sort_unstable();
         ids.dedup();
-        TupleSelection {
-            ids: ids.into_boxed_slice(),
-        }
+        TupleSelection { ids: ids.into() }
     }
 
     /// Selection of *all* tuples of a database (the trivial counterexample).
@@ -46,9 +46,9 @@ impl TupleSelection {
         match self.ids.binary_search(&id) {
             Ok(_) => false,
             Err(at) => {
-                let mut ids = std::mem::take(&mut self.ids).into_vec();
+                let mut ids = self.ids.to_vec();
                 ids.insert(at, id);
-                self.ids = ids.into_boxed_slice();
+                self.ids = ids.into();
                 true
             }
         }
@@ -90,14 +90,19 @@ impl TupleSelection {
     /// [`Database::foreign_key_index`] from the selected tuples only.
     /// Returns the number of tuples added.
     pub fn close_under_foreign_keys(&mut self, db: &Database) -> Result<usize> {
-        let index = db.foreign_key_index()?;
+        Ok(self.close_under(db.foreign_key_index()?))
+    }
+
+    /// [`TupleSelection::close_under_foreign_keys`] through an instance's
+    /// foreign-key index. Returns the number of tuples added.
+    pub fn close_under(&mut self, index: &ForeignKeyIndex) -> usize {
         let before = self.len();
         let mut added = self.missing_parents(index, self.iter());
         while !added.is_empty() {
             *self = TupleSelection::from_ids(self.iter().chain(added.iter().copied()));
             added = self.missing_parents(index, added.into_iter());
         }
-        Ok(self.len() - before)
+        self.len() - before
     }
 
     /// The parents of `children` not yet in the selection.

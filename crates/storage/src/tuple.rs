@@ -9,6 +9,7 @@
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifies a base tuple by the relation it lives in and its insertion
 /// index within that relation. Identifiers are stable: extracting a
@@ -36,10 +37,14 @@ impl fmt::Display for TupleId {
 
 /// A tuple: an ordered list of values. Base tuples additionally know their
 /// identifier; derived tuples (query outputs) have `id == None`.
+///
+/// The values are shared: a clone (a sub-instance restricted from an
+/// instance keeps clones of its tuples) points at the same values instead
+/// of copying them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Tuple {
     /// The attribute values, in schema order.
-    pub values: Vec<Value>,
+    pub values: Arc<[Value]>,
     /// Identifier of the base tuple, if this is a base tuple.
     pub id: Option<TupleId>,
 }
@@ -47,13 +52,16 @@ pub struct Tuple {
 impl Tuple {
     /// A derived (un-identified) tuple.
     pub fn derived(values: Vec<Value>) -> Self {
-        Tuple { values, id: None }
+        Tuple {
+            values: values.into(),
+            id: None,
+        }
     }
 
     /// A base tuple with its identifier.
     pub fn base(values: Vec<Value>, id: TupleId) -> Self {
         Tuple {
-            values,
+            values: values.into(),
             id: Some(id),
         }
     }
@@ -75,9 +83,13 @@ impl Tuple {
 
     /// Concatenate with another tuple (join output), producing a derived tuple.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        Tuple::derived(values)
+        Tuple::derived(
+            self.values
+                .iter()
+                .chain(other.values.iter())
+                .cloned()
+                .collect(),
+        )
     }
 }
 
@@ -119,7 +131,7 @@ mod tests {
             TupleId::new(0, 0),
         );
         let p = t.project(&[0, 2]);
-        assert_eq!(p.values, vec![Value::from("Mary"), Value::Int(100)]);
+        assert_eq!(*p.values, [Value::from("Mary"), Value::Int(100)]);
         assert!(p.id.is_none());
 
         let u = Tuple::derived(vec![Value::Int(1)]);

@@ -128,6 +128,32 @@ impl MetricsRegistry {
         slot.total += elapsed;
     }
 
+    /// Fold every metric of `other` into this registry: counters,
+    /// histograms and durations add up, and gauges take `other`'s value.
+    pub fn absorb(&self, other: &MetricsRegistry) {
+        let other = other.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
+        for (name, value) in &other.counters {
+            *inner.counters.entry(name.clone()).or_insert(0) += value;
+        }
+        for (name, value) in &other.gauges {
+            inner.gauges.insert(name.clone(), *value);
+        }
+        for (name, h) in &other.histograms {
+            let slot = inner.histograms.entry(name.clone()).or_default();
+            for (total, count) in slot.buckets.iter_mut().zip(&h.buckets) {
+                *total += count;
+            }
+            slot.count += h.count;
+            slot.sum += h.sum;
+        }
+        for (name, d) in &other.durations {
+            let slot = inner.durations.entry(name.clone()).or_default();
+            slot.count += d.count;
+            slot.total += d.total;
+        }
+    }
+
     /// Take a point-in-time snapshot of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.lock().unwrap();
@@ -400,6 +426,25 @@ mod tests {
         handle.observe("y", 1);
         assert!(!handle.is_active());
         assert!(handle.snapshot().is_none());
+    }
+
+    #[test]
+    fn absorbing_a_registry_is_recording_its_work_directly() {
+        let work = |reg: &MetricsRegistry, scale: u64| {
+            reg.counter_add("calls", 2 * scale);
+            reg.observe("sizes", 3 * scale);
+            reg.gauge_set("depth", scale as i64);
+            reg.record_duration("wall_ms", Duration::from_millis(scale));
+        };
+        let direct = MetricsRegistry::new();
+        work(&direct, 1);
+        work(&direct, 5);
+        let folded = MetricsRegistry::new();
+        work(&folded, 1);
+        let local = MetricsRegistry::new();
+        work(&local, 5);
+        folded.absorb(&local);
+        assert_eq!(folded.snapshot(), direct.snapshot());
     }
 
     #[test]

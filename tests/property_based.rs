@@ -11,10 +11,15 @@
 //! instance is checked against compiling afresh on its sub-instances.
 
 use proptest::prelude::*;
+use ratest_suite::core::basic::closed_minterm_minimum;
+use ratest_suite::core::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use ratest_suite::core::problem::brute_force_smallest;
 use ratest_suite::core::session::Session;
 use ratest_suite::datagen::{university_database, UniversityConfig};
-use ratest_suite::provenance::annotate::{annotate_plan, consistent_with_evaluation};
+use ratest_suite::provenance::annotate::{
+    annotate_plan, consistent_with_evaluation, difference_of,
+};
+use ratest_suite::provenance::BoolExpr;
 use ratest_suite::queries::course::course_questions;
 use ratest_suite::queries::mutations::mutate;
 use ratest_suite::ra::ast::Query;
@@ -22,6 +27,8 @@ use ratest_suite::ra::builder::{col, lit, rel, QueryBuilder};
 use ratest_suite::ra::eval::{evaluate, evaluate_plan, Params};
 use ratest_suite::ra::plan::Plan;
 use ratest_suite::ra::Interrupt;
+use ratest_suite::solver::minones::{minimize_ones, MinOnesOptions};
+use ratest_suite::solver::{Formula, SolverError};
 use ratest_suite::storage::{DataType, Database, Relation, Schema, TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
 
@@ -131,6 +138,23 @@ fn course_queries() -> Vec<Query> {
     queries
 }
 
+/// The min-ones solver's answer for one candidate's encoding, `Prv ∧ FK`:
+/// `Some(k)` for a minimum of `k` tuples, `None` when infeasible.
+fn solver_minimum(prv: &BoolExpr, db: &Database) -> Option<usize> {
+    let mut vars = VarMap::new();
+    let mut parts = vec![encode_provenance(prv, &mut vars)];
+    parts.extend(foreign_key_clauses(db, &mut vars).unwrap());
+    match minimize_ones(
+        &Formula::and(parts),
+        &vars.all_vars(),
+        &MinOnesOptions::default(),
+    ) {
+        Ok(solution) => Some(solution.cost),
+        Err(SolverError::Unsatisfiable) => None,
+        Err(e) => panic!("solver failed: {e}"),
+    }
+}
+
 fn registrations_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, i64)>> {
     prop::collection::vec((0u8..4, 0u8..5, 0u8..2, 0i64..41), 1..8)
 }
@@ -176,6 +200,36 @@ proptest! {
                         .unwrap()
                         .expect("a counterexample exists");
                     prop_assert_eq!(cex.size(), best.size());
+                }
+            }
+        }
+    }
+
+    /// Basic's candidate skip is exact: wherever the closed-minterm minimum
+    /// of a candidate's provenance is defined, it is the solver's minimum,
+    /// or both are infeasible, in both difference directions.
+    #[test]
+    fn the_closed_minterm_minimum_is_the_solvers_minimum(
+        students in students_strategy(),
+        registrations in registrations_strategy(),
+        qi in 0usize..8,
+        qj in 0usize..8,
+    ) {
+        let db = build_db(&students, &registrations);
+        let pool = query_pool();
+        let a = ratest_suite::provenance::annotate(&pool[qi], &db).unwrap();
+        let b = ratest_suite::provenance::annotate(&pool[qj], &db).unwrap();
+        let foreign_keys = db.foreign_key_index().unwrap();
+        for (left, right) in [(&a, &b), (&b, &a)] {
+            for (row, prv) in difference_of(left, right).unwrap().iter() {
+                if let Some(minimum) = closed_minterm_minimum(prv, foreign_keys) {
+                    prop_assert_eq!(
+                        minimum,
+                        solver_minimum(prv, &db),
+                        "row {:?}, provenance {}",
+                        row,
+                        prv
+                    );
                 }
             }
         }

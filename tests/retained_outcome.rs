@@ -64,12 +64,16 @@ fn live() -> (isize, isize) {
     )
 }
 
-/// Retained heap per explain: 969 B in 18.7 allocations, measured in debug
-/// and release builds alike (1,235 B in 24.2 allocations before result sets
-/// shared their plan's schema and counterexamples were kept at their size).
-/// The bounds are the measured values plus 10%.
-const MAX_BYTES_PER_EXPLAIN: f64 = 1_066.0;
-const MAX_ALLOCATIONS_PER_EXPLAIN: f64 = 20.6;
+/// Retained heap per explain: 664 B in 10.9 allocations, measured in debug
+/// and release builds alike. It was 969 B in 18.7 allocations before
+/// sub-instance tuples shared their values with the instance's, relations
+/// shared their name and schema behind one pointer, an outcome boxed its
+/// counterexample and a witness shared its counterexample's selection; and
+/// 1,235 B in 24.2 before result sets shared their plan's schema and
+/// counterexamples were kept at their size. The bounds are the measured
+/// values plus 10%.
+const MAX_BYTES_PER_EXPLAIN: f64 = 731.0;
+const MAX_ALLOCATIONS_PER_EXPLAIN: f64 = 12.0;
 
 /// Explain every pair through fresh sessions, one per reference, and drop
 /// the sessions: what is left is what the outcomes keep.
