@@ -14,6 +14,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod aggregate_golden;
 pub mod experiments;
 pub mod render;
 pub mod workload;

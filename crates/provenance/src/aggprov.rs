@@ -25,7 +25,7 @@ use crate::annotate::annotate_instrumented;
 use crate::boolexpr::BoolExpr;
 use crate::error::{ProvenanceError, Result};
 use ratest_ra::ast::{AggCall, ProjectItem, Query};
-use ratest_ra::eval::compute_aggregate;
+use ratest_ra::eval::{compute_aggregate, ResultSet};
 use ratest_ra::expr::{Expr, ParamMap};
 use ratest_ra::interrupt::{Interrupt, Pacer};
 use ratest_ra::plan::Scalar;
@@ -131,6 +131,12 @@ pub struct AggregateProvenance {
     pub projection: Vec<usize>,
     /// The (inner) SPJUD query feeding the aggregation — `Q'` in Algorithm 3.
     pub inner: Query,
+    /// `Q'` on the instance the provenance was built on, row for row as
+    /// evaluation returns it: the annotated rows without their provenance,
+    /// when `Q'` has no difference. (A difference keeps, annotated, the rows
+    /// of its left side that its right side derives too; evaluation drops
+    /// them, and a projection above may then meet a row first elsewhere.)
+    pub inner_rows: Option<ResultSet>,
     /// Additional selection applied *above* the aggregation (outer σ), if any.
     pub outer_having: Option<Expr>,
     /// Per-group provenance (read-only: `index` is built from it).
@@ -202,6 +208,7 @@ impl AggregateProvenance {
         projection: Vec<usize>,
         groups: Vec<GroupProvenance>,
         inner: Query,
+        inner_rows: Option<ResultSet>,
         outer_having: Option<Expr>,
     ) -> Result<AggregateProvenance> {
         let having = groups.first().and_then(|g| g.having.as_ref());
@@ -223,6 +230,7 @@ impl AggregateProvenance {
             output_schema,
             projection,
             inner,
+            inner_rows,
             outer_having,
             groups,
             index,
@@ -469,12 +477,14 @@ pub fn aggregate_provenance_instrumented(
         groups.iter().map(|g| g.members.len() as u64).sum(),
     );
 
+    let inner_rows = (!input.has_difference()).then(|| annotated.into_result_set());
     AggregateProvenance::new(
         group_schema,
         output_schema_q,
         projection,
         groups,
         input,
+        inner_rows,
         shape.outer_select,
     )
 }
@@ -561,6 +571,33 @@ mod tests {
         let all = all_of(&db);
         let rows = prov.evaluate_selection(&all, &ParamMap::new()).unwrap();
         assert_eq!(rows, vec![vec![Value::from("Jesse"), Value::double(90.0)]]);
+    }
+
+    #[test]
+    fn the_inner_rows_are_evaluations_rows_when_the_input_has_no_difference() {
+        use ratest_ra::builder::rel;
+        use ratest_ra::eval::evaluate;
+
+        let db = testdata::figure1_db();
+        for query in [
+            testdata::example4_q1(),
+            testdata::example4_q2(),
+            testdata::example5_q2(),
+        ] {
+            let prov = aggregate_provenance(&query, &db, &ParamMap::new()).unwrap();
+            let evaluated = evaluate(&prov.inner, &db).unwrap();
+            let rows = prov.inner_rows.as_ref().expect("a difference-free input");
+            assert_eq!(rows.rows(), evaluated.rows());
+            assert_eq!(rows.schema(), evaluated.schema());
+        }
+        // Student − Student keeps every row annotated `s ∧ ¬s`; evaluation
+        // keeps none, so the provenance holds no rows for it.
+        let q = rel("Student")
+            .difference(rel("Student").build())
+            .group_by(&["name"], vec![], None)
+            .build();
+        let prov = aggregate_provenance(&q, &db, &ParamMap::new()).unwrap();
+        assert!(prov.inner_rows.is_none());
     }
 
     #[test]

@@ -202,6 +202,18 @@ impl<A: Annotation> Annotated<A> {
             .get_or_init(|| RowIndex::build(self.rows.len(), |i| &self.rows[i as usize]))
     }
 
+    /// The rows without their annotations, as [`evaluate`] would return
+    /// them: [`execute`] derives the same rows in the same order whatever
+    /// the annotation.
+    pub fn into_result_set(self) -> ResultSet {
+        Annotated {
+            schema: self.schema,
+            annotations: vec![(); self.rows.len()],
+            rows: self.rows,
+            index: self.index,
+        }
+    }
+
     /// The rows with their annotations, by value.
     fn into_parts(self) -> impl Iterator<Item = (Vec<Value>, A)> {
         self.rows.into_iter().zip(self.annotations)

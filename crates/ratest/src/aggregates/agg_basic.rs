@@ -8,20 +8,31 @@
 //! which the queries happen to agree (e.g. equal AVG values), blocking them
 //! and continuing. This mirrors the paper's symbolic SMT encoding
 //! (Listing 2) with evaluation standing in for symbolic arithmetic.
+//!
+//! `GroupSearch` is that per-group search, shared with `Agg-Param`:
+//! `Agg-Basic` is the case with no free parameters, where the theory check
+//! tries only the original setting. The scan keeps the smallest verified
+//! counterexample and replaces it only with a strictly smaller one, so every
+//! group after the first searches against the incumbent's size
+//! ([`minimize_ones_below`]): once a group's first model is not smaller and
+//! a probe one below the incumbent is unsatisfiable, the group is abandoned
+//! (`agg.groups_abandoned`) without the descent that could only prove an
+//! optimum the scan would discard.
 
 use super::{run_standalone, TheoryCheck};
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
+use crate::session::{Budget, EventHandle, ExplainEvent};
 use ratest_provenance::aggprov::AggregateProvenance;
 use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_solver::formula::Formula;
-use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
-use ratest_solver::SolverStats;
-use ratest_storage::{Database, Value};
+use ratest_solver::minones::{minimize_ones_below, Descent, MinOnesOptions};
+use ratest_solver::{SolverError, SolverStats, Var};
+use ratest_storage::{Database, TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -33,9 +44,9 @@ pub struct AggBasicOptions {
     /// size, smallest first, as suggested in Section 5.3.2).
     pub max_groups: usize,
     /// Unified resource budget, polled once per candidate group.
-    pub budget: crate::session::Budget,
+    pub budget: Budget,
     /// Progress events (per candidate group).
-    pub events: crate::session::EventHandle,
+    pub events: EventHandle,
     /// Metrics sink: provenance and solver counters are folded in here.
     pub metrics: MetricsHandle,
 }
@@ -44,8 +55,8 @@ impl Default for AggBasicOptions {
     fn default() -> Self {
         AggBasicOptions {
             max_groups: 8,
-            budget: crate::session::Budget::unlimited(),
-            events: crate::session::EventHandle::none(),
+            budget: Budget::unlimited(),
+            events: EventHandle::none(),
             metrics: MetricsHandle::none(),
         }
     }
@@ -82,30 +93,20 @@ pub(crate) fn agg_basic_core(
     options: &AggBasicOptions,
 ) -> Result<(Counterexample, Timings)> {
     let start = Instant::now();
-    let candidates = candidate_group_keys(p1, p2, params)?;
-    let ctx = CandidateEval {
-        metrics: options.metrics.clone(),
-        interrupt: options.budget.interrupt(),
+    let search = GroupSearch {
+        plans,
+        db,
+        p1,
+        p2,
+        params,
+        free: &BTreeSet::new(),
+        extra: &[],
+        ctx: CandidateEval {
+            metrics: options.metrics.clone(),
+            interrupt: options.budget.interrupt(),
+        },
     };
-    let mut best: Option<Counterexample> = None;
-    for (index, key) in candidates.into_iter().take(options.max_groups).enumerate() {
-        options.budget.check()?;
-        options
-            .events
-            .emit(crate::session::ExplainEvent::CandidateChecked {
-                index,
-                best_size: best.as_ref().map(|b| b.size()),
-            });
-        match solve_for_group(plans, db, params, p1, p2, key, &ctx)? {
-            Some(cex) => {
-                let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
-                if better {
-                    best = Some(cex);
-                }
-            }
-            None => continue,
-        }
-    }
+    let best = search.scan(options.max_groups, &options.budget, &options.events)?;
     let timings = Timings {
         solver: start.elapsed(),
         ..Timings::default()
@@ -114,6 +115,159 @@ pub(crate) fn agg_basic_core(
     best.map(|c| (c, timings)).ok_or_else(|| {
         RatestError::Unsupported("no candidate group yields a distinguishing sub-instance".into())
     })
+}
+
+/// The candidate-group search of `Agg-Basic` and `Agg-Param` over one
+/// pair's aggregate provenance.
+pub(crate) struct GroupSearch<'a> {
+    /// The pair compiled on `db`, for verification.
+    pub(crate) plans: &'a PairPlans,
+    pub(crate) db: &'a Database,
+    pub(crate) p1: &'a AggregateProvenance,
+    pub(crate) p2: &'a AggregateProvenance,
+    /// The original parameter setting λ, under which the provenance was
+    /// built.
+    pub(crate) params: &'a Params,
+    /// The parameters the search may re-choose (Definition 3); empty for
+    /// `Agg-Basic`.
+    pub(crate) free: &'a BTreeSet<String>,
+    /// Extra values tried for the free parameters.
+    pub(crate) extra: &'a [i64],
+    /// Verification's metrics and interrupt; the search's counters go to
+    /// the same metrics.
+    pub(crate) ctx: CandidateEval,
+}
+
+/// One candidate group's min-ones problem: its formula, objective and the
+/// tuple each variable stands for.
+pub(crate) struct GroupProblem {
+    pub(crate) formula: Formula,
+    pub(crate) objective: Vec<Var>,
+    pub(crate) vars: VarMap,
+}
+
+impl GroupSearch<'_> {
+    /// Search the first `max_groups` candidate groups, keeping the smallest
+    /// verified counterexample (the first found among equal sizes).
+    pub(crate) fn scan(
+        &self,
+        max_groups: usize,
+        budget: &Budget,
+        events: &EventHandle,
+    ) -> Result<Option<Counterexample>> {
+        let candidates = candidate_group_keys(self.p1, self.p2, self.params)?;
+        let mut best: Option<Counterexample> = None;
+        for (index, key) in candidates.into_iter().take(max_groups).enumerate() {
+            budget.check()?;
+            let incumbent = best.as_ref().map(Counterexample::size);
+            events.emit(ExplainEvent::CandidateChecked {
+                index,
+                best_size: incumbent,
+            });
+            if let Some(cex) = self.search_group(key, incumbent)? {
+                if incumbent.is_none_or(|size| cex.size() < size) {
+                    best = Some(cex);
+                }
+            }
+        }
+        Ok(best)
+    }
+
+    /// The min-ones problem of the group with `key`: the group must exist in
+    /// at least one query (a necessary condition for the group to contribute
+    /// a difference), and the selection must be closed under the foreign
+    /// keys. `None` when the group exists in neither query.
+    pub(crate) fn problem(&self, key: &[Value]) -> Result<Option<GroupProblem>> {
+        let exists = |p: &AggregateProvenance| {
+            p.group_by_key(key)
+                .map(|g| g.exists.clone())
+                .unwrap_or(BoolExpr::False)
+        };
+        let skeleton = BoolExpr::or2(exists(self.p1), exists(self.p2));
+        if skeleton.is_false() {
+            return Ok(None);
+        }
+        let mut vars = VarMap::new();
+        let mut parts = vec![encode_provenance(&skeleton, &mut vars)];
+        parts.extend(foreign_key_clauses(self.db, &mut vars)?);
+        Ok(Some(GroupProblem {
+            formula: Formula::and(parts),
+            objective: vars.all_vars(),
+            vars,
+        }))
+    }
+
+    /// The theory check on a model's `selection`: the first parameter
+    /// setting under which the two queries disagree on it (the original
+    /// setting when no parameter is free), or `None` when there is none.
+    pub(crate) fn differing_setting(
+        &self,
+        theory: &TheoryCheck,
+        selection: &TupleSelection,
+    ) -> Option<Params> {
+        let candidate = theory.candidate(selection);
+        theory
+            .param_settings(&candidate, self.free, self.params, self.extra)
+            .into_iter()
+            .find(|setting| theory.differ(&candidate, setting).unwrap_or(false))
+    }
+
+    /// Solve the group with `key` and verify its optimum. `None` when the
+    /// group yields nothing the scan keeps: no accepted model, an exhausted
+    /// rejection budget, no model smaller than `incumbent`, or a sub-instance
+    /// that does not verify.
+    fn search_group(
+        &self,
+        key: &[Value],
+        incumbent: Option<usize>,
+    ) -> Result<Option<Counterexample>> {
+        let Some(GroupProblem {
+            formula,
+            objective,
+            vars,
+        }) = self.problem(key)?
+        else {
+            return Ok(None);
+        };
+        let metrics = &self.ctx.metrics;
+        let theory = TheoryCheck::new(self.p1, self.p2);
+        let accept = |true_vars: &[Var]| {
+            self.differing_setting(&theory, &vars.selection_from_vars(true_vars))
+        };
+        metrics.counter_inc("agg.groups_solved");
+        metrics.observe("solver.objective_vars", objective.len() as u64);
+        let mut solver_stats = SolverStats::default();
+        let result = minimize_ones_below(
+            &formula,
+            &objective,
+            &MinOnesOptions::default(),
+            incumbent,
+            accept,
+            &mut solver_stats,
+        );
+        // Record on every path: groups abandoned as unsatisfiable,
+        // budget-capped or out of the incumbent's reach still did solver
+        // work that `--metrics` totals must include.
+        solver_stats.record(metrics);
+        theory.record(metrics);
+        let (sol, params) = match result {
+            Ok(Descent::Optimum(sol, params)) => (sol, params),
+            Ok(Descent::CannotBeat) => {
+                metrics.counter_inc("agg.groups_abandoned");
+                return Ok(None);
+            }
+            Err(SolverError::Unsatisfiable) | Err(SolverError::BudgetExhausted { .. }) => {
+                return Ok(None)
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let selection = vars.selection_from_vars(&sol.true_vars);
+        match verify_candidate(self.plans, self.db, selection, None, &params, &self.ctx) {
+            Ok(cex) => Ok(Some(cex)),
+            Err(RatestError::Unsupported(_)) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
 }
 
 /// Group keys on which the two queries (may) disagree, ordered by the number
@@ -154,73 +308,6 @@ fn rows_differ_on_full_instance(
         None => Ok(None),
     };
     Ok(row(p1)? != row(p2)?)
-}
-
-/// Solve the min-ones problem restricted to one group.
-fn solve_for_group(
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    p1: &AggregateProvenance,
-    p2: &AggregateProvenance,
-    key: &[Value],
-    ctx: &CandidateEval,
-) -> Result<Option<Counterexample>> {
-    let metrics = &ctx.metrics;
-    let exists1 = p1
-        .group_by_key(key)
-        .map(|g| g.exists.clone())
-        .unwrap_or(BoolExpr::False);
-    let exists2 = p2
-        .group_by_key(key)
-        .map(|g| g.exists.clone())
-        .unwrap_or(BoolExpr::False);
-    // The group must exist in at least one query (a necessary condition for
-    // the group to contribute a difference).
-    let skeleton = BoolExpr::or2(exists1, exists2);
-    if skeleton.is_false() {
-        return Ok(None);
-    }
-
-    let mut vars = VarMap::new();
-    let mut parts = vec![encode_provenance(&skeleton, &mut vars)];
-    parts.extend(foreign_key_clauses(db, &mut vars)?);
-    let formula = Formula::and(parts);
-    let objective = vars.all_vars();
-
-    let theory = TheoryCheck::new(p1, p2);
-    let accept = |true_vars: &[ratest_solver::Var]| -> bool {
-        let selection = vars.selection_from_vars(true_vars);
-        theory
-            .differ(&theory.candidate(&selection), params)
-            .unwrap_or(false)
-    };
-    metrics.counter_inc("agg.groups_solved");
-    metrics.observe("solver.objective_vars", objective.len() as u64);
-    let mut solver_stats = SolverStats::default();
-    let result = minimize_ones_with_theory_into(
-        &formula,
-        &objective,
-        &MinOnesOptions::default(),
-        accept,
-        &mut solver_stats,
-    );
-    // Record on every path: groups abandoned as unsatisfiable or budget-capped
-    // still did solver work that `--metrics` totals must include.
-    solver_stats.record(metrics);
-    theory.record(metrics);
-    let sol = match result {
-        Ok(sol) => sol,
-        Err(ratest_solver::SolverError::Unsatisfiable)
-        | Err(ratest_solver::SolverError::BudgetExhausted { .. }) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let selection = vars.selection_from_vars(&sol.true_vars);
-    match verify_candidate(plans, db, selection, None, params, ctx) {
-        Ok(cex) => Ok(Some(cex)),
-        Err(RatestError::Unsupported(_)) => Ok(None),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]

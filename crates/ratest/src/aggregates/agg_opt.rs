@@ -8,10 +8,16 @@
 //! verify against the original aggregate queries; if the check fails, ask the
 //! solver for a different model and repeat — exactly the repeat-until loop of
 //! the paper.
+//!
+//! The pair's aggregate provenance has already annotated `Q1'` and `Q2'` on
+//! the instance, and the annotated result of a difference-free query holds
+//! evaluation's rows in evaluation's order, so `Optσ` starts from those rows
+//! ([`AggregateProvenance::inner_rows`]) instead of evaluating the inputs a
+//! second time; inputs with a difference are evaluated.
 
 use super::{run_standalone, TheoryCheck};
 use crate::error::{RatestError, Result};
-use crate::optsigma::{smallest_witness_optsigma_accepting, OptSigmaOptions};
+use crate::optsigma::{optsigma_core, OptSigmaOptions};
 use crate::pipeline::Timings;
 use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
 use ratest_provenance::aggprov::AggregateProvenance;
@@ -64,9 +70,12 @@ pub fn smallest_counterexample_agg_opt(
 
 /// `Agg-Opt`'s search over the pair's aggregate provenance `p1`, `p2`
 /// (built on `db` under `original_params`); `plans` is the pair compiled on
-/// `db`. The returned [`Timings`] cover the search alone: the inner `Optσ`
-/// run's evaluation of the stripped queries, its tuple provenance, and the
-/// rest as solver time.
+/// `db`. The stripped queries' rows on `db` come from the provenance when
+/// it holds them, so two identical difference-free inner queries are
+/// declined after one set comparison. The returned [`Timings`] cover the
+/// search alone: the inner `Optσ` run's evaluation or comparison of the
+/// stripped queries' rows, its tuple provenance, and the rest as solver
+/// time.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_opt_core(
     q1: &Query,
@@ -100,16 +109,23 @@ pub(crate) fn agg_opt_core(
         false
     };
 
-    // Run Optσ on the stripped SPJUD queries with the acceptance hook.
+    // Run Optσ on the stripped SPJUD queries with the acceptance hook,
+    // starting from their rows on `db`, which the aggregate provenance
+    // already derived.
     let start = Instant::now();
-    let searched = smallest_witness_optsigma_accepting(
-        &p1.inner,
-        &p2.inner,
-        db,
-        original_params,
-        &options.optsigma,
-        accept,
-    );
+    let searched = PairPlans::compile(&p1.inner, &p2.inner, db).and_then(|inner| {
+        inner.check_union_compatible()?;
+        optsigma_core(
+            &p1.inner,
+            &p2.inner,
+            &inner,
+            db,
+            original_params,
+            p1.inner_rows.as_ref().zip(p2.inner_rows.as_ref()),
+            &options.optsigma,
+            accept,
+        )
+    });
     theory.record(&options.optsigma.metrics);
     let (inner_cex, inner_timings) = searched.map_err(|e| match e {
         RatestError::QueriesAgreeOnInstance => RatestError::Unsupported(

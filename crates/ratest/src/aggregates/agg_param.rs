@@ -8,22 +8,17 @@
 //! paper reports ~70 % smaller counterexamples on TPC-H Q18 for a negligible
 //! runtime increase — Figure 7).
 
-use super::agg_basic::candidate_group_keys;
-use super::{run_standalone, TheoryCheck};
-use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
+use super::agg_basic::GroupSearch;
+use super::run_standalone;
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
-use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
+use crate::problem::{CandidateEval, Counterexample, PairPlans};
+use crate::session::{Budget, EventHandle};
 use ratest_provenance::aggprov::AggregateProvenance;
-use ratest_provenance::BoolExpr;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
-use ratest_solver::formula::Formula;
-use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
-use ratest_solver::SolverStats;
-use ratest_storage::{Database, Value};
+use ratest_storage::Database;
 use ratest_telemetry::MetricsHandle;
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -35,9 +30,9 @@ pub struct AggParamOptions {
     /// Extra candidate parameter values to try besides the derived ones.
     pub extra_candidates: Vec<i64>,
     /// Unified resource budget, polled once per candidate group.
-    pub budget: crate::session::Budget,
+    pub budget: Budget,
     /// Progress events (per candidate group).
-    pub events: crate::session::EventHandle,
+    pub events: EventHandle,
     /// Metrics sink: provenance and solver counters are folded in here.
     pub metrics: MetricsHandle,
 }
@@ -47,8 +42,8 @@ impl Default for AggParamOptions {
         AggParamOptions {
             max_groups: 8,
             extra_candidates: vec![0, 1],
-            budget: crate::session::Budget::unlimited(),
-            events: crate::session::EventHandle::none(),
+            budget: Budget::unlimited(),
+            events: EventHandle::none(),
             metrics: MetricsHandle::none(),
         }
     }
@@ -78,7 +73,10 @@ pub fn smallest_counterexample_agg_param(
 
 /// `Agg-Param`'s search over the pair's aggregate provenance `p1`, `p2`
 /// (built on `db` under `original_params`); `plans` is the pair compiled on
-/// `db`. The returned [`Timings`] cover the search alone.
+/// `db`. It is `Agg-Basic`'s group search with the queries' parameters
+/// free: a model is accepted under the first setting λ' that makes the
+/// queries disagree, and its counterexample records that λ'. The returned
+/// [`Timings`] cover the search alone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn agg_param_core(
     q1: &Query,
@@ -91,33 +89,21 @@ pub(crate) fn agg_param_core(
     options: &AggParamOptions,
 ) -> Result<(Counterexample, Timings)> {
     let start = Instant::now();
-    let param_names: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
-    let candidates = candidate_group_keys(p1, p2, original_params)?;
-    let mut best: Option<Counterexample> = None;
-    for (index, key) in candidates.into_iter().take(options.max_groups).enumerate() {
-        options.budget.check()?;
-        options
-            .events
-            .emit(crate::session::ExplainEvent::CandidateChecked {
-                index,
-                best_size: best.as_ref().map(|b| b.size()),
-            });
-        if let Some(cex) = solve_group_parameterized(
-            plans,
-            db,
-            original_params,
-            &param_names,
-            options,
-            p1,
-            p2,
-            key,
-        )? {
-            let better = best.as_ref().map(|b| cex.size() < b.size()).unwrap_or(true);
-            if better {
-                best = Some(cex);
-            }
-        }
-    }
+    let free: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
+    let search = GroupSearch {
+        plans,
+        db,
+        p1,
+        p2,
+        params: original_params,
+        free: &free,
+        extra: &options.extra_candidates,
+        ctx: CandidateEval {
+            metrics: options.metrics.clone(),
+            interrupt: options.budget.interrupt(),
+        },
+    };
+    let best = search.scan(options.max_groups, &options.budget, &options.events)?;
     let timings = Timings {
         solver: start.elapsed(),
         ..Timings::default()
@@ -130,98 +116,12 @@ pub(crate) fn agg_param_core(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn solve_group_parameterized(
-    plans: &PairPlans,
-    db: &Database,
-    original_params: &Params,
-    param_names: &BTreeSet<String>,
-    options: &AggParamOptions,
-    p1: &AggregateProvenance,
-    p2: &AggregateProvenance,
-    key: &[Value],
-) -> Result<Option<Counterexample>> {
-    let exists1 = p1
-        .group_by_key(key)
-        .map(|g| g.exists.clone())
-        .unwrap_or(BoolExpr::False);
-    let exists2 = p2
-        .group_by_key(key)
-        .map(|g| g.exists.clone())
-        .unwrap_or(BoolExpr::False);
-    let skeleton = BoolExpr::or2(exists1, exists2);
-    if skeleton.is_false() {
-        return Ok(None);
-    }
-
-    let mut vars = VarMap::new();
-    let mut parts = vec![encode_provenance(&skeleton, &mut vars)];
-    parts.extend(foreign_key_clauses(db, &mut vars)?);
-    let formula = Formula::and(parts);
-    let objective = vars.all_vars();
-
-    // The theory callback searches over candidate parameter settings for one
-    // that makes the queries disagree; the successful setting is remembered.
-    let chosen: RefCell<Option<Params>> = RefCell::new(None);
-    let theory = TheoryCheck::new(p1, p2);
-    let accept = |true_vars: &[ratest_solver::Var]| -> bool {
-        let selection = vars.selection_from_vars(true_vars);
-        let candidate = theory.candidate(&selection);
-        for setting in theory.param_settings(
-            &candidate,
-            param_names,
-            original_params,
-            &options.extra_candidates,
-        ) {
-            if theory.differ(&candidate, &setting).unwrap_or(false) {
-                *chosen.borrow_mut() = Some(setting);
-                return true;
-            }
-        }
-        false
-    };
-    options.metrics.counter_inc("agg.groups_solved");
-    options
-        .metrics
-        .observe("solver.objective_vars", objective.len() as u64);
-    let mut solver_stats = SolverStats::default();
-    let result = minimize_ones_with_theory_into(
-        &formula,
-        &objective,
-        &MinOnesOptions::default(),
-        accept,
-        &mut solver_stats,
-    );
-    // Record on every path: groups abandoned as unsatisfiable or budget-capped
-    // still did solver work that `--metrics` totals must include.
-    solver_stats.record(&options.metrics);
-    theory.record(&options.metrics);
-    let sol = match result {
-        Ok(sol) => sol,
-        Err(ratest_solver::SolverError::Unsatisfiable)
-        | Err(ratest_solver::SolverError::BudgetExhausted { .. }) => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let selection = vars.selection_from_vars(&sol.true_vars);
-    let params = chosen
-        .into_inner()
-        .unwrap_or_else(|| original_params.clone());
-    let ctx = CandidateEval {
-        metrics: options.metrics.clone(),
-        interrupt: options.budget.interrupt(),
-    };
-    match verify_candidate(plans, db, selection, None, &params, &ctx) {
-        Ok(cex) => Ok(Some(cex)),
-        Err(RatestError::Unsupported(_)) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
     use ratest_ra::testdata;
+    use ratest_storage::Value;
 
     fn original_params() -> Params {
         let mut p = Params::new();

@@ -25,6 +25,8 @@
 pub mod agg_basic;
 pub mod agg_opt;
 pub mod agg_param;
+#[cfg(test)]
+mod stop_oracle;
 
 pub use agg_basic::smallest_counterexample_agg_basic;
 pub use agg_opt::smallest_counterexample_agg_opt;

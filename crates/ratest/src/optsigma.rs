@@ -20,7 +20,7 @@ use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
 use ratest_ra::ast::Query;
 use ratest_ra::builder::QueryBuilder;
-use ratest_ra::eval::Params;
+use ratest_ra::eval::{Params, ResultSet};
 use ratest_ra::expr::Expr;
 use ratest_ra::rewrite::push_selections_down;
 use ratest_ra::typecheck::output_schema;
@@ -89,16 +89,21 @@ where
     F: FnMut(&TupleSelection) -> bool,
 {
     let plans = PairPlans::compile(q1, q2, db)?;
-    optsigma_core(q1, q2, &plans, db, params, options, accept)
+    optsigma_core(q1, q2, &plans, db, params, None, options, accept)
 }
 
-/// [`smallest_witness_optsigma_accepting`] for the pair compiled on `db`.
+/// [`smallest_witness_optsigma_accepting`] for the pair compiled on `db`,
+/// starting from `results`, the two queries' results on `db` when the
+/// caller already holds them (the pair's union compatibility checked); with
+/// `None` the queries are evaluated here.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn optsigma_core<F>(
     q1: &Query,
     q2: &Query,
     plans: &PairPlans,
     db: &Database,
     params: &Params,
+    results: Option<(&ResultSet, &ResultSet)>,
     options: &OptSigmaOptions,
     mut accept: F,
 ) -> Result<(Counterexample, Timings)>
@@ -112,9 +117,16 @@ where
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let (r1, r2) = plans.distinguish(db, params, &options.budget, &options.metrics)?;
+    let evaluated;
+    let (r1, r2) = match results {
+        Some(results) => results,
+        None => {
+            evaluated = plans.distinguish(db, params, &options.budget, &options.metrics)?;
+            (&evaluated.0, &evaluated.1)
+        }
+    };
     timings.raw_eval = start.elapsed();
-    let diffs = differing_tuples(&r1, &r2);
+    let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
         return Err(RatestError::QueriesAgreeOnInstance);
     };
@@ -129,7 +141,7 @@ where
     let mut selection: Option<(TupleSelection, bool)> = None;
     for (index, direction) in [from_q1, !from_q1].into_iter().enumerate() {
         options.budget.check()?;
-        if direction != from_q1 && !direction_feasible(q1, q2, &r1, &r2, &tuple, direction) {
+        if direction != from_q1 && !direction_feasible(q1, q2, r1, r2, &tuple, direction) {
             continue;
         }
         options.events.emit(ExplainEvent::CandidateChecked {

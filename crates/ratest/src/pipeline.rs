@@ -321,6 +321,7 @@ fn dispatch(
                 plans,
                 db,
                 params,
+                None,
                 &OptSigmaOptions {
                     selection_pushdown: options.selection_pushdown,
                     strategy: options.strategy,
@@ -564,13 +565,7 @@ pub(crate) fn explain_prepared_impl(
     // Union compatibility + evaluation of the submission only — the
     // reference plan and result are already on the handle.
     let plans = PairPlans::new(reference.plan.clone(), Plan::compile(q2, db)?);
-    let (s1, s2) = (plans.q1.schema(), plans.q2.schema());
-    if !s1.union_compatible(s2) {
-        return Err(RatestError::NotUnionCompatible {
-            left: s1.to_string(),
-            right: s2.to_string(),
-        });
-    }
+    plans.check_union_compatible()?;
     let mut timings = Timings::default();
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,

@@ -230,7 +230,7 @@ fn membership_in_difference(
     closed: &TupleSelection,
     ctx: &CandidateEval,
 ) -> Result<bool> {
-    let sub = db.subinstance(|id| closed.contains(id));
+    let sub = db.restrict_to(closed);
     let out = evaluate_plan(diff, &sub, params, &ctx.interrupt, &MetricsHandle::none())?;
     Ok(out.contains(tuple))
 }

@@ -132,6 +132,18 @@ impl PairPlans {
         PairPlans { q1, q2 }
     }
 
+    /// Check that the two outputs are union compatible.
+    pub fn check_union_compatible(&self) -> Result<()> {
+        let (s1, s2) = (self.q1.schema(), self.q2.schema());
+        if !s1.union_compatible(s2) {
+            return Err(RatestError::NotUnionCompatible {
+                left: s1.to_string(),
+                right: s2.to_string(),
+            });
+        }
+        Ok(())
+    }
+
     /// Check that the two outputs are union compatible, then evaluate both
     /// queries on `db` under the budget, folding their row counters into
     /// `metrics`.
@@ -142,13 +154,7 @@ impl PairPlans {
         budget: &crate::session::Budget,
         metrics: &MetricsHandle,
     ) -> Result<(ResultSet, ResultSet)> {
-        let (s1, s2) = (self.q1.schema(), self.q2.schema());
-        if !s1.union_compatible(s2) {
-            return Err(RatestError::NotUnionCompatible {
-                left: s1.to_string(),
-                right: s2.to_string(),
-            });
-        }
+        self.check_union_compatible()?;
         let interrupt = budget.interrupt();
         let r1 = evaluate_plan(&self.q1, db, params, &interrupt, metrics)?;
         let r2 = evaluate_plan(&self.q2, db, params, &interrupt, metrics)?;
@@ -213,7 +219,7 @@ pub fn verify_candidate(
 ) -> Result<Counterexample> {
     // Close under foreign keys so the sub-instance is a valid instance.
     selection.close_under_foreign_keys(db)?;
-    let sub = SubInstance::materialize(db, selection);
+    let mut sub = SubInstance::materialize(db, selection);
     debug_assert!(db.contains_subinstance(&sub.database));
     sub.database.validate_constraints()?;
     let eval = |plan| evaluate_plan(plan, &sub.database, params, &ctx.interrupt, &ctx.metrics);
@@ -228,6 +234,7 @@ pub fn verify_candidate(
     // Counterexamples outlive the search; keep them at their size.
     q1_result.shrink_to_fit();
     q2_result.shrink_to_fit();
+    sub.shrink_to_fit();
     Ok(Counterexample {
         subinstance: sub,
         q1_result,

@@ -324,6 +324,7 @@ fn groups_live_on_the_empty_instance_are_evaluated() {
         annotated.projection.clone(),
         groups,
         annotated.inner.clone(),
+        annotated.inner_rows.clone(),
         annotated.outer_having.clone(),
     )
     .unwrap();

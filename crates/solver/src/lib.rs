@@ -62,8 +62,8 @@ pub use cnf::{Clause, Cnf, Lit, Var};
 pub use error::{Result, SolverError};
 pub use formula::Formula;
 pub use minones::{
-    minimize_ones, minimize_ones_with_theory, minimize_ones_with_theory_into, MinOnesOptions,
-    MinOnesSolution,
+    minimize_ones, minimize_ones_below, minimize_ones_with_theory, minimize_ones_with_theory_into,
+    Descent, MinOnesOptions, MinOnesSolution,
 };
 pub use sat::{SatResult, Solver};
 pub use stats::SolverStats;

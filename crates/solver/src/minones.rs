@@ -9,6 +9,19 @@
 //! conditions (aggregate value comparisons, "the counterexample must actually
 //! distinguish the two queries" re-checks); rejected models are blocked and
 //! the search continues, mirroring lazy SMT solving.
+//!
+//! A caller that scans several problems and keeps only a strictly smaller
+//! answer than the one it holds passes that **incumbent** size to
+//! [`minimize_ones_below`]. The first solve runs as always. When its model
+//! is not smaller than the incumbent, one probe bounded at `incumbent − 1`
+//! decides whether any accepted model is: `Unsatisfiable` there ends the
+//! search as [`Descent::CannotBeat`], since the descent could only have
+//! ended at a cost of at least the incumbent (or failed). Any other probe
+//! result resumes the descent unchanged; every probe is a fresh solver, so
+//! it returns the model it would have returned without the probe. The probe
+//! is not run before the first solve: on a problem where many cheap models
+//! are rejected, a bounded solve can exhaust the rejection budget where the
+//! unbounded one finds an accepted model quickly.
 
 use crate::cardinality::at_most_k_with;
 use crate::cnf::{Cnf, Lit, Var};
@@ -94,28 +107,79 @@ pub fn minimize_ones_with_theory_into<F>(
 where
     F: FnMut(&[Var]) -> bool,
 {
-    let mut stats = SolverStats::default();
-    let result = minimize_impl(formula, objective, options, &mut accept, &mut stats);
-    out.merge(&stats);
-    result.map(|true_vars| MinOnesSolution {
-        cost: true_vars.len(),
-        true_vars,
-        stats,
-    })
+    let accept = |true_vars: &[Var]| accept(true_vars).then_some(());
+    match minimize_ones_below(formula, objective, options, None, accept, out)? {
+        Descent::Optimum(solution, ()) => Ok(solution),
+        Descent::CannotBeat => unreachable!("only an incumbent can be out of reach"),
+    }
 }
 
-/// The descent: solve once under the caller's bound, then tighten the
-/// cardinality bound (binary or linear) until no accepted model remains.
-/// Every probe is a fresh solver over the CNF plus that probe's bound.
-fn minimize_impl<F>(
+/// How a search against an incumbent ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Descent<T> {
+    /// The optimum, with what the theory callback returned for its model.
+    Optimum(MinOnesSolution, T),
+    /// No accepted model has fewer true variables than the incumbent.
+    CannotBeat,
+}
+
+/// [`minimize_ones_with_theory_into`] for a caller that only keeps a model
+/// with fewer than `incumbent` true variables (see the [module
+/// docs](self)). `accept` returns `Some` value to accept a model, and the
+/// optimum comes back with the value returned for it. With no incumbent
+/// this is the plain descent, probe for probe.
+pub fn minimize_ones_below<T, F>(
     formula: &Formula,
     objective: &[Var],
     options: &MinOnesOptions,
+    incumbent: Option<usize>,
+    mut accept: F,
+    out: &mut SolverStats,
+) -> Result<Descent<T>>
+where
+    F: FnMut(&[Var]) -> Option<T>,
+{
+    let mut stats = SolverStats::default();
+    let result = minimize_impl(
+        formula,
+        objective,
+        options,
+        incumbent,
+        &mut accept,
+        &mut stats,
+    );
+    out.merge(&stats);
+    Ok(match result? {
+        Some((true_vars, value)) => Descent::Optimum(
+            MinOnesSolution {
+                cost: true_vars.len(),
+                true_vars,
+                stats,
+            },
+            value,
+        ),
+        None => Descent::CannotBeat,
+    })
+}
+
+/// An accepted model: its true objective variables and the theory's value.
+type Accepted<T> = (Vec<Var>, T);
+
+/// The descent: solve once under the caller's bound, stop if an incumbent
+/// proves out of reach, then tighten the cardinality bound (binary or
+/// linear) until no accepted model remains. Every probe is a fresh solver
+/// over the CNF plus that probe's bound. `None` means
+/// [`Descent::CannotBeat`].
+fn minimize_impl<T, F>(
+    formula: &Formula,
+    objective: &[Var],
+    options: &MinOnesOptions,
+    incumbent: Option<usize>,
     accept: &mut F,
     stats: &mut SolverStats,
-) -> Result<Vec<Var>>
+) -> Result<Option<Accepted<T>>>
 where
-    F: FnMut(&[Var]) -> bool,
+    F: FnMut(&[Var]) -> Option<T>,
 {
     let num_vars = objective
         .iter()
@@ -132,16 +196,26 @@ where
     let Some(mut best) = probe(options.upper_bound)? else {
         return Err(SolverError::Unsatisfiable);
     };
+    if let Some(incumbent) = incumbent {
+        if best.0.len() >= incumbent {
+            let Some(below) = incumbent.checked_sub(1) else {
+                return Ok(None);
+            };
+            if let Ok(None) = probe(Some(below)) {
+                return Ok(None);
+            }
+        }
+    }
     if options.binary_search {
-        // Invariant: a solution of cost `best.len()` exists; no solution of
-        // cost < lo exists.
+        // Invariant: a solution of cost `best.0.len()` exists; no solution
+        // of cost < lo exists.
         let mut lo = 0usize;
-        let mut hi = best.len();
+        let mut hi = best.0.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
             match probe(Some(mid))? {
                 Some(model) => {
-                    hi = model.len().min(mid);
+                    hi = model.0.len().min(mid);
                     best = model;
                 }
                 None => lo = mid + 1,
@@ -149,31 +223,32 @@ where
         }
     } else {
         // Linear descent.
-        while !best.is_empty() {
-            match probe(Some(best.len() - 1))? {
+        while !best.0.is_empty() {
+            match probe(Some(best.0.len() - 1))? {
                 Some(model) => best = model,
                 None => break,
             }
         }
     }
-    Ok(best)
+    Ok(Some(best))
 }
 
 /// Solve the base CNF with an optional at-most-k bound over the objective,
 /// retrying (with blocking clauses) while the theory callback rejects models.
-/// Returns the true objective variables of an accepted model, or `None` if
-/// unsatisfiable under the bound. Merges the solver's counters into `stats`
-/// on **every** exit, errors included.
-fn solve_accepting<F>(
+/// Returns the true objective variables of an accepted model with the
+/// theory's value for it, or `None` if unsatisfiable under the bound.
+/// Merges the solver's counters into `stats` on **every** exit, errors
+/// included.
+fn solve_accepting<T, F>(
     base: &Cnf,
     objective: &[Var],
     bound: Option<usize>,
     max_rejections: usize,
     accept: &mut F,
     stats: &mut SolverStats,
-) -> Result<Option<Vec<Var>>>
+) -> Result<Option<Accepted<T>>>
 where
-    F: FnMut(&[Var]) -> bool,
+    F: FnMut(&[Var]) -> Option<T>,
 {
     let mut solver = Solver::from_cnf(base);
     if let Some(k) = bound {
@@ -197,8 +272,8 @@ where
                     .copied()
                     .filter(|&v| model.value(v))
                     .collect();
-                if accept(&true_vars) {
-                    break Ok(Some(true_vars));
+                if let Some(value) = accept(&true_vars) {
+                    break Ok(Some((true_vars, value)));
                 }
                 rejections += 1;
                 if rejections > max_rejections {
@@ -324,6 +399,106 @@ mod tests {
         // All models rejected: either the blocked space becomes UNSAT or the
         // budget trips; both are errors.
         assert!(result.is_err());
+    }
+
+    /// `x1 ∨ (x2 ∧ x3)`: the first model is `{x2, x3}` (branching tries
+    /// `x1 = false` first); the optimum is `{x1}`.
+    fn two_ways() -> Formula {
+        Formula::or(vec![v(1), Formula::and(vec![v(2), v(3)])])
+    }
+
+    fn below(incumbent: Option<usize>) -> Descent<()> {
+        let mut stats = SolverStats::default();
+        minimize_ones_below(
+            &two_ways(),
+            &[1, 2, 3],
+            &MinOnesOptions::default(),
+            incumbent,
+            |_| Some(()),
+            &mut stats,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn an_incumbent_the_optimum_cannot_beat_ends_the_search() {
+        // The optimum (1) equals the incumbent: the probe at 0 is
+        // unsatisfiable. A probe at the incumbent itself would find {x1}.
+        assert_eq!(below(Some(1)), Descent::CannotBeat);
+        assert_eq!(below(Some(0)), Descent::CannotBeat);
+    }
+
+    #[test]
+    fn a_beatable_incumbent_returns_the_plain_optimum() {
+        let plain = minimize_ones(&two_ways(), &[1, 2, 3], &MinOnesOptions::default()).unwrap();
+        for incumbent in [None, Some(2), Some(3)] {
+            let Descent::Optimum(sol, ()) = below(incumbent) else {
+                panic!("incumbent {incumbent:?} is beatable");
+            };
+            assert_eq!(sol.true_vars, plain.true_vars);
+            assert_eq!(sol.cost, 1);
+        }
+    }
+
+    #[test]
+    fn a_probe_that_exhausts_its_budget_resumes_the_descent() {
+        // x1 ∨ (x2 ∧ x3 ∧ x4 ∧ x5) over objective x1..x13. The theory
+        // accepts the big branch, and {x1, x6} on the small one. The first
+        // model is {x2..x5} (cost 4). Under the bound 3 the solver offers
+        // dozens of small models without x6 before {x1, x6}, so the probe
+        // at `4 − 1` exhausts a budget of 12 rejections; under the bound 2
+        // only 12 models are rejected, so the descent finds {x1, x6}.
+        let f = Formula::or(vec![v(1), Formula::and(vec![v(2), v(3), v(4), v(5)])]);
+        let objective: Vec<Var> = (1..=13).collect();
+        let options = MinOnesOptions {
+            max_theory_rejections: 12,
+            ..Default::default()
+        };
+        let accept = |t: &[Var]| [2, 3, 4, 5].iter().all(|x| t.contains(x)) || t == [1, 6];
+        let bounded = MinOnesOptions {
+            upper_bound: Some(3),
+            ..options.clone()
+        };
+        assert!(matches!(
+            minimize_ones_with_theory(&f, &objective, &bounded, accept),
+            Err(SolverError::BudgetExhausted { .. })
+        ));
+        let plain = minimize_ones_with_theory(&f, &objective, &options, accept).unwrap();
+        assert_eq!(plain.true_vars, vec![1, 6]);
+        let mut stats = SolverStats::default();
+        let searched = minimize_ones_below(
+            &f,
+            &objective,
+            &options,
+            Some(4),
+            |t| accept(t).then_some(()),
+            &mut stats,
+        )
+        .unwrap();
+        let Descent::Optimum(sol, ()) = searched else {
+            panic!("{{x1, x6}} beats the incumbent");
+        };
+        assert_eq!(sol.true_vars, plain.true_vars);
+    }
+
+    #[test]
+    fn the_optimum_carries_the_theory_value_of_its_own_model() {
+        // The theory tags each accepted model with its cost; the probe at
+        // `incumbent − 1` accepts a model too, whose tag must not leak.
+        let mut stats = SolverStats::default();
+        let searched = minimize_ones_below(
+            &two_ways(),
+            &[1, 2, 3],
+            &MinOnesOptions::default(),
+            Some(2),
+            |t| Some(t.to_vec()),
+            &mut stats,
+        )
+        .unwrap();
+        let Descent::Optimum(sol, tag) = searched else {
+            panic!("{{x1}} beats the incumbent");
+        };
+        assert_eq!(tag, sol.true_vars);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::constraints::ConstraintSet;
 use crate::error::{Result, StorageError};
 use crate::fk_index::ForeignKeyIndex;
 use crate::relation::Relation;
+use crate::subinstance::TupleSelection;
 use crate::tuple::TupleId;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
@@ -12,17 +13,27 @@ use std::sync::{Arc, OnceLock};
 /// with its integrity constraints Γ.
 ///
 /// Relations are looked up by a scan of their names: instances hold a
-/// handful of relations. The name and constraint set are shared with every
-/// clone, and every sub-instance shares one copy of them. The foreign-key
-/// index is built on first use and shared with every clone, including
-/// clones made before that use; changing the relations or constraints drops
-/// it. A sub-instance starts without one and without the shared slot for
-/// it, which it allocates on first use: counterexamples, which never use
-/// it, do not carry it.
+/// handful of relations. The relations, the name and the constraint set are
+/// shared with every clone (a change copies what is still shared first), and
+/// every sub-instance shares one copy of the name and constraints. The
+/// foreign-key index is built on first use and shared with every clone,
+/// including clones made before that use; changing the relations or
+/// constraints drops it. A sub-instance starts without one and without the
+/// shared slot for it, which it allocates on first use: counterexamples,
+/// which never use it, do not carry it.
+///
+/// A sub-instance made by [`Database::restrict_to`] keeps only its
+/// selection and a share of the instance's relations, and builds its own
+/// relations on first use; [`Database::shrink_to_fit`] drops them again, so
+/// a counterexample kept long after it was verified costs its selection.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Database {
     meta: Arc<Meta>,
-    relations: Vec<Relation>,
+    /// The relations; unset until first use for a restriction.
+    relations: OnceLock<Arc<Vec<Relation>>>,
+    /// For a restriction: the instance's relations and the selected tuples.
+    #[serde(skip)]
+    restriction: Option<(Arc<Vec<Relation>>, TupleSelection)>,
     #[serde(skip)]
     fk_index: OnceLock<FkSlot>,
 }
@@ -39,7 +50,7 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("meta", &self.meta)
-            .field("relations", &self.relations)
+            .field("relations", &self.rels())
             .finish()
     }
 }
@@ -71,57 +82,77 @@ impl Database {
         if self.position(relation.name()).is_some() {
             return Err(StorageError::DuplicateRelation(relation.name().into()));
         }
-        let idx = self.relations.len() as u32;
+        let relations = self.rels_mut();
+        let idx = relations.len() as u32;
         relation.set_relation_index(idx);
-        self.relations.push(relation);
-        self.fk_index = fresh_fk_slot();
+        relations.push(relation);
         Ok(idx)
     }
 
     /// Look up a relation by name.
     pub fn relation(&self, name: &str) -> Result<&Relation> {
         self.position(name)
-            .map(|i| &self.relations[i])
+            .map(|i| &self.rels()[i])
             .ok_or_else(|| StorageError::UnknownRelation(name.into()))
     }
 
     /// Look up a relation mutably by name.
     pub fn relation_mut(&mut self, name: &str) -> Result<&mut Relation> {
-        self.fk_index = fresh_fk_slot();
         match self.position(name) {
-            Some(i) => Ok(&mut self.relations[i]),
+            Some(i) => Ok(&mut self.rels_mut()[i]),
             None => Err(StorageError::UnknownRelation(name.into())),
         }
     }
 
+    /// The relations, built first if this is a restriction not used yet.
+    fn rels(&self) -> &[Relation] {
+        self.relations.get_or_init(|| {
+            let (instance, selection) = self
+                .restriction
+                .as_ref()
+                .expect("only a restriction starts without relations");
+            Arc::new(instance.iter().map(|r| r.select(selection)).collect())
+        })
+    }
+
+    /// The relations for a change: copied first if a clone shares them,
+    /// with the foreign-key index dropped. A restriction becomes an
+    /// ordinary database.
+    fn rels_mut(&mut self) -> &mut Vec<Relation> {
+        self.rels();
+        self.restriction = None;
+        self.fk_index = fresh_fk_slot();
+        Arc::make_mut(self.relations.get_mut().expect("built above"))
+    }
+
     /// Where the relation called `name` sits in `relations`.
     fn position(&self, name: &str) -> Option<usize> {
-        self.relations.iter().position(|r| r.name() == name)
+        self.rels().iter().position(|r| r.name() == name)
     }
 
     /// Look up a relation by its index.
     pub fn relation_by_index(&self, idx: u32) -> Option<&Relation> {
-        self.relations.get(idx as usize)
+        self.rels().get(idx as usize)
     }
 
     /// Iterate over the relations in insertion order.
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
-        self.relations.iter()
+        self.rels().iter()
     }
 
     /// Names of all relations, in insertion order.
     pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.iter().map(|r| r.name()).collect()
+        self.rels().iter().map(|r| r.name()).collect()
     }
 
     /// Number of relations.
     pub fn relation_count(&self) -> usize {
-        self.relations.len()
+        self.rels().len()
     }
 
     /// Total number of tuples across all relations: `|D|` in the paper.
     pub fn total_tuples(&self) -> usize {
-        self.relations.iter().map(|r| r.len()).sum()
+        self.rels().iter().map(|r| r.len()).sum()
     }
 
     /// The constraint set Γ.
@@ -165,6 +196,26 @@ impl Database {
     /// result has the same relations (some possibly empty), the same schema,
     /// the same constraints, and retained tuples keep their identifiers.
     pub fn subinstance<F: Fn(TupleId) -> bool>(&self, keep: F) -> Database {
+        let relations = self.rels().iter().map(|r| r.restrict(&keep)).collect();
+        self.sub(OnceLock::from(Arc::new(relations)), None)
+    }
+
+    /// The sub-instance `D' ⊆ D` of the tuples `selection` picks, as
+    /// [`Database::subinstance`] builds it, but built on first use: until
+    /// then it holds `selection` and a share of this instance's relations.
+    /// Identifiers that name no tuple of this instance are ignored.
+    pub fn restrict_to(&self, selection: &TupleSelection) -> Database {
+        self.rels();
+        let instance = self.relations.get().expect("built above").clone();
+        self.sub(OnceLock::new(), Some((instance, selection.clone())))
+    }
+
+    /// A sub-instance of this database with the given relations.
+    fn sub(
+        &self,
+        relations: OnceLock<Arc<Vec<Relation>>>,
+        restriction: Option<(Arc<Vec<Relation>>, TupleSelection)>,
+    ) -> Database {
         let meta = self.meta.subinstance.get_or_init(|| {
             Arc::new(Meta {
                 name: format!("{}⊆", self.meta.name).into(),
@@ -174,8 +225,18 @@ impl Database {
         });
         Database {
             meta: meta.clone(),
-            relations: self.relations.iter().map(|r| r.restrict(&keep)).collect(),
+            relations,
+            restriction,
             fk_index: OnceLock::new(),
+        }
+    }
+
+    /// For a sub-instance made by [`Database::restrict_to`], drop the
+    /// relations built from its selection; the next use builds them again.
+    /// Other databases keep their relations.
+    pub fn shrink_to_fit(&mut self) {
+        if self.restriction.is_some() {
+            self.relations.take();
         }
     }
 
@@ -216,7 +277,8 @@ impl Database {
                 constraints,
                 subinstance: OnceLock::new(),
             }),
-            relations,
+            relations: OnceLock::from(Arc::new(relations)),
+            restriction: None,
             fk_index: fresh_fk_slot(),
         }
     }
@@ -225,7 +287,7 @@ impl Database {
     /// each is rebuilt from its rows on next use. Name lookups need no
     /// index.
     pub fn rebuild_indexes(&mut self) {
-        for r in &mut self.relations {
+        for r in self.rels_mut() {
             r.rebuild_index();
         }
     }
@@ -274,6 +336,58 @@ mod tests {
             db.add_relation(dup),
             Err(StorageError::DuplicateRelation(_))
         ));
+    }
+
+    /// Each relation's rows as (id, values).
+    fn rows(db: &Database) -> Vec<Vec<(Option<TupleId>, Vec<Value>)>> {
+        db.relations()
+            .map(|r| r.iter().map(|t| (t.id, t.values.to_vec())).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_restriction_is_the_subinstance_of_its_selection() {
+        let mut db = toy();
+        let course = Relation::new("Course", Schema::new(vec![("dept", DataType::Text)]));
+        db.add_relation(course).unwrap();
+        // Ids of an empty relation, a missing row and a missing relation
+        // select nothing.
+        let ids = [(0, 0), (0, 2), (0, 7), (1, 0), (5, 1)].map(|(r, i)| TupleId::new(r, i));
+        let selection = TupleSelection::from_ids(ids);
+        let eager = db.subinstance(|id| selection.contains(id));
+        let mut lazy = db.restrict_to(&selection);
+        assert_eq!(rows(&lazy), rows(&eager));
+        assert_eq!(lazy.name(), eager.name());
+        assert_eq!(lazy.relation_names(), eager.relation_names());
+        // Dropped and built again on the next use.
+        lazy.shrink_to_fit();
+        assert_eq!(rows(&lazy), rows(&eager));
+        // A restriction of a restriction.
+        let one = TupleSelection::from_ids([TupleId::new(0, 2)]);
+        assert_eq!(rows(&lazy.restrict_to(&one)), rows(&db.restrict_to(&one)));
+    }
+
+    #[test]
+    fn clones_share_relations_until_one_changes() {
+        let db = toy();
+        let mut copy = db.clone();
+        let student = |d: &Database| d.relation("Student").unwrap() as *const Relation;
+        assert_eq!(student(&db), student(&copy));
+        copy.relation_mut("Student")
+            .unwrap()
+            .insert(vec![Value::from("Ann"), Value::from("MATH")])
+            .unwrap();
+        assert_eq!(db.total_tuples(), 3);
+        assert_eq!(copy.total_tuples(), 4);
+        // A restriction that changes becomes a database of its own.
+        let mut sub = db.restrict_to(&TupleSelection::from_ids([TupleId::new(0, 1)]));
+        sub.relation_mut("Student")
+            .unwrap()
+            .insert(vec![Value::from("Ann"), Value::from("MATH")])
+            .unwrap();
+        sub.shrink_to_fit();
+        assert_eq!(sub.total_tuples(), 2);
+        assert_eq!(db.total_tuples(), 3);
     }
 
     #[test]

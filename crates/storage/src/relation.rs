@@ -3,6 +3,7 @@
 use crate::error::{Result, StorageError};
 use crate::row_index::RowIndex;
 use crate::schema::Schema;
+use crate::subinstance::TupleSelection;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
@@ -146,6 +147,30 @@ impl Relation {
             .iter()
             .filter(|t| keep(t.id.expect("base tuples always carry an id")))
             .cloned()
+            .collect();
+        // Counterexamples outlive the search; keep them at their size.
+        rows.shrink_to_fit();
+        Relation {
+            header: self.header.clone(),
+            rows,
+            dedup: OnceLock::new(),
+        }
+    }
+
+    /// [`Relation::restrict`] to the tuples of `selection`, each found by a
+    /// binary search (rows are in identifier order), so the cost follows
+    /// the selection, not the relation. Ids of other relations, and ids
+    /// that name no tuple here, are skipped.
+    pub(crate) fn select(&self, selection: &TupleSelection) -> Relation {
+        let index = self.header.relation_index;
+        let mut rows: Vec<Tuple> = selection
+            .iter()
+            .skip_while(|id| id.relation < index)
+            .take_while(|id| id.relation == index)
+            .filter_map(|id| {
+                let at = self.rows.binary_search_by_key(&Some(id), |t| t.id).ok()?;
+                Some(self.rows[at].clone())
+            })
             .collect();
         // Counterexamples outlive the search; keep them at their size.
         rows.shrink_to_fit();

@@ -128,13 +128,21 @@ pub struct SubInstance {
 }
 
 impl SubInstance {
-    /// Materialise a selection over `db`.
+    /// Materialise a selection over `db`. The induced database builds its
+    /// relations on first use ([`Database::restrict_to`]).
     pub fn materialize(db: &Database, selection: TupleSelection) -> SubInstance {
-        let database = db.subinstance(|id| selection.contains(id));
+        let database = db.restrict_to(&selection);
         SubInstance {
             selection,
             database,
         }
+    }
+
+    /// Drop the induced database's relations until their next use
+    /// ([`Database::shrink_to_fit`]): for sub-instances kept long after
+    /// they are used.
+    pub fn shrink_to_fit(&mut self) {
+        self.database.shrink_to_fit();
     }
 
     /// Total number of tuples, `|D'|`.
