@@ -11,14 +11,16 @@ use ratest_core::aggregates::agg_opt::{smallest_counterexample_agg_opt, AggOptOp
 use ratest_core::aggregates::agg_param::{smallest_counterexample_agg_param, AggParamOptions};
 use ratest_core::basic::{smallest_counterexample_basic, BasicOptions};
 use ratest_core::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
-use ratest_core::pipeline::SolverStrategy;
-use ratest_core::RatestError;
+use ratest_core::pipeline::{SolverStrategy, Timings};
+use ratest_core::{Counterexample, RatestError};
 use ratest_datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
 use ratest_queries::tpch_queries::{q18_parameterized, q18_parameterized_wrong, tpch_experiments};
 use ratest_ra::eval::Params;
 use ratest_ra::metrics::QueryMetrics;
 use ratest_storage::{Database, Value};
+use ratest_telemetry::{MetricsHandle, MetricsRegistry};
 use serde::Serialize;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Default per-question mutation count used by the harness.
@@ -339,6 +341,35 @@ pub fn fig5(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Fig5
 
 // ---------------------------------------------------------------- Figure 6
 
+/// One aggregate algorithm's run in Figure 6 or 7: its component times
+/// (raw, provenance, solver) and counterexample size, or the error it ended
+/// with, plus the work counted in the run's own metrics registry.
+#[derive(Debug, Clone, Serialize)]
+pub struct AggRun {
+    /// Times and size, or the error the search ended with.
+    pub result: Result<(Duration, Duration, Duration, usize), RatestError>,
+    /// `agg.theory.checks`: the models the lazy theory check evaluated.
+    pub theory_checks: u64,
+    /// `solver.decisions` over every solve of the run.
+    pub solver_decisions: u64,
+}
+
+impl AggRun {
+    /// Run `search` with a fresh metrics registry and keep its counters.
+    fn counted(
+        search: impl FnOnce(MetricsHandle) -> ratest_core::Result<(Counterexample, Timings)>,
+    ) -> AggRun {
+        let registry = Arc::new(MetricsRegistry::new());
+        let result = search(MetricsHandle::new(registry.clone()))
+            .map(|(c, t)| (t.raw_eval, t.provenance, t.solver, c.size()));
+        AggRun {
+            result,
+            theory_checks: registry.counter("agg.theory.checks"),
+            solver_decisions: registry.counter("solver.decisions"),
+        }
+    }
+}
+
 /// One row of Figure 6: per-query TPC-H component times for both aggregate
 /// algorithms.
 #[derive(Debug, Clone, Serialize)]
@@ -347,12 +378,10 @@ pub struct Fig6Row {
     pub query: String,
     /// Which wrong variant (0 or 1).
     pub variant: usize,
-    /// Agg-Basic component times (raw, provenance, solver) and size, or
-    /// the error the search ended with.
-    pub agg_basic: Result<(Duration, Duration, Duration, usize), RatestError>,
-    /// Agg-Opt component times (raw, provenance, solver) and size, or the
-    /// error (Agg-Opt declines the pairs it cannot decompose).
-    pub agg_opt: Result<(Duration, Duration, Duration, usize), RatestError>,
+    /// The Agg-Basic run.
+    pub agg_basic: AggRun,
+    /// The Agg-Opt run (Agg-Opt declines the pairs it cannot decompose).
+    pub agg_opt: AggRun,
 }
 
 /// Run the Figure 6 experiment at the given TPC-H scale factor.
@@ -361,22 +390,29 @@ pub fn fig6(scale_factor: f64, seed: u64) -> Vec<Fig6Row> {
     let mut rows = Vec::new();
     for exp in tpch_experiments() {
         for (variant, wrong) in exp.wrong.iter().enumerate() {
-            let basic = smallest_counterexample_agg_basic(
-                &exp.reference,
-                wrong,
-                &db,
-                &Params::new(),
-                &AggBasicOptions::default(),
-            )
-            .map(|(c, t)| (t.raw_eval, t.provenance, t.solver, c.size()));
-            let opt = smallest_counterexample_agg_opt(
-                &exp.reference,
-                wrong,
-                &db,
-                &Params::new(),
-                &AggOptOptions::default(),
-            )
-            .map(|(c, t)| (t.raw_eval, t.provenance, t.solver, c.size()));
+            let basic = AggRun::counted(|metrics| {
+                smallest_counterexample_agg_basic(
+                    &exp.reference,
+                    wrong,
+                    &db,
+                    &Params::new(),
+                    &AggBasicOptions {
+                        metrics,
+                        ..Default::default()
+                    },
+                )
+            });
+            let opt = AggRun::counted(|metrics| {
+                let mut options = AggOptOptions::default();
+                options.optsigma.metrics = metrics;
+                smallest_counterexample_agg_opt(
+                    &exp.reference,
+                    wrong,
+                    &db,
+                    &Params::new(),
+                    &options,
+                )
+            });
             rows.push(Fig6Row {
                 query: exp.name.to_owned(),
                 variant,
@@ -397,10 +433,18 @@ pub struct Fig7Result {
     pub basic_solver_time: Duration,
     /// Mean counterexample size without parameterization.
     pub basic_size: f64,
+    /// Mean `agg.theory.checks` without parameterization.
+    pub basic_checks: f64,
+    /// Mean `solver.decisions` without parameterization.
+    pub basic_decisions: f64,
     /// Mean solver runtime with parameterization.
     pub param_solver_time: Duration,
     /// Mean counterexample size with parameterization.
     pub param_size: f64,
+    /// Mean `agg.theory.checks` with parameterization.
+    pub param_checks: f64,
+    /// Mean `solver.decisions` with parameterization.
+    pub param_decisions: f64,
     /// Number of (reference, wrong) pairs measured.
     pub pairs: usize,
 }
@@ -415,55 +459,62 @@ pub fn fig7(scale_factor: f64, seed: u64) -> Fig7Result {
     let mut original = Params::new();
     original.insert("qty".into(), Value::Int(120));
 
-    let mut basic_time = Duration::ZERO;
-    let mut basic_size = 0usize;
-    let mut param_time = Duration::ZERO;
-    let mut param_size = 0usize;
+    // Sums over the pairs both algorithms explain: solver time, size,
+    // theory checks and solver decisions.
+    let mut basic = (Duration::ZERO, 0usize, 0u64, 0u64);
+    let mut param = (Duration::ZERO, 0usize, 0u64, 0u64);
     let mut n = 0usize;
     for (wrong_fixed, wrong_param) in q18.wrong.iter().zip(q18_parameterized_wrong().iter()) {
-        let basic = smallest_counterexample_agg_basic(
-            &q18.reference,
-            wrong_fixed,
-            &db,
-            &Params::new(),
-            &AggBasicOptions::default(),
-        );
-        let param = smallest_counterexample_agg_param(
-            &q18_parameterized(),
-            wrong_param,
-            &db,
-            &original,
-            &AggParamOptions::default(),
-        );
-        if let (Ok((cb, tb)), Ok((cp, tp))) = (basic, param) {
-            basic_time += tb.solver;
-            basic_size += cb.size();
-            param_time += tp.solver;
-            param_size += cp.size();
+        let b = AggRun::counted(|metrics| {
+            smallest_counterexample_agg_basic(
+                &q18.reference,
+                wrong_fixed,
+                &db,
+                &Params::new(),
+                &AggBasicOptions {
+                    metrics,
+                    ..Default::default()
+                },
+            )
+        });
+        let p = AggRun::counted(|metrics| {
+            smallest_counterexample_agg_param(
+                &q18_parameterized(),
+                wrong_param,
+                &db,
+                &original,
+                &AggParamOptions {
+                    metrics,
+                    ..Default::default()
+                },
+            )
+        });
+        if let (Ok((_, _, tb, sb)), Ok((_, _, tp, sp))) = (&b.result, &p.result) {
+            basic = (
+                basic.0 + *tb,
+                basic.1 + sb,
+                basic.2 + b.theory_checks,
+                basic.3 + b.solver_decisions,
+            );
+            param = (
+                param.0 + *tp,
+                param.1 + sp,
+                param.2 + p.theory_checks,
+                param.3 + p.solver_decisions,
+            );
             n += 1;
         }
     }
+    let mean = |total: f64| if n > 0 { total / n as f64 } else { 0.0 };
     Fig7Result {
-        basic_solver_time: if n > 0 {
-            basic_time / n as u32
-        } else {
-            Duration::ZERO
-        },
-        basic_size: if n > 0 {
-            basic_size as f64 / n as f64
-        } else {
-            0.0
-        },
-        param_solver_time: if n > 0 {
-            param_time / n as u32
-        } else {
-            Duration::ZERO
-        },
-        param_size: if n > 0 {
-            param_size as f64 / n as f64
-        } else {
-            0.0
-        },
+        basic_solver_time: basic.0.checked_div(n as u32).unwrap_or_default(),
+        basic_size: mean(basic.1 as f64),
+        basic_checks: mean(basic.2 as f64),
+        basic_decisions: mean(basic.3 as f64),
+        param_solver_time: param.0.checked_div(n as u32).unwrap_or_default(),
+        param_size: mean(param.1 as f64),
+        param_checks: mean(param.2 as f64),
+        param_decisions: mean(param.3 as f64),
         pairs: n,
     }
 }
@@ -513,7 +564,14 @@ mod tests {
     fn fig6_and_fig7_run_at_tiny_scale() {
         let rows = fig6(0.0006, 3);
         assert!(!rows.is_empty());
-        assert!(rows.iter().any(|r| r.agg_opt.is_ok()));
+        assert!(rows.iter().any(|r| r.agg_opt.result.is_ok()));
+        // An Agg-Basic search that explains its pair solved and checked
+        // at least one model.
+        let explained = rows.iter().filter(|r| r.agg_basic.result.is_ok());
+        assert!(explained
+            .clone()
+            .all(|r| r.agg_basic.solver_decisions > 0 && r.agg_basic.theory_checks > 0));
+        assert!(explained.count() > 0);
         let f7 = fig7(0.0008, 3);
         if f7.pairs > 0 {
             assert!(f7.param_size <= f7.basic_size);

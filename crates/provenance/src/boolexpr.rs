@@ -138,17 +138,22 @@ impl BoolExpr {
     }
 
     fn collect_variables(&self, out: &mut BTreeSet<TupleId>) {
+        self.for_each_variable(&mut |id| {
+            out.insert(id);
+        });
+    }
+
+    /// Call `f` on every variable occurrence, in order, repeats included.
+    pub fn for_each_variable(&self, f: &mut impl FnMut(TupleId)) {
         match self {
-            BoolExpr::Var(id) => {
-                out.insert(*id);
-            }
+            BoolExpr::Var(id) => f(*id),
             BoolExpr::True | BoolExpr::False => {}
             BoolExpr::And(parts) | BoolExpr::Or(parts) => {
                 for p in parts {
-                    p.collect_variables(out);
+                    p.for_each_variable(f);
                 }
             }
-            BoolExpr::Not(inner) => inner.collect_variables(out),
+            BoolExpr::Not(inner) => inner.for_each_variable(f),
         }
     }
 

@@ -41,7 +41,7 @@ pub mod smtlib;
 
 pub use aggprov::{
     aggregate_provenance, aggregate_provenance_instrumented, aggregate_provenance_interruptible,
-    AggregateProvenance, GroupProvenance,
+    pair_aggregate_provenance, AggregateProvenance, GroupProvenance,
 };
 pub use annotate::{
     annotate, annotate_interruptible, annotate_with_params, difference_of, AnnotatedResult,

@@ -6,7 +6,7 @@
 //! documentation examples, and as an escape hatch for users who want to feed
 //! the constraints to an external solver.
 
-use crate::aggprov::GroupProvenance;
+use crate::aggprov::{AggregateProvenance, GroupProvenance};
 use crate::boolexpr::BoolExpr;
 use ratest_ra::ast::AggFunc;
 use ratest_storage::{TupleId, Value};
@@ -84,9 +84,9 @@ fn value_term(v: &Value) -> String {
 
 /// Render the symbolic aggregate value of a group for one aggregate call as
 /// an SMT-LIB arithmetic term over `b2i(t)` indicators (the
-/// `t4 ⊗ 100 +_AVG t5 ⊗ 75` terms of Table 2).
-pub fn aggregate_term(group: &GroupProvenance, agg_index: usize) -> String {
-    let func = group.aggregates[agg_index].func;
+/// `t4 ⊗ 100 +_AVG t5 ⊗ 75` terms of Table 2). `func` is the aggregate
+/// function of that call ([`AggregateProvenance::aggregates`]).
+pub fn aggregate_term(func: AggFunc, group: &GroupProvenance, agg_index: usize) -> String {
     let weighted: Vec<String> = group
         .members
         .iter()
@@ -123,13 +123,15 @@ fn guard_term(p: &BoolExpr) -> String {
 /// Render the "these two aggregate queries differ on this group" constraint
 /// in the style of Listing 2: either exactly one group exists (and passes its
 /// HAVING), or both exist with different values of the `agg_index`-th
-/// aggregate.
+/// aggregate. The group is the one with `key` in each query's provenance.
 pub fn render_aggregate_difference(
-    g1: Option<&GroupProvenance>,
-    g2: Option<&GroupProvenance>,
+    p1: &AggregateProvenance,
+    p2: &AggregateProvenance,
+    key: &[Value],
     agg_index: usize,
     params: &[(&str, i64)],
 ) -> String {
+    let (g1, g2) = (p1.group_by_key(key), p2.group_by_key(key));
     let mut vars: BTreeSet<TupleId> = BTreeSet::new();
     if let Some(g) = g1 {
         vars.extend(g.variables());
@@ -151,9 +153,9 @@ pub fn render_aggregate_difference(
             None => "false".into(),
         }
     };
-    let value = |g: Option<&GroupProvenance>| -> String {
+    let value = |p: &AggregateProvenance, g: Option<&GroupProvenance>| -> String {
         match g {
-            Some(g) => aggregate_term(g, agg_index),
+            Some(g) => aggregate_term(p.aggregates[agg_index].func, g, agg_index),
             None => "0".into(),
         }
     };
@@ -162,8 +164,8 @@ pub fn render_aggregate_difference(
         "(assert (or (distinct {} {}) (not (= {} {}))))",
         exists(g1),
         exists(g2),
-        value(g1),
-        value(g2)
+        value(p1, g1),
+        value(p2, g2)
     );
     let objective: Vec<String> = vars
         .iter()
@@ -219,12 +221,7 @@ mod tests {
         let p1 = aggregate_provenance(&testdata::example6_q1(), &db, &ParamMap::new()).unwrap();
         let p2 = aggregate_provenance(&testdata::example6_q2(), &db, &ParamMap::new()).unwrap();
         let mary = vec![Value::from("Mary")];
-        let text = render_aggregate_difference(
-            p1.group_by_key(&mary),
-            p2.group_by_key(&mary),
-            0,
-            &[("num_CS", 3)],
-        );
+        let text = render_aggregate_difference(&p1, &p2, &mary, 0, &[("num_CS", 3)]);
         assert!(text.contains("(declare-const num_CS Int)"));
         assert!(text.contains("(assert (or (distinct"));
         assert!(text.contains("(/ (+"), "AVG renders as a quotient: {text}");
@@ -237,7 +234,7 @@ mod tests {
         let p1 = aggregate_provenance(&testdata::example5_q1(), &db, &ParamMap::new()).unwrap();
         let mary = p1.group_by_key(&[Value::from("Mary")]).unwrap();
         // aggregate 1 is COUNT(course)
-        let term = aggregate_term(mary, 1);
+        let term = aggregate_term(p1.aggregates[1].func, mary, 1);
         assert!(term.starts_with("(+"));
         assert!(!term.contains('*'), "COUNT uses bare indicators: {term}");
     }

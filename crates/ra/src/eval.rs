@@ -206,12 +206,19 @@ impl<A: Annotation> Annotated<A> {
     /// them: [`execute`] derives the same rows in the same order whatever
     /// the annotation.
     pub fn into_result_set(self) -> ResultSet {
-        Annotated {
+        self.split().0
+    }
+
+    /// The rows without their annotations ([`Annotated::into_result_set`]),
+    /// and the annotations, by value, in row order.
+    pub fn split(self) -> (ResultSet, Vec<A>) {
+        let rows = Annotated {
             schema: self.schema,
             annotations: vec![(); self.rows.len()],
             rows: self.rows,
             index: self.index,
-        }
+        };
+        (rows, self.annotations)
     }
 
     /// The rows with their annotations, by value.

@@ -500,6 +500,12 @@ impl Scalar {
         self.holds_in(row, params)
     }
 
+    /// [`Scalar::holds`] against the row `head ++ tail`, read in place
+    /// (e.g. a group key followed by its aggregate values).
+    pub fn holds_joined(&self, head: &[Value], tail: &[Value], params: &ParamMap) -> Result<bool> {
+        self.holds_in(&View::of(head).then(tail), params)
+    }
+
     pub(crate) fn holds_in<R: Row + ?Sized>(&self, row: &R, params: &ParamMap) -> Result<bool> {
         truth(self.eval_in(row, params)?.as_ref())
     }

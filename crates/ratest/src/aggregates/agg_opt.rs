@@ -13,7 +13,10 @@
 //! the instance, and the annotated result of a difference-free query holds
 //! evaluation's rows in evaluation's order, so `Optσ` starts from those rows
 //! ([`AggregateProvenance::inner_rows`]) instead of evaluating the inputs a
-//! second time; inputs with a difference are evaluated.
+//! second time; inputs with a difference are evaluated. When `Q1'` and `Q2'`
+//! are the same query (a wrong HAVING threshold, the error of the paper's
+//! Example 5), they agree on every instance, so `Agg-Opt` declines before
+//! compiling or comparing anything, as it would after comparing their rows.
 
 use super::{run_standalone, TheoryCheck};
 use crate::error::{RatestError, Result};
@@ -70,9 +73,9 @@ pub fn smallest_counterexample_agg_opt(
 
 /// `Agg-Opt`'s search over the pair's aggregate provenance `p1`, `p2`
 /// (built on `db` under `original_params`); `plans` is the pair compiled on
-/// `db`. The stripped queries' rows on `db` come from the provenance when
-/// it holds them, so two identical difference-free inner queries are
-/// declined after one set comparison. The returned [`Timings`] cover the
+/// `db`. Identical inner queries are declined at once; otherwise the
+/// stripped queries' rows on `db` come from the provenance when it holds
+/// them. The returned [`Timings`] cover the
 /// search alone: the inner `Optσ` run's evaluation or comparison of the
 /// stripped queries' rows, its tuple provenance, and the rest as solver
 /// time.
@@ -87,6 +90,14 @@ pub(crate) fn agg_opt_core(
     p2: &AggregateProvenance,
     options: &AggOptOptions,
 ) -> Result<(Counterexample, Timings)> {
+    let declined = || {
+        RatestError::Unsupported(
+            "the aggregation inputs agree on the instance; Agg-Opt does not apply".into(),
+        )
+    };
+    if p1.inner() == p2.inner() {
+        return Err(declined());
+    }
     let param_names: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
     let chosen: RefCell<Params> = RefCell::new(original_params.clone());
 
@@ -94,43 +105,40 @@ pub(crate) fn agg_opt_core(
     // *original* queries disagree under some parameter setting.
     let theory = TheoryCheck::new(p1, p2);
     let accept = |selection: &TupleSelection| -> bool {
-        let candidate = theory.candidate(selection);
-        for setting in theory.param_settings(
-            &candidate,
+        match theory.differing_setting(
+            selection,
             &param_names,
             original_params,
             &options.extra_candidates,
         ) {
-            if theory.differ(&candidate, &setting).unwrap_or(false) {
+            Some(setting) => {
                 *chosen.borrow_mut() = setting;
-                return true;
+                true
             }
+            None => false,
         }
-        false
     };
 
     // Run Optσ on the stripped SPJUD queries with the acceptance hook,
     // starting from their rows on `db`, which the aggregate provenance
     // already derived.
     let start = Instant::now();
-    let searched = PairPlans::compile(&p1.inner, &p2.inner, db).and_then(|inner| {
+    let searched = PairPlans::compile(p1.inner(), p2.inner(), db).and_then(|inner| {
         inner.check_union_compatible()?;
         optsigma_core(
-            &p1.inner,
-            &p2.inner,
+            p1.inner(),
+            p2.inner(),
             &inner,
             db,
             original_params,
-            p1.inner_rows.as_ref().zip(p2.inner_rows.as_ref()),
+            p1.inner_rows().zip(p2.inner_rows()),
             &options.optsigma,
             accept,
         )
     });
     theory.record(&options.optsigma.metrics);
     let (inner_cex, inner_timings) = searched.map_err(|e| match e {
-        RatestError::QueriesAgreeOnInstance => RatestError::Unsupported(
-            "the aggregation inputs agree on the instance; Agg-Opt does not apply".into(),
-        ),
+        RatestError::QueriesAgreeOnInstance => declined(),
         other => other,
     })?;
     let timings = Timings {

@@ -20,11 +20,15 @@
 //! The public entry points evaluate both queries and build their aggregate
 //! provenance themselves. The pipeline instead does that once per explain
 //! and hands the provenance to the crate-internal cores (`agg_*_core`), so a
-//! declined `Agg-Opt` and the `Agg-Basic` fallback share it.
+//! declined `Agg-Opt` and the `Agg-Basic` fallback share it. A pair whose
+//! queries aggregate the same input the same way (a wrong HAVING threshold)
+//! builds its groups once ([`pair_aggregate_provenance`]).
 
 pub mod agg_basic;
 pub mod agg_opt;
 pub mod agg_param;
+#[cfg(test)]
+mod sharing_oracle;
 #[cfg(test)]
 mod stop_oracle;
 
@@ -36,20 +40,21 @@ use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{Counterexample, PairPlans};
 use crate::session::Budget;
-use ratest_provenance::aggprov::{aggregate_provenance_instrumented, AggregateProvenance};
+use ratest_provenance::aggprov::{pair_aggregate_provenance, AggregateProvenance, GroupRows};
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_ra::interrupt::Interrupt;
 use ratest_storage::{Database, TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Compute aggregate provenance for both queries of a pair. Both annotations
-/// run under the caller's `interrupt` (so aggregate references honour
-/// `Budget` deadlines inside the provenance loops) and fold their row/group
-/// counters into `metrics`.
+/// Compute aggregate provenance for both queries of a pair, sharing the
+/// groups when both aggregate the same input the same way
+/// ([`pair_aggregate_provenance`]). The annotation runs under the caller's
+/// `interrupt` (so aggregate references honour `Budget` deadlines inside
+/// the provenance loops) and folds its row/group counters into `metrics`.
 pub(crate) fn pair_provenance(
     q1: &Query,
     q2: &Query,
@@ -58,9 +63,9 @@ pub(crate) fn pair_provenance(
     interrupt: &Interrupt,
     metrics: &MetricsHandle,
 ) -> Result<(AggregateProvenance, AggregateProvenance)> {
-    let p1 = aggregate_provenance_instrumented(q1, db, params, interrupt, metrics)?;
-    let p2 = aggregate_provenance_instrumented(q2, db, params, interrupt, metrics)?;
-    Ok((p1, p2))
+    Ok(pair_aggregate_provenance(
+        q1, q2, db, params, interrupt, metrics,
+    )?)
 }
 
 /// A standalone entry point: check that the queries disagree on `db`, build
@@ -99,21 +104,24 @@ fn run_standalone(
 /// The lazy theory check of the aggregate algorithms: do the two queries
 /// produce different output sets on a candidate sub-instance? Each check
 /// evaluates only the groups the candidate can make non-empty
-/// ([`AggregateProvenance::groups_under`]), and the work is counted into
-/// `agg.theory.checks` and `agg.theory.groups_evaluated`.
+/// ([`AggregateProvenance::groups_under`]), into buffers reused from check
+/// to check, and the work is counted into `agg.theory.checks` and
+/// `agg.theory.groups_evaluated`.
 pub(crate) struct TheoryCheck<'a> {
     p1: &'a AggregateProvenance,
     p2: &'a AggregateProvenance,
     checks: Cell<u64>,
     groups_evaluated: Cell<u64>,
+    buffers: RefCell<Buffers>,
 }
 
-/// One candidate sub-instance and the groups of each query it can make
-/// non-empty, looked up once however many parameter settings are tried.
-pub(crate) struct Candidate<'s> {
-    selection: &'s TupleSelection,
+/// A candidate's groups in each query and their rows.
+#[derive(Default)]
+struct Buffers {
     groups1: Vec<usize>,
     groups2: Vec<usize>,
+    rows1: GroupRows,
+    rows2: GroupRows,
 }
 
 impl<'a> TheoryCheck<'a> {
@@ -123,56 +131,90 @@ impl<'a> TheoryCheck<'a> {
             p2,
             checks: Cell::new(0),
             groups_evaluated: Cell::new(0),
+            buffers: RefCell::new(Buffers::default()),
         }
     }
 
-    pub(crate) fn candidate<'s>(&self, selection: &'s TupleSelection) -> Candidate<'s> {
-        Candidate {
-            selection,
-            groups1: self.p1.groups_under(selection),
-            groups2: self.p2.groups_under(selection),
-        }
-    }
-
-    /// Whether the queries disagree on `candidate` under `params`.
-    pub(crate) fn differ(&self, candidate: &Candidate, params: &Params) -> Result<bool> {
-        self.checks.set(self.checks.get() + 1);
-        self.groups_evaluated.set(
-            self.groups_evaluated.get()
-                + (candidate.groups1.len() + candidate.groups2.len()) as u64,
-        );
-        let out1 = self
-            .p1
-            .evaluate_groups(&candidate.groups1, candidate.selection, params)?;
-        let out2 = self
-            .p2
-            .evaluate_groups(&candidate.groups2, candidate.selection, params)?;
-        // Both outputs are duplicate-free, so equal lengths plus inclusion
-        // is set equality.
-        if out1.len() != out2.len() {
-            return Ok(true);
-        }
-        let set1: BTreeSet<&Vec<Value>> = out1.iter().collect();
-        Ok(!out2.iter().all(|r| set1.contains(r)))
-    }
-
-    /// Candidate parameter settings λ' for `candidate` (paper: COUNT → a
-    /// live member count, so thresholds can be met exactly), plus the
-    /// original values and the `extra` constants. The counts come from the
-    /// candidate's groups only: every other group has no live member. With
-    /// no parameters the only setting is `original`; otherwise the settings
-    /// are the Cartesian product over `param_names`, capped at 256 (the
-    /// paper's workloads have a single parameter).
-    pub(crate) fn param_settings(
+    /// The first parameter setting under which the queries disagree on
+    /// `selection`: λ itself (`original`) when no parameter is `free`, else
+    /// the first of [`TheoryCheck::param_settings`]. `None` when there is
+    /// none; a setting whose evaluation fails counts as agreeing.
+    pub(crate) fn differing_setting(
         &self,
-        candidate: &Candidate,
+        selection: &TupleSelection,
+        free: &BTreeSet<String>,
+        original: &Params,
+        extra: &[i64],
+    ) -> Option<Params> {
+        let mut buffers = self.candidate(selection);
+        if free.is_empty() {
+            let differs = self.differ_on(&mut buffers, selection, original);
+            return differs.unwrap_or(false).then(|| original.clone());
+        }
+        self.param_settings(&buffers, selection, free, original, extra)
+            .into_iter()
+            .find(|setting| {
+                self.differ_on(&mut buffers, selection, setting)
+                    .unwrap_or(false)
+            })
+    }
+
+    /// Whether the queries disagree on `selection` under `params`.
+    #[cfg(test)]
+    pub(crate) fn differ(&self, selection: &TupleSelection, params: &Params) -> Result<bool> {
+        self.differ_on(&mut self.candidate(selection), selection, params)
+    }
+
+    /// The buffers, holding the groups of each query that `selection` can
+    /// make non-empty.
+    fn candidate(&self, selection: &TupleSelection) -> RefMut<'_, Buffers> {
+        let mut buffers = self.buffers.borrow_mut();
+        let Buffers {
+            groups1, groups2, ..
+        } = &mut *buffers;
+        self.p1.groups_under_into(selection, groups1);
+        self.p2.groups_under_into(selection, groups2);
+        buffers
+    }
+
+    /// [`TheoryCheck::differ`] with the candidate's groups in `buffers`.
+    fn differ_on(
+        &self,
+        buffers: &mut Buffers,
+        selection: &TupleSelection,
+        params: &Params,
+    ) -> Result<bool> {
+        let Buffers {
+            groups1,
+            groups2,
+            rows1,
+            rows2,
+        } = buffers;
+        self.checks.set(self.checks.get() + 1);
+        self.groups_evaluated
+            .set(self.groups_evaluated.get() + (groups1.len() + groups2.len()) as u64);
+        self.p1
+            .evaluate_groups_into(groups1, selection, params, rows1)?;
+        self.p2
+            .evaluate_groups_into(groups2, selection, params, rows2)?;
+        Ok(self.p1.outputs_differ(rows1, self.p2, rows2))
+    }
+
+    /// Candidate parameter settings λ' for the candidate `selection`, whose
+    /// groups are in `buffers` (paper: COUNT → a live member count, so
+    /// thresholds can be met exactly), plus the original values and the
+    /// `extra` constants. The counts come from the candidate's groups only:
+    /// every other group has no live member. The settings are the Cartesian
+    /// product over `param_names`, capped at 256 (the paper's workloads
+    /// have a single parameter).
+    fn param_settings(
+        &self,
+        buffers: &Buffers,
+        selection: &TupleSelection,
         param_names: &BTreeSet<String>,
         original: &Params,
         extra: &[i64],
     ) -> Vec<Params> {
-        if param_names.is_empty() {
-            return vec![original.clone()];
-        }
         let mut values: BTreeSet<i64> = extra.iter().copied().collect();
         for (name, v) in original.iter() {
             if param_names.contains(name) {
@@ -181,8 +223,8 @@ impl<'a> TheoryCheck<'a> {
                 }
             }
         }
-        let present = |id| candidate.selection.contains(id);
-        for (p, groups) in [(self.p1, &candidate.groups1), (self.p2, &candidate.groups2)] {
+        let present = |id| selection.contains(id);
+        for (p, groups) in [(self.p1, &buffers.groups1), (self.p2, &buffers.groups2)] {
             for &gi in groups {
                 let live = p.groups()[gi]
                     .members

@@ -29,7 +29,7 @@ use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
 use ratest_provenance::{BoolExpr, Dnf};
 use ratest_ra::ast::Query;
-use ratest_ra::eval::Params;
+use ratest_ra::eval::{Params, ResultSet};
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
@@ -85,17 +85,21 @@ pub fn smallest_counterexample_basic(
         &PairPlans::compile(q1, q2, db)?,
         db,
         params,
+        None,
         options,
     )
 }
 
 /// [`smallest_counterexample_basic`] for the pair compiled on `db`.
+/// `results` are both queries' results on `db` when the caller holds them;
+/// otherwise they are evaluated here.
 pub(crate) fn basic_core(
     q1: &Query,
     q2: &Query,
     plans: &PairPlans,
     db: &Database,
     params: &Params,
+    results: Option<(&ResultSet, &ResultSet)>,
     options: &BasicOptions,
 ) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
@@ -104,9 +108,17 @@ pub(crate) fn basic_core(
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let (r1, r2) = plans.distinguish(db, params, &options.budget, &MetricsHandle::none())?;
+    let mut evaluated = None;
+    let (r1, r2) = plans.results_or_distinguish(
+        results,
+        &mut evaluated,
+        db,
+        params,
+        &options.budget,
+        &MetricsHandle::none(),
+    )?;
     timings.raw_eval = start.elapsed();
-    if r1.set_eq(&r2) {
+    if r1.set_eq(r2) {
         return Err(RatestError::QueriesAgreeOnInstance);
     }
 
@@ -138,8 +150,8 @@ pub(crate) fn basic_core(
         plans,
         db,
         params,
-        &r1,
-        &r2,
+        r1,
+        r2,
         &ann_q1_minus_q2,
         &ann_q2_minus_q1,
         options,

@@ -117,14 +117,15 @@ where
         phase: Phase::RawEval,
     });
     let start = Instant::now();
-    let evaluated;
-    let (r1, r2) = match results {
-        Some(results) => results,
-        None => {
-            evaluated = plans.distinguish(db, params, &options.budget, &options.metrics)?;
-            (&evaluated.0, &evaluated.1)
-        }
-    };
+    let mut evaluated = None;
+    let (r1, r2) = plans.results_or_distinguish(
+        results,
+        &mut evaluated,
+        db,
+        params,
+        &options.budget,
+        &options.metrics,
+    )?;
     timings.raw_eval = start.elapsed();
     let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {

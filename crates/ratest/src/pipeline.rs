@@ -239,6 +239,7 @@ fn explain_inner(
         &plans,
         db,
         &options.parameters,
+        (&r1, &r2),
         class,
         timings,
         options,
@@ -246,10 +247,11 @@ fn explain_inner(
 }
 
 /// Explain a pair already known to disagree on `db`, with `plans` the pair
-/// compiled on `db`: run the algorithm for the pair's class (or the forced
-/// one), and fall back to the general path when it declines. `timings`
-/// holds the raw evaluation done so far; every attempt's time is added to
-/// it.
+/// compiled on `db` and `results` both queries' results on `db`: run the
+/// algorithm for the pair's class (or the forced one), and fall back to the
+/// general path when it declines. No attempt evaluates the queries on `db`
+/// again. `timings` holds the raw evaluation done so far; every attempt's
+/// time is added to it.
 ///
 /// The aggregate algorithms share one aggregate provenance of the pair,
 /// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
@@ -261,6 +263,7 @@ fn dispatch(
     plans: &PairPlans,
     db: &Database,
     params: &Params,
+    results: (&ResultSet, &ResultSet),
     class: QueryClass,
     mut timings: Timings,
     options: &RatestOptions,
@@ -307,6 +310,7 @@ fn dispatch(
                 plans,
                 db,
                 params,
+                Some(results),
                 &BasicOptions {
                     strategy: options.strategy,
                     budget: options.budget.clone(),
@@ -321,7 +325,7 @@ fn dispatch(
                 plans,
                 db,
                 params,
-                None,
+                Some(results),
                 &OptSigmaOptions {
                     selection_pushdown: options.selection_pushdown,
                     strategy: options.strategy,
@@ -331,12 +335,24 @@ fn dispatch(
                 },
                 |_| true,
             ),
-            Algorithm::PolytimeMonotone => {
-                monotone_core(q1, q2, plans, db, params, &candidate_ctx(options))
-            }
-            Algorithm::PolytimeSpjudStar => {
-                spjud_star_core(q1, q2, plans, db, params, &candidate_ctx(options))
-            }
+            Algorithm::PolytimeMonotone => monotone_core(
+                q1,
+                q2,
+                plans,
+                db,
+                params,
+                Some(results),
+                &candidate_ctx(options),
+            ),
+            Algorithm::PolytimeSpjudStar => spjud_star_core(
+                q1,
+                q2,
+                plans,
+                db,
+                params,
+                Some(results),
+                &candidate_ctx(options),
+            ),
             Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt => {
                 let (p1, p2) = aggregate_provenance.as_ref().expect("built above");
                 aggregate_search(algorithm, q1, q2, plans, db, params, p1, p2, options)
@@ -600,6 +616,7 @@ pub(crate) fn explain_prepared_impl(
             &plans,
             db,
             &reference.params,
+            (r1, &r2),
             class,
             timings,
             options,

@@ -37,21 +37,39 @@ pub fn smallest_witness_monotone(
     params: &Params,
     ctx: &CandidateEval,
 ) -> Result<(Counterexample, Timings)> {
-    monotone_core(q1, q2, &PairPlans::compile(q1, q2, db)?, db, params, ctx)
+    monotone_core(
+        q1,
+        q2,
+        &PairPlans::compile(q1, q2, db)?,
+        db,
+        params,
+        None,
+        ctx,
+    )
 }
 
-/// [`smallest_witness_monotone`] for the pair compiled on `db`.
+/// [`smallest_witness_monotone`] for the pair compiled on `db`, with both
+/// queries' `results` on `db` when the caller holds them.
 pub(crate) fn monotone_core(
     q1: &Query,
     q2: &Query,
     plans: &PairPlans,
     db: &Database,
     params: &Params,
+    results: Option<(&ResultSet, &ResultSet)>,
     ctx: &CandidateEval,
 ) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
     let start = Instant::now();
-    let (r1, r2) = plans.distinguish(db, params, &Budget::unlimited(), &MetricsHandle::none())?;
+    let mut evaluated = None;
+    let (r1, r2) = plans.results_or_distinguish(
+        results,
+        &mut evaluated,
+        db,
+        params,
+        &Budget::unlimited(),
+        &MetricsHandle::none(),
+    )?;
     timings.raw_eval = start.elapsed();
     let cex = smallest_witness_monotone_with_results(
         q1,
@@ -59,8 +77,8 @@ pub(crate) fn monotone_core(
         plans,
         db,
         params,
-        &r1,
-        &r2,
+        r1,
+        r2,
         None,
         &mut timings,
         ctx,

@@ -23,7 +23,7 @@ use ratest_provenance::annotate::annotate_plan;
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify, QueryClass};
-use ratest_ra::eval::{evaluate_plan, Params};
+use ratest_ra::eval::{evaluate_plan, Params, ResultSet};
 use ratest_ra::plan::Plan;
 use ratest_ra::typecheck::output_schema;
 use ratest_storage::{Database, TupleSelection, Value};
@@ -45,23 +45,41 @@ pub fn smallest_witness_spjud_star(
     params: &Params,
     ctx: &CandidateEval,
 ) -> Result<(Counterexample, Timings)> {
-    spjud_star_core(q1, q2, &PairPlans::compile(q1, q2, db)?, db, params, ctx)
+    spjud_star_core(
+        q1,
+        q2,
+        &PairPlans::compile(q1, q2, db)?,
+        db,
+        params,
+        None,
+        ctx,
+    )
 }
 
-/// [`smallest_witness_spjud_star`] for the pair compiled on `db`.
+/// [`smallest_witness_spjud_star`] for the pair compiled on `db`, with
+/// both queries' `results` on `db` when the caller holds them.
 pub(crate) fn spjud_star_core(
     q1: &Query,
     q2: &Query,
     plans: &PairPlans,
     db: &Database,
     params: &Params,
+    results: Option<(&ResultSet, &ResultSet)>,
     ctx: &CandidateEval,
 ) -> Result<(Counterexample, Timings)> {
     let mut timings = Timings::default();
     let start = Instant::now();
-    let (r1, r2) = plans.distinguish(db, params, &Budget::unlimited(), &MetricsHandle::none())?;
+    let mut evaluated = None;
+    let (r1, r2) = plans.results_or_distinguish(
+        results,
+        &mut evaluated,
+        db,
+        params,
+        &Budget::unlimited(),
+        &MetricsHandle::none(),
+    )?;
     timings.raw_eval = start.elapsed();
-    let diffs = differing_tuples(&r1, &r2);
+    let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
         return Err(RatestError::QueriesAgreeOnInstance);
     };
@@ -73,7 +91,7 @@ pub(crate) fn spjud_star_core(
     let mut best: Option<(TupleSelection, bool)> = None;
     for direction in [from_q1, !from_q1] {
         if direction != from_q1
-            && !crate::optsigma::direction_feasible(q1, q2, &r1, &r2, &tuple, direction)
+            && !crate::optsigma::direction_feasible(q1, q2, r1, r2, &tuple, direction)
         {
             continue;
         }

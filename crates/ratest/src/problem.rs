@@ -160,6 +160,24 @@ impl PairPlans {
         let r2 = evaluate_plan(&self.q2, db, params, &interrupt, metrics)?;
         Ok((r1, r2))
     }
+
+    /// The pair's `results` on `db` when the caller holds them, else
+    /// [`PairPlans::distinguish`]'s, kept in `evaluated`.
+    pub(crate) fn results_or_distinguish<'r>(
+        &self,
+        results: Option<(&'r ResultSet, &'r ResultSet)>,
+        evaluated: &'r mut Option<(ResultSet, ResultSet)>,
+        db: &Database,
+        params: &Params,
+        budget: &crate::session::Budget,
+        metrics: &MetricsHandle,
+    ) -> Result<(&'r ResultSet, &'r ResultSet)> {
+        if let Some(results) = results {
+            return Ok(results);
+        }
+        let (r1, r2) = evaluated.insert(self.distinguish(db, params, budget, metrics)?);
+        Ok((r1, r2))
+    }
 }
 
 /// Materialize a tuple selection into a full [`Counterexample`], evaluating

@@ -26,7 +26,7 @@ fn full_scan(
     let present = |id| selection.contains(id);
     let mut out: Vec<Vec<Value>> = Vec::new();
     for g in p.groups() {
-        let Some(row) = g.evaluate_under(&p.group_schema, &present, params).unwrap() else {
+        let Some(row) = p.evaluate_under(g, &present, params).unwrap() else {
             continue;
         };
         if let Some(h) = &p.outer_having {
@@ -318,16 +318,7 @@ fn groups_live_on_the_empty_instance_are_evaluated() {
             g
         })
         .collect();
-    let p = AggregateProvenance::new(
-        annotated.group_schema.clone(),
-        annotated.output_schema.clone(),
-        annotated.projection.clone(),
-        groups,
-        annotated.inner.clone(),
-        annotated.inner_rows.clone(),
-        annotated.outer_having.clone(),
-    )
-    .unwrap();
+    let p = annotated.with_groups(groups);
 
     // With nothing selected every group keeps all its members: x (3), y (2)
     // and w (2) pass the outer HAVING, z (1) does not.

@@ -12,16 +12,30 @@
 //!
 //! A caller that scans several problems and keeps only a strictly smaller
 //! answer than the one it holds passes that **incumbent** size to
-//! [`minimize_ones_below`]. The first solve runs as always. When its model
-//! is not smaller than the incumbent, one probe bounded at `incumbent − 1`
-//! decides whether any accepted model is: `Unsatisfiable` there ends the
-//! search as [`Descent::CannotBeat`], since the descent could only have
-//! ended at a cost of at least the incumbent (or failed). Any other probe
-//! result resumes the descent unchanged; every probe is a fresh solver, so
-//! it returns the model it would have returned without the probe. The probe
-//! is not run before the first solve: on a problem where many cheap models
-//! are rejected, a bounded solve can exhaust the rejection budget where the
-//! unbounded one finds an accepted model quickly.
+//! [`minimize_ones_below`]. Before anything else, one probe bounded at
+//! `incumbent − 1` runs with a small rejection cap, 1% of
+//! `max_theory_rejections` (100 of the default 10,000): `Unsatisfiable` there
+//! ends the search as [`Descent::CannotBeat`]. Otherwise (a model, or the
+//! cap spent) the plain sequence follows: the first solve, then, when its
+//! model is not smaller than the incumbent, the full-budget probe at
+//! `incumbent − 1` (skipped when the capped probe already found a model
+//! there), whose `Unsatisfiable` also ends the search, and then the descent.
+//! Every probe is a fresh, deterministic solver, so a capped probe that
+//! finishes returns what the full-budget one would, and the answers are
+//! those of the plain sequence: a problem the capped probe settles would
+//! have ended `CannotBeat` or failed without it.
+//!
+//! The cap matters. On the TPC-H Q18 pair with a wrong extra date filter
+//! (Q18#0 of the Fig. 6 experiments), many cheap models are rejected, and
+//! a probe bounded below the incumbent spends far more rejections than the
+//! unbounded first solve needs to find an accepted model. Uncapped, the
+//! probe made that pair's `Agg-Basic` search 4× slower on the tpch-agg
+//! benchmark's instance (SF 0.0003, seed 7: 2.8 → 11.5–13.1 s, 76 k → 143 k
+//! theory checks; 2.0× at `reproduce fig6 --scale small`). Capped, each
+//! probe there spends its 100 rejections and gives up, and the search
+//! stays within noise (2.8–2.9 s). On the pair with a wrong HAVING
+//! threshold (Q18#1, `> 60` against `> 120`) the capped probe settles each
+//! hopeless group with a few rejections instead of an unbounded solve.
 
 use crate::cardinality::at_most_k_with;
 use crate::cnf::{Cnf, Lit, Var};
@@ -165,11 +179,16 @@ where
 /// An accepted model: its true objective variables and the theory's value.
 type Accepted<T> = (Vec<Var>, T);
 
-/// The descent: solve once under the caller's bound, stop if an incumbent
-/// proves out of reach, then tighten the cardinality bound (binary or
-/// linear) until no accepted model remains. Every probe is a fresh solver
-/// over the CNF plus that probe's bound. `None` means
-/// [`Descent::CannotBeat`].
+/// The capped probe at `incumbent − 1` may spend `max_theory_rejections /
+/// PRE_PROBE_SHARE` rejections (see the [module docs](self)). With fewer
+/// than 100 rejections allowed the cap is 0 and no capped probe runs.
+const PRE_PROBE_SHARE: usize = 100;
+
+/// The descent: settle a hopeless incumbent with one capped probe, solve
+/// once under the caller's bound, stop if the incumbent proves out of
+/// reach, then tighten the cardinality bound (binary or linear) until no
+/// accepted model remains. Every probe is a fresh solver over the CNF plus
+/// that probe's bound. `None` means [`Descent::CannotBeat`].
 fn minimize_impl<T, F>(
     formula: &Formula,
     objective: &[Var],
@@ -189,19 +208,32 @@ where
         .max(formula.max_var());
     let base = formula.to_cnf(num_vars);
     let max_rejections = options.max_theory_rejections;
-    let mut probe = |bound: Option<usize>| {
+    let mut probe = |bound: Option<usize>, max_rejections: usize| {
         solve_accepting(&base, objective, bound, max_rejections, accept, stats)
     };
 
-    let Some(mut best) = probe(options.upper_bound)? else {
+    let below = incumbent.and_then(|k| k.checked_sub(1));
+    // Whether an accepted model below the incumbent is known to exist.
+    let mut beatable = false;
+    let cap = max_rejections / PRE_PROBE_SHARE;
+    if let (Some(below), true) = (below, cap > 0) {
+        match probe(Some(below), cap) {
+            Ok(None) => return Ok(None),
+            Ok(Some(_)) => beatable = true,
+            // The cap is spent (or the probe failed): the plain sequence
+            // decides.
+            Err(_) => {}
+        }
+    }
+    let Some(mut best) = probe(options.upper_bound, max_rejections)? else {
         return Err(SolverError::Unsatisfiable);
     };
     if let Some(incumbent) = incumbent {
-        if best.0.len() >= incumbent {
-            let Some(below) = incumbent.checked_sub(1) else {
+        if best.0.len() >= incumbent && !beatable {
+            let Some(below) = below else {
                 return Ok(None);
             };
-            if let Ok(None) = probe(Some(below)) {
+            if let Ok(None) = probe(Some(below), max_rejections) {
                 return Ok(None);
             }
         }
@@ -213,7 +245,7 @@ where
         let mut hi = best.0.len();
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match probe(Some(mid))? {
+            match probe(Some(mid), max_rejections)? {
                 Some(model) => {
                     hi = model.0.len().min(mid);
                     best = model;
@@ -224,7 +256,7 @@ where
     } else {
         // Linear descent.
         while !best.0.is_empty() {
-            match probe(Some(best.0.len() - 1))? {
+            match probe(Some(best.0.len() - 1), max_rejections)? {
                 Some(model) => best = model,
                 None => break,
             }
@@ -479,6 +511,144 @@ mod tests {
             panic!("{{x1, x6}} beats the incumbent");
         };
         assert_eq!(sol.true_vars, plain.true_vars);
+    }
+
+    /// The models offered to the theory, in order, with its verdicts.
+    type Offers = Vec<(Vec<Var>, bool)>;
+
+    /// Run `minimize_ones_below` with `accept`, recording every model it
+    /// offers.
+    fn offered(
+        f: &Formula,
+        objective: &[Var],
+        options: &MinOnesOptions,
+        incumbent: Option<usize>,
+        accept: impl Fn(&[Var]) -> bool,
+    ) -> (Result<Descent<Vec<Var>>>, Offers) {
+        let mut offers = Vec::new();
+        let mut stats = SolverStats::default();
+        let result = minimize_ones_below(
+            f,
+            objective,
+            options,
+            incumbent,
+            |t| {
+                let ok = accept(t);
+                offers.push((t.to_vec(), ok));
+                ok.then(|| t.to_vec())
+            },
+            &mut stats,
+        );
+        (result, offers)
+    }
+
+    /// The offers of the plain search's first solve: up to its first
+    /// accepted model.
+    fn first_solve(offers: &Offers) -> &[(Vec<Var>, bool)] {
+        let end = offers.iter().position(|(_, ok)| *ok).map_or(0, |i| i + 1);
+        &offers[..end]
+    }
+
+    /// The offers of one probe bounded at `bound`, run alone: a search
+    /// whose first solve is that probe and ends there (unsatisfiable or
+    /// out of budget).
+    fn probe_alone(
+        f: &Formula,
+        objective: &[Var],
+        options: &MinOnesOptions,
+        bound: usize,
+        accept: impl Fn(&[Var]) -> bool,
+    ) -> Offers {
+        let bounded = MinOnesOptions {
+            upper_bound: Some(bound),
+            ..options.clone()
+        };
+        let (result, offers) = offered(f, objective, &bounded, None, accept);
+        assert!(result.is_err(), "the probe at {bound} finds no model");
+        offers
+    }
+
+    #[test]
+    fn a_capped_probe_settles_a_hopeless_incumbent_first() {
+        // Any nonempty subset of x1..x6 satisfies the formula, but the
+        // theory accepts only all six: the optimum 6 cannot beat the
+        // incumbent 2. The unbounded first solve offers small models first
+        // and must reject them all before {x1..x6}; the probe at 1 rejects
+        // the six singletons and is unsatisfiable.
+        let f = Formula::or((1..=6).map(v).collect());
+        let objective: Vec<Var> = (1..=6).collect();
+        let options = MinOnesOptions::default();
+        let accept = |t: &[Var]| t.len() == 6;
+        let (result, offers) = offered(&f, &objective, &options, Some(2), accept);
+        assert_eq!(result, Ok(Descent::CannotBeat));
+        // Unbounded first, the search would offer the first solve's models
+        // and then the probe's.
+        let (_, plain) = offered(&f, &objective, &options, None, accept);
+        let probe = probe_alone(&f, &objective, &options, 1, accept);
+        assert_eq!(offers, probe);
+        let unbounded_first = first_solve(&plain).len() + probe.len();
+        assert!(
+            offers.len() < unbounded_first,
+            "{} offers, against {unbounded_first} unbounded first",
+            offers.len()
+        );
+    }
+
+    /// The instance of [`a_probe_that_exhausts_its_budget_resumes_the_descent`]:
+    /// the first model is {x2..x5}; under the bound 3 the solver offers
+    /// more than 12 small models without x6 before {x1, x6}.
+    fn big_or_x1_x6() -> (Formula, Vec<Var>, impl Fn(&[Var]) -> bool + Copy) {
+        let f = Formula::or(vec![v(1), Formula::and(vec![v(2), v(3), v(4), v(5)])]);
+        let objective: Vec<Var> = (1..=13).collect();
+        let accept = |t: &[Var]| [2, 3, 4, 5].iter().all(|x| t.contains(x)) || t == [1, 6];
+        (f, objective, accept)
+    }
+
+    #[test]
+    fn a_capped_probe_that_spends_its_cap_changes_no_answer() {
+        // 1,200 rejections allowed: the capped probe at 3 may reject 12
+        // models, offers 13 and gives up; the first solve, the full probe
+        // at 3 and the descent follow as without it.
+        let (f, objective, accept) = big_or_x1_x6();
+        let options = MinOnesOptions {
+            max_theory_rejections: 1_200,
+            ..Default::default()
+        };
+        let (result, offers) = offered(&f, &objective, &options, Some(4), accept);
+        let Ok(Descent::Optimum(sol, tag)) = result else {
+            panic!("{{x1, x6}} beats the incumbent");
+        };
+        let (plain, _) = offered(&f, &objective, &options, None, accept);
+        let Ok(Descent::Optimum(plain, plain_tag)) = plain else {
+            panic!("the plain search finds {{x1, x6}}");
+        };
+        assert_eq!(sol.true_vars, vec![1, 6]);
+        assert_eq!(sol.true_vars, plain.true_vars);
+        assert_eq!(tag, plain_tag);
+        // The cap was spent on 13 small rejected models; then the first
+        // solve's model came.
+        assert!(offers[..13].iter().all(|(t, ok)| !ok && t.len() <= 3));
+        assert_eq!(offers[13], (vec![2, 3, 4, 5], true));
+    }
+
+    #[test]
+    fn below_100_rejections_no_capped_probe_runs() {
+        // 12 rejections allowed: the cap is 0. The search offers the plain
+        // first solve's models, then the probe at 3's (which runs out of
+        // budget), then the descent's — exactly the order without a cap.
+        let (f, objective, accept) = big_or_x1_x6();
+        let options = MinOnesOptions {
+            max_theory_rejections: 12,
+            ..Default::default()
+        };
+        let (result, offers) = offered(&f, &objective, &options, Some(4), accept);
+        assert!(matches!(result, Ok(Descent::Optimum(..))));
+        let (_, plain) = offered(&f, &objective, &options, None, accept);
+        let first = first_solve(&plain);
+        let mut expected = first.to_vec();
+        expected.extend(probe_alone(&f, &objective, &options, 3, accept));
+        expected.extend_from_slice(&plain[first.len()..]);
+        assert_eq!(offers, expected);
     }
 
     #[test]
