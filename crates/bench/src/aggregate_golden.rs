@@ -48,7 +48,7 @@ fn rows(result: &ResultSet) -> String {
     rows.join(" ")
 }
 
-fn describe(result: Result<&Counterexample, &RatestError>) -> String {
+pub(crate) fn describe(result: Result<&Counterexample, &RatestError>) -> String {
     match result {
         Ok(cex) => {
             let ids: Vec<String> = cex
@@ -189,21 +189,26 @@ fn answers() -> String {
     out
 }
 
-#[test]
-fn aggregate_answers_match_the_golden() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
-    let actual = answers();
+/// Compare `actual` with the golden file at `golden` (relative to the crate
+/// root) line by line, or write it there when `BLESS` is set.
+pub(crate) fn check_golden(golden: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(golden);
     if std::env::var_os("BLESS").is_some() {
-        std::fs::write(&path, &actual).expect("write the golden");
+        std::fs::write(&path, actual).expect("write the golden");
         return;
     }
     let expected = std::fs::read_to_string(&path).expect("the golden exists (BLESS=1 writes it)");
     for (line, (want, got)) in expected.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(want, got, "line {} of {GOLDEN}", line + 1);
+        assert_eq!(want, got, "line {} of {golden}", line + 1);
     }
     assert_eq!(
         expected.lines().count(),
         actual.lines().count(),
-        "{GOLDEN} line count"
+        "{golden} line count"
     );
+}
+
+#[test]
+fn aggregate_answers_match_the_golden() {
+    check_golden(GOLDEN, &answers());
 }

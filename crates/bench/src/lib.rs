@@ -16,6 +16,8 @@
 
 #[cfg(test)]
 mod aggregate_golden;
+#[cfg(test)]
+mod course_golden;
 pub mod experiments;
 pub mod render;
 pub mod workload;
