@@ -4,8 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ratest_bench::university;
 use ratest_bench::workload::{course_workload, distinguished_pairs};
-use ratest_core::optsigma::{provenance_for_tuple, OptSigmaOptions};
+use ratest_core::optsigma::provenance_for_tuple;
 use ratest_core::problem::{check_distinguishes, differing_tuples};
+use ratest_core::RatestOptions;
 use ratest_ra::eval::Params;
 
 fn bench(c: &mut Criterion) {
@@ -40,7 +41,7 @@ fn bench(c: &mut Criterion) {
                     &Params::new(),
                     &tuple,
                     from_q1,
-                    &OptSigmaOptions::default(),
+                    &RatestOptions::default(),
                 )
                 .unwrap()
             })
@@ -54,7 +55,7 @@ fn bench(c: &mut Criterion) {
                     &Params::new(),
                     &tuple,
                     from_q1,
-                    &OptSigmaOptions {
+                    &RatestOptions {
                         selection_pushdown: false,
                         ..Default::default()
                     },

@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ratest_bench::university;
 use ratest_bench::workload::{course_workload, distinguished_pairs};
-use ratest_core::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
-use ratest_core::pipeline::SolverStrategy;
-use ratest_ra::eval::Params;
+use ratest_core::pipeline::{run_algorithm, Algorithm, RatestOptions, SolverStrategy};
 
 fn bench(c: &mut Criterion) {
     let db = university(500);
@@ -17,36 +15,22 @@ fn bench(c: &mut Criterion) {
         .collect();
     let pair = pairs.first().expect("pair exists").clone();
 
+    let optsigma = |strategy| RatestOptions {
+        algorithm: Algorithm::OptSigma,
+        strategy,
+        ..Default::default()
+    };
     let mut group = c.benchmark_group("fig5_solver_strategies");
     group.sample_size(10);
     for k in [1usize, 32, 128] {
         group.bench_with_input(BenchmarkId::new("naive", k), &k, |b, &k| {
-            b.iter(|| {
-                smallest_witness_optsigma(
-                    &pair.reference,
-                    &pair.wrong,
-                    &db,
-                    &Params::new(),
-                    &OptSigmaOptions {
-                        strategy: SolverStrategy::Enumerate { max_models: k },
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
-            })
+            let options = optsigma(SolverStrategy::Enumerate { max_models: k });
+            b.iter(|| run_algorithm(&pair.reference, &pair.wrong, &db, &options).unwrap())
         });
     }
     group.bench_function("opt", |b| {
-        b.iter(|| {
-            smallest_witness_optsigma(
-                &pair.reference,
-                &pair.wrong,
-                &db,
-                &Params::new(),
-                &OptSigmaOptions::default(),
-            )
-            .unwrap()
-        })
+        let options = optsigma(SolverStrategy::Optimize);
+        b.iter(|| run_algorithm(&pair.reference, &pair.wrong, &db, &options).unwrap())
     });
     group.finish();
 }

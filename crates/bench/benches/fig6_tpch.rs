@@ -1,11 +1,9 @@
 //! Bench for Figure 6: Agg-Basic vs Agg-Opt on the TPC-H workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ratest_core::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
-use ratest_core::aggregates::agg_opt::{smallest_counterexample_agg_opt, AggOptOptions};
+use ratest_core::pipeline::{run_algorithm, Algorithm, RatestOptions};
 use ratest_datagen::{tpch_database, TpchConfig};
 use ratest_queries::tpch_queries::tpch_experiments;
-use ratest_ra::eval::Params;
 
 fn bench(c: &mut Criterion) {
     let db = tpch_database(&TpchConfig::with_scale(0.0006));
@@ -17,28 +15,20 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig6_tpch_q18");
     group.sample_size(10);
-    group.bench_function("agg_basic", |b| {
-        b.iter(|| {
-            let _ = smallest_counterexample_agg_basic(
-                &q18.reference,
-                &wrong,
-                &db,
-                &Params::new(),
-                &AggBasicOptions::default(),
-            );
-        })
-    });
-    group.bench_function("agg_opt", |b| {
-        b.iter(|| {
-            let _ = smallest_counterexample_agg_opt(
-                &q18.reference,
-                &wrong,
-                &db,
-                &Params::new(),
-                &AggOptOptions::default(),
-            );
-        })
-    });
+    for (name, algorithm) in [
+        ("agg_basic", Algorithm::AggBasic),
+        ("agg_opt", Algorithm::AggOpt),
+    ] {
+        let options = RatestOptions {
+            algorithm,
+            ..Default::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let _ = run_algorithm(&q18.reference, &wrong, &db, &options);
+            })
+        });
+    }
     group.finish();
 }
 

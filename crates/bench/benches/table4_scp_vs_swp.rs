@@ -4,9 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ratest_bench::university;
 use ratest_bench::workload::{course_workload, distinguished_pairs};
-use ratest_core::basic::{smallest_counterexample_basic, BasicOptions};
-use ratest_core::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
-use ratest_ra::eval::Params;
+use ratest_core::pipeline::{run_algorithm, Algorithm, RatestOptions};
 
 fn bench(c: &mut Criterion) {
     let db = university(500);
@@ -19,32 +17,22 @@ fn bench(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("table4_scp_vs_swp");
     group.sample_size(10);
-    group.bench_function("basic_scp", |b| {
-        b.iter(|| {
-            for p in &pairs {
-                let _ = smallest_counterexample_basic(
-                    &p.reference,
-                    &p.wrong,
-                    &db,
-                    &Params::new(),
-                    &BasicOptions::default(),
-                );
-            }
-        })
-    });
-    group.bench_function("optsigma_swp", |b| {
-        b.iter(|| {
-            for p in &pairs {
-                let _ = smallest_witness_optsigma(
-                    &p.reference,
-                    &p.wrong,
-                    &db,
-                    &Params::new(),
-                    &OptSigmaOptions::default(),
-                );
-            }
-        })
-    });
+    for (name, algorithm) in [
+        ("basic_scp", Algorithm::Basic),
+        ("optsigma_swp", Algorithm::OptSigma),
+    ] {
+        let options = RatestOptions {
+            algorithm,
+            ..Default::default()
+        };
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for p in &pairs {
+                    let _ = run_algorithm(&p.reference, &p.wrong, &db, &options);
+                }
+            })
+        });
+    }
     group.finish();
 }
 

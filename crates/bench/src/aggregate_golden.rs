@@ -9,25 +9,25 @@
 //!   SF 0.0003 on the benchmark's instance (seed 7) and on seeds 1 and 2,
 //!   through a session under `Auto` and under each forced aggregate
 //!   algorithm,
-//! * every Fig. 6 pair at SF 0.0006, seed 3, through the standalone
-//!   `Agg-Basic` and `Agg-Opt` entry points that `reproduce fig6` runs,
-//! * the Fig. 7 pair at SF 0.0008, seed 3, through standalone `Agg-Basic`
-//!   (fixed threshold) and `Agg-Param` (parameterized threshold).
+//! * every Fig. 6 pair at SF 0.0006, seed 3, through `Agg-Basic` and
+//!   `Agg-Opt` each run alone (`pipeline::run_algorithm`, no fallback), as
+//!   `reproduce fig6` runs them,
+//! * the Fig. 7 pair at SF 0.0008, seed 3, through `Agg-Basic` (fixed
+//!   threshold) and `Agg-Param` (parameterized threshold), each run alone.
 //!
 //! A search change that is meant to keep every answer must keep
 //! `golden/aggregate_answers.txt` byte for byte. Re-bless with `BLESS=1`
 //! only for an intended change of answers.
 
-use ratest_core::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
-use ratest_core::aggregates::agg_opt::{smallest_counterexample_agg_opt, AggOptOptions};
-use ratest_core::aggregates::agg_param::{smallest_counterexample_agg_param, AggParamOptions};
-use ratest_core::pipeline::Algorithm;
+use ratest_core::pipeline::{run_algorithm, Algorithm, RatestOptions};
 use ratest_core::session::Session;
+use ratest_core::Timings;
 use ratest_core::{Counterexample, RatestError};
 use ratest_datagen::{tpch_database, TpchConfig};
 use ratest_queries::tpch_queries::{q18_parameterized, q18_parameterized_wrong, tpch_experiments};
+use ratest_ra::ast::Query;
 use ratest_ra::eval::{Params, ResultSet};
-use ratest_storage::Value;
+use ratest_storage::{Database, Value};
 use std::fmt::Write;
 
 /// The pairs perfbench's tpch-agg leaves out (their searches end
@@ -73,6 +73,22 @@ pub(crate) fn describe(result: Result<&Counterexample, &RatestError>) -> String 
         }
         Err(e) => format!("error={}", e.kind()),
     }
+}
+
+/// Run `algorithm` alone on `q1`, `q2` over `db` under `parameters`.
+pub(crate) fn run_alone(
+    algorithm: Algorithm,
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    parameters: Params,
+) -> ratest_core::Result<(Counterexample, Timings)> {
+    let options = RatestOptions {
+        algorithm,
+        parameters,
+        ..Default::default()
+    };
+    run_algorithm(q1, q2, db, &options)
 }
 
 fn answers() -> String {
@@ -121,24 +137,11 @@ fn answers() -> String {
     });
     for exp in tpch_experiments() {
         for (variant, wrong) in exp.wrong.iter().enumerate() {
-            let basic = smallest_counterexample_agg_basic(
-                &exp.reference,
-                wrong,
-                &db,
-                &Params::new(),
-                &AggBasicOptions::default(),
-            );
-            let opt = smallest_counterexample_agg_opt(
-                &exp.reference,
-                wrong,
-                &db,
-                &Params::new(),
-                &AggOptOptions::default(),
-            );
-            for (name, result) in [("AggBasic", basic), ("AggOpt", opt)] {
+            for algorithm in [Algorithm::AggBasic, Algorithm::AggOpt] {
+                let result = run_alone(algorithm, &exp.reference, wrong, &db, Params::new());
                 writeln!(
                     out,
-                    "fig6 sf=0.0006 seed=3 {}#{variant} {name}: {}",
+                    "fig6 sf=0.0006 seed=3 {}#{variant} {algorithm:?}: {}",
                     exp.name,
                     describe(result.as_ref().map(|(cex, _)| cex))
                 )
@@ -163,19 +166,19 @@ fn answers() -> String {
         .zip(q18_parameterized_wrong().iter())
         .enumerate()
     {
-        let basic = smallest_counterexample_agg_basic(
+        let basic = run_alone(
+            Algorithm::AggBasic,
             &q18.reference,
             fixed,
             &db,
-            &Params::new(),
-            &AggBasicOptions::default(),
+            Params::new(),
         );
-        let param = smallest_counterexample_agg_param(
+        let param = run_alone(
+            Algorithm::AggParam,
             &q18_parameterized(),
             parameterized,
             &db,
-            &original,
-            &AggParamOptions::default(),
+            original.clone(),
         );
         for (name, result) in [("AggBasic", basic), ("AggParam", param)] {
             writeln!(

@@ -2,9 +2,9 @@
 //!
 //! Every single-site mutation of the eight course questions
 //! (`mutations::mutate`, 76 pairs) is explained on the 100-tuple university
-//! instance by each of the four SPJUD algorithms run on its own — `Basic`,
-//! `Optσ`, the monotone poly-time algorithm and the SPJUD\* poly-time
-//! algorithm — and each answer is recorded as one line in the format of the
+//! instance by each of the four SPJUD algorithms run alone
+//! (`pipeline::run_algorithm`, no fallback) — `Basic`, `Optσ`, the monotone
+//! poly-time algorithm and the SPJUD\* poly-time algorithm — and each answer is recorded as one line in the format of the
 //! aggregate golden: the chosen tuple ids, the size and both query results
 //! on the counterexample, or the kind of error the run ended with.
 //!
@@ -12,11 +12,8 @@
 //! `golden/course_answers.txt` byte for byte. Re-bless with `BLESS=1` only
 //! for an intended change of answers.
 
-use crate::aggregate_golden::{check_golden, describe};
-use ratest_core::basic::{smallest_counterexample_basic, BasicOptions};
-use ratest_core::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
-use ratest_core::polytime::{smallest_witness_monotone, smallest_witness_spjud_star};
-use ratest_core::problem::CandidateEval;
+use crate::aggregate_golden::{check_golden, describe, run_alone};
+use ratest_core::pipeline::Algorithm;
 use ratest_datagen::{university_database, UniversityConfig};
 use ratest_queries::course::course_questions;
 use ratest_queries::mutations::mutate;
@@ -27,58 +24,21 @@ const GOLDEN: &str = "golden/course_answers.txt";
 
 fn answers() -> String {
     let db = university_database(&UniversityConfig::with_total(100));
-    let params = Params::new();
     let mut out = String::new();
     for question in course_questions() {
         let reference = &question.reference;
         for (index, mutation) in mutate(reference).into_iter().enumerate() {
             let wrong = &mutation.query;
-            let runs = [
-                (
-                    "Basic",
-                    smallest_counterexample_basic(
-                        reference,
-                        wrong,
-                        &db,
-                        &params,
-                        &BasicOptions::default(),
-                    ),
-                ),
-                (
-                    "OptSigma",
-                    smallest_witness_optsigma(
-                        reference,
-                        wrong,
-                        &db,
-                        &params,
-                        &OptSigmaOptions::default(),
-                    ),
-                ),
-                (
-                    "PolytimeMonotone",
-                    smallest_witness_monotone(
-                        reference,
-                        wrong,
-                        &db,
-                        &params,
-                        &CandidateEval::none(),
-                    ),
-                ),
-                (
-                    "PolytimeSpjudStar",
-                    smallest_witness_spjud_star(
-                        reference,
-                        wrong,
-                        &db,
-                        &params,
-                        &CandidateEval::none(),
-                    ),
-                ),
-            ];
-            for (name, result) in runs {
+            for algorithm in [
+                Algorithm::Basic,
+                Algorithm::OptSigma,
+                Algorithm::PolytimeMonotone,
+                Algorithm::PolytimeSpjudStar,
+            ] {
+                let result = run_alone(algorithm, reference, wrong, &db, Params::new());
                 writeln!(
                     out,
-                    "course n=100 q{}#{index} {name} [{}]: {}",
+                    "course n=100 q{}#{index} {algorithm:?} [{}]: {}",
                     question.number,
                     mutation.description,
                     describe(result.as_ref().map(|(cex, _)| cex))

@@ -6,15 +6,11 @@
 //! text tables printed by the binary and recorded in EXPERIMENTS.md.
 
 use crate::workload::{course_workload, distinguished_pairs, CoursePair};
-use ratest_core::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
-use ratest_core::aggregates::agg_opt::{smallest_counterexample_agg_opt, AggOptOptions};
-use ratest_core::aggregates::agg_param::{smallest_counterexample_agg_param, AggParamOptions};
-use ratest_core::basic::{smallest_counterexample_basic, BasicOptions};
-use ratest_core::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
-use ratest_core::pipeline::{SolverStrategy, Timings};
-use ratest_core::{Counterexample, RatestError};
+use ratest_core::pipeline::{run_algorithm, Algorithm, RatestOptions, SolverStrategy};
+use ratest_core::RatestError;
 use ratest_datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
 use ratest_queries::tpch_queries::{q18_parameterized, q18_parameterized_wrong, tpch_experiments};
+use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_ra::metrics::QueryMetrics;
 use ratest_storage::{Database, Value};
@@ -25,6 +21,14 @@ use std::time::Duration;
 
 /// Default per-question mutation count used by the harness.
 pub const DEFAULT_MUTATIONS_PER_QUESTION: usize = 6;
+
+/// Options that run `algorithm` alone, every other setting at its default.
+fn only(algorithm: Algorithm) -> RatestOptions {
+    RatestOptions {
+        algorithm,
+        ..Default::default()
+    }
+}
 
 // ---------------------------------------------------------------- Table 3
 
@@ -81,29 +85,17 @@ pub fn table4(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Ta
         (
             "SCP — Basic",
             Box::new(|p: &CoursePair| {
-                smallest_counterexample_basic(
-                    &p.reference,
-                    &p.wrong,
-                    &db,
-                    &Params::new(),
-                    &BasicOptions::default(),
-                )
-                .ok()
-                .map(|(c, t)| (c.size(), t.total))
+                run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::Basic))
+                    .ok()
+                    .map(|(c, t)| (c.size(), t.total))
             }) as Runner,
         ),
         (
             "SWP — Optσ",
             Box::new(|p: &CoursePair| {
-                smallest_witness_optsigma(
-                    &p.reference,
-                    &p.wrong,
-                    &db,
-                    &Params::new(),
-                    &OptSigmaOptions::default(),
-                )
-                .ok()
-                .map(|(c, t)| (c.size(), t.total))
+                run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::OptSigma))
+                    .ok()
+                    .map(|(c, t)| (c.size(), t.total))
             }) as Runner,
         ),
     ];
@@ -166,13 +158,7 @@ pub fn fig3(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Fig3
     let workload = course_workload(mutations_per_question, seed);
     let mut rows = Vec::new();
     for p in distinguished_pairs(&workload, &db) {
-        if let Ok((_, t)) = smallest_witness_optsigma(
-            &p.reference,
-            &p.wrong,
-            &db,
-            &Params::new(),
-            &OptSigmaOptions::default(),
-        ) {
+        if let Ok((_, t)) = run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::OptSigma)) {
             let m = QueryMetrics::of(&p.wrong);
             rows.push(Fig3Row {
                 question: p.question,
@@ -221,37 +207,24 @@ pub fn fig4(sizes: &[usize], mutations_per_question: usize, seed: u64) -> Vec<Fi
         let mut n = 0u32;
         for p in &pairs {
             // prov-sp + solver-opt via Optσ with push-down.
-            let Ok((_, t_sp)) = smallest_witness_optsigma(
-                &p.reference,
-                &p.wrong,
-                &db,
-                &Params::new(),
-                &OptSigmaOptions::default(),
-            ) else {
+            let Ok((_, t_sp)) =
+                run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::OptSigma))
+            else {
                 continue;
             };
             // prov-all + raw via Basic (annotates both difference directions),
             // solver-naive-128 via the enumeration strategy on one tuple, and
             // solver-opt-all via Basic's solver phase.
-            let Ok((_, t_all)) = smallest_counterexample_basic(
-                &p.reference,
-                &p.wrong,
-                &db,
-                &Params::new(),
-                &BasicOptions::default(),
-            ) else {
+            let Ok((_, t_all)) =
+                run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::Basic))
+            else {
                 continue;
             };
-            let Ok((_, t_naive)) = smallest_witness_optsigma(
-                &p.reference,
-                &p.wrong,
-                &db,
-                &Params::new(),
-                &OptSigmaOptions {
-                    strategy: SolverStrategy::Enumerate { max_models: 128 },
-                    ..Default::default()
-                },
-            ) else {
+            let naive = RatestOptions {
+                strategy: SolverStrategy::Enumerate { max_models: 128 },
+                ..only(Algorithm::OptSigma)
+            };
+            let Ok((_, t_naive)) = run_algorithm(&p.reference, &p.wrong, &db, &naive) else {
                 continue;
             };
             acc[0] += t_all.raw_eval;
@@ -313,16 +286,11 @@ pub fn fig5(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Fig5
         let mut time = Duration::ZERO;
         let mut n = 0u32;
         for p in &pairs {
-            if let Ok((cex, t)) = smallest_witness_optsigma(
-                &p.reference,
-                &p.wrong,
-                &db,
-                &Params::new(),
-                &OptSigmaOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            ) {
+            let options = RatestOptions {
+                strategy,
+                ..only(Algorithm::OptSigma)
+            };
+            if let Ok((cex, t)) = run_algorithm(&p.reference, &p.wrong, &db, &options) {
                 sizes += cex.size();
                 time += t.solver;
                 n += 1;
@@ -355,12 +323,22 @@ pub struct AggRun {
 }
 
 impl AggRun {
-    /// Run `search` with a fresh metrics registry and keep its counters.
+    /// Run `algorithm` alone on `q1`, `q2` over `db` under `params`, with a
+    /// fresh metrics registry, and keep its counters.
     fn counted(
-        search: impl FnOnce(MetricsHandle) -> ratest_core::Result<(Counterexample, Timings)>,
+        algorithm: Algorithm,
+        q1: &Query,
+        q2: &Query,
+        db: &Database,
+        params: &Params,
     ) -> AggRun {
         let registry = Arc::new(MetricsRegistry::new());
-        let result = search(MetricsHandle::new(registry.clone()))
+        let options = RatestOptions {
+            parameters: params.clone(),
+            metrics: MetricsHandle::new(registry.clone()),
+            ..only(algorithm)
+        };
+        let result = run_algorithm(q1, q2, db, &options)
             .map(|(c, t)| (t.raw_eval, t.provenance, t.solver, c.size()));
         AggRun {
             result,
@@ -390,29 +368,10 @@ pub fn fig6(scale_factor: f64, seed: u64) -> Vec<Fig6Row> {
     let mut rows = Vec::new();
     for exp in tpch_experiments() {
         for (variant, wrong) in exp.wrong.iter().enumerate() {
-            let basic = AggRun::counted(|metrics| {
-                smallest_counterexample_agg_basic(
-                    &exp.reference,
-                    wrong,
-                    &db,
-                    &Params::new(),
-                    &AggBasicOptions {
-                        metrics,
-                        ..Default::default()
-                    },
-                )
-            });
-            let opt = AggRun::counted(|metrics| {
-                let mut options = AggOptOptions::default();
-                options.optsigma.metrics = metrics;
-                smallest_counterexample_agg_opt(
-                    &exp.reference,
-                    wrong,
-                    &db,
-                    &Params::new(),
-                    &options,
-                )
-            });
+            let run =
+                |algorithm| AggRun::counted(algorithm, &exp.reference, wrong, &db, &Params::new());
+            let basic = run(Algorithm::AggBasic);
+            let opt = run(Algorithm::AggOpt);
             rows.push(Fig6Row {
                 query: exp.name.to_owned(),
                 variant,
@@ -465,30 +424,20 @@ pub fn fig7(scale_factor: f64, seed: u64) -> Fig7Result {
     let mut param = (Duration::ZERO, 0usize, 0u64, 0u64);
     let mut n = 0usize;
     for (wrong_fixed, wrong_param) in q18.wrong.iter().zip(q18_parameterized_wrong().iter()) {
-        let b = AggRun::counted(|metrics| {
-            smallest_counterexample_agg_basic(
-                &q18.reference,
-                wrong_fixed,
-                &db,
-                &Params::new(),
-                &AggBasicOptions {
-                    metrics,
-                    ..Default::default()
-                },
-            )
-        });
-        let p = AggRun::counted(|metrics| {
-            smallest_counterexample_agg_param(
-                &q18_parameterized(),
-                wrong_param,
-                &db,
-                &original,
-                &AggParamOptions {
-                    metrics,
-                    ..Default::default()
-                },
-            )
-        });
+        let b = AggRun::counted(
+            Algorithm::AggBasic,
+            &q18.reference,
+            wrong_fixed,
+            &db,
+            &Params::new(),
+        );
+        let p = AggRun::counted(
+            Algorithm::AggParam,
+            &q18_parameterized(),
+            wrong_param,
+            &db,
+            &original,
+        );
         if let (Ok((_, _, tb, sb)), Ok((_, _, tp, sp))) = (&b.result, &p.result) {
             basic = (
                 basic.0 + *tb,

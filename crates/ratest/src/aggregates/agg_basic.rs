@@ -22,100 +22,39 @@
 //! with a wrong HAVING threshold, seven of its eight groups end that way,
 //! each after a few rejected models instead of an unbounded solve.
 
-use super::{run_standalone, TheoryCheck};
+use super::TheoryCheck;
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
-use crate::pipeline::Timings;
-use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
-use crate::session::{Budget, EventHandle, ExplainEvent};
+use crate::pipeline::{RatestOptions, Timings};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample, EvaluatedPair, PairPlans};
+use crate::session::ExplainEvent;
 use ratest_provenance::aggprov::{AggregateProvenance, GroupRows};
 use ratest_provenance::BoolExpr;
-use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_below, Descent, MinOnesOptions};
 use ratest_solver::{SolverError, SolverStats, Var};
 use ratest_storage::{Database, TupleSelection, Value};
-use ratest_telemetry::MetricsHandle;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Options for `Agg-Basic`.
-#[derive(Debug, Clone)]
-pub struct AggBasicOptions {
-    /// Maximum number of candidate groups to try (ordered by provenance
-    /// size, smallest first, as suggested in Section 5.3.2).
-    pub max_groups: usize,
-    /// Unified resource budget, polled once per candidate group.
-    pub budget: Budget,
-    /// Progress events (per candidate group).
-    pub events: EventHandle,
-    /// Metrics sink: provenance and solver counters are folded in here.
-    pub metrics: MetricsHandle,
-}
-
-impl Default for AggBasicOptions {
-    fn default() -> Self {
-        AggBasicOptions {
-            max_groups: 8,
-            budget: Budget::unlimited(),
-            events: EventHandle::none(),
-            metrics: MetricsHandle::none(),
-        }
-    }
-}
-
-/// Run `Agg-Basic` on an aggregate query pair.
-pub fn smallest_counterexample_agg_basic(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    options: &AggBasicOptions,
-) -> Result<(Counterexample, Timings)> {
-    run_standalone(
-        q1,
-        q2,
-        db,
-        params,
-        &options.budget,
-        &options.metrics,
-        |plans, p1, p2| agg_basic_core(plans, db, params, p1, p2, options),
-    )
-}
+/// The most candidate groups a scan tries (ordered by provenance size,
+/// smallest first, as suggested in Section 5.3.2).
+pub(super) const MAX_GROUPS: usize = 8;
 
 /// `Agg-Basic`'s search over the pair's aggregate provenance `p1`, `p2`
-/// (built on `db` under `params`), verifying candidates through `plans`. The
-/// returned [`Timings`] cover the search alone.
+/// (built on the pair's instance under its parameters). The search's time
+/// is added to `timings.solver`.
 pub(crate) fn agg_basic_core(
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
+    pair: &EvaluatedPair,
     p1: &AggregateProvenance,
     p2: &AggregateProvenance,
-    options: &AggBasicOptions,
-) -> Result<(Counterexample, Timings)> {
-    let start = Instant::now();
-    let search = GroupSearch {
-        plans,
-        db,
-        p1,
-        p2,
-        params,
-        free: &BTreeSet::new(),
-        extra: &[],
-        ctx: CandidateEval {
-            metrics: options.metrics.clone(),
-            interrupt: options.budget.interrupt(),
-        },
-    };
-    let best = search.scan(options.max_groups, &options.budget, &options.events)?;
-    let timings = Timings {
-        solver: start.elapsed(),
-        ..Timings::default()
-    };
-
-    best.map(|c| (c, timings)).ok_or_else(|| {
+    options: &RatestOptions,
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    let no_free_parameters = BTreeSet::new();
+    let search = GroupSearch::new(pair, p1, p2, &no_free_parameters, options);
+    search.scan(options, timings)?.ok_or_else(|| {
         RatestError::Unsupported("no candidate group yields a distinguishing sub-instance".into())
     })
 }
@@ -134,8 +73,6 @@ pub(crate) struct GroupSearch<'a> {
     /// The parameters the search may re-choose (Definition 3); empty for
     /// `Agg-Basic`.
     pub(crate) free: &'a BTreeSet<String>,
-    /// Extra values tried for the free parameters.
-    pub(crate) extra: &'a [i64],
     /// Verification's metrics and interrupt; the search's counters go to
     /// the same metrics.
     pub(crate) ctx: CandidateEval,
@@ -149,21 +86,46 @@ pub(crate) struct GroupProblem {
     pub(crate) vars: VarMap,
 }
 
-impl GroupSearch<'_> {
-    /// Search the first `max_groups` candidate groups, keeping the smallest
-    /// verified counterexample (the first found among equal sizes).
+impl<'a> GroupSearch<'a> {
+    /// The search over `pair`'s aggregate provenance `p1`, `p2` with the
+    /// parameters in `free` re-chosen, verifying under `options`' metrics
+    /// and interrupt.
+    pub(crate) fn new(
+        pair: &EvaluatedPair<'a>,
+        p1: &'a AggregateProvenance,
+        p2: &'a AggregateProvenance,
+        free: &'a BTreeSet<String>,
+        options: &RatestOptions,
+    ) -> Self {
+        GroupSearch {
+            plans: pair.plans,
+            db: pair.db,
+            p1,
+            p2,
+            params: pair.params,
+            free,
+            ctx: CandidateEval {
+                metrics: options.metrics.clone(),
+                interrupt: options.budget.interrupt(),
+            },
+        }
+    }
+
+    /// Search the first [`MAX_GROUPS`] candidate groups, keeping the
+    /// smallest verified counterexample (the first found among equal
+    /// sizes). The scan's time is added to `timings.solver`.
     pub(crate) fn scan(
         &self,
-        max_groups: usize,
-        budget: &Budget,
-        events: &EventHandle,
+        options: &RatestOptions,
+        timings: &mut Timings,
     ) -> Result<Option<Counterexample>> {
+        let start = Instant::now();
         let candidates = candidate_group_keys(self.p1, self.p2, self.params)?;
         let mut best: Option<Counterexample> = None;
-        for (index, key) in candidates.into_iter().take(max_groups).enumerate() {
-            budget.check()?;
+        for (index, key) in candidates.into_iter().take(MAX_GROUPS).enumerate() {
+            options.budget.check()?;
             let incumbent = best.as_ref().map(Counterexample::size);
-            events.emit(ExplainEvent::CandidateChecked {
+            options.events.emit(ExplainEvent::CandidateChecked {
                 index,
                 best_size: incumbent,
             });
@@ -173,6 +135,7 @@ impl GroupSearch<'_> {
                 }
             }
         }
+        timings.solver += start.elapsed();
         Ok(best)
     }
 
@@ -208,7 +171,7 @@ impl GroupSearch<'_> {
         theory: &TheoryCheck,
         selection: &TupleSelection,
     ) -> Option<Params> {
-        theory.differing_setting(selection, self.free, self.params, self.extra)
+        theory.differing_setting(selection, self.free, self.params)
     }
 
     /// Solve the group with `key` and verify its optimum. `None` when the
@@ -318,22 +281,26 @@ fn full_instance_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_algorithm, Algorithm};
+    use ratest_provenance::aggprov::pair_aggregate_provenance;
+    use ratest_ra::ast::Query;
     use ratest_ra::testdata;
+    use ratest_telemetry::MetricsHandle;
+
+    fn agg_basic(q1: &Query, q2: &Query) -> Result<Counterexample> {
+        let options = RatestOptions {
+            algorithm: Algorithm::AggBasic,
+            ..Default::default()
+        };
+        Ok(run_algorithm(q1, q2, &testdata::figure1_db(), &options)?.0)
+    }
 
     #[test]
     fn example4_yields_a_tiny_counterexample() {
         // The paper's discussion of Example 4: a counterexample needs only
         // Mary's ECON registration (plus Mary herself, for the join/FK),
         // because then Q1 returns nothing for Mary while Q2 returns (Mary, 95).
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_counterexample_agg_basic(
-            &testdata::example4_q1(),
-            &testdata::example4_q2(),
-            &db,
-            &Params::new(),
-            &AggBasicOptions::default(),
-        )
-        .unwrap();
+        let cex = agg_basic(&testdata::example4_q1(), &testdata::example4_q2()).unwrap();
         assert!(cex.size() <= 2, "expected ≤ 2 tuples, got {}", cex.size());
         assert!(!cex.q1_result.set_eq(&cex.q2_result));
     }
@@ -343,41 +310,23 @@ mod tests {
         // With HAVING COUNT >= 3 fixed, the counterexample must keep all of
         // Mary's three registrations plus Mary (4 tuples) — the paper's
         // motivation for parameterization.
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_counterexample_agg_basic(
-            &testdata::example5_q1(),
-            &testdata::example5_q2(),
-            &db,
-            &Params::new(),
-            &AggBasicOptions::default(),
-        )
-        .unwrap();
+        let cex = agg_basic(&testdata::example5_q1(), &testdata::example5_q2()).unwrap();
         assert_eq!(cex.size(), 4);
     }
 
     #[test]
     fn equivalent_aggregate_queries_are_rejected() {
-        let db = testdata::figure1_db();
         let q = testdata::example4_q1();
         assert!(matches!(
-            smallest_counterexample_agg_basic(
-                &q,
-                &q,
-                &db,
-                &Params::new(),
-                &AggBasicOptions::default()
-            ),
+            agg_basic(&q, &q),
             Err(RatestError::QueriesAgreeOnInstance)
         ));
     }
 
     #[test]
     fn theory_check_detects_agreement_and_disagreement() {
-        use crate::aggregates::pair_provenance;
-        use ratest_storage::TupleSelection;
-
         let db = testdata::figure1_db();
-        let (p1, p2) = pair_provenance(
+        let (p1, p2) = pair_aggregate_provenance(
             &testdata::example4_q1(),
             &testdata::example4_q2(),
             &db,

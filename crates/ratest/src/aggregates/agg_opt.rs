@@ -18,78 +18,32 @@
 //! Example 5), they agree on every instance, so `Agg-Opt` declines before
 //! compiling or comparing anything, as it would after comparing their rows.
 
-use super::{run_standalone, TheoryCheck};
+use super::TheoryCheck;
 use crate::error::{RatestError, Result};
-use crate::optsigma::{optsigma_core, OptSigmaOptions};
-use crate::pipeline::Timings;
-use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
+use crate::optsigma::optsigma_core;
+use crate::pipeline::{RatestOptions, SolverStrategy, Timings};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample, EvaluatedPair, PairPlans};
 use ratest_provenance::aggprov::AggregateProvenance;
-use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
-use ratest_storage::{Database, TupleSelection};
+use ratest_storage::TupleSelection;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
-/// Options for `Agg-Opt`.
-#[derive(Debug, Clone)]
-pub struct AggOptOptions {
-    /// Options forwarded to the inner `Optσ` run, which works on the
-    /// *stripped* aggregation-input queries.
-    pub optsigma: OptSigmaOptions,
-    /// Extra candidate parameter values tried when re-choosing λ'.
-    pub extra_candidates: Vec<i64>,
-}
-
-impl Default for AggOptOptions {
-    fn default() -> Self {
-        AggOptOptions {
-            optsigma: OptSigmaOptions::default(),
-            extra_candidates: vec![0, 1],
-        }
-    }
-}
-
-/// Run the `Agg-Opt` heuristic on an aggregate query pair.
-pub fn smallest_counterexample_agg_opt(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    original_params: &Params,
-    options: &AggOptOptions,
-) -> Result<(Counterexample, Timings)> {
-    // Aggregate provenance gives us (a) the stripped inner queries Q1', Q2'
-    // and (b) a fast way to re-check the original queries on candidates.
-    run_standalone(
-        q1,
-        q2,
-        db,
-        original_params,
-        &options.optsigma.budget,
-        &options.optsigma.metrics,
-        |plans, p1, p2| agg_opt_core(q1, q2, plans, db, original_params, p1, p2, options),
-    )
-}
-
 /// `Agg-Opt`'s search over the pair's aggregate provenance `p1`, `p2`
-/// (built on `db` under `original_params`); `plans` is the pair compiled on
-/// `db`. Identical inner queries are declined at once; otherwise the
-/// stripped queries' rows on `db` come from the provenance when it holds
-/// them. The returned [`Timings`] cover the
-/// search alone: the inner `Optσ` run's evaluation or comparison of the
-/// stripped queries' rows, its tuple provenance, and the rest as solver
-/// time.
-#[allow(clippy::too_many_arguments)]
+/// (built on the pair's instance under its original parameters).
+/// Identical inner queries are declined at once; otherwise the stripped
+/// queries' rows on the instance come from the provenance when it holds
+/// them and are evaluated here when it does not. The inner `Optσ` run
+/// always optimizes, with the selection pushed down; its phases' times
+/// (and the inner evaluation's, as raw evaluation) are added to `timings`.
 pub(crate) fn agg_opt_core(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    original_params: &Params,
+    pair: &EvaluatedPair,
     p1: &AggregateProvenance,
     p2: &AggregateProvenance,
-    options: &AggOptOptions,
-) -> Result<(Counterexample, Timings)> {
+    options: &RatestOptions,
+    timings: &mut Timings,
+) -> Result<Counterexample> {
     let declined = || {
         RatestError::Unsupported(
             "the aggregation inputs agree on the instance; Agg-Opt does not apply".into(),
@@ -98,6 +52,14 @@ pub(crate) fn agg_opt_core(
     if p1.inner() == p2.inner() {
         return Err(declined());
     }
+    let EvaluatedPair {
+        q1,
+        q2,
+        plans,
+        db,
+        params: original_params,
+        ..
+    } = *pair;
     let param_names: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
     let chosen: RefCell<Params> = RefCell::new(original_params.clone());
 
@@ -105,12 +67,7 @@ pub(crate) fn agg_opt_core(
     // *original* queries disagree under some parameter setting.
     let theory = TheoryCheck::new(p1, p2);
     let accept = |selection: &TupleSelection| -> bool {
-        match theory.differing_setting(
-            selection,
-            &param_names,
-            original_params,
-            &options.extra_candidates,
-        ) {
+        match theory.differing_setting(selection, &param_names, original_params) {
             Some(setting) => {
                 *chosen.borrow_mut() = setting;
                 true
@@ -120,73 +77,93 @@ pub(crate) fn agg_opt_core(
     };
 
     // Run Optσ on the stripped SPJUD queries with the acceptance hook,
-    // starting from their rows on `db`, which the aggregate provenance
-    // already derived.
-    let start = Instant::now();
+    // starting from their rows on the instance.
+    let inner_options = RatestOptions {
+        strategy: SolverStrategy::Optimize,
+        selection_pushdown: true,
+        ..options.clone()
+    };
     let searched = PairPlans::compile(p1.inner(), p2.inner(), db).and_then(|inner| {
         inner.check_union_compatible()?;
-        optsigma_core(
-            p1.inner(),
-            p2.inner(),
-            &inner,
+        let evaluated;
+        let (r1, r2) = match p1.inner_rows().zip(p2.inner_rows()) {
+            Some(rows) => rows,
+            None => {
+                let start = Instant::now();
+                evaluated =
+                    inner.distinguish(db, original_params, &options.budget, &options.metrics)?;
+                timings.raw_eval += start.elapsed();
+                (&evaluated.0, &evaluated.1)
+            }
+        };
+        let inner_pair = EvaluatedPair {
+            q1: p1.inner(),
+            q2: p2.inner(),
+            plans: &inner,
             db,
-            original_params,
-            p1.inner_rows().zip(p2.inner_rows()),
-            &options.optsigma,
-            accept,
-        )
+            params: original_params,
+            r1,
+            r2,
+        };
+        optsigma_core(&inner_pair, &inner_options, accept, timings)
     });
-    theory.record(&options.optsigma.metrics);
-    let (inner_cex, inner_timings) = searched.map_err(|e| match e {
+    theory.record(&options.metrics);
+    let inner_cex = searched.map_err(|e| match e {
         RatestError::QueriesAgreeOnInstance => declined(),
         other => other,
     })?;
-    let timings = Timings {
-        raw_eval: inner_timings.raw_eval,
-        provenance: inner_timings.provenance,
-        solver: start
-            .elapsed()
-            .saturating_sub(inner_timings.raw_eval)
-            .saturating_sub(inner_timings.provenance),
-        ..Timings::default()
-    };
 
     // Rebuild the counterexample against the *original* aggregate queries
     // with the chosen parameter setting λ'.
     let params = chosen.into_inner();
     let ctx = CandidateEval {
-        metrics: options.optsigma.metrics.clone(),
-        interrupt: options.optsigma.budget.interrupt(),
+        metrics: options.metrics.clone(),
+        interrupt: options.budget.interrupt(),
     };
-    let cex = verify_candidate(
+    verify_candidate(
         plans,
         db,
         inner_cex.subinstance.selection,
         None,
         &params,
         &ctx,
-    )?;
-    Ok((cex, timings))
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
+    use crate::pipeline::{run_algorithm, Algorithm};
+    use ratest_ra::ast::Query;
     use ratest_ra::testdata;
     use ratest_storage::Value;
+
+    fn run(
+        q1: &Query,
+        q2: &Query,
+        algorithm: Algorithm,
+        parameters: Params,
+    ) -> Result<Counterexample> {
+        let options = RatestOptions {
+            algorithm,
+            parameters,
+            ..Default::default()
+        };
+        Ok(run_algorithm(q1, q2, &testdata::figure1_db(), &options)?.0)
+    }
+
+    fn agg_opt(q1: &Query, q2: &Query, parameters: Params) -> Result<Counterexample> {
+        run(q1, q2, Algorithm::AggOpt, parameters)
+    }
 
     #[test]
     fn example7_heuristic_finds_a_two_tuple_counterexample() {
         // The paper's Example 7: comparing the aggregation inputs directly
         // yields {Mary, her ECON registration} (or John's equivalent).
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_counterexample_agg_opt(
+        let cex = agg_opt(
             &testdata::example4_q1(),
             &testdata::example4_q2(),
-            &db,
-            &Params::new(),
-            &AggOptOptions::default(),
+            Params::new(),
         )
         .unwrap();
         assert_eq!(cex.size(), 2);
@@ -195,39 +172,17 @@ mod tests {
 
     #[test]
     fn heuristic_is_no_worse_than_agg_basic_on_example4() {
-        let db = testdata::figure1_db();
-        let (basic, _) = smallest_counterexample_agg_basic(
-            &testdata::example4_q1(),
-            &testdata::example4_q2(),
-            &db,
-            &Params::new(),
-            &AggBasicOptions::default(),
-        )
-        .unwrap();
-        let (opt, _) = smallest_counterexample_agg_opt(
-            &testdata::example4_q1(),
-            &testdata::example4_q2(),
-            &db,
-            &Params::new(),
-            &AggOptOptions::default(),
-        )
-        .unwrap();
+        let (q1, q2) = (testdata::example4_q1(), testdata::example4_q2());
+        let basic = run(&q1, &q2, Algorithm::AggBasic, Params::new()).unwrap();
+        let opt = agg_opt(&q1, &q2, Params::new()).unwrap();
         assert!(opt.size() <= basic.size() + 1);
     }
 
     #[test]
     fn parameterized_queries_get_a_new_lambda() {
-        let db = testdata::figure1_db();
         let mut original = Params::new();
         original.insert("numCS".into(), Value::Int(3));
-        let (cex, _) = smallest_counterexample_agg_opt(
-            &testdata::example6_q1(),
-            &testdata::example6_q2(),
-            &db,
-            &original,
-            &AggOptOptions::default(),
-        )
-        .unwrap();
+        let cex = agg_opt(&testdata::example6_q1(), &testdata::example6_q2(), original).unwrap();
         assert!(cex.size() <= 4);
         // Verification with the recorded parameters must hold.
         let r1 = ratest_ra::eval::evaluate_with_params(
@@ -247,15 +202,7 @@ mod tests {
 
     #[test]
     fn identical_queries_are_rejected() {
-        let db = testdata::figure1_db();
         let q = testdata::example5_q1();
-        assert!(smallest_counterexample_agg_opt(
-            &q,
-            &q,
-            &db,
-            &Params::new(),
-            &AggOptOptions::default()
-        )
-        .is_err());
+        assert!(agg_opt(&q, &q, Params::new()).is_err());
     }
 }

@@ -9,107 +9,29 @@
 //! runtime increase — Figure 7).
 
 use super::agg_basic::GroupSearch;
-use super::run_standalone;
 use crate::error::{RatestError, Result};
-use crate::pipeline::Timings;
-use crate::problem::{CandidateEval, Counterexample, PairPlans};
-use crate::session::{Budget, EventHandle};
+use crate::pipeline::{RatestOptions, Timings};
+use crate::problem::{Counterexample, EvaluatedPair};
 use ratest_provenance::aggprov::AggregateProvenance;
-use ratest_ra::ast::Query;
-use ratest_ra::eval::Params;
-use ratest_storage::Database;
-use ratest_telemetry::MetricsHandle;
 use std::collections::BTreeSet;
-use std::time::Instant;
-
-/// Options for `Agg-Param`.
-#[derive(Debug, Clone)]
-pub struct AggParamOptions {
-    /// Maximum number of candidate groups to try.
-    pub max_groups: usize,
-    /// Extra candidate parameter values to try besides the derived ones.
-    pub extra_candidates: Vec<i64>,
-    /// Unified resource budget, polled once per candidate group.
-    pub budget: Budget,
-    /// Progress events (per candidate group).
-    pub events: EventHandle,
-    /// Metrics sink: provenance and solver counters are folded in here.
-    pub metrics: MetricsHandle,
-}
-
-impl Default for AggParamOptions {
-    fn default() -> Self {
-        AggParamOptions {
-            max_groups: 8,
-            extra_candidates: vec![0, 1],
-            budget: Budget::unlimited(),
-            events: EventHandle::none(),
-            metrics: MetricsHandle::none(),
-        }
-    }
-}
-
-/// Run `Agg-Param` on a parameterized aggregate query pair. `original_params`
-/// is the original parameter setting λ (under which the queries must already
-/// disagree on `db`); the returned counterexample's
-/// [`Counterexample::parameters`] holds the chosen λ'.
-pub fn smallest_counterexample_agg_param(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    original_params: &Params,
-    options: &AggParamOptions,
-) -> Result<(Counterexample, Timings)> {
-    run_standalone(
-        q1,
-        q2,
-        db,
-        original_params,
-        &options.budget,
-        &options.metrics,
-        |plans, p1, p2| agg_param_core(q1, q2, plans, db, original_params, p1, p2, options),
-    )
-}
 
 /// `Agg-Param`'s search over the pair's aggregate provenance `p1`, `p2`
-/// (built on `db` under `original_params`); `plans` is the pair compiled on
-/// `db`. It is `Agg-Basic`'s group search with the queries' parameters
-/// free: a model is accepted under the first setting λ' that makes the
-/// queries disagree, and its counterexample records that λ'. The returned
-/// [`Timings`] cover the search alone.
-#[allow(clippy::too_many_arguments)]
+/// (built on the pair's instance under its original parameter setting λ).
+/// It is `Agg-Basic`'s group search with the queries' parameters free: a
+/// model is accepted under the first setting λ' that makes the queries
+/// disagree, and its counterexample records that λ' in
+/// [`Counterexample::parameters`]. The search's time is added to
+/// `timings.solver`.
 pub(crate) fn agg_param_core(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    original_params: &Params,
+    pair: &EvaluatedPair,
     p1: &AggregateProvenance,
     p2: &AggregateProvenance,
-    options: &AggParamOptions,
-) -> Result<(Counterexample, Timings)> {
-    let start = Instant::now();
-    let free: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
-    let search = GroupSearch {
-        plans,
-        db,
-        p1,
-        p2,
-        params: original_params,
-        free: &free,
-        extra: &options.extra_candidates,
-        ctx: CandidateEval {
-            metrics: options.metrics.clone(),
-            interrupt: options.budget.interrupt(),
-        },
-    };
-    let best = search.scan(options.max_groups, &options.budget, &options.events)?;
-    let timings = Timings {
-        solver: start.elapsed(),
-        ..Timings::default()
-    };
-
-    best.map(|c| (c, timings)).ok_or_else(|| {
+    options: &RatestOptions,
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    let free: BTreeSet<String> = pair.q1.params().union(&pair.q2.params()).cloned().collect();
+    let search = GroupSearch::new(pair, p1, p2, &free, options);
+    search.scan(options, timings)?.ok_or_else(|| {
         RatestError::Unsupported(
             "no candidate group yields a distinguishing parameterized sub-instance".into(),
         )
@@ -119,9 +41,22 @@ pub(crate) fn agg_param_core(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregates::agg_basic::{smallest_counterexample_agg_basic, AggBasicOptions};
+    use crate::pipeline::{run_algorithm, Algorithm};
+    use ratest_ra::ast::Query;
+    use ratest_ra::eval::Params;
     use ratest_ra::testdata;
     use ratest_storage::Value;
+
+    fn run(q1: &Query, q2: &Query, algorithm: Algorithm, parameters: Params) -> Counterexample {
+        let options = RatestOptions {
+            algorithm,
+            parameters,
+            ..Default::default()
+        };
+        run_algorithm(q1, q2, &testdata::figure1_db(), &options)
+            .unwrap()
+            .0
+    }
 
     fn original_params() -> Params {
         let mut p = Params::new();
@@ -131,26 +66,21 @@ mod tests {
 
     #[test]
     fn example6_parameterization_shrinks_the_counterexample() {
-        let db = testdata::figure1_db();
         // Non-parameterized (Example 5): 4 tuples needed.
-        let (fixed, _) = smallest_counterexample_agg_basic(
+        let fixed = run(
             &testdata::example5_q1(),
             &testdata::example5_q2(),
-            &db,
-            &Params::new(),
-            &AggBasicOptions::default(),
-        )
-        .unwrap();
+            Algorithm::AggBasic,
+            Params::new(),
+        );
         // Parameterized (Example 6): 2 tuples suffice (Mary + her ECON
         // registration with @numCS = 1).
-        let (param, _) = smallest_counterexample_agg_param(
+        let param = run(
             &testdata::example6_q1(),
             &testdata::example6_q2(),
-            &db,
-            &original_params(),
-            &AggParamOptions::default(),
-        )
-        .unwrap();
+            Algorithm::AggParam,
+            original_params(),
+        );
         assert!(param.size() < fixed.size());
         assert!(param.size() <= 2, "got {}", param.size());
         assert!(!param.parameters.is_empty(), "λ' must be recorded");
@@ -159,15 +89,12 @@ mod tests {
 
     #[test]
     fn chosen_parameters_make_the_verification_pass() {
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_counterexample_agg_param(
+        let cex = run(
             &testdata::example6_q1(),
             &testdata::example6_q2(),
-            &db,
-            &original_params(),
-            &AggParamOptions::default(),
-        )
-        .unwrap();
+            Algorithm::AggParam,
+            original_params(),
+        );
         // Re-evaluate explicitly with the recorded λ'.
         let r1 = ratest_ra::eval::evaluate_with_params(
             &testdata::example6_q1(),
@@ -187,15 +114,12 @@ mod tests {
     #[test]
     fn works_when_there_are_no_parameters_at_all() {
         // Degenerates to Agg-Basic behaviour.
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_counterexample_agg_param(
+        let cex = run(
             &testdata::example4_q1(),
             &testdata::example4_q2(),
-            &db,
-            &Params::new(),
-            &AggParamOptions::default(),
-        )
-        .unwrap();
+            Algorithm::AggParam,
+            Params::new(),
+        );
         assert!(cex.size() <= 2);
     }
 }

@@ -17,12 +17,14 @@
 //!   original queries, repeating with a different model if the check fails
 //!   (`Agg-Opt`).
 //!
-//! The public entry points evaluate both queries and build their aggregate
-//! provenance themselves. The pipeline instead does that once per explain
-//! and hands the provenance to the crate-internal cores (`agg_*_core`), so a
-//! declined `Agg-Opt` and the `Agg-Basic` fallback share it. A pair whose
-//! queries aggregate the same input the same way (a wrong HAVING threshold)
-//! builds its groups once ([`pair_aggregate_provenance`]).
+//! They run through [`crate::pipeline`], which evaluates both queries and
+//! builds the pair's aggregate provenance once per explain, then hands it to
+//! the crate-internal cores (`agg_*_core`), so a declined `Agg-Opt` and the
+//! `Agg-Basic` fallback share it. A pair whose queries aggregate the same
+//! input the same way (a wrong HAVING threshold) builds its groups once
+//! ([`pair_aggregate_provenance`]).
+//!
+//! [`pair_aggregate_provenance`]: ratest_provenance::aggprov::pair_aggregate_provenance
 
 pub mod agg_basic;
 pub mod agg_opt;
@@ -32,74 +34,17 @@ mod sharing_oracle;
 #[cfg(test)]
 mod stop_oracle;
 
-pub use agg_basic::smallest_counterexample_agg_basic;
-pub use agg_opt::smallest_counterexample_agg_opt;
-pub use agg_param::smallest_counterexample_agg_param;
-
-use crate::error::{RatestError, Result};
-use crate::pipeline::Timings;
-use crate::problem::{Counterexample, PairPlans};
-use crate::session::Budget;
-use ratest_provenance::aggprov::{pair_aggregate_provenance, AggregateProvenance, GroupRows};
-use ratest_ra::ast::Query;
+use crate::error::Result;
+use ratest_provenance::aggprov::{AggregateProvenance, GroupRows};
 use ratest_ra::eval::Params;
-use ratest_ra::interrupt::Interrupt;
-use ratest_storage::{Database, TupleSelection, Value};
+use ratest_storage::{TupleSelection, Value};
 use ratest_telemetry::MetricsHandle;
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::BTreeSet;
-use std::time::Instant;
 
-/// Compute aggregate provenance for both queries of a pair, sharing the
-/// groups when both aggregate the same input the same way
-/// ([`pair_aggregate_provenance`]). The annotation runs under the caller's
-/// `interrupt` (so aggregate references honour `Budget` deadlines inside
-/// the provenance loops) and folds its row/group counters into `metrics`.
-pub(crate) fn pair_provenance(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    interrupt: &Interrupt,
-    metrics: &MetricsHandle,
-) -> Result<(AggregateProvenance, AggregateProvenance)> {
-    Ok(pair_aggregate_provenance(
-        q1, q2, db, params, interrupt, metrics,
-    )?)
-}
-
-/// A standalone entry point: check that the queries disagree on `db`, build
-/// the pair's aggregate provenance, then run `search` over it, timing each
-/// phase.
-fn run_standalone(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    budget: &Budget,
-    metrics: &MetricsHandle,
-    search: impl FnOnce(
-        &PairPlans,
-        &AggregateProvenance,
-        &AggregateProvenance,
-    ) -> Result<(Counterexample, Timings)>,
-) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-    let start = Instant::now();
-    let plans = PairPlans::compile(q1, q2, db)?;
-    let (r1, r2) = plans.distinguish(db, params, budget, metrics)?;
-    timings.raw_eval = start.elapsed();
-    if r1.set_eq(&r2) {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
-    let start = Instant::now();
-    let (p1, p2) = pair_provenance(q1, q2, db, params, &budget.interrupt(), metrics)?;
-    timings.provenance = start.elapsed();
-    let (cex, searched) = search(&plans, &p1, &p2)?;
-    timings.accumulate(&searched);
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
-    Ok((cex, timings))
-}
+/// Values tried for a free parameter besides the original ones and the
+/// candidate's live group counts.
+const EXTRA_PARAMETER_VALUES: [i64; 2] = [0, 1];
 
 /// The lazy theory check of the aggregate algorithms: do the two queries
 /// produce different output sets on a candidate sub-instance? Each check
@@ -144,14 +89,13 @@ impl<'a> TheoryCheck<'a> {
         selection: &TupleSelection,
         free: &BTreeSet<String>,
         original: &Params,
-        extra: &[i64],
     ) -> Option<Params> {
         let mut buffers = self.candidate(selection);
         if free.is_empty() {
             let differs = self.differ_on(&mut buffers, selection, original);
             return differs.unwrap_or(false).then(|| original.clone());
         }
-        self.param_settings(&buffers, selection, free, original, extra)
+        self.param_settings(&buffers, selection, free, original)
             .into_iter()
             .find(|setting| {
                 self.differ_on(&mut buffers, selection, setting)
@@ -202,8 +146,8 @@ impl<'a> TheoryCheck<'a> {
 
     /// Candidate parameter settings λ' for the candidate `selection`, whose
     /// groups are in `buffers` (paper: COUNT → a live member count, so
-    /// thresholds can be met exactly), plus the original values and the
-    /// `extra` constants. The counts come from the candidate's groups only:
+    /// thresholds can be met exactly), plus the original values and
+    /// [`EXTRA_PARAMETER_VALUES`]. The counts come from the candidate's groups only:
     /// every other group has no live member. The settings are the Cartesian
     /// product over `param_names`, capped at 256 (the paper's workloads
     /// have a single parameter).
@@ -213,9 +157,8 @@ impl<'a> TheoryCheck<'a> {
         selection: &TupleSelection,
         param_names: &BTreeSet<String>,
         original: &Params,
-        extra: &[i64],
     ) -> Vec<Params> {
-        let mut values: BTreeSet<i64> = extra.iter().copied().collect();
+        let mut values: BTreeSet<i64> = EXTRA_PARAMETER_VALUES.into_iter().collect();
         for (name, v) in original.iter() {
             if param_names.contains(name) {
                 if let Some(i) = v.as_int() {

@@ -1,7 +1,7 @@
 //! A pair's aggregate provenance, held to each query's provenance built
 //! alone.
 //!
-//! [`pair_provenance`] builds the groups of the second query from the
+//! [`pair_aggregate_provenance`] builds the groups of the second query from the
 //! first one's when both aggregate the same input the same way. Whatever it
 //! shares, each provenance must equal [`aggregate_provenance`] of its query
 //! alone: the same groups in the same order (keys, members with their
@@ -12,9 +12,10 @@
 //! the paper's Examples 4–6 and the many-small-groups pair of the
 //! pathological suite.
 
-use super::pair_provenance;
 use ratest_datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
-use ratest_provenance::aggprov::{aggregate_provenance, AggregateProvenance};
+use ratest_provenance::aggprov::{
+    aggregate_provenance, pair_aggregate_provenance, AggregateProvenance,
+};
 use ratest_queries::tpch_queries::{q18_parameterized, q18_parameterized_wrong, tpch_experiments};
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
@@ -116,7 +117,7 @@ fn check_pair(
     params: &Params,
     seed: u64,
 ) -> bool {
-    let (p1, p2) = pair_provenance(
+    let (p1, p2) = pair_aggregate_provenance(
         q1,
         q2,
         db,

@@ -11,11 +11,12 @@
 //! with the same parameter setting, or the same error. The incumbent follows the scan: the smallest verified
 //! counterexample of the groups before.
 
-use super::agg_basic::{candidate_group_keys, GroupSearch};
-use super::{pair_provenance, TheoryCheck};
+use super::agg_basic::{candidate_group_keys, GroupSearch, MAX_GROUPS};
+use super::TheoryCheck;
 use crate::problem::{verify_candidate, CandidateEval, Counterexample, PairPlans};
 use crate::session::Budget;
 use ratest_datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
+use ratest_provenance::aggprov::pair_aggregate_provenance;
 use ratest_queries::tpch_queries::{q18_parameterized, q18_parameterized_wrong, tpch_experiments};
 use ratest_ra::ast::Query;
 use ratest_ra::eval::Params;
@@ -49,7 +50,7 @@ fn check_pair(label: &str, q1: &Query, q2: &Query, db: &Database, params: &Param
     if r1.set_eq(&r2) {
         return tally;
     }
-    let (p1, p2) = pair_provenance(
+    let (p1, p2) = pair_aggregate_provenance(
         q1,
         q2,
         db,
@@ -59,7 +60,6 @@ fn check_pair(label: &str, q1: &Query, q2: &Query, db: &Database, params: &Param
     )
     .unwrap();
     let free: BTreeSet<String> = q1.params().union(&q2.params()).cloned().collect();
-    let extra = [0, 1];
     let search = GroupSearch {
         plans: &plans,
         db,
@@ -67,7 +67,6 @@ fn check_pair(label: &str, q1: &Query, q2: &Query, db: &Database, params: &Param
         p2: &p2,
         params,
         free: &free,
-        extra: &extra,
         ctx: CandidateEval::none(),
     };
     let options = &MinOnesOptions::default();
@@ -75,7 +74,7 @@ fn check_pair(label: &str, q1: &Query, q2: &Query, db: &Database, params: &Param
     for (index, key) in candidate_group_keys(&p1, &p2, params)
         .unwrap()
         .into_iter()
-        .take(8)
+        .take(MAX_GROUPS)
         .enumerate()
     {
         let Some(problem) = search.problem(key).unwrap() else {

@@ -18,133 +18,84 @@
 //! keys and checked against the negated parts. Such a candidate is skipped
 //! when that minimum cannot beat the incumbent, which is exactly when its
 //! bounded solve would have found no model.
+//!
+//! `Basic` runs through [`crate::pipeline`] on a pair already evaluated
+//! (`Algorithm::Basic`), and the shared path of a prepared reference runs
+//! its candidate scan over annotations derived from the reference's.
 
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
-use crate::pipeline::{SolverStrategy, Timings};
+use crate::pipeline::{RatestOptions, SolverStrategy, Timings};
 use crate::problem::{
-    difference_query, verify_candidate, CandidateEval, Counterexample, PairPlans, Witness,
+    difference_query, verify_candidate, CandidateEval, Counterexample, EvaluatedPair, Witness,
 };
-use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
+use crate::session::{ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
-use ratest_provenance::{BoolExpr, Dnf};
-use ratest_ra::ast::Query;
-use ratest_ra::eval::{Params, ResultSet};
+use ratest_provenance::{AnnotatedResult, BoolExpr, Dnf};
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
-use ratest_storage::{Database, ForeignKeyIndex, TupleSelection};
-use ratest_telemetry::MetricsHandle;
+use ratest_storage::{ForeignKeyIndex, TupleSelection, Value};
+use std::collections::HashSet;
 use std::time::Instant;
 
-/// Options for the `Basic` algorithm.
-#[derive(Debug, Clone)]
-pub struct BasicOptions {
-    /// Solver strategy used for each per-tuple witness problem. The paper's
-    /// Algorithm 1 uses bounded model enumeration (`Naive-Δ`); Table 4's
-    /// `Basic` row uses the optimizing solver. Both are available.
-    pub strategy: SolverStrategy,
-    /// Upper bound on the number of differing tuples to process (the number
-    /// of output tuples can be large for very wrong queries; the paper
-    /// iterates over all of them, which this default preserves).
-    pub max_tuples: usize,
-    /// Unified resource budget, polled once per candidate tuple and inside
-    /// the provenance row loops.
-    pub budget: Budget,
-    /// Progress events (per-candidate, per-solve).
-    pub events: EventHandle,
-    /// Metrics sink: solver statistics and candidate counts are folded in
-    /// here; the default handle records nothing.
-    pub metrics: MetricsHandle,
-}
-
-impl Default for BasicOptions {
-    fn default() -> Self {
-        BasicOptions {
-            strategy: SolverStrategy::Optimize,
-            max_tuples: usize::MAX,
-            budget: Budget::unlimited(),
-            events: EventHandle::none(),
-            metrics: MetricsHandle::none(),
-        }
-    }
-}
-
-/// Run the `Basic` SCP algorithm.
-pub fn smallest_counterexample_basic(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    options: &BasicOptions,
-) -> Result<(Counterexample, Timings)> {
-    basic_core(
-        q1,
-        q2,
-        &PairPlans::compile(q1, q2, db)?,
-        db,
-        params,
-        None,
-        options,
-    )
-}
-
-/// [`smallest_counterexample_basic`] for the pair compiled on `db`.
-/// `results` are both queries' results on `db` when the caller holds them;
-/// otherwise they are evaluated here.
+/// `Basic` on a pair that disagrees on its instance: annotate both
+/// difference directions once ("prov-all" in Figure 4), then scan their
+/// rows ([`smallest_counterexample_from_annotations`]). Each phase's time
+/// is added to `timings`.
 pub(crate) fn basic_core(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    results: Option<(&ResultSet, &ResultSet)>,
-    options: &BasicOptions,
-) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-
+    pair: &EvaluatedPair,
+    options: &RatestOptions,
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    // The pair arrives evaluated; the raw-evaluation phase is still
+    // announced, so the event stream keeps its shape.
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
-    let start = Instant::now();
-    let mut evaluated = None;
-    let (r1, r2) = plans.results_or_distinguish(
-        results,
-        &mut evaluated,
-        db,
-        params,
-        &options.budget,
-        &MetricsHandle::none(),
-    )?;
-    timings.raw_eval = start.elapsed();
-    if r1.set_eq(r2) {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
-
-    // Annotate both difference directions once ("prov-all" in Figure 4).
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::Provenance,
     });
     let interrupt = options.budget.interrupt();
     let start = Instant::now();
-    let ann_q1_minus_q2 = annotate_instrumented(
-        &difference_query(q1, q2, true),
-        db,
-        params,
-        &interrupt,
-        &options.metrics,
-    )?;
-    let ann_q2_minus_q1 = annotate_instrumented(
-        &difference_query(q1, q2, false),
-        db,
-        params,
-        &interrupt,
-        &options.metrics,
-    )?;
-    timings.provenance = start.elapsed();
+    let annotate = |from_q1| {
+        annotate_instrumented(
+            &difference_query(pair.q1, pair.q2, from_q1),
+            pair.db,
+            pair.params,
+            &interrupt,
+            &options.metrics,
+        )
+    };
+    let ann_q1_minus_q2 = annotate(true)?;
+    let ann_q2_minus_q1 = annotate(false)?;
+    timings.provenance += start.elapsed();
 
-    let cex = smallest_counterexample_from_annotations(
+    smallest_counterexample_from_annotations(
+        pair,
+        &ann_q1_minus_q2,
+        &ann_q2_minus_q1,
+        options,
+        timings,
+    )
+}
+
+/// The candidate scan of `Basic`, over *precomputed* difference
+/// annotations. The shared path of a prepared reference calls it directly:
+/// it derives `ann(Q1 − Q2)` / `ann(Q2 − Q1)` via
+/// [`ratest_provenance::difference_of`] from the reference's cached
+/// annotation instead of re-annotating the reference per pair. Every
+/// candidate is verified through the pair's plans; the scan's time is added
+/// to `timings.solver`.
+pub(crate) fn smallest_counterexample_from_annotations(
+    pair: &EvaluatedPair,
+    ann_q1_minus_q2: &AnnotatedResult,
+    ann_q2_minus_q1: &AnnotatedResult,
+    options: &RatestOptions,
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    let EvaluatedPair {
         q1,
         q2,
         plans,
@@ -152,36 +103,7 @@ pub(crate) fn basic_core(
         params,
         r1,
         r2,
-        &ann_q1_minus_q2,
-        &ann_q2_minus_q1,
-        options,
-        &mut timings,
-    )?;
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
-    Ok((cex, timings))
-}
-
-/// The candidate-scan core of `Basic`, operating on *precomputed* difference
-/// annotations. Exposed so the batch-grading path can share one reference
-/// annotation across a whole cohort: the caller derives
-/// `ann(Q1 − Q2)` / `ann(Q2 − Q1)` via
-/// [`ratest_provenance::difference_of`] from cached per-query annotations
-/// and hands them here, instead of re-annotating the reference per pair.
-/// Every candidate is verified through `plans`, the pair compiled on `db`.
-#[allow(clippy::too_many_arguments)]
-pub fn smallest_counterexample_from_annotations(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    r1: &ratest_ra::eval::ResultSet,
-    r2: &ratest_ra::eval::ResultSet,
-    ann_q1_minus_q2: &ratest_provenance::AnnotatedResult,
-    ann_q2_minus_q1: &ratest_provenance::AnnotatedResult,
-    options: &BasicOptions,
-    timings: &mut Timings,
-) -> Result<Counterexample> {
+    } = *pair;
     // Candidate (tuple, direction) pairs. Iterating only over the tuples
     // that differ on the *full* instance (with their observed direction) is
     // not enough for global optimality: on a sub-instance the membership of
@@ -190,13 +112,13 @@ pub fn smallest_counterexample_from_annotations(
     // annotations keep a row (with an exact provenance formula) for every
     // tuple derivable on *any* sub-instance, so iterating over all annotated
     // rows in both directions covers every possible differing tuple.
-    let observed: std::collections::HashSet<(Vec<ratest_storage::Value>, bool)> = r1
+    let observed: HashSet<(Vec<Value>, bool)> = r1
         .difference(r2)
         .into_iter()
         .map(|t| (t, true))
         .chain(r2.difference(r1).into_iter().map(|t| (t, false)))
         .collect();
-    let mut candidates: Vec<(Vec<ratest_storage::Value>, bool)> = Vec::new();
+    let mut candidates: Vec<(Vec<Value>, bool)> = Vec::new();
     for (ann, from_q1) in [(ann_q1_minus_q2, true), (ann_q2_minus_q1, false)] {
         for row in ann.rows() {
             candidates.push((row.clone(), from_q1));
@@ -216,7 +138,7 @@ pub fn smallest_counterexample_from_annotations(
     let solver_start = Instant::now();
     let foreign_keys = db.foreign_key_index()?;
     let mut best: Option<Counterexample> = None;
-    for (index, (tuple, from_q1)) in candidates.into_iter().take(options.max_tuples).enumerate() {
+    for (index, (tuple, from_q1)) in candidates.into_iter().enumerate() {
         options.budget.check()?;
         options.events.emit(ExplainEvent::CandidateChecked {
             index,
@@ -457,18 +379,31 @@ fn conjunctions(expr: &BoolExpr, negate: bool) -> Option<Vec<Conjunction<'_>>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optsigma::{smallest_witness_optsigma, OptSigmaOptions};
+    use crate::pipeline::{run_algorithm, Algorithm};
+    use ratest_ra::ast::Query;
     use ratest_ra::testdata;
+
+    fn run(
+        q1: &Query,
+        q2: &Query,
+        algorithm: Algorithm,
+        strategy: SolverStrategy,
+    ) -> Result<(Counterexample, Timings)> {
+        let options = RatestOptions {
+            algorithm,
+            strategy,
+            ..Default::default()
+        };
+        run_algorithm(q1, q2, &testdata::figure1_db(), &options)
+    }
 
     #[test]
     fn basic_reaches_the_global_optimum_on_example1() {
-        let db = testdata::figure1_db();
-        let (cex, timings) = smallest_counterexample_basic(
+        let (cex, timings) = run(
             &testdata::example1_q1(),
             &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &BasicOptions::default(),
+            Algorithm::Basic,
+            SolverStrategy::Optimize,
         )
         .unwrap();
         assert_eq!(cex.size(), 3);
@@ -479,38 +414,26 @@ mod tests {
     fn basic_and_optsigma_agree_on_size_for_the_running_example() {
         // The paper observes that in practice Optσ's witness has the same size
         // as Basic's global optimum (Table 4).
-        let db = testdata::figure1_db();
-        let (b, _) = smallest_counterexample_basic(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &BasicOptions::default(),
-        )
-        .unwrap();
-        let (o, _) = smallest_witness_optsigma(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &OptSigmaOptions::default(),
-        )
-        .unwrap();
+        let [b, o] = [Algorithm::Basic, Algorithm::OptSigma].map(|algorithm| {
+            run(
+                &testdata::example1_q1(),
+                &testdata::example1_q2(),
+                algorithm,
+                SolverStrategy::Optimize,
+            )
+            .unwrap()
+            .0
+        });
         assert_eq!(b.size(), o.size());
     }
 
     #[test]
     fn naive_enumeration_strategy_works() {
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_counterexample_basic(
+        let (cex, _) = run(
             &testdata::example1_q1(),
             &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &BasicOptions {
-                strategy: SolverStrategy::Enumerate { max_models: 128 },
-                ..Default::default()
-            },
+            Algorithm::Basic,
+            SolverStrategy::Enumerate { max_models: 128 },
         )
         .unwrap();
         assert!(cex.size() >= 3);
@@ -518,10 +441,9 @@ mod tests {
 
     #[test]
     fn identical_queries_are_rejected() {
-        let db = testdata::figure1_db();
         let q = testdata::example1_q1();
         assert!(matches!(
-            smallest_counterexample_basic(&q, &q, &db, &Params::new(), &BasicOptions::default()),
+            run(&q, &q, Algorithm::Basic, SolverStrategy::Optimize),
             Err(RatestError::QueriesAgreeOnInstance)
         ));
     }

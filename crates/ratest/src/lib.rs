@@ -24,9 +24,12 @@
 //! * [`aggregates`] — the aggregate-query extensions of Section 5
 //!   (`Agg-Basic` provenance encoding, `Agg-Param` parameterized
 //!   counterexamples, `Agg-Opt` heuristic — Algorithm 3),
-//! * [`pipeline`] — the end-to-end RATest dispatch that classifies the
-//!   query pair and runs the right algorithm, with per-phase timing
-//!   breakdowns used by the experiment harness,
+//! * [`pipeline`] — the one way to run an algorithm: the end-to-end RATest
+//!   dispatch classifies the query pair, runs the right algorithm (or the
+//!   forced one) and falls back when it declines, and
+//!   [`pipeline::run_algorithm`] runs one algorithm alone, without the
+//!   fallback, returning the per-phase timing breakdown the experiment
+//!   harness reports,
 //! * [`session`] — the durable, session-oriented public API: a [`Session`]
 //!   owns the database and prepared references, a unified [`session::Budget`]
 //!   (deadline + step quota + cancellation) bounds every request, and an

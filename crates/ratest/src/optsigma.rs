@@ -8,15 +8,21 @@
 //! 4. hand the provenance plus foreign-key implications to the optimizing
 //!    min-ones solver,
 //! 5. the model's true variables are the witness; materialize and verify it.
+//!
+//! Step 1 starts from both queries' results, which the caller has already
+//! computed: [`crate::pipeline`] for `Algorithm::OptSigma` (and as the
+//! fallback of the SPJUD algorithms), and `Agg-Opt` for the aggregation
+//! inputs of an aggregate pair, whose candidates it filters through an
+//! acceptance hook.
 
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
-use crate::pipeline::{SolverStrategy, Timings};
+use crate::pipeline::{RatestOptions, SolverStrategy, Timings};
 use crate::problem::{
-    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, PairPlans,
-    Witness,
+    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample,
+    EvaluatedPair, Witness,
 };
-use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
+use crate::session::{ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
 use ratest_ra::ast::Query;
 use ratest_ra::builder::QueryBuilder;
@@ -29,104 +35,36 @@ use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
 use ratest_storage::{Database, TupleSelection, Value};
-use ratest_telemetry::MetricsHandle;
 use std::time::Instant;
 
-/// Options for the `Optσ` algorithm.
-#[derive(Debug, Clone)]
-pub struct OptSigmaOptions {
-    /// Whether to push the tuple-equality selection down the difference query
-    /// before computing provenance (`prov-sp` vs `prov-all` in Figure 4).
-    pub selection_pushdown: bool,
-    /// Which solver strategy to use for the min-ones step.
-    pub strategy: SolverStrategy,
-    /// Unified resource budget, polled once per witness direction / solve
-    /// and inside the provenance row loops.
-    pub budget: Budget,
-    /// Progress events (per-phase, per-solve).
-    pub events: EventHandle,
-    /// Metrics sink: solver statistics are folded in here; the default
-    /// handle records nothing.
-    pub metrics: MetricsHandle,
-}
-
-impl Default for OptSigmaOptions {
-    fn default() -> Self {
-        OptSigmaOptions {
-            selection_pushdown: true,
-            strategy: SolverStrategy::Optimize,
-            budget: Budget::unlimited(),
-            events: EventHandle::none(),
-            metrics: MetricsHandle::none(),
-        }
-    }
-}
-
-/// Run `Optσ` for the query pair, returning the counterexample and the
-/// per-phase timing breakdown.
-pub fn smallest_witness_optsigma(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    options: &OptSigmaOptions,
-) -> Result<(Counterexample, Timings)> {
-    smallest_witness_optsigma_accepting(q1, q2, db, params, options, |_| true)
-}
-
-/// `Optσ` with an additional acceptance predicate over candidate tuple
-/// selections — the hook Algorithm 3's repeat-until loop uses to reject
-/// candidates that fail to distinguish the original aggregate queries.
-pub fn smallest_witness_optsigma_accepting<F>(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    options: &OptSigmaOptions,
-    accept: F,
-) -> Result<(Counterexample, Timings)>
-where
-    F: FnMut(&TupleSelection) -> bool,
-{
-    let plans = PairPlans::compile(q1, q2, db)?;
-    optsigma_core(q1, q2, &plans, db, params, None, options, accept)
-}
-
-/// [`smallest_witness_optsigma_accepting`] for the pair compiled on `db`,
-/// starting from `results`, the two queries' results on `db` when the
-/// caller already holds them (the pair's union compatibility checked); with
-/// `None` the queries are evaluated here.
-#[allow(clippy::too_many_arguments)]
+/// `Optσ` on `pair`, starting from the two queries' results, with an
+/// acceptance predicate over candidate tuple selections — the hook
+/// Algorithm 3's repeat-until loop uses to reject candidates that fail to
+/// distinguish the original aggregate queries (the pipeline accepts every
+/// candidate). Each phase's time is added to `timings`.
 pub(crate) fn optsigma_core<F>(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    results: Option<(&ResultSet, &ResultSet)>,
-    options: &OptSigmaOptions,
+    pair: &EvaluatedPair,
+    options: &RatestOptions,
     mut accept: F,
-) -> Result<(Counterexample, Timings)>
+    timings: &mut Timings,
+) -> Result<Counterexample>
 where
     F: FnMut(&TupleSelection) -> bool,
 {
-    let mut timings = Timings::default();
-
-    // Phase 1: raw evaluation of both queries.
+    let EvaluatedPair {
+        q1,
+        q2,
+        plans,
+        db,
+        params,
+        r1,
+        r2,
+    } = *pair;
+    // Phase 1, raw evaluation, is done: the pair arrives evaluated. It is
+    // still announced, so the event stream keeps its shape.
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
-    let start = Instant::now();
-    let mut evaluated = None;
-    let (r1, r2) = plans.results_or_distinguish(
-        results,
-        &mut evaluated,
-        db,
-        params,
-        &options.budget,
-        &options.metrics,
-    )?;
-    timings.raw_eval = start.elapsed();
     let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
         return Err(RatestError::QueriesAgreeOnInstance);
@@ -239,9 +177,7 @@ where
         metrics: options.metrics.clone(),
         interrupt: options.budget.interrupt(),
     };
-    let cex = verify_candidate(plans, db, selection, Some(witness), params, &ctx)?;
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
-    Ok((cex, timings))
+    verify_candidate(plans, db, selection, Some(witness), params, &ctx)
 }
 
 /// Cheap necessary condition for `t ∈ (Qa − Qb)(D')` to be achievable on
@@ -252,8 +188,8 @@ where
 pub(crate) fn direction_feasible(
     q1: &Query,
     q2: &Query,
-    r1: &ratest_ra::eval::ResultSet,
-    r2: &ratest_ra::eval::ResultSet,
+    r1: &ResultSet,
+    r2: &ResultSet,
     tuple: &[Value],
     from_q1: bool,
 ) -> bool {
@@ -271,7 +207,7 @@ pub fn provenance_for_tuple(
     params: &Params,
     tuple: &[Value],
     from_q1: bool,
-    options: &OptSigmaOptions,
+    options: &RatestOptions,
 ) -> Result<ratest_provenance::BoolExpr> {
     let diff = difference_query(q1, q2, from_q1);
     let schema = output_schema(&diff, db)?;
@@ -321,24 +257,36 @@ pub fn tuple_equality_predicate(schema: &ratest_storage::Schema, tuple: &[Value]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_algorithm, Algorithm};
     use ratest_ra::testdata;
+
+    fn optsigma(
+        q1: &Query,
+        q2: &Query,
+        options: RatestOptions,
+    ) -> Result<(Counterexample, Timings)> {
+        let options = RatestOptions {
+            algorithm: Algorithm::OptSigma,
+            ..options
+        };
+        run_algorithm(q1, q2, &testdata::figure1_db(), &options)
+    }
+
+    fn example1(options: RatestOptions) -> Counterexample {
+        optsigma(&testdata::example1_q1(), &testdata::example1_q2(), options)
+            .unwrap()
+            .0
+    }
 
     #[test]
     fn example1_finds_a_three_tuple_counterexample() {
-        let db = testdata::figure1_db();
         for pushdown in [true, false] {
-            let options = OptSigmaOptions {
+            let options = RatestOptions {
                 selection_pushdown: pushdown,
                 ..Default::default()
             };
-            let (cex, timings) = smallest_witness_optsigma(
-                &testdata::example1_q1(),
-                &testdata::example1_q2(),
-                &db,
-                &Params::new(),
-                &options,
-            )
-            .unwrap();
+            let (cex, timings) =
+                optsigma(&testdata::example1_q1(), &testdata::example1_q2(), options).unwrap();
             assert_eq!(cex.size(), 3, "pushdown={pushdown}");
             assert!(!cex.q1_result.set_eq(&cex.q2_result));
             assert!(timings.total >= timings.solver);
@@ -347,15 +295,7 @@ mod tests {
 
     #[test]
     fn witness_records_the_differing_tuple() {
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_witness_optsigma(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &OptSigmaOptions::default(),
-        )
-        .unwrap();
+        let cex = example1(RatestOptions::default());
         let w = cex.witness.expect("Optσ always produces a witness");
         assert!(!w.from_q1, "the wrong answers are produced by Q2");
         assert_eq!(w.tuple.len(), 2);
@@ -364,54 +304,30 @@ mod tests {
 
     #[test]
     fn enumeration_strategy_is_supported_but_may_be_suboptimal() {
-        let db = testdata::figure1_db();
-        let (cex_opt, _) = smallest_witness_optsigma(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &OptSigmaOptions::default(),
-        )
-        .unwrap();
-        let (cex_naive, _) = smallest_witness_optsigma(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &OptSigmaOptions {
-                strategy: SolverStrategy::Enumerate { max_models: 128 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let cex_opt = example1(RatestOptions::default());
+        let cex_naive = example1(RatestOptions {
+            strategy: SolverStrategy::Enumerate { max_models: 128 },
+            ..Default::default()
+        });
         assert!(cex_naive.size() >= cex_opt.size());
     }
 
     #[test]
     fn equivalent_queries_are_reported() {
-        let db = testdata::figure1_db();
         let q = testdata::example1_q2();
         assert!(matches!(
-            smallest_witness_optsigma(&q, &q, &db, &Params::new(), &OptSigmaOptions::default()),
+            optsigma(&q, &q, RatestOptions::default()),
             Err(RatestError::QueriesAgreeOnInstance)
         ));
     }
 
     #[test]
     fn matches_brute_force_on_the_toy_instance() {
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_witness_optsigma(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &OptSigmaOptions::default(),
-        )
-        .unwrap();
+        let cex = example1(RatestOptions::default());
         let brute = crate::problem::brute_force_smallest(
             &testdata::example1_q1(),
             &testdata::example1_q2(),
-            &db,
+            &testdata::figure1_db(),
             &Params::new(),
         )
         .unwrap()

@@ -7,19 +7,17 @@
 //! queries agree on the instance or returns a small counterexample together
 //! with the results of both queries on it.
 
-use crate::aggregates::agg_basic::{agg_basic_core, AggBasicOptions};
-use crate::aggregates::agg_opt::{agg_opt_core, AggOptOptions};
-use crate::aggregates::agg_param::{agg_param_core, AggParamOptions};
-use crate::aggregates::pair_provenance;
-use crate::basic::{basic_core, smallest_counterexample_from_annotations, BasicOptions};
+use crate::aggregates::agg_basic::agg_basic_core;
+use crate::aggregates::agg_opt::agg_opt_core;
+use crate::aggregates::agg_param::agg_param_core;
+use crate::basic::{basic_core, smallest_counterexample_from_annotations};
 use crate::error::{RatestError, Result};
-use crate::optsigma::{optsigma_core, OptSigmaOptions};
-use crate::polytime::monotone::monotone_core;
-use crate::polytime::smallest_witness_monotone_with_results;
+use crate::optsigma::optsigma_core;
+use crate::polytime::monotone::{check_applies, smallest_witness_monotone_with_results};
 use crate::polytime::spjud_star::spjud_star_core;
-use crate::problem::{CandidateEval, Counterexample, PairPlans};
+use crate::problem::{CandidateEval, Counterexample, EvaluatedPair, PairPlans};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
-use ratest_provenance::aggprov::AggregateProvenance;
+use ratest_provenance::aggprov::{pair_aggregate_provenance, AggregateProvenance};
 use ratest_provenance::annotate::{annotate_plan, difference_of, AnnotatedResult};
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
@@ -79,17 +77,6 @@ pub struct Timings {
     pub solver: Duration,
     /// Total of the above.
     pub total: Duration,
-}
-
-impl Timings {
-    /// Add another breakdown onto this one (used when averaging over a
-    /// workload).
-    pub fn accumulate(&mut self, other: &Timings) {
-        self.raw_eval += other.raw_eval;
-        self.provenance += other.provenance;
-        self.solver += other.solver;
-        self.total += other.total;
-    }
 }
 
 /// The option bag every explanation run carries (one per
@@ -212,9 +199,37 @@ fn explain_inner(
 ) -> Result<ExplainOutcome> {
     options.budget.check()?;
     let class = classify_pair(q1, q2);
+    // Fast path: do the queries agree on the instance?
+    let (plans, r1, r2, timings) = evaluate_pair(q1, q2, db, options)?;
+    if r1.set_eq(&r2) {
+        return Ok(ExplainOutcome {
+            counterexample: None,
+            class,
+            algorithm_used: Algorithm::Auto,
+            timings,
+        });
+    }
+    let pair = EvaluatedPair {
+        q1,
+        q2,
+        plans: &plans,
+        db,
+        params: &options.parameters,
+        r1: &r1,
+        r2: &r2,
+    };
+    dispatch(&pair, class, timings, options)
+}
 
-    // Fast path: do the queries agree on the instance? (Also validates
-    // union compatibility.)
+/// Compile the pair on `db` and evaluate both queries under `options`'
+/// parameters, budget and metrics (which also checks their union
+/// compatibility), timed as raw evaluation.
+fn evaluate_pair(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    options: &RatestOptions,
+) -> Result<(PairPlans, ResultSet, ResultSet, Timings)> {
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
@@ -225,50 +240,13 @@ fn explain_inner(
         raw_eval: start.elapsed(),
         ..Timings::default()
     };
-    if r1.set_eq(&r2) {
-        return Ok(ExplainOutcome {
-            counterexample: None,
-            class,
-            algorithm_used: Algorithm::Auto,
-            timings,
-        });
-    }
-    dispatch(
-        q1,
-        q2,
-        &plans,
-        db,
-        &options.parameters,
-        (&r1, &r2),
-        class,
-        timings,
-        options,
-    )
+    Ok((plans, r1, r2, timings))
 }
 
-/// Explain a pair already known to disagree on `db`, with `plans` the pair
-/// compiled on `db` and `results` both queries' results on `db`: run the
-/// algorithm for the pair's class (or the forced one), and fall back to the
-/// general path when it declines. No attempt evaluates the queries on `db`
-/// again. `timings` holds the raw evaluation done so far; every attempt's
-/// time is added to it.
-///
-/// The aggregate algorithms share one aggregate provenance of the pair,
-/// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
-/// annotate once between them.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    results: (&ResultSet, &ResultSet),
-    class: QueryClass,
-    mut timings: Timings,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    let algorithm = match options.algorithm {
+/// The algorithm to run for `requested`: itself, or for `Auto` the one for
+/// the pair's class.
+fn resolve(requested: Algorithm, class: QueryClass, q1: &Query, q2: &Query) -> Algorithm {
+    match requested {
         Algorithm::Auto => match class {
             QueryClass::Aggregate => {
                 if q1.params().is_empty() && q2.params().is_empty() {
@@ -281,96 +259,65 @@ fn dispatch(
             _ => Algorithm::OptSigma,
         },
         other => other,
-    };
+    }
+}
 
-    let mut aggregate_provenance: Option<(AggregateProvenance, AggregateProvenance)> = None;
-    let mut attempt = |algorithm: Algorithm, timings: &mut Timings| -> Result<Counterexample> {
-        options.budget.check()?;
-        let shares_provenance = matches!(
-            algorithm,
-            Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt
-        );
-        if shares_provenance && aggregate_provenance.is_none() {
-            let start = Instant::now();
-            aggregate_provenance = Some(pair_provenance(
-                q1,
-                q2,
-                db,
-                params,
-                &options.budget.interrupt(),
-                &options.metrics,
-            )?);
-            timings.provenance += start.elapsed();
-        }
-        let start = Instant::now();
-        let result = match algorithm {
-            Algorithm::Basic => basic_core(
-                q1,
-                q2,
-                plans,
-                db,
-                params,
-                Some(results),
-                &BasicOptions {
-                    strategy: options.strategy,
-                    budget: options.budget.clone(),
-                    events: options.events.clone(),
-                    metrics: options.metrics.clone(),
-                    ..Default::default()
-                },
-            ),
-            Algorithm::OptSigma => optsigma_core(
-                q1,
-                q2,
-                plans,
-                db,
-                params,
-                Some(results),
-                &OptSigmaOptions {
-                    selection_pushdown: options.selection_pushdown,
-                    strategy: options.strategy,
-                    budget: options.budget.clone(),
-                    events: options.events.clone(),
-                    metrics: options.metrics.clone(),
-                },
-                |_| true,
-            ),
-            Algorithm::PolytimeMonotone => monotone_core(
-                q1,
-                q2,
-                plans,
-                db,
-                params,
-                Some(results),
-                &candidate_ctx(options),
-            ),
-            Algorithm::PolytimeSpjudStar => spjud_star_core(
-                q1,
-                q2,
-                plans,
-                db,
-                params,
-                Some(results),
-                &candidate_ctx(options),
-            ),
-            Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt => {
-                let (p1, p2) = aggregate_provenance.as_ref().expect("built above");
-                aggregate_search(algorithm, q1, q2, plans, db, params, p1, p2, options)
-            }
-            Algorithm::Auto => unreachable!("Auto is resolved above"),
-        };
-        match result {
-            Ok((cex, took)) => {
-                timings.accumulate(&took);
-                Ok(cex)
-            }
-            // A declined attempt's time is search time.
-            Err(e) => {
-                timings.solver += start.elapsed();
-                Err(e)
-            }
-        }
+/// Run one algorithm on `q1`, `q2` over `db`: compile and evaluate the
+/// pair, then run `options.algorithm` (for `Auto`, the one for the pair's
+/// class) without falling back when it declines. Returns
+/// [`RatestError::QueriesAgreeOnInstance`] when the queries agree on `db`,
+/// and the counterexample with its per-phase timings otherwise. This is how
+/// the experiments time one algorithm; [`crate::session::Session`] is the
+/// way to explain submissions.
+pub fn run_algorithm(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    options: &RatestOptions,
+) -> Result<(Counterexample, Timings)> {
+    options.budget.check()?;
+    let class = classify_pair(q1, q2);
+    let algorithm = resolve(options.algorithm, class, q1, q2);
+    let (plans, r1, r2, mut timings) = evaluate_pair(q1, q2, db, options)?;
+    // The monotone algorithm declines a pair outside its class whether or
+    // not the instance distinguishes it.
+    if algorithm == Algorithm::PolytimeMonotone {
+        check_applies(class)?;
+    }
+    if r1.set_eq(&r2) {
+        return Err(RatestError::QueriesAgreeOnInstance);
+    }
+    let pair = EvaluatedPair {
+        q1,
+        q2,
+        plans: &plans,
+        db,
+        params: &options.parameters,
+        r1: &r1,
+        r2: &r2,
     };
+    let cex = run_one(algorithm, &pair, &mut None, options, &mut timings)?;
+    timings.total = timings.raw_eval + timings.provenance + timings.solver;
+    Ok((cex, timings))
+}
+
+/// Explain `pair`, already known to disagree on its instance: run the
+/// algorithm for the pair's class (or the forced one), and fall back to the
+/// general path when it declines. No attempt evaluates the queries on the
+/// instance again. `timings` holds the raw evaluation done so far; every
+/// attempt's time is added to it.
+///
+/// The aggregate algorithms share one aggregate provenance of the pair,
+/// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
+/// annotate once between them.
+fn dispatch(
+    pair: &EvaluatedPair,
+    class: QueryClass,
+    mut timings: Timings,
+    options: &RatestOptions,
+) -> Result<ExplainOutcome> {
+    let algorithm = resolve(options.algorithm, class, pair.q1, pair.q2);
+    let mut aggregate_provenance = None;
 
     // Run the chosen algorithm; fall back to the more general path when a
     // specialized algorithm declines (DNF too large, unsupported aggregate
@@ -383,13 +330,27 @@ fn dispatch(
     } else {
         Algorithm::OptSigma
     };
-    let (cex, used) = match attempt(algorithm, &mut timings) {
+    let attempt = run_one(
+        algorithm,
+        pair,
+        &mut aggregate_provenance,
+        options,
+        &mut timings,
+    );
+    let (cex, used) = match attempt {
         Ok(cex) => (cex, algorithm),
         Err(RatestError::Unsupported(_) | RatestError::Solver(_))
             if algorithm != fallback_target =>
         {
             options.metrics.counter_inc("explain.fallbacks");
-            (attempt(fallback_target, &mut timings)?, fallback_target)
+            let cex = run_one(
+                fallback_target,
+                pair,
+                &mut aggregate_provenance,
+                options,
+                &mut timings,
+            )?;
+            (cex, fallback_target)
         }
         Err(e) => return Err(e),
     };
@@ -403,57 +364,59 @@ fn dispatch(
     })
 }
 
-/// Run one aggregate algorithm over the pair's shared aggregate provenance.
-#[allow(clippy::too_many_arguments)]
-fn aggregate_search(
+/// Run `algorithm` on `pair`, already known to disagree on its instance,
+/// adding each phase's time to `timings`. The aggregate algorithms read the
+/// pair's `aggregate_provenance`, built here on first use.
+fn run_one(
     algorithm: Algorithm,
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    p1: &AggregateProvenance,
-    p2: &AggregateProvenance,
+    pair: &EvaluatedPair,
+    aggregate_provenance: &mut Option<(AggregateProvenance, AggregateProvenance)>,
     options: &RatestOptions,
-) -> Result<(Counterexample, Timings)> {
-    let (budget, events, metrics) = (
-        options.budget.clone(),
-        options.events.clone(),
-        options.metrics.clone(),
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    options.budget.check()?;
+    let aggregate = matches!(
+        algorithm,
+        Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt
     );
-    match algorithm {
-        Algorithm::AggOpt => {
-            let optsigma = OptSigmaOptions {
-                budget,
-                events,
-                metrics,
-                ..Default::default()
-            };
-            let options = AggOptOptions {
-                optsigma,
-                ..Default::default()
-            };
-            agg_opt_core(q1, q2, plans, db, params, p1, p2, &options)
-        }
-        Algorithm::AggParam => {
-            let options = AggParamOptions {
-                budget,
-                events,
-                metrics,
-                ..Default::default()
-            };
-            agg_param_core(q1, q2, plans, db, params, p1, p2, &options)
-        }
-        _ => {
-            let options = AggBasicOptions {
-                budget,
-                events,
-                metrics,
-                ..Default::default()
-            };
-            agg_basic_core(plans, db, params, p1, p2, &options)
-        }
+    if aggregate && aggregate_provenance.is_none() {
+        let start = Instant::now();
+        *aggregate_provenance = Some(pair_aggregate_provenance(
+            pair.q1,
+            pair.q2,
+            pair.db,
+            pair.params,
+            &options.budget.interrupt(),
+            &options.metrics,
+        )?);
+        timings.provenance += start.elapsed();
     }
+    let before = *timings;
+    let start = Instant::now();
+    let result = match algorithm {
+        Algorithm::Basic => basic_core(pair, options, timings),
+        Algorithm::OptSigma => optsigma_core(pair, options, |_| true, timings),
+        Algorithm::PolytimeMonotone => {
+            smallest_witness_monotone_with_results(pair, None, &candidate_ctx(options), timings)
+        }
+        Algorithm::PolytimeSpjudStar => spjud_star_core(pair, &candidate_ctx(options), timings),
+        Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt => {
+            let (p1, p2) = aggregate_provenance.as_ref().expect("built above");
+            let core = match algorithm {
+                Algorithm::AggBasic => agg_basic_core,
+                Algorithm::AggParam => agg_param_core,
+                _ => agg_opt_core,
+            };
+            core(pair, p1, p2, options, timings)
+        }
+        Algorithm::Auto => unreachable!("Auto is resolved before an algorithm runs"),
+    };
+    if result.is_err() {
+        // A declined attempt's time is search time.
+        *timings = before;
+        timings.solver += start.elapsed();
+    }
+    result
 }
 
 /// A reference (instructor) query prepared once per batch: its plan, result
@@ -607,20 +570,20 @@ pub(crate) fn explain_prepared_impl(
         return Ok(outcome);
     }
 
+    let pair = EvaluatedPair {
+        q1,
+        q2,
+        plans: &plans,
+        db,
+        params: &reference.params,
+        r1,
+        r2: &r2,
+    };
+
     // Aggregate pairs use dedicated provenance machinery that the shared
     // annotation does not cover; they reuse both evaluations above.
     if class == QueryClass::Aggregate {
-        let outcome = dispatch(
-            q1,
-            q2,
-            &plans,
-            db,
-            &reference.params,
-            (r1, &r2),
-            class,
-            timings,
-            options,
-        )?;
+        let outcome = dispatch(&pair, class, timings, options)?;
         emit_verdict(options, &outcome);
         return Ok(outcome);
     }
@@ -631,16 +594,10 @@ pub(crate) fn explain_prepared_impl(
 
     if class.is_monotone() {
         match smallest_witness_monotone_with_results(
-            q1,
-            q2,
-            &plans,
-            db,
-            &reference.params,
-            r1,
-            &r2,
+            &pair,
             Some(ref_annotation),
-            &mut timings,
             &candidate_ctx(options),
+            &mut timings,
         ) {
             Ok(cex) => {
                 timings.total = timings.raw_eval + timings.provenance + timings.solver;
@@ -677,24 +634,11 @@ pub(crate) fn explain_prepared_impl(
     let ann_q2_minus_q1 = difference_of(&ann_q2, ref_annotation)?;
     timings.provenance += start.elapsed();
 
-    let basic_options = BasicOptions {
-        strategy: options.strategy,
-        budget: options.budget.clone(),
-        events: options.events.clone(),
-        metrics: options.metrics.clone(),
-        ..Default::default()
-    };
     match smallest_counterexample_from_annotations(
-        q1,
-        q2,
-        &plans,
-        db,
-        &reference.params,
-        r1,
-        &r2,
+        &pair,
         &ann_q1_minus_q2,
         &ann_q2_minus_q1,
-        &basic_options,
+        options,
         &mut timings,
     ) {
         Ok(cex) => {
@@ -948,16 +892,47 @@ mod tests {
     }
 
     #[test]
-    fn timings_accumulate() {
-        let mut a = Timings::default();
-        let b = Timings {
-            raw_eval: Duration::from_millis(1),
-            provenance: Duration::from_millis(2),
-            solver: Duration::from_millis(3),
-            total: Duration::from_millis(6),
-        };
-        a.accumulate(&b);
-        a.accumulate(&b);
-        assert_eq!(a.total, Duration::from_millis(12));
+    fn every_forced_algorithm_runs_under_the_callers_budget_and_metrics() {
+        use ratest_telemetry::MetricsRegistry;
+
+        let db = testdata::figure1_db();
+        let spju = rel("Student").project(&["name"]).build();
+        let aggregate = testdata::example4_q1();
+        for (algorithm, query) in [
+            (Algorithm::Basic, &spju),
+            (Algorithm::OptSigma, &spju),
+            (Algorithm::PolytimeMonotone, &spju),
+            (Algorithm::PolytimeSpjudStar, &spju),
+            (Algorithm::AggBasic, &aggregate),
+            (Algorithm::AggParam, &aggregate),
+            (Algorithm::AggOpt, &aggregate),
+        ] {
+            // A cancelled budget stops the run before anything is evaluated.
+            let cancelled = RatestOptions {
+                algorithm,
+                ..Default::default()
+            };
+            cancelled.budget.cancel();
+            assert_eq!(
+                run_algorithm(query, query, &db, &cancelled).map(|_| ()),
+                Err(RatestError::Cancelled),
+                "{algorithm:?}"
+            );
+
+            // A live budget: the pair's evaluation, the only one of a pair
+            // that agrees, counts into the caller's metrics.
+            let registry = Arc::new(MetricsRegistry::new());
+            let live = RatestOptions {
+                algorithm,
+                metrics: MetricsHandle::new(registry.clone()),
+                ..Default::default()
+            };
+            assert_eq!(
+                run_algorithm(query, query, &db, &live).map(|_| ()),
+                Err(RatestError::QueriesAgreeOnInstance),
+                "{algorithm:?}"
+            );
+            assert_eq!(registry.counter("ra.eval.calls"), 2, "{algorithm:?}");
+        }
     }
 }

@@ -12,10 +12,8 @@
 //!   ([`spjud_star`], Theorem 7).
 //!
 //! The [`crate::pipeline`] dispatches to these when the classifier proves the
-//! pair tractable and falls back to the solver otherwise.
+//! pair tractable (or the algorithm is forced) and falls back to the solver
+//! otherwise.
 
 pub mod monotone;
 pub mod spjud_star;
-
-pub use monotone::{smallest_witness_monotone, smallest_witness_monotone_with_results};
-pub use spjud_star::smallest_witness_spjud_star;

@@ -6,72 +6,54 @@
 //! the smallest witness of `t` w.r.t. `Q1` alone. That provenance is
 //! negation-free; expanding it to DNF and taking the smallest minterm gives
 //! the optimum directly, no solver needed.
+//!
+//! The pipeline runs it on a pair it has already evaluated: the unshared
+//! path when the pair's class is monotone (or the algorithm is forced), and
+//! the shared path of a prepared reference, which also hands it the
+//! reference's annotation.
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{
-    differing_tuples, verify_candidate, CandidateEval, Counterexample, PairPlans, Witness,
+    differing_tuples, verify_candidate, CandidateEval, Counterexample, EvaluatedPair, Witness,
 };
-use crate::session::Budget;
 use ratest_provenance::annotate::{annotate_plan, AnnotatedResult};
 use ratest_provenance::Dnf;
-use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
-use ratest_ra::eval::{Params, ResultSet};
-use ratest_storage::{Database, TupleSelection, Value};
-use ratest_telemetry::MetricsHandle;
+use ratest_storage::{TupleSelection, Value};
 use std::time::Instant;
 
 /// Maximum number of DNF minterms expanded before giving up (the caller then
 /// falls back to the solver path).
 pub const DEFAULT_DNF_LIMIT: usize = 200_000;
 
-/// Solve SWP for a monotone pair by DNF expansion.
+/// The monotone algorithm applies to SPJU pairs only: any other pair is
+/// [`RatestError::Unsupported`], whatever the instance.
+pub(crate) fn check_applies(class: QueryClass) -> Result<()> {
+    if !class.is_monotone() || class == QueryClass::Aggregate {
+        return Err(RatestError::Unsupported(format!(
+            "the monotone algorithm requires an SPJU pair, got {class}"
+        )));
+    }
+    Ok(())
+}
+
+/// Solve SWP for a monotone pair by DNF expansion, starting from both
+/// queries' results on the instance.
+/// `q1_annotation` is `Q1`'s provenance annotation over the instance when
+/// the caller already holds one (a prepared reference); otherwise each
+/// query is annotated at most once, on the first differing tuple it
+/// produces. The provenance and DNF phases' times are added to `timings`.
 ///
 /// Returns [`RatestError::Unsupported`] when the pair is not monotone or when
 /// the DNF exceeds [`DEFAULT_DNF_LIMIT`] minterms.
-pub fn smallest_witness_monotone(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
+pub(crate) fn smallest_witness_monotone_with_results(
+    pair: &EvaluatedPair,
+    q1_annotation: Option<&AnnotatedResult>,
     ctx: &CandidateEval,
-) -> Result<(Counterexample, Timings)> {
-    monotone_core(
-        q1,
-        q2,
-        &PairPlans::compile(q1, q2, db)?,
-        db,
-        params,
-        None,
-        ctx,
-    )
-}
-
-/// [`smallest_witness_monotone`] for the pair compiled on `db`, with both
-/// queries' `results` on `db` when the caller holds them.
-pub(crate) fn monotone_core(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    results: Option<(&ResultSet, &ResultSet)>,
-    ctx: &CandidateEval,
-) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-    let start = Instant::now();
-    let mut evaluated = None;
-    let (r1, r2) = plans.results_or_distinguish(
-        results,
-        &mut evaluated,
-        db,
-        params,
-        &Budget::unlimited(),
-        &MetricsHandle::none(),
-    )?;
-    timings.raw_eval = start.elapsed();
-    let cex = smallest_witness_monotone_with_results(
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    let EvaluatedPair {
         q1,
         q2,
         plans,
@@ -79,44 +61,8 @@ pub(crate) fn monotone_core(
         params,
         r1,
         r2,
-        None,
-        &mut timings,
-        ctx,
-    )?;
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
-    Ok((cex, timings))
-}
-
-/// The monotone algorithm operating on *precomputed* query results, so a
-/// batch caller can evaluate the (shared) reference query once per cohort.
-/// `plans` is the pair compiled on `db`.
-/// `q1_annotation` is `Q1`'s provenance annotation over `db` when the caller
-/// already holds one (a prepared reference); otherwise each query is
-/// annotated at most once, on the first differing tuple it produces.
-#[allow(clippy::too_many_arguments)]
-pub fn smallest_witness_monotone_with_results(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    r1: &ResultSet,
-    r2: &ResultSet,
-    q1_annotation: Option<&AnnotatedResult>,
-    timings: &mut Timings,
-    ctx: &CandidateEval,
-) -> Result<Counterexample> {
-    let class = classify_pair(q1, q2);
-    if !class.is_monotone() || class == QueryClass::Aggregate {
-        return Err(RatestError::Unsupported(format!(
-            "the monotone algorithm requires an SPJU pair, got {class}"
-        )));
-    }
-
-    let diffs = differing_tuples(r1, r2);
-    if diffs.is_empty() {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
+    } = *pair;
+    check_applies(classify_pair(q1, q2))?;
 
     // Different differing tuples can have witnesses of different sizes (a
     // tuple produced by a join needs one base tuple per joined relation, a
@@ -126,7 +72,7 @@ pub fn smallest_witness_monotone_with_results(
     // Q1's and Q2's annotations, each made at most once, on first use.
     let mut own_q1: Option<AnnotatedResult> = None;
     let mut own_q2: Option<AnnotatedResult> = None;
-    for (tuple, from_q1) in diffs {
+    for (tuple, from_q1) in differing_tuples(r1, r2) {
         if let Some((sel, _, _)) = &best {
             if sel.len() == 1 {
                 break; // a singleton witness cannot be beaten
@@ -201,13 +147,26 @@ pub fn smallest_witness_monotone_with_results(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_algorithm, Algorithm, RatestOptions};
+    use ratest_ra::ast::Query;
     use ratest_ra::builder::{col, lit, rel};
     use ratest_ra::testdata;
+
+    fn run(q1: &Query, q2: &Query, algorithm: Algorithm) -> Result<Counterexample> {
+        let options = RatestOptions {
+            algorithm,
+            ..Default::default()
+        };
+        Ok(run_algorithm(q1, q2, &testdata::figure1_db(), &options)?.0)
+    }
+
+    fn monotone(q1: &Query, q2: &Query) -> Result<Counterexample> {
+        run(q1, q2, Algorithm::PolytimeMonotone)
+    }
 
     #[test]
     fn sj_pair_yields_one_tuple_per_joined_relation() {
         // Q1: CS registrations of students; Q2: ECON registrations (disjoint).
-        let db = testdata::figure1_db();
         let q1 = rel("Student")
             .rename("s")
             .join_on(
@@ -226,31 +185,25 @@ mod tests {
                     .and(col("r.dept").eq(lit("ECON"))),
             )
             .build();
-        let (cex, _) =
-            smallest_witness_monotone(&q1, &q2, &db, &Params::new(), &CandidateEval::none())
-                .unwrap();
+        let cex = monotone(&q1, &q2).unwrap();
         // One student plus one registration (Theorem 1: one tuple per relation).
         assert_eq!(cex.size(), 2);
     }
 
     #[test]
     fn spu_pair_yields_a_single_tuple_witness() {
-        let db = testdata::figure1_db();
         // Q1: names of all students; Q2: names of ECON students only.
         let q1 = rel("Student").project(&["name"]).build();
         let q2 = rel("Student")
             .select(col("major").eq(lit("ECON")))
             .project(&["name"])
             .build();
-        let (cex, _) =
-            smallest_witness_monotone(&q1, &q2, &db, &Params::new(), &CandidateEval::none())
-                .unwrap();
+        let cex = monotone(&q1, &q2).unwrap();
         assert_eq!(cex.size(), 1);
     }
 
     #[test]
     fn pj_pair_matches_the_solver_answer() {
-        let db = testdata::figure1_db();
         // Students who registered for some CS course (Q2 of Example 1) vs
         // students who registered for course 330 specifically.
         let q1 = testdata::example1_q2();
@@ -264,17 +217,8 @@ mod tests {
             )
             .project(&["s.name", "s.major"])
             .build();
-        let (cex, _) =
-            smallest_witness_monotone(&q1, &q2, &db, &Params::new(), &CandidateEval::none())
-                .unwrap();
-        let (via_solver, _) = crate::optsigma::smallest_witness_optsigma(
-            &q1,
-            &q2,
-            &db,
-            &Params::new(),
-            &crate::optsigma::OptSigmaOptions::default(),
-        )
-        .unwrap();
+        let cex = monotone(&q1, &q2).unwrap();
+        let via_solver = run(&q1, &q2, Algorithm::OptSigma).unwrap();
         assert_eq!(cex.size(), via_solver.size());
         // FK closure: the registration brings its student, so size is 2.
         assert_eq!(cex.size(), 2);
@@ -282,15 +226,8 @@ mod tests {
 
     #[test]
     fn non_monotone_pairs_are_rejected() {
-        let db = testdata::figure1_db();
         assert!(matches!(
-            smallest_witness_monotone(
-                &testdata::example1_q1(),
-                &testdata::example1_q2(),
-                &db,
-                &Params::new(),
-                &CandidateEval::none()
-            ),
+            monotone(&testdata::example1_q1(), &testdata::example1_q2()),
             Err(RatestError::Unsupported(_))
         ));
     }

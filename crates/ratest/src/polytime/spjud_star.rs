@@ -15,15 +15,14 @@
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
 use crate::problem::{
-    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample, PairPlans,
-    Witness,
+    difference_query, differing_tuples, verify_candidate, CandidateEval, Counterexample,
+    EvaluatedPair, Witness,
 };
-use crate::session::Budget;
 use ratest_provenance::annotate::annotate_plan;
 use ratest_provenance::Dnf;
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify, QueryClass};
-use ratest_ra::eval::{evaluate_plan, Params, ResultSet};
+use ratest_ra::eval::{evaluate_plan, Params};
 use ratest_ra::plan::Plan;
 use ratest_ra::typecheck::output_schema;
 use ratest_storage::{Database, TupleSelection, Value};
@@ -37,48 +36,23 @@ pub const DEFAULT_COMBINATION_LIMIT: usize = 50_000;
 const LEAF_DNF_LIMIT: usize = 20_000;
 
 /// Solve SWP for an SPJUD\* pair by combining minimal witnesses of the
-/// monotone leaves (Theorem 7).
-pub fn smallest_witness_spjud_star(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
+/// monotone leaves (Theorem 7), starting from both queries' results on the
+/// instance. The provenance and combination phases' times are added to
+/// `timings`.
+pub(crate) fn spjud_star_core(
+    pair: &EvaluatedPair,
     ctx: &CandidateEval,
-) -> Result<(Counterexample, Timings)> {
-    spjud_star_core(
+    timings: &mut Timings,
+) -> Result<Counterexample> {
+    let EvaluatedPair {
         q1,
         q2,
-        &PairPlans::compile(q1, q2, db)?,
+        plans,
         db,
         params,
-        None,
-        ctx,
-    )
-}
-
-/// [`smallest_witness_spjud_star`] for the pair compiled on `db`, with
-/// both queries' `results` on `db` when the caller holds them.
-pub(crate) fn spjud_star_core(
-    q1: &Query,
-    q2: &Query,
-    plans: &PairPlans,
-    db: &Database,
-    params: &Params,
-    results: Option<(&ResultSet, &ResultSet)>,
-    ctx: &CandidateEval,
-) -> Result<(Counterexample, Timings)> {
-    let mut timings = Timings::default();
-    let start = Instant::now();
-    let mut evaluated = None;
-    let (r1, r2) = plans.results_or_distinguish(
-        results,
-        &mut evaluated,
-        db,
-        params,
-        &Budget::unlimited(),
-        &MetricsHandle::none(),
-    )?;
-    timings.raw_eval = start.elapsed();
+        r1,
+        r2,
+    } = *pair;
     let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
         return Err(RatestError::QueriesAgreeOnInstance);
@@ -95,7 +69,7 @@ pub(crate) fn spjud_star_core(
         {
             continue;
         }
-        match direction_best(q1, q2, db, params, &tuple, direction, &mut timings, ctx)? {
+        match direction_best(q1, q2, db, params, &tuple, direction, timings, ctx)? {
             Some(sel) => {
                 let better = best
                     .as_ref()
@@ -117,9 +91,7 @@ pub(crate) fn spjud_star_core(
         from_q1: direction,
         selection: selection.clone(),
     };
-    let cex = verify_candidate(plans, db, selection, Some(witness), params, ctx)?;
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
-    Ok((cex, timings))
+    verify_candidate(plans, db, selection, Some(witness), params, ctx)
 }
 
 /// The smallest witness combination that keeps `tuple` in `Qa − Qb` (where
@@ -279,37 +251,30 @@ pub fn arity_matches(leaf: &Query, db: &Database, tuple: &[Value]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::{run_algorithm, Algorithm, RatestOptions};
     use ratest_ra::testdata;
+
+    fn spjud_star(q1: &Query, q2: &Query) -> Result<Counterexample> {
+        let options = RatestOptions {
+            algorithm: Algorithm::PolytimeSpjudStar,
+            ..Default::default()
+        };
+        Ok(run_algorithm(q1, q2, &testdata::figure1_db(), &options)?.0)
+    }
 
     #[test]
     fn example1_is_solved_without_the_sat_solver() {
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_witness_spjud_star(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &CandidateEval::none(),
-        )
-        .unwrap();
+        let cex = spjud_star(&testdata::example1_q1(), &testdata::example1_q2()).unwrap();
         assert_eq!(cex.size(), 3);
     }
 
     #[test]
     fn agrees_with_brute_force() {
-        let db = testdata::figure1_db();
-        let (cex, _) = smallest_witness_spjud_star(
-            &testdata::example1_q1(),
-            &testdata::example1_q2(),
-            &db,
-            &Params::new(),
-            &CandidateEval::none(),
-        )
-        .unwrap();
+        let cex = spjud_star(&testdata::example1_q1(), &testdata::example1_q2()).unwrap();
         let brute = crate::problem::brute_force_smallest(
             &testdata::example1_q1(),
             &testdata::example1_q2(),
-            &db,
+            &testdata::figure1_db(),
             &Params::new(),
         )
         .unwrap()
@@ -329,14 +294,6 @@ mod tests {
 
     #[test]
     fn aggregate_pairs_are_rejected() {
-        let db = testdata::figure1_db();
-        assert!(smallest_witness_spjud_star(
-            &testdata::example4_q1(),
-            &testdata::example4_q2(),
-            &db,
-            &Params::new(),
-            &CandidateEval::none()
-        )
-        .is_err());
+        assert!(spjud_star(&testdata::example4_q1(), &testdata::example4_q2()).is_err());
     }
 }

@@ -160,24 +160,20 @@ impl PairPlans {
         let r2 = evaluate_plan(&self.q2, db, params, &interrupt, metrics)?;
         Ok((r1, r2))
     }
+}
 
-    /// The pair's `results` on `db` when the caller holds them, else
-    /// [`PairPlans::distinguish`]'s, kept in `evaluated`.
-    pub(crate) fn results_or_distinguish<'r>(
-        &self,
-        results: Option<(&'r ResultSet, &'r ResultSet)>,
-        evaluated: &'r mut Option<(ResultSet, ResultSet)>,
-        db: &Database,
-        params: &Params,
-        budget: &crate::session::Budget,
-        metrics: &MetricsHandle,
-    ) -> Result<(&'r ResultSet, &'r ResultSet)> {
-        if let Some(results) = results {
-            return Ok(results);
-        }
-        let (r1, r2) = evaluated.insert(self.distinguish(db, params, budget, metrics)?);
-        Ok((r1, r2))
-    }
+/// A query pair compiled on an instance, with both queries' results on it:
+/// what every algorithm starts from. The results are those of `plans` on
+/// `db` under `params`, and the pair's union compatibility is checked.
+#[derive(Clone, Copy)]
+pub(crate) struct EvaluatedPair<'a> {
+    pub(crate) q1: &'a Query,
+    pub(crate) q2: &'a Query,
+    pub(crate) plans: &'a PairPlans,
+    pub(crate) db: &'a Database,
+    pub(crate) params: &'a Params,
+    pub(crate) r1: &'a ResultSet,
+    pub(crate) r2: &'a ResultSet,
 }
 
 /// Materialize a tuple selection into a full [`Counterexample`], evaluating

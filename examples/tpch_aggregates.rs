@@ -5,12 +5,7 @@
 //!
 //! Run with: `cargo run --example tpch_aggregates`
 
-use ratest_suite::core::aggregates::agg_basic::{
-    smallest_counterexample_agg_basic, AggBasicOptions,
-};
-use ratest_suite::core::aggregates::agg_param::{
-    smallest_counterexample_agg_param, AggParamOptions,
-};
+use ratest_suite::core::pipeline::{run_algorithm, Algorithm, RatestOptions};
 use ratest_suite::core::report::render_counterexample;
 use ratest_suite::datagen::{tpch_database, TpchConfig};
 use ratest_suite::queries::tpch_queries;
@@ -29,14 +24,12 @@ fn main() {
     // Fixed-threshold Q18 vs a wrong variant with a spurious date filter.
     let reference = tpch_queries::q18();
     let wrong = tpch_queries::q18_wrong().remove(0);
-    let (fixed, t_fixed) = smallest_counterexample_agg_basic(
-        &reference,
-        &wrong,
-        &db,
-        &Params::new(),
-        &AggBasicOptions::default(),
-    )
-    .expect("the wrong variant differs at this scale");
+    let agg_basic = RatestOptions {
+        algorithm: Algorithm::AggBasic,
+        ..Default::default()
+    };
+    let (fixed, t_fixed) = run_algorithm(&reference, &wrong, &db, &agg_basic)
+        .expect("the wrong variant differs at this scale");
     println!(
         "Agg-Basic (fixed threshold): counterexample of {} tuple(s) in {:.1?} solver time",
         fixed.size(),
@@ -46,12 +39,16 @@ fn main() {
     // Parameterized Q18: the solver may pick a new threshold.
     let mut original = Params::new();
     original.insert("qty".into(), Value::Int(120));
-    let (param, t_param) = smallest_counterexample_agg_param(
+    let agg_param = RatestOptions {
+        algorithm: Algorithm::AggParam,
+        parameters: original,
+        ..Default::default()
+    };
+    let (param, t_param) = run_algorithm(
         &tpch_queries::q18_parameterized(),
         &tpch_queries::q18_parameterized_wrong().remove(0),
         &db,
-        &original,
-        &AggParamOptions::default(),
+        &agg_param,
     )
     .expect("the parameterized pair differs at this scale");
     println!(
