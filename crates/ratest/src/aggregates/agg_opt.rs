@@ -36,7 +36,8 @@ use std::time::Instant;
 /// queries' rows on the instance come from the provenance when it holds
 /// them and are evaluated here when it does not. The inner `Optσ` run
 /// always optimizes, with the selection pushed down; its phases' times
-/// (and the inner evaluation's, as raw evaluation) are added to `timings`.
+/// (and the inner pair's compilation and evaluation, as raw evaluation) are
+/// added to `timings`.
 pub(crate) fn agg_opt_core(
     pair: &EvaluatedPair,
     p1: &AggregateProvenance,
@@ -83,19 +84,21 @@ pub(crate) fn agg_opt_core(
         selection_pushdown: true,
         ..options.clone()
     };
+    // Compiling the inner pair, and evaluating it when the provenance lacks
+    // its rows, is raw evaluation, as for the pair itself.
+    let start = Instant::now();
     let searched = PairPlans::compile(p1.inner(), p2.inner(), db).and_then(|inner| {
         inner.check_union_compatible()?;
         let evaluated;
         let (r1, r2) = match p1.inner_rows().zip(p2.inner_rows()) {
             Some(rows) => rows,
             None => {
-                let start = Instant::now();
                 evaluated =
                     inner.distinguish(db, original_params, &options.budget, &options.metrics)?;
-                timings.raw_eval += start.elapsed();
                 (&evaluated.0, &evaluated.1)
             }
         };
+        timings.raw_eval += start.elapsed();
         let inner_pair = EvaluatedPair {
             q1: p1.inner(),
             q2: p2.inner(),

@@ -197,39 +197,31 @@ fn explain_inner(
     db: &Database,
     options: &RatestOptions,
 ) -> Result<ExplainOutcome> {
-    options.budget.check()?;
-    let class = classify_pair(q1, q2);
-    // Fast path: do the queries agree on the instance?
-    let (plans, r1, r2, timings) = evaluate_pair(q1, q2, db, options)?;
-    if r1.set_eq(&r2) {
-        return Ok(ExplainOutcome {
+    with_evaluated_pair(q1, q2, db, options, |pair, class, timings| match pair {
+        Some(pair) => dispatch(pair, class, timings, options),
+        None => Ok(ExplainOutcome {
             counterexample: None,
             class,
             algorithm_used: Algorithm::Auto,
             timings,
-        });
-    }
-    let pair = EvaluatedPair {
-        q1,
-        q2,
-        plans: &plans,
-        db,
-        params: &options.parameters,
-        r1: &r1,
-        r2: &r2,
-    };
-    dispatch(&pair, class, timings, options)
+        }),
+    })
 }
 
-/// Compile the pair on `db` and evaluate both queries under `options`'
-/// parameters, budget and metrics (which also checks their union
-/// compatibility), timed as raw evaluation.
-fn evaluate_pair(
+/// Classify `q1`, `q2`, compile the pair on `db` and evaluate both queries
+/// under `options`' parameters, budget and metrics (which also checks their
+/// union compatibility), timed as raw evaluation. `then` gets the evaluated
+/// pair (`None` when the queries agree on `db`), its class and the timings
+/// so far.
+fn with_evaluated_pair<T>(
     q1: &Query,
     q2: &Query,
     db: &Database,
     options: &RatestOptions,
-) -> Result<(PairPlans, ResultSet, ResultSet, Timings)> {
+    then: impl FnOnce(Option<&EvaluatedPair>, QueryClass, Timings) -> Result<T>,
+) -> Result<T> {
+    options.budget.check()?;
+    let class = classify_pair(q1, q2);
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
@@ -240,7 +232,16 @@ fn evaluate_pair(
         raw_eval: start.elapsed(),
         ..Timings::default()
     };
-    Ok((plans, r1, r2, timings))
+    let pair = EvaluatedPair {
+        q1,
+        q2,
+        plans: &plans,
+        db,
+        params: &options.parameters,
+        r1: &r1,
+        r2: &r2,
+    };
+    then((!r1.set_eq(&r2)).then_some(&pair), class, timings)
 }
 
 /// The algorithm to run for `requested`: itself, or for `Auto` the one for
@@ -275,30 +276,18 @@ pub fn run_algorithm(
     db: &Database,
     options: &RatestOptions,
 ) -> Result<(Counterexample, Timings)> {
-    options.budget.check()?;
-    let class = classify_pair(q1, q2);
-    let algorithm = resolve(options.algorithm, class, q1, q2);
-    let (plans, r1, r2, mut timings) = evaluate_pair(q1, q2, db, options)?;
-    // The monotone algorithm declines a pair outside its class whether or
-    // not the instance distinguishes it.
-    if algorithm == Algorithm::PolytimeMonotone {
-        check_applies(class)?;
-    }
-    if r1.set_eq(&r2) {
-        return Err(RatestError::QueriesAgreeOnInstance);
-    }
-    let pair = EvaluatedPair {
-        q1,
-        q2,
-        plans: &plans,
-        db,
-        params: &options.parameters,
-        r1: &r1,
-        r2: &r2,
-    };
-    let cex = run_one(algorithm, &pair, &mut None, options, &mut timings)?;
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
-    Ok((cex, timings))
+    with_evaluated_pair(q1, q2, db, options, |pair, class, mut timings| {
+        let algorithm = resolve(options.algorithm, class, q1, q2);
+        // The monotone algorithm declines a pair outside its class whether
+        // or not the instance distinguishes it.
+        if algorithm == Algorithm::PolytimeMonotone {
+            check_applies(class)?;
+        }
+        let pair = pair.ok_or(RatestError::QueriesAgreeOnInstance)?;
+        let cex = run_one(algorithm, pair, &mut None, options, &mut timings)?;
+        timings.total = timings.raw_eval + timings.provenance + timings.solver;
+        Ok((cex, timings))
+    })
 }
 
 /// Explain `pair`, already known to disagree on its instance: run the
@@ -893,19 +882,25 @@ mod tests {
 
     #[test]
     fn every_forced_algorithm_runs_under_the_callers_budget_and_metrics() {
+        use ratest_datagen::{tpch_database, TpchConfig};
+        use ratest_queries::tpch_queries;
         use ratest_telemetry::MetricsRegistry;
 
-        let db = testdata::figure1_db();
-        let spju = rel("Student").project(&["name"]).build();
-        let aggregate = testdata::example4_q1();
-        for (algorithm, query) in [
-            (Algorithm::Basic, &spju),
-            (Algorithm::OptSigma, &spju),
-            (Algorithm::PolytimeMonotone, &spju),
-            (Algorithm::PolytimeSpjudStar, &spju),
-            (Algorithm::AggBasic, &aggregate),
-            (Algorithm::AggParam, &aggregate),
-            (Algorithm::AggOpt, &aggregate),
+        // Each query is run against itself, so the pair's evaluation is the
+        // only work a run does before it reports agreement.
+        let small = testdata::figure1_db();
+        let large = tpch_database(&TpchConfig::with_scale(0.0003));
+        let spju_small = rel("Student").project(&["name"]).build();
+        let spju_large = rel("lineitem").project(&["l_orderkey"]).build();
+        let (aggregate_small, aggregate_large) = (testdata::example4_q1(), tpch_queries::q4());
+        for (algorithm, small_query, large_query) in [
+            (Algorithm::Basic, &spju_small, &spju_large),
+            (Algorithm::OptSigma, &spju_small, &spju_large),
+            (Algorithm::PolytimeMonotone, &spju_small, &spju_large),
+            (Algorithm::PolytimeSpjudStar, &spju_small, &spju_large),
+            (Algorithm::AggBasic, &aggregate_small, &aggregate_large),
+            (Algorithm::AggParam, &aggregate_small, &aggregate_large),
+            (Algorithm::AggOpt, &aggregate_small, &aggregate_large),
         ] {
             // A cancelled budget stops the run before anything is evaluated.
             let cancelled = RatestOptions {
@@ -914,13 +909,36 @@ mod tests {
             };
             cancelled.budget.cancel();
             assert_eq!(
-                run_algorithm(query, query, &db, &cancelled).map(|_| ()),
+                run_algorithm(small_query, small_query, &small, &cancelled).map(|_| ()),
                 Err(RatestError::Cancelled),
                 "{algorithm:?}"
             );
 
-            // A live budget: the pair's evaluation, the only one of a pair
-            // that agrees, counts into the caller's metrics.
+            // A one-step quota: the run's opening check takes the step. On
+            // the small instance the evaluator's strided polling never
+            // fires, so the run gets as far as reporting agreement; on the
+            // large one the evaluation itself polls and exhausts the quota.
+            let one_step = |query: &Query, db: &Database| {
+                let options = RatestOptions {
+                    algorithm,
+                    budget: Budget::unlimited().with_step_quota(1),
+                    ..Default::default()
+                };
+                run_algorithm(query, query, db, &options).map(|_| ())
+            };
+            assert_eq!(
+                one_step(small_query, &small),
+                Err(RatestError::QueriesAgreeOnInstance),
+                "{algorithm:?}"
+            );
+            assert_eq!(
+                one_step(large_query, &large),
+                Err(RatestError::StepQuotaExhausted),
+                "{algorithm:?}"
+            );
+
+            // A live budget: the pair's evaluation counts into the caller's
+            // metrics.
             let registry = Arc::new(MetricsRegistry::new());
             let live = RatestOptions {
                 algorithm,
@@ -928,7 +946,7 @@ mod tests {
                 ..Default::default()
             };
             assert_eq!(
-                run_algorithm(query, query, &db, &live).map(|_| ()),
+                run_algorithm(small_query, small_query, &small, &live).map(|_| ()),
                 Err(RatestError::QueriesAgreeOnInstance),
                 "{algorithm:?}"
             );
