@@ -6,13 +6,16 @@ use ratest_bench::university;
 use ratest_bench::workload::{course_workload, distinguished_pairs};
 use ratest_core::optsigma::provenance_for_tuple;
 use ratest_core::problem::{check_distinguishes, differing_tuples};
+use ratest_core::session::Budget;
 use ratest_core::RatestOptions;
 use ratest_ra::eval::Params;
+use ratest_telemetry::MetricsHandle;
 
 fn bench(c: &mut Criterion) {
     let workload = course_workload(2, 2019);
     let mut group = c.benchmark_group("fig4_components");
     group.sample_size(10);
+    let (unlimited, none) = (Budget::unlimited(), MetricsHandle::none());
     for &tuples in &[200usize, 800] {
         let db = university(tuples);
         let pairs: Vec<_> = distinguished_pairs(&workload, &db)
@@ -23,13 +26,28 @@ fn bench(c: &mut Criterion) {
             .first()
             .expect("at least one distinguishable pair")
             .clone();
-        let (r1, r2) =
-            check_distinguishes(&pair.reference, &pair.wrong, &db, &Params::new()).unwrap();
+        let (r1, r2) = check_distinguishes(
+            &pair.reference,
+            &pair.wrong,
+            &db,
+            &Params::new(),
+            &unlimited,
+            &none,
+        )
+        .unwrap();
         let (tuple, from_q1) = differing_tuples(&r1, &r2)[0].clone();
 
         group.bench_with_input(BenchmarkId::new("raw_eval", tuples), &tuples, |b, _| {
             b.iter(|| {
-                check_distinguishes(&pair.reference, &pair.wrong, &db, &Params::new()).unwrap()
+                check_distinguishes(
+                    &pair.reference,
+                    &pair.wrong,
+                    &db,
+                    &Params::new(),
+                    &unlimited,
+                    &none,
+                )
+                .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("prov_sp", tuples), &tuples, |b, _| {

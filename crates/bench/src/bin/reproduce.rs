@@ -7,9 +7,11 @@
 //!           | table5 | fig8 | fig9 | fig10 | all   (default: all)
 //! ```
 //!
-//! The `small` scale (default) finishes in well under a minute; `medium`
-//! takes a few minutes; `paper` approaches the paper's sizes (100k-tuple
-//! course instances) and can take much longer.
+//! The `small` scale (default) finishes in well under a minute. `medium`
+//! takes about half an hour: fig4 ~13 min, table4 ~11 min and fig3 ~4 min,
+//! run one after another in a release build on a 2-core x86-64 VM, nearly
+//! all of it in the 10k-tuple cross-product mutants. `paper` approaches the
+//! paper's sizes (100k-tuple course instances) and does not finish.
 
 use ratest_bench::render::*;
 use ratest_bench::*;

@@ -14,12 +14,6 @@ pub enum ProvenanceError {
     /// annotator (e.g. a difference above an aggregation, which the paper
     /// excludes by assumption (3) of Section 5).
     UnsupportedAggregateShape(String),
-    /// DNF conversion exceeded its size budget (the formula has too many
-    /// minterms to expand explicitly).
-    DnfTooLarge {
-        /// The configured limit.
-        limit: usize,
-    },
 }
 
 impl fmt::Display for ProvenanceError {
@@ -28,9 +22,6 @@ impl fmt::Display for ProvenanceError {
             ProvenanceError::Query(e) => write!(f, "query error: {e}"),
             ProvenanceError::UnsupportedAggregateShape(msg) => {
                 write!(f, "unsupported aggregate query shape: {msg}")
-            }
-            ProvenanceError::DnfTooLarge { limit } => {
-                write!(f, "DNF expansion exceeded {limit} minterms")
             }
         }
     }
@@ -60,9 +51,6 @@ mod tests {
         assert!(e.to_string().contains("@p"));
         let e: ProvenanceError = ratest_storage::StorageError::UnknownRelation("R".into()).into();
         assert!(e.to_string().contains('R'));
-        assert!(ProvenanceError::DnfTooLarge { limit: 10 }
-            .to_string()
-            .contains("10"));
         assert!(ProvenanceError::UnsupportedAggregateShape("x".into())
             .to_string()
             .contains('x'));

@@ -47,5 +47,5 @@ pub use annotate::{
     annotate, annotate_interruptible, annotate_with_params, difference_of, AnnotatedResult,
 };
 pub use boolexpr::BoolExpr;
-pub use dnf::{Dnf, Minterm};
+pub use dnf::{ClosedMinterms, Declined, ExpansionCaps};
 pub use error::{ProvenanceError, Result};

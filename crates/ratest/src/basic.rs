@@ -8,16 +8,18 @@
 //! In exchange it is guaranteed to reach the global SCP optimum (when the
 //! per-witness solver is exact).
 //!
-//! Most candidates of a scan cannot beat the incumbent, and proving that
-//! with a bounded solve is most of the scan's work. A candidate whose
-//! provenance has the shape of a difference of two SPJU queries,
-//! `P ∧ ¬N₁ ∧ … ∧ ¬Nₘ` with monotone parts, or is a disjunction of a few
-//! such conjunctions, has its exact minimum computed directly instead
-//! ([`closed_minterm_minimum`]): the smallest witness of monotone
-//! provenance is a smallest minterm (Theorem 6), here closed under foreign
-//! keys and checked against the negated parts. Such a candidate is skipped
-//! when that minimum cannot beat the incumbent, which is exactly when its
-//! bounded solve would have found no model.
+//! Most candidates of a scan need no solver. A candidate whose provenance
+//! has the shape of a difference of two SPJU queries, `P ∧ ¬N₁ ∧ … ∧ ¬Nₘ`
+//! with monotone parts, or is a disjunction of a few such conjunctions, is
+//! settled by [`ratest_provenance::ClosedMinterms`]: its smallest witness is
+//! the smallest foreign-key-closed minterm of `P` that falsifies every `Nᵢ`
+//! (Theorem 6). The scan asks for one of at most `best − 1` tuples; a
+//! candidate without one cannot beat the incumbent and is skipped, and a
+//! candidate with one has that selection verified directly. Only the
+//! candidates the engine declines, such as those of nested differences
+//! beyond [`EXPANSION_CAPS`], are encoded for the solver, with the same
+//! bound. Every selection, whichever way it was found, is checked by
+//! evaluating both queries on it.
 //!
 //! `Basic` runs through [`crate::pipeline`] on a pair already evaluated
 //! (`Algorithm::Basic`), and the shared path of a prepared reference runs
@@ -31,12 +33,12 @@ use crate::problem::{
 };
 use crate::session::{ExplainEvent, Phase};
 use ratest_provenance::annotate::annotate_instrumented;
-use ratest_provenance::{AnnotatedResult, BoolExpr, Dnf};
+use ratest_provenance::{AnnotatedResult, BoolExpr, ClosedMinterms, Declined, ExpansionCaps};
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
 use ratest_solver::SolverStats;
-use ratest_storage::{ForeignKeyIndex, TupleSelection, Value};
+use ratest_storage::{Database, TupleSelection, Value};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -136,7 +138,7 @@ pub(crate) fn smallest_counterexample_from_annotations(
         interrupt: options.budget.interrupt(),
     };
     let solver_start = Instant::now();
-    let foreign_keys = db.foreign_key_index()?;
+    let mut closed_minterms = ClosedMinterms::new(db.foreign_key_index()?);
     let mut best: Option<Counterexample> = None;
     for (index, (tuple, from_q1)) in candidates.into_iter().enumerate() {
         options.budget.check()?;
@@ -166,67 +168,20 @@ pub(crate) fn smallest_counterexample_from_annotations(
             continue;
         }
         options.metrics.counter_inc("basic.candidates");
-        // Only candidates that can beat the incumbent matter: the solver is
-        // bounded at `best − 1` true variables. A candidate whose exact
-        // minimum is known to exceed that bound, or not to exist, would
-        // come back `Unsatisfiable`, so it is not encoded at all.
+        // Only candidates that can beat the incumbent matter. One whose
+        // provenance is in shape gets its smallest closed minterm within
+        // `best − 1` tuples directly, and is skipped when there is none;
+        // the rest go to the solver, bounded the same way.
         let upper_bound = best.as_ref().map(|b| b.size().saturating_sub(1));
         let limit = upper_bound.unwrap_or(usize::MAX);
-        if closed_minimum_within(prv, foreign_keys, limit) == Some(None) {
-            continue;
-        }
-        let mut vars = VarMap::new();
-        let mut parts = vec![encode_provenance(prv, &mut vars)];
-        parts.extend(foreign_key_clauses(db, &mut vars)?);
-        let formula = Formula::and(parts);
-        let objective = vars.all_vars();
-
-        let solve_options = MinOnesOptions {
-            upper_bound,
-            ..Default::default()
+        let selection = match closed_minterms.smallest(prv, limit, EXPANSION_CAPS) {
+            Ok(Some(selection)) => selection,
+            Ok(None) => continue,
+            Err(Declined) => match solve_candidate(prv, db, upper_bound, options)? {
+                Some(selection) => selection,
+                None => continue,
+            },
         };
-        options
-            .metrics
-            .observe("solver.objective_vars", objective.len() as u64);
-        let solved = match options.strategy {
-            SolverStrategy::Optimize => {
-                let mut solver_stats = SolverStats::default();
-                let result = minimize_ones_with_theory_into(
-                    &formula,
-                    &objective,
-                    &solve_options,
-                    |_| true,
-                    &mut solver_stats,
-                );
-                // Fold stats in on every path: bounded probes that prove a
-                // candidate hopeless (`Unsatisfiable`) do real solver work
-                // that `--metrics` totals must not under-count.
-                solver_stats.record(&options.metrics);
-                match result {
-                    Ok(sol) => Some(sol.true_vars),
-                    Err(ratest_solver::SolverError::Unsatisfiable) => None,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            SolverStrategy::Enumerate { max_models } => {
-                match enumerate_best(&formula, &objective, max_models) {
-                    Ok(res) => {
-                        res.stats.record(&options.metrics);
-                        Some(res.best_true_vars)
-                    }
-                    Err(ratest_solver::SolverError::Unsatisfiable) => None,
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        };
-        options.events.emit(ExplainEvent::SolverStats {
-            variables: objective.len(),
-            solution_size: solved.as_ref().map(|v| v.len()),
-        });
-        let Some(true_vars) = solved else {
-            continue;
-        };
-        let selection = vars.selection_from_vars(&true_vars);
         let witness = Witness {
             tuple: tuple.clone(),
             from_q1,
@@ -248,132 +203,67 @@ pub(crate) fn smallest_counterexample_from_annotations(
     best.ok_or(RatestError::QueriesAgreeOnInstance)
 }
 
-/// The most conjunctions [`closed_minterm_minimum`] splits a candidate's
-/// provenance into, and the most minterms it expands one conjunction's
-/// monotone part into, before leaving the candidate to the solver.
-const BRANCH_CAP: usize = 16;
-const MINTERM_CAP: usize = 256;
+/// The caps within which Basic settles a candidate by its smallest closed
+/// minterm instead of a solver call.
+pub const EXPANSION_CAPS: ExpansionCaps = ExpansionCaps {
+    branches: 16,
+    minterms: 256,
+};
 
-/// The exact minimum of `Prv ∧ FK` over the tuples `Prv` mentions and
-/// their foreign-key ancestors — what `minimize_ones` finds for the
-/// candidate's encoding — when `prv` has the shape `P ∧ ¬N₁ ∧ … ∧ ¬Nₘ`
-/// with `P` and every `Nᵢ` monotone and `P`'s DNF within a small cap.
-/// That is the shape of every tuple's provenance in the difference of two
-/// SPJU queries. Provenance with nested differences is first rewritten,
-/// by pushing each negation down to the largest monotone subformulas
-/// beneath it, into a disjunction of a few such conjunctions, whose
-/// minimum is the smallest of theirs.
-///
-/// Returns `None` for any other shape, `Some(None)` when no sub-instance
-/// satisfies the formula, and `Some(Some(k))` for a minimum of `k` tuples.
-///
-/// Every model of a conjunction contains a minterm of `P` and, being
-/// closed under foreign keys, that minterm's closure. The closure
-/// satisfies `P` and the keys, and, as a subset of a model that falsifies
-/// every monotone `Nᵢ`, falsifies them too. So the conjunction's minimum
-/// is the smallest closure of a `P`-minterm that falsifies every `Nᵢ`.
-pub fn closed_minterm_minimum(
+/// The smallest selection, of at most `upper_bound` tuples, that satisfies
+/// `prv` and the instance's foreign keys, found by the options' solver
+/// strategy; `None` when there is none.
+fn solve_candidate(
     prv: &BoolExpr,
-    foreign_keys: &ForeignKeyIndex,
-) -> Option<Option<usize>> {
-    closed_minimum_within(prv, foreign_keys, usize::MAX)
-}
-
-/// [`closed_minterm_minimum`] among sub-instances of at most `limit`
-/// tuples: `Some(None)` when none of them satisfies `prv`. Minterms
-/// larger than the limit are dropped as they are expanded, so a tight
-/// limit keeps the expansion small.
-fn closed_minimum_within(
-    prv: &BoolExpr,
-    foreign_keys: &ForeignKeyIndex,
-    mut limit: usize,
-) -> Option<Option<usize>> {
-    let mut smallest = None;
-    for branch in conjunctions(prv, false)? {
-        // The DNF of `P`, the conjunction of the positive parts.
-        let mut minterms = Dnf::tautology();
-        for part in branch.positive {
-            let part = Dnf::from_monotone_within(part, MINTERM_CAP, limit).ok()?;
-            minterms = minterms.and(&part, MINTERM_CAP, limit).ok()?;
+    db: &Database,
+    upper_bound: Option<usize>,
+    options: &RatestOptions,
+) -> Result<Option<TupleSelection>> {
+    let mut vars = VarMap::new();
+    let mut parts = vec![encode_provenance(prv, &mut vars)];
+    parts.extend(foreign_key_clauses(db, &mut vars)?);
+    let formula = Formula::and(parts);
+    let objective = vars.all_vars();
+    options
+        .metrics
+        .observe("solver.objective_vars", objective.len() as u64);
+    let solved = match options.strategy {
+        SolverStrategy::Optimize => {
+            let mut solver_stats = SolverStats::default();
+            let solve_options = MinOnesOptions {
+                upper_bound,
+                ..Default::default()
+            };
+            let result = minimize_ones_with_theory_into(
+                &formula,
+                &objective,
+                &solve_options,
+                |_| true,
+                &mut solver_stats,
+            );
+            // Fold stats in on every path: bounded probes that prove a
+            // candidate hopeless (`Unsatisfiable`) do real solver work that
+            // `--metrics` totals must not under-count.
+            solver_stats.record(&options.metrics);
+            result.map(|sol| sol.true_vars)
         }
-        for minterm in minterms.minterms() {
-            let mut closure = TupleSelection::from_ids(minterm.iter().copied());
-            closure.close_under(foreign_keys);
-            if closure.len() > limit {
-                continue;
-            }
-            let present = |id| closure.contains(id);
-            if branch.negated.iter().all(|n| !n.eval(&present)) {
-                smallest = Some(closure.len());
-                // Only a strictly smaller closure improves on this one.
-                match closure.len().checked_sub(1) {
-                    Some(below) => limit = below,
-                    None => return Some(smallest),
-                }
-            }
+        SolverStrategy::Enumerate { max_models } => {
+            enumerate_best(&formula, &objective, max_models).map(|res| {
+                res.stats.record(&options.metrics);
+                res.best_true_vars
+            })
         }
-    }
-    Some(smallest)
-}
-
-/// One conjunction `P₁ ∧ … ∧ ¬N₁ ∧ …` of monotone subformulas.
-#[derive(Clone, Default)]
-struct Conjunction<'a> {
-    positive: Vec<&'a BoolExpr>,
-    negated: Vec<&'a BoolExpr>,
-}
-
-/// `expr` (or `¬expr`, when `negate`) as a disjunction of at most
-/// [`BRANCH_CAP`] conjunctions of monotone subformulas and their
-/// negations, or `None` when that takes more.
-fn conjunctions(expr: &BoolExpr, negate: bool) -> Option<Vec<Conjunction<'_>>> {
-    if expr.is_monotone() {
-        let mut single = Conjunction::default();
-        if negate {
-            single.negated.push(expr);
-        } else {
-            single.positive.push(expr);
-        }
-        return Some(vec![single]);
-    }
-    match (expr, negate) {
-        (BoolExpr::Not(inner), _) => conjunctions(inner, !negate),
-        // A conjunction: every combination of one branch per part.
-        (BoolExpr::And(parts), false) | (BoolExpr::Or(parts), true) => {
-            let mut product = vec![Conjunction::default()];
-            for part in parts {
-                let branches = conjunctions(part, negate)?;
-                if branches.len() * product.len() > BRANCH_CAP {
-                    return None;
-                }
-                product = product
-                    .iter()
-                    .flat_map(|left| {
-                        branches.iter().map(move |right| {
-                            let mut both = left.clone();
-                            both.positive.extend(&right.positive);
-                            both.negated.extend(&right.negated);
-                            both
-                        })
-                    })
-                    .collect();
-            }
-            Some(product)
-        }
-        // A disjunction: the branches of every part.
-        (BoolExpr::Or(parts), false) | (BoolExpr::And(parts), true) => {
-            let mut union = Vec::new();
-            for part in parts {
-                union.extend(conjunctions(part, negate)?);
-                if union.len() > BRANCH_CAP {
-                    return None;
-                }
-            }
-            Some(union)
-        }
-        // Constants and variables are monotone.
-        (BoolExpr::True | BoolExpr::False | BoolExpr::Var(_), _) => None,
-    }
+    };
+    let solved = match solved {
+        Ok(true_vars) => Some(true_vars),
+        Err(ratest_solver::SolverError::Unsatisfiable) => None,
+        Err(e) => return Err(e.into()),
+    };
+    options.events.emit(ExplainEvent::SolverStats {
+        variables: objective.len(),
+        solution_size: solved.as_ref().map(|v| v.len()),
+    });
+    Ok(solved.map(|true_vars| vars.selection_from_vars(&true_vars)))
 }
 
 #[cfg(test)]

@@ -128,6 +128,13 @@ impl From<ratest_solver::SolverError> for RatestError {
         RatestError::Solver(e)
     }
 }
+/// A poly-time algorithm whose provenance the closed-minterm engine
+/// declines leaves the pair to the solver path.
+impl From<ratest_provenance::Declined> for RatestError {
+    fn from(declined: ratest_provenance::Declined) -> Self {
+        RatestError::Unsupported(format!("{declined}; use the solver path"))
+    }
+}
 impl From<ratest_storage::StorageError> for RatestError {
     fn from(e: ratest_storage::StorageError) -> Self {
         RatestError::Query(ratest_ra::QueryError::Storage(e))

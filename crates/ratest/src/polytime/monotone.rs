@@ -1,11 +1,14 @@
-//! Smallest witnesses for monotone (SPJU) query pairs via DNF minterms
-//! (Theorems 1, 2, 5 and 6 of the paper).
+//! Smallest witnesses for monotone (SPJU) query pairs (Theorems 1, 2, 5
+//! and 6 of the paper).
 //!
 //! When both queries are monotone and `t ∈ Q1(D) \ Q2(D)`, monotonicity of
 //! `Q2` guarantees `t ∉ Q2(D')` for every `D' ⊆ D`, so it suffices to find
 //! the smallest witness of `t` w.r.t. `Q1` alone. That provenance is
-//! negation-free; expanding it to DNF and taking the smallest minterm gives
-//! the optimum directly, no solver needed.
+//! negation-free, and its smallest witness is its smallest minterm once
+//! every minterm is closed under foreign keys: the `m = 0` case of
+//! [`ratest_provenance::ClosedMinterms`], no solver needed. Ranking
+//! minterms by their length *before* closure would be wrong, since a longer
+//! minterm can have a smaller closure.
 //!
 //! The pipeline runs it on a pair it has already evaluated: the unshared
 //! path when the pair's class is monotone (or the algorithm is forced), and
@@ -18,14 +21,18 @@ use crate::problem::{
     differing_tuples, verify_candidate, CandidateEval, Counterexample, EvaluatedPair, Witness,
 };
 use ratest_provenance::annotate::{annotate_plan, AnnotatedResult};
-use ratest_provenance::Dnf;
+use ratest_provenance::{ClosedMinterms, ExpansionCaps};
 use ratest_ra::classify::{classify_pair, QueryClass};
 use ratest_storage::{TupleSelection, Value};
 use std::time::Instant;
 
-/// Maximum number of DNF minterms expanded before giving up (the caller then
-/// falls back to the solver path).
-pub const DEFAULT_DNF_LIMIT: usize = 200_000;
+/// How far one differing tuple's provenance is expanded before the
+/// algorithm declines the pair (the caller then falls back to the solver
+/// path). Monotone provenance is a single conjunction.
+const EXPANSION_CAPS: ExpansionCaps = ExpansionCaps {
+    branches: 1,
+    minterms: 200_000,
+};
 
 /// The monotone algorithm applies to SPJU pairs only: any other pair is
 /// [`RatestError::Unsupported`], whatever the instance.
@@ -38,15 +45,16 @@ pub(crate) fn check_applies(class: QueryClass) -> Result<()> {
     Ok(())
 }
 
-/// Solve SWP for a monotone pair by DNF expansion, starting from both
-/// queries' results on the instance.
+/// Solve SWP for a monotone pair by its smallest closed minterms, starting
+/// from both queries' results on the instance.
 /// `q1_annotation` is `Q1`'s provenance annotation over the instance when
 /// the caller already holds one (a prepared reference); otherwise each
 /// query is annotated at most once, on the first differing tuple it
-/// produces. The provenance and DNF phases' times are added to `timings`.
+/// produces. The provenance and minterm phases' times are added to
+/// `timings`.
 ///
 /// Returns [`RatestError::Unsupported`] when the pair is not monotone or when
-/// the DNF exceeds [`DEFAULT_DNF_LIMIT`] minterms.
+/// a tuple's provenance exceeds [`EXPANSION_CAPS`].
 pub(crate) fn smallest_witness_monotone_with_results(
     pair: &EvaluatedPair,
     q1_annotation: Option<&AnnotatedResult>,
@@ -67,17 +75,19 @@ pub(crate) fn smallest_witness_monotone_with_results(
     // Different differing tuples can have witnesses of different sizes (a
     // tuple produced by a join needs one base tuple per joined relation, a
     // tuple that survives a projection needs just one), so scan them all and
-    // keep the global minimum; each one is a cheap single-tuple DNF.
+    // keep the global minimum: each later tuple only needs a witness
+    // smaller than the best so far.
+    let mut closed_minterms = ClosedMinterms::new(db.foreign_key_index()?);
     let mut best: Option<(TupleSelection, Vec<Value>, bool)> = None;
     // Q1's and Q2's annotations, each made at most once, on first use.
     let mut own_q1: Option<AnnotatedResult> = None;
     let mut own_q2: Option<AnnotatedResult> = None;
     for (tuple, from_q1) in differing_tuples(r1, r2) {
-        if let Some((sel, _, _)) = &best {
-            if sel.len() == 1 {
-                break; // a singleton witness cannot be beaten
-            }
-        }
+        let limit = match &best {
+            Some((sel, _, _)) if sel.len() <= 1 => break, // cannot be beaten
+            Some((sel, _, _)) => sel.len() - 1,
+            None => usize::MAX,
+        };
         // Provenance of the tuple w.r.t. the query that produced it: a lookup
         // in that query's annotation. Monotonicity of the other query
         // guarantees the tuple stays out of its result on every sub-instance,
@@ -108,29 +118,10 @@ pub(crate) fn smallest_witness_monotone_with_results(
         };
         timings.provenance += start.elapsed();
 
-        // Expand to DNF and pick the smallest minterm. Foreign-key closure is
-        // applied afterwards by `build_counterexample`; among minterms of
-        // equal size we prefer the one whose closure is smallest.
         let start = Instant::now();
-        let dnf = Dnf::from_monotone(prv, DEFAULT_DNF_LIMIT).map_err(|e| match e {
-            ratest_provenance::ProvenanceError::DnfTooLarge { limit } => RatestError::Unsupported(
-                format!("provenance DNF exceeds {limit} minterms; use the solver path"),
-            ),
-            other => RatestError::Provenance(other),
-        })?;
-        let mut minterms: Vec<_> = dnf.minterms().to_vec();
-        minterms.sort_by_key(|m| m.len());
-        let smallest_len = minterms.first().map(|m| m.len()).unwrap_or(0);
-        for m in minterms.iter().take_while(|m| m.len() == smallest_len) {
-            let mut sel = TupleSelection::from_ids(m.iter().copied());
-            sel.close_under_foreign_keys(db)?;
-            let better = best
-                .as_ref()
-                .map(|(b, _, _)| sel.len() < b.len())
-                .unwrap_or(true);
-            if better {
-                best = Some((sel, tuple.clone(), from_q1));
-            }
+        let smallest = closed_minterms.smallest(prv, limit, EXPANSION_CAPS)?;
+        if let Some(selection) = smallest {
+            best = Some((selection, tuple, from_q1));
         }
         timings.solver += start.elapsed();
     }

@@ -2,15 +2,15 @@
 //! query tree) — Theorem 7 of the paper.
 //!
 //! An SPJUD\* query is generated by `Q → q⁺ | Q − Q` where every `q⁺` is an
-//! SPJU (monotone) query. For an output tuple `t`, the smallest witness is a
-//! union of minimal witnesses of `t` with respect to some of the monotone
-//! leaves: enumerate the minimal witnesses of every leaf that produces `t`,
-//! try combinations (including "leave this leaf out"), evaluate the candidate
-//! sub-instance and keep the smallest one that works. The number of
-//! combinations is bounded by the product of per-leaf minimal-witness counts,
-//! which is polynomial in the data for bounded-size queries; a configurable
-//! cap keeps pathological cases from blowing up (the caller falls back to the
-//! solver in that case).
+//! SPJU (monotone) query. The provenance of an output tuple `t` in
+//! `Q1 − Q2` combines the monotone provenance of the leaves, and splits into
+//! a few conjunctions `P ∧ ¬N₁ ∧ … ∧ ¬Nₘ`: `P` joins the leaves that keep `t`
+//! and each `Nᵢ` is a leaf that would remove it. The smallest witness is a
+//! union of minimal witnesses of leaves (Theorem 7): the smallest
+//! foreign-key-closed minterm of some `P` that falsifies its `Nᵢ`, which
+//! [`ratest_provenance::ClosedMinterms`] computes. Caps keep pathological
+//! cases from blowing up; the caller falls back to the solver when they are
+//! exceeded.
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
@@ -19,26 +19,23 @@ use crate::problem::{
     EvaluatedPair, Witness,
 };
 use ratest_provenance::annotate::annotate_plan;
-use ratest_provenance::Dnf;
-use ratest_ra::ast::Query;
+use ratest_provenance::{ClosedMinterms, ExpansionCaps};
 use ratest_ra::classify::{classify, QueryClass};
-use ratest_ra::eval::{evaluate_plan, Params};
 use ratest_ra::plan::Plan;
-use ratest_ra::typecheck::output_schema;
-use ratest_storage::{Database, TupleSelection, Value};
-use ratest_telemetry::MetricsHandle;
+use ratest_storage::TupleSelection;
 use std::time::Instant;
 
-/// Cap on the number of witness combinations tried before giving up.
-pub const DEFAULT_COMBINATION_LIMIT: usize = 50_000;
+/// How far the differing tuple's provenance is expanded before the
+/// algorithm declines the pair.
+const EXPANSION_CAPS: ExpansionCaps = ExpansionCaps {
+    branches: 64,
+    minterms: 20_000,
+};
 
-/// Cap on DNF size per monotone leaf.
-const LEAF_DNF_LIMIT: usize = 20_000;
-
-/// Solve SWP for an SPJUD\* pair by combining minimal witnesses of the
-/// monotone leaves (Theorem 7), starting from both queries' results on the
-/// instance. The provenance and combination phases' times are added to
-/// `timings`.
+/// Solve SWP for an SPJUD\* pair by the smallest closed minterm of its first
+/// differing tuple's provenance in `Q1 − Q2` or `Q2 − Q1` (Theorem 7),
+/// starting from both queries' results on the instance. The provenance and
+/// minterm phases' times are added to `timings`.
 pub(crate) fn spjud_star_core(
     pair: &EvaluatedPair,
     ctx: &CandidateEval,
@@ -58,10 +55,11 @@ pub(crate) fn spjud_star_core(
         return Err(RatestError::QueriesAgreeOnInstance);
     };
 
-    // Solve the combination search for the observed direction and for the
-    // flipped one: on a sub-instance the tuple's membership can flip, and
-    // the flipped witness is sometimes strictly smaller. Ties keep the
-    // observed direction so the witness matches the reported disagreement.
+    // Search the observed direction and the flipped one: on a sub-instance
+    // the tuple's membership can flip, and the flipped witness is sometimes
+    // strictly smaller. Ties keep the observed direction so the witness
+    // matches the reported disagreement.
+    let mut closed_minterms = ClosedMinterms::new(db.foreign_key_index()?);
     let mut best: Option<(TupleSelection, bool)> = None;
     for direction in [from_q1, !from_q1] {
         if direction != from_q1
@@ -69,189 +67,52 @@ pub(crate) fn spjud_star_core(
         {
             continue;
         }
-        match direction_best(q1, q2, db, params, &tuple, direction, timings, ctx)? {
-            Some(sel) => {
-                let better = best
-                    .as_ref()
-                    .map(|(b, _)| sel.len() < b.len())
-                    .unwrap_or(true);
-                if better {
-                    best = Some((sel, direction));
-                }
-            }
-            None => continue,
+        let limit = match &best {
+            Some((sel, _)) if sel.is_empty() => break,
+            Some((sel, _)) => sel.len() - 1,
+            None => usize::MAX,
+        };
+        // The combined query Q1 − Q2 (or Q2 − Q1) is itself SPJUD* iff both
+        // queries are.
+        let diff = difference_query(q1, q2, direction);
+        if classify(&diff) != QueryClass::SPJUDStar {
+            return Err(RatestError::Unsupported(format!(
+                "the SPJUD* algorithm requires differences only at the top, got {}",
+                classify(&diff)
+            )));
+        }
+        let start = Instant::now();
+        let plan = Plan::compile(&diff, db)?;
+        let annotated = annotate_plan(&plan, db, params, &ctx.interrupt, &ctx.metrics)?;
+        timings.provenance += start.elapsed();
+        let Some(prv) = annotated.provenance_of(&tuple) else {
+            continue;
+        };
+        let start = Instant::now();
+        let smallest = closed_minterms.smallest(prv, limit, EXPANSION_CAPS)?;
+        timings.solver += start.elapsed();
+        if let Some(selection) = smallest {
+            best = Some((selection, direction));
         }
     }
 
     let (selection, direction) = best.ok_or_else(|| {
-        RatestError::Unsupported("no witness combination reproduces the differing tuple".into())
+        RatestError::Unsupported("no sub-instance keeps the differing tuple in a difference".into())
     })?;
     let witness = Witness {
-        tuple: tuple.clone(),
+        tuple,
         from_q1: direction,
         selection: selection.clone(),
     };
     verify_candidate(plans, db, selection, Some(witness), params, ctx)
 }
 
-/// The smallest witness combination that keeps `tuple` in `Qa − Qb` (where
-/// the order is given by `from_q1`), or `None` when no combination works.
-#[allow(clippy::too_many_arguments)]
-fn direction_best(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    tuple: &[Value],
-    from_q1: bool,
-    timings: &mut Timings,
-    ctx: &CandidateEval,
-) -> Result<Option<TupleSelection>> {
-    // The combined query Q1 − Q2 (or Q2 − Q1) is itself SPJUD* iff both
-    // queries are.
-    let diff = difference_query(q1, q2, from_q1);
-    if classify(&diff) != QueryClass::SPJUDStar {
-        return Err(RatestError::Unsupported(format!(
-            "the SPJUD* algorithm requires differences only at the top, got {}",
-            classify(&diff)
-        )));
-    }
-
-    // Collect the monotone leaves of the nested difference structure.
-    let mut leaves = Vec::new();
-    collect_monotone_leaves(&diff, &mut leaves);
-
-    // Per leaf: the minimal witnesses of `t` (empty when the leaf does not
-    // produce `t`). The "skip this leaf" option is represented by `None`.
-    let start = Instant::now();
-    let mut per_leaf: Vec<Vec<Option<TupleSelection>>> = Vec::with_capacity(leaves.len());
-    for leaf in &leaves {
-        let mut options: Vec<Option<TupleSelection>> = vec![None];
-        // Only consider leaves that are union compatible with the output.
-        let plan = Plan::compile(leaf, db)?;
-        if plan.schema().arity() == tuple.len() {
-            let annotated = annotate_plan(&plan, db, params, &ctx.interrupt, &ctx.metrics)?;
-            if let Some(prv) = annotated.provenance_of(tuple) {
-                let dnf = Dnf::from_monotone(prv, LEAF_DNF_LIMIT).map_err(|e| match e {
-                    ratest_provenance::ProvenanceError::DnfTooLarge { limit } => {
-                        RatestError::Unsupported(format!(
-                            "leaf DNF exceeds {limit} minterms; use the solver path"
-                        ))
-                    }
-                    other => RatestError::Provenance(other),
-                })?;
-                for m in dnf.minterms() {
-                    options.push(Some(TupleSelection::from_ids(m.iter().copied())));
-                }
-            }
-        }
-        per_leaf.push(options);
-    }
-    timings.provenance += start.elapsed();
-
-    let combinations: usize = per_leaf.iter().map(|o| o.len()).product();
-    if combinations > DEFAULT_COMBINATION_LIMIT {
-        return Err(RatestError::Unsupported(format!(
-            "{combinations} witness combinations exceed the SPJUD* cap; use the solver path"
-        )));
-    }
-
-    // Try every combination, smallest total size first would require sorting
-    // the cross product; instead evaluate all (bounded) and keep the best.
-    let start = Instant::now();
-    let diff = Plan::compile(&diff, db)?;
-    let mut best: Option<TupleSelection> = None;
-    let mut indices = vec![0usize; per_leaf.len()];
-    loop {
-        // Build the candidate union.
-        let mut candidate = TupleSelection::new();
-        for (leaf_idx, &opt_idx) in indices.iter().enumerate() {
-            if let Some(sel) = &per_leaf[leaf_idx][opt_idx] {
-                candidate = candidate.union(sel);
-            }
-        }
-        let promising = !candidate.is_empty()
-            && best
-                .as_ref()
-                .map(|b| candidate.len() < b.len())
-                .unwrap_or(true);
-        if promising {
-            // Quick check: does the candidate witness `t` in the difference?
-            let mut closed = candidate.clone();
-            closed.close_under_foreign_keys(db)?;
-            if membership_in_difference(&diff, db, params, tuple, &closed, ctx)? {
-                let better = best
-                    .as_ref()
-                    .map(|b| closed.len() < b.len())
-                    .unwrap_or(true);
-                if better {
-                    best = Some(closed);
-                }
-            }
-        }
-        // Advance the odometer.
-        let mut i = 0;
-        loop {
-            if i == indices.len() {
-                break;
-            }
-            indices[i] += 1;
-            if indices[i] < per_leaf[i].len() {
-                break;
-            }
-            indices[i] = 0;
-            i += 1;
-        }
-        if i == indices.len() {
-            break;
-        }
-    }
-    timings.solver += start.elapsed();
-    Ok(best)
-}
-
-/// Does `tuple` appear in `diff = Qa − Qb`, compiled on `db`, on the
-/// sub-instance `closed`?
-fn membership_in_difference(
-    diff: &Plan,
-    db: &Database,
-    params: &Params,
-    tuple: &[Value],
-    closed: &TupleSelection,
-    ctx: &CandidateEval,
-) -> Result<bool> {
-    let sub = db.restrict_to(closed);
-    let out = evaluate_plan(diff, &sub, params, &ctx.interrupt, &MetricsHandle::none())?;
-    Ok(out.contains(tuple))
-}
-
-/// Collect the monotone (difference-free) leaves of a nested-difference query,
-/// looking through top-level selects/projects/renames.
-fn collect_monotone_leaves(q: &Query, out: &mut Vec<Query>) {
-    match q {
-        Query::Difference { left, right } => {
-            collect_monotone_leaves(left, out);
-            collect_monotone_leaves(right, out);
-        }
-        Query::Select { input, .. } | Query::Rename { input, .. } if input.has_difference() => {
-            collect_monotone_leaves(input, out);
-        }
-        other => out.push(other.clone()),
-    }
-}
-
-/// Check whether a tuple of values could have come from a leaf (arity check
-/// helper kept public for tests).
-pub fn arity_matches(leaf: &Query, db: &Database, tuple: &[Value]) -> bool {
-    output_schema(leaf, db)
-        .map(|s| s.arity() == tuple.len())
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{run_algorithm, Algorithm, RatestOptions};
+    use ratest_ra::ast::Query;
+    use ratest_ra::eval::Params;
     use ratest_ra::testdata;
 
     fn spjud_star(q1: &Query, q2: &Query) -> Result<Counterexample> {
@@ -280,16 +141,6 @@ mod tests {
         .unwrap()
         .unwrap();
         assert_eq!(cex.size(), brute.size());
-    }
-
-    #[test]
-    fn leaves_are_collected_through_nested_differences() {
-        let q = difference_query(&testdata::example1_q1(), &testdata::example1_q2(), true);
-        let mut leaves = Vec::new();
-        collect_monotone_leaves(&q, &mut leaves);
-        // Q1 = Q2 - Q3, so Q1 - Q2 has leaves {Q2, Q3, Q2}.
-        assert_eq!(leaves.len(), 3);
-        assert!(leaves.iter().all(|l| !l.has_difference()));
     }
 
     #[test]

@@ -62,45 +62,17 @@ impl Counterexample {
 }
 
 /// Check that the results of two queries are union compatible and actually
-/// differ on `db`; returns the two result sets.
+/// differ on `db`; returns the two result sets. Both evaluations poll
+/// `budget` inside their row loops, so one flooding submission cannot
+/// out-run its deadline during this phase, and fold their row counters
+/// into `metrics` (`ra.eval.*`).
 pub fn check_distinguishes(
     q1: &Query,
     q2: &Query,
     db: &Database,
     params: &Params,
-) -> Result<(ResultSet, ResultSet)> {
-    check_distinguishes_budgeted(q1, q2, db, params, &crate::session::Budget::unlimited())
-}
-
-/// [`check_distinguishes`] under a [`crate::session::Budget`]: the raw
-/// evaluations poll the budget inside their row loops, so one flooding
-/// submission cannot out-run its deadline during this phase.
-pub fn check_distinguishes_budgeted(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
     budget: &crate::session::Budget,
-) -> Result<(ResultSet, ResultSet)> {
-    check_distinguishes_instrumented(
-        q1,
-        q2,
-        db,
-        params,
-        budget,
-        &ratest_telemetry::MetricsHandle::none(),
-    )
-}
-
-/// [`check_distinguishes_budgeted`] plus telemetry: both evaluations fold
-/// their row counters into `metrics` (`ra.eval.*`).
-pub fn check_distinguishes_instrumented(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    params: &Params,
-    budget: &crate::session::Budget,
-    metrics: &ratest_telemetry::MetricsHandle,
+    metrics: &MetricsHandle,
 ) -> Result<(ResultSet, ResultSet)> {
     PairPlans::compile(q1, q2, db)?.distinguish(db, params, budget, metrics)
 }
@@ -346,6 +318,8 @@ mod tests {
             &testdata::example1_q2(),
             &db,
             &Params::new(),
+            &crate::session::Budget::unlimited(),
+            &MetricsHandle::none(),
         )
         .unwrap();
         let diff = differing_tuples(&r1, &r2);
@@ -364,7 +338,14 @@ mod tests {
             .build();
         let q2 = ratest_ra::builder::rel("Student").build();
         assert!(matches!(
-            check_distinguishes(&q1, &q2, &db, &Params::new()),
+            check_distinguishes(
+                &q1,
+                &q2,
+                &db,
+                &Params::new(),
+                &crate::session::Budget::unlimited(),
+                &MetricsHandle::none()
+            ),
             Err(RatestError::NotUnionCompatible { .. })
         ));
     }

@@ -574,7 +574,20 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ratest_queries::course::q8_every_cs_course;
+    use ratest_ra::builder::rel;
     use ratest_ra::testdata;
+
+    /// q8 (students registered for every CS course offered) against all
+    /// students. Its candidates' provenance nests a difference under a
+    /// projection, beyond Basic's minterm caps, so the scan reaches the
+    /// solver.
+    fn nested_difference_pair() -> (Query, Query) {
+        (
+            q8_every_cs_course(),
+            rel("Student").project(&["name"]).build(),
+        )
+    }
 
     #[test]
     fn sessions_prepare_once_and_explain_many() {
@@ -657,10 +670,9 @@ mod tests {
         let session = Session::builder(testdata::figure1_db())
             .event_sink(sink.clone())
             .build();
-        let reference = session.prepare(&testdata::example1_q1()).unwrap();
-        session
-            .explain(reference, &testdata::example1_q2())
-            .unwrap();
+        let (q1, q2) = nested_difference_pair();
+        let reference = session.prepare(&q1).unwrap();
+        session.explain(reference, &q2).unwrap();
         let events = sink.take();
         assert!(
             events.iter().any(|e| matches!(
@@ -744,10 +756,9 @@ mod tests {
         let session = Session::builder(testdata::figure1_db())
             .metrics(registry.clone())
             .build();
-        let reference = session.prepare(&testdata::example1_q1()).unwrap();
-        session
-            .explain(reference, &testdata::example1_q2())
-            .unwrap();
+        let (q1, q2) = nested_difference_pair();
+        let reference = session.prepare(&q1).unwrap();
+        session.explain(reference, &q2).unwrap();
 
         assert_eq!(registry.counter("explain.runs"), 1);
         assert_eq!(registry.counter("explain.counterexamples"), 1);

@@ -138,8 +138,15 @@ mod tests {
         let session = Session::builder(testdata::figure1_db())
             .event_sink(sink.clone())
             .build();
+        // q8 against all students: a nested difference whose candidates
+        // reach the solver, so every level of the taxonomy appears.
         session
-            .explain_pair(&testdata::example1_q1(), &testdata::example1_q2())
+            .explain_pair(
+                &ratest_queries::course::q8_every_cs_course(),
+                &ratest_ra::builder::rel("Student")
+                    .project(&["name"])
+                    .build(),
+            )
             .unwrap();
 
         let spans = sink.finish();

@@ -1,15 +1,16 @@
-//! Oracle for Basic's candidate skip: wherever the closed-minterm minimum
-//! of a candidate's provenance is defined, it must equal what the min-ones
-//! solver finds for the candidate's encoding (`Prv ∧ FK`), or both must be
-//! infeasible. Every candidate Basic's scan sees is checked: each annotated
-//! row of both difference directions, for all 76 course mutations, on the
-//! 100- and 200-tuple course instances.
+//! Oracle for the closed-minterm engine as Basic uses it: wherever the
+//! engine settles a candidate's provenance within Basic's caps, its
+//! selection must satisfy the provenance, be closed under foreign keys and
+//! have the size the min-ones solver finds for the candidate's encoding
+//! (`Prv ∧ FK`), or both must be infeasible. Every candidate Basic's scan
+//! sees is checked: each annotated row of both difference directions, for
+//! all 76 course mutations, on the 100- and 200-tuple course instances.
 
-use ratest_core::basic::closed_minterm_minimum;
+use ratest_core::basic::EXPANSION_CAPS;
 use ratest_core::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use ratest_datagen::{university_database, UniversityConfig};
 use ratest_provenance::annotate::{annotate_plan, difference_of};
-use ratest_provenance::BoolExpr;
+use ratest_provenance::{BoolExpr, ClosedMinterms};
 use ratest_queries::course::course_questions;
 use ratest_queries::mutations::mutate;
 use ratest_ra::eval::Params;
@@ -38,11 +39,12 @@ fn solver_minimum(prv: &BoolExpr, db: &Database) -> Option<usize> {
 }
 
 #[test]
-fn the_closed_minterm_minimum_is_the_solvers_minimum_on_every_course_candidate() {
+fn the_closed_minterm_selection_is_a_smallest_witness_on_every_course_candidate() {
     let (mut defined, mut undefined, mut infeasible, mut mutations) = (0, 0, 0, 0);
     for tuples in [100, 200] {
         let db = university_database(&UniversityConfig::with_total(tuples));
         let foreign_keys = db.foreign_key_index().unwrap();
+        let mut engine = ClosedMinterms::new(foreign_keys);
         let annotate = |plan: &Plan| {
             annotate_plan(
                 plan,
@@ -65,17 +67,25 @@ fn the_closed_minterm_minimum_is_the_solvers_minimum_on_every_course_candidate()
                         continue;
                     };
                     for (row, prv) in difference.iter() {
-                        let Some(minimum) = closed_minterm_minimum(prv, foreign_keys) else {
+                        let Ok(selection) = engine.smallest(prv, usize::MAX, EXPANSION_CAPS) else {
                             undefined += 1;
                             continue;
                         };
                         defined += 1;
-                        infeasible += usize::from(minimum.is_none());
-                        assert_eq!(
-                            minimum,
-                            solver_minimum(prv, &db),
+                        infeasible += usize::from(selection.is_none());
+                        let context = format!(
                             "{tuples} tuples, {}: row {row:?}, provenance {prv}",
                             mutation.description
+                        );
+                        if let Some(selection) = &selection {
+                            assert!(prv.eval(&|id| selection.contains(id)), "{context}");
+                            let mut closed = selection.clone();
+                            assert_eq!(closed.close_under(foreign_keys), 0, "{context}");
+                        }
+                        assert_eq!(
+                            selection.map(|s| s.len()),
+                            solver_minimum(prv, &db),
+                            "{context}"
                         );
                     }
                 }

@@ -5,7 +5,9 @@
 use ratest_grader::{generate_cohort, CohortConfig, Grader, GraderConfig, Verdict};
 use ratest_ra::fingerprint;
 use ratest_suite::core::problem::check_distinguishes;
+use ratest_suite::core::session::Budget;
 use ratest_suite::ra::eval::Params;
+use ratest_telemetry::MetricsHandle;
 use std::time::Duration;
 
 #[test]
@@ -70,6 +72,8 @@ fn grades_a_mutated_cohort_with_four_workers() {
                     &submission.query,
                     &cohort.db,
                     &Params::new(),
+                    &Budget::unlimited(),
+                    &MetricsHandle::none(),
                 )
                 .expect("gradable pair");
                 assert!(
@@ -98,6 +102,8 @@ fn grades_a_mutated_cohort_with_four_workers() {
                     &submission.query,
                     cex_db,
                     &Params::new(),
+                    &Budget::unlimited(),
+                    &MetricsHandle::none(),
                 )
                 .expect("counterexample evaluates");
                 assert!(

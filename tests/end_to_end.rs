@@ -2,7 +2,7 @@
 //! counterexample algorithms → verified explanations, exercising the same
 //! paths as the experiment harness but with hard assertions.
 
-use ratest_suite::core::pipeline::Algorithm;
+use ratest_suite::core::pipeline::{run_algorithm, Algorithm, RatestOptions};
 use ratest_suite::core::report::render_explanation;
 use ratest_suite::core::session::Session;
 use ratest_suite::datagen::{
@@ -81,6 +81,46 @@ fn algorithms_agree_on_example1_at_scale() {
         sizes.windows(2).all(|w| w[0] == w[1]),
         "sizes disagree: {sizes:?}"
     );
+}
+
+/// A foreign-key chain where a longer minterm has the smaller closure. Q1's
+/// key `k` comes from an order (one tuple, whose closure adds its customer,
+/// nation and region) or from a customer joined with its nation and region
+/// (three tuples, already closed). The smallest witness is the three-tuple
+/// one, so every SPJUD algorithm, and `Auto` on the shared and unshared
+/// paths, must return 3 tuples. Ranking minterms by their length before
+/// closure returned the order's 4.
+#[test]
+fn the_smallest_witness_of_a_union_ranks_minterms_after_closure() {
+    let db = tpch_database(&TpchConfig::with_scale(0.0003));
+    let compile = |sql| ratest_sql::compile_sql(sql, &db).expect("compiles");
+    let q1 = compile(
+        "SELECT o_custkey AS k FROM orders UNION SELECT c_custkey AS k \
+         FROM customer, nation, region \
+         WHERE c_nationkey = n_nationkey AND n_regionkey = r_regionkey",
+    );
+    let q2 = compile("SELECT c_custkey AS k FROM customer WHERE c_custkey < 0");
+    for algorithm in [
+        Algorithm::Auto,
+        Algorithm::PolytimeMonotone,
+        Algorithm::Basic,
+        Algorithm::OptSigma,
+        Algorithm::PolytimeSpjudStar,
+    ] {
+        let session = Session::builder(db.clone()).algorithm(algorithm).build();
+        let outcome = session.explain_pair(&q1, &q2).expect("pipeline runs");
+        let cex = outcome.counterexample.expect("the queries differ");
+        assert_eq!(
+            cex.size(),
+            3,
+            "{algorithm:?} ran {:?}",
+            outcome.algorithm_used
+        );
+    }
+    // The unshared path of `Auto`.
+    let options = RatestOptions::default();
+    let (cex, _) = run_algorithm(&q1, &q2, &db, &options).expect("pipeline runs");
+    assert_eq!(cex.size(), 3);
 }
 
 /// The TPC-H aggregate pipeline produces small verified counterexamples for

@@ -11,15 +11,17 @@
 //! instance is checked against compiling afresh on its sub-instances.
 
 use proptest::prelude::*;
-use ratest_suite::core::basic::closed_minterm_minimum;
+use ratest_suite::core::basic::EXPANSION_CAPS;
 use ratest_suite::core::encode::{encode_provenance, foreign_key_clauses, VarMap};
-use ratest_suite::core::problem::brute_force_smallest;
+use ratest_suite::core::error::RatestError;
+use ratest_suite::core::pipeline::{run_algorithm, Algorithm, RatestOptions};
+use ratest_suite::core::problem::{brute_force_smallest, difference_query};
 use ratest_suite::core::session::Session;
 use ratest_suite::datagen::{university_database, UniversityConfig};
 use ratest_suite::provenance::annotate::{
     annotate_plan, consistent_with_evaluation, difference_of,
 };
-use ratest_suite::provenance::BoolExpr;
+use ratest_suite::provenance::{BoolExpr, ClosedMinterms};
 use ratest_suite::queries::course::course_questions;
 use ratest_suite::queries::mutations::mutate;
 use ratest_suite::ra::ast::Query;
@@ -155,6 +157,114 @@ fn solver_minimum(prv: &BoolExpr, db: &Database) -> Option<usize> {
     }
 }
 
+/// An instance with a two-level foreign-key chain, `Orders → Customer →
+/// Nation`: `customers[i]` picks customer `i`'s nation, every customer has
+/// an order, and each of `extra_orders` picks the customer of one more,
+/// each modulo the parents there are.
+fn build_chain_db(nations: usize, customers: &[u8], extra_orders: &[u8]) -> Database {
+    let relation = |name: &str, key: &str, parent: &str, rows: Vec<i64>| {
+        let mut relation = Relation::new(
+            name,
+            Schema::new(vec![(key, DataType::Int), (parent, DataType::Int)]),
+        );
+        for (row, parent) in rows.into_iter().enumerate() {
+            relation
+                .insert(vec![Value::Int(row as i64), Value::Int(parent)])
+                .unwrap();
+        }
+        relation
+    };
+    let parents = |picks: &[u8], of: usize| -> Vec<i64> {
+        picks.iter().map(|&p| (p as usize % of) as i64).collect()
+    };
+    let customers = parents(customers, nations);
+    let mut orders: Vec<i64> = (0..customers.len() as i64).collect();
+    orders.extend(parents(extra_orders, customers.len()));
+    let mut db = Database::new("chain");
+    for relation in [
+        relation("Nation", "nk", "region", vec![0; nations]),
+        relation("Customer", "ck", "nk", customers),
+        relation("Orders", "ok", "ck", orders),
+    ] {
+        db.add_relation(relation).unwrap();
+    }
+    let constraints = db.constraints_mut();
+    constraints.add_foreign_key("Customer", &["nk"], "Nation", &["nk"]);
+    constraints.add_foreign_key("Orders", &["ck"], "Customer", &["ck"]);
+    db
+}
+
+/// Customer keys over the chain schema. The union's key needs an order
+/// (one tuple, whose closure has three) or a customer and its nation (two
+/// tuples, already closed).
+fn chain_query_pool() -> Vec<Query> {
+    let order_keys = rel("Orders").project(&["ck"]).build();
+    let joined_keys = rel("Customer")
+        .rename("c")
+        .join_on(
+            rel("Nation").rename("n").build(),
+            col("c.nk").eq(col("n.nk")),
+        )
+        .project(&["c.ck"])
+        .build();
+    let customer_keys = rel("Customer").project(&["ck"]).build();
+    let nation_zero = rel("Customer")
+        .select(col("nk").eq(lit(0i64)))
+        .project(&["ck"])
+        .build();
+    let union = QueryBuilder::from_query(order_keys.clone())
+        .union(joined_keys.clone())
+        .build();
+    vec![
+        order_keys.clone(),
+        joined_keys,
+        union.clone(),
+        rel("Customer")
+            .select(col("ck").lt(lit(0i64)))
+            .project(&["ck"])
+            .build(),
+        nation_zero.clone(),
+        QueryBuilder::from_query(customer_keys)
+            .difference(order_keys)
+            .build(),
+        QueryBuilder::from_query(union)
+            .difference(nation_zero)
+            .build(),
+    ]
+}
+
+/// The size of the smallest sub-instance, closed under foreign keys, on
+/// which `tuple` is in `Q1 − Q2` (or `Q2 − Q1`), by exhaustive search.
+fn brute_force_witness(
+    q1: &Query,
+    q2: &Query,
+    db: &Database,
+    tuple: &[Value],
+    from_q1: bool,
+) -> usize {
+    let plan = Plan::compile(&difference_query(q1, q2, from_q1), db).unwrap();
+    let all: Vec<_> = TupleSelection::all(db).iter().collect();
+    for size in 0..=all.len() {
+        for mask in (0u32..1 << all.len()).filter(|m| m.count_ones() as usize == size) {
+            let selection = TupleSelection::from_ids(
+                (0..all.len())
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| all[i]),
+            );
+            if selection.clone().close_under_foreign_keys(db).unwrap() > 0 {
+                continue;
+            }
+            let sub = db.restrict_to(&selection);
+            let (params, none) = (Params::new(), Interrupt::none());
+            let out = evaluate_plan(&plan, &sub, &params, &none, &MetricsHandle::none());
+            if out.unwrap().contains(tuple) {
+                return size;
+            }
+        }
+    }
+    panic!("no sub-instance keeps {tuple:?}, not even the instance")
+}
+
 fn registrations_strategy() -> impl Strategy<Value = Vec<(u8, u8, u8, i64)>> {
     prop::collection::vec((0u8..4, 0u8..5, 0u8..2, 0i64..41), 1..8)
 }
@@ -205,9 +315,9 @@ proptest! {
         }
     }
 
-    /// Basic's candidate skip is exact: wherever the closed-minterm minimum
-    /// of a candidate's provenance is defined, it is the solver's minimum,
-    /// or both are infeasible, in both difference directions.
+    /// Basic's closed-minterm engine is exact: wherever it settles a
+    /// candidate's provenance, its selection's size is the solver's
+    /// minimum, or both are infeasible, in both difference directions.
     #[test]
     fn the_closed_minterm_minimum_is_the_solvers_minimum(
         students in students_strategy(),
@@ -219,12 +329,12 @@ proptest! {
         let pool = query_pool();
         let a = ratest_suite::provenance::annotate(&pool[qi], &db).unwrap();
         let b = ratest_suite::provenance::annotate(&pool[qj], &db).unwrap();
-        let foreign_keys = db.foreign_key_index().unwrap();
+        let mut engine = ClosedMinterms::new(db.foreign_key_index().unwrap());
         for (left, right) in [(&a, &b), (&b, &a)] {
             for (row, prv) in difference_of(left, right).unwrap().iter() {
-                if let Some(minimum) = closed_minterm_minimum(prv, foreign_keys) {
+                if let Ok(selection) = engine.smallest(prv, usize::MAX, EXPANSION_CAPS) {
                     prop_assert_eq!(
-                        minimum,
+                        selection.map(|s| s.len()),
                         solver_minimum(prv, &db),
                         "row {:?}, provenance {}",
                         row,
@@ -306,6 +416,48 @@ proptest! {
             prop_assert_eq!(run, evaluate(&q, &sub), "evaluating {:?}", q);
             let annotated = annotate_plan(&plan, &sub, &params, &none, &MetricsHandle::none());
             prop_assert_eq!(annotated, ratest_suite::provenance::annotate(&q, &sub), "annotating {:?}", q);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// On a two-level foreign-key chain, every SPJUD algorithm's witness is
+    /// as small as the smallest closed sub-instance that keeps its tuple in
+    /// its difference, for every pair of the pool.
+    #[test]
+    fn spjud_algorithms_find_the_per_tuple_optimum_on_a_foreign_key_chain(
+        nations in 1usize..3,
+        customers in prop::collection::vec(0u8..4, 1..4),
+        extra_orders in prop::collection::vec(0u8..3, 0..3),
+    ) {
+        let db = build_chain_db(nations, &customers, &extra_orders);
+        let pool = chain_query_pool();
+        for (q1, q2) in pool.iter().flat_map(|q1| pool.iter().map(move |q2| (q1, q2))) {
+            for algorithm in [
+                Algorithm::Auto,
+                Algorithm::Basic,
+                Algorithm::OptSigma,
+                Algorithm::PolytimeMonotone,
+                Algorithm::PolytimeSpjudStar,
+            ] {
+                let options = RatestOptions { algorithm, ..Default::default() };
+                let cex = match run_algorithm(q1, q2, &db, &options) {
+                    Ok((cex, _)) => cex,
+                    Err(e) => {
+                        let declined = matches!(
+                            e,
+                            RatestError::Unsupported(_) | RatestError::QueriesAgreeOnInstance
+                        );
+                        prop_assert!(declined, "{:?}: {}", algorithm, e);
+                        continue;
+                    }
+                };
+                let witness = cex.witness.as_ref().expect("SPJUD algorithms name a witness");
+                let optimum = brute_force_witness(q1, q2, &db, &witness.tuple, witness.from_q1);
+                prop_assert_eq!(cex.size(), optimum, "{:?} on {:?} and {:?}", algorithm, q1, q2);
+            }
         }
     }
 }
