@@ -75,6 +75,19 @@ pub(crate) fn describe(result: Result<&Counterexample, &RatestError>) -> String 
     }
 }
 
+/// Explain `wrong` against `reference` through `session`: the algorithm
+/// that answered and its answer, `agree`, or the kind of error.
+pub(crate) fn explain_in(session: &Session, reference: &Query, wrong: &Query) -> String {
+    let handle = session.prepare(reference).expect("references prepare");
+    match session.explain(handle, wrong) {
+        Ok(outcome) => match outcome.counterexample {
+            Some(cex) => format!("used={:?} {}", outcome.algorithm_used, describe(Ok(&cex))),
+            None => "agree".to_owned(),
+        },
+        Err(e) => describe(Err(&e)),
+    }
+}
+
 /// Run `algorithm` alone on `q1`, `q2` over `db` under `parameters`.
 pub(crate) fn run_alone(
     algorithm: Algorithm,
@@ -110,16 +123,7 @@ fn answers() -> String {
                     Algorithm::AggOpt,
                 ] {
                     let session = Session::builder(db.clone()).algorithm(algorithm).build();
-                    let handle = session.prepare(&exp.reference).expect("references prepare");
-                    let line = match session.explain(handle, wrong) {
-                        Ok(outcome) => match outcome.counterexample {
-                            Some(cex) => {
-                                format!("used={:?} {}", outcome.algorithm_used, describe(Ok(&cex)))
-                            }
-                            None => "agree".to_owned(),
-                        },
-                        Err(e) => describe(Err(&e)),
-                    };
+                    let line = explain_in(&session, &exp.reference, wrong);
                     writeln!(
                         out,
                         "tpch-agg sf=0.0003 seed={seed} {}#{variant} {algorithm:?}: {line}",
