@@ -411,9 +411,10 @@ impl Grader {
         );
         Ok(BatchReport {
             label: label.to_owned(),
-            // The ROADMAP `aggprov` gap, surfaced instead of silent: for
-            // aggregate references the prepared annotation is `None` and
-            // every pair falls back to the unshared pipeline.
+            // Surfaced instead of silent: an aggregate reference has no
+            // prepared annotation. Its pairs still reuse the prepared
+            // evaluation through the pipeline's one dispatcher; the
+            // aggregate algorithms build their own provenance.
             shared_annotation: warm.shared_annotation(),
             graded,
             stats,

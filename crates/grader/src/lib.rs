@@ -19,10 +19,10 @@
 //!    resubmissions.
 //! 2. **Shared reference preparation**
 //!    ([`ratest_core::pipeline::PreparedReference`]): the reference query is
-//!    evaluated and provenance-annotated once per batch; workers combine the
-//!    shared annotation with each submission's own annotation via
-//!    [`ratest_provenance::difference_of`] instead of re-annotating the
-//!    reference per pair.
+//!    compiled, evaluated and provenance-annotated once per batch; each
+//!    explain evaluates and annotates only the submission, and combines the
+//!    two annotations via [`ratest_provenance::difference_of`] where the
+//!    algorithm needs the differences.
 //! 3. **A bounded worker pool** ([`engine`]): distinct submissions are graded
 //!    concurrently by `workers` threads with a per-job wall-clock timeout, so
 //!    one pathological submission cannot stall the whole class.

@@ -107,6 +107,7 @@ pub(crate) fn agg_opt_core(
             params: original_params,
             r1,
             r2,
+            q1_annotation: None,
         };
         optsigma_core(&inner_pair, &inner_options, accept, timings)
     });

@@ -21,18 +21,17 @@
 //! bound. Every selection, whichever way it was found, is checked by
 //! evaluating both queries on it.
 //!
-//! `Basic` runs through [`crate::pipeline`] on a pair already evaluated
-//! (`Algorithm::Basic`), and the shared path of a prepared reference runs
-//! its candidate scan over annotations derived from the reference's.
+//! `Basic` runs through [`crate::pipeline`] on a pair already evaluated. It
+//! annotates each query once and derives both difference annotations from
+//! the two with [`ratest_provenance::difference_of`]; a pair from a prepared
+//! reference brings `Q1`'s annotation with it, so only `Q2` is annotated.
 
 use crate::encode::{encode_provenance, foreign_key_clauses, VarMap};
 use crate::error::{RatestError, Result};
 use crate::pipeline::{RatestOptions, SolverStrategy, Timings};
-use crate::problem::{
-    difference_query, verify_candidate, CandidateEval, Counterexample, EvaluatedPair, Witness,
-};
+use crate::problem::{verify_candidate, CandidateEval, Counterexample, EvaluatedPair, Witness};
 use crate::session::{ExplainEvent, Phase};
-use ratest_provenance::annotate::annotate_instrumented;
+use ratest_provenance::annotate::{annotate_plan, difference_of};
 use ratest_provenance::{AnnotatedResult, BoolExpr, ClosedMinterms, Declined, ExpansionCaps};
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
@@ -44,53 +43,43 @@ use std::time::Instant;
 
 /// `Basic` on a pair that disagrees on its instance: annotate both
 /// difference directions once ("prov-all" in Figure 4), then scan their
-/// rows ([`smallest_counterexample_from_annotations`]). Each phase's time
-/// is added to `timings`.
+/// rows (`scan`). Each query is annotated once, `Q1` not at all when the
+/// pair holds its annotation, and `ann(Q1 − Q2)` and `ann(Q2 − Q1)` are
+/// combined from the two. Each phase's time is added to `timings`.
 pub(crate) fn basic_core(
     pair: &EvaluatedPair,
     options: &RatestOptions,
     timings: &mut Timings,
 ) -> Result<Counterexample> {
-    // The pair arrives evaluated; the raw-evaluation phase is still
-    // announced, so the event stream keeps its shape.
-    options.events.emit(ExplainEvent::PhaseStarted {
-        phase: Phase::RawEval,
-    });
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::Provenance,
     });
     let interrupt = options.budget.interrupt();
     let start = Instant::now();
-    let annotate = |from_q1| {
-        annotate_instrumented(
-            &difference_query(pair.q1, pair.q2, from_q1),
-            pair.db,
-            pair.params,
-            &interrupt,
-            &options.metrics,
-        )
+    let annotate = |plan| annotate_plan(plan, pair.db, pair.params, &interrupt, &options.metrics);
+    let annotated_q1;
+    let ann_q1 = match pair.q1_annotation {
+        Some(shared) => {
+            options.metrics.counter_inc("explain.annotation_reuse_hits");
+            shared
+        }
+        None => {
+            annotated_q1 = annotate(&pair.plans.q1)?;
+            &annotated_q1
+        }
     };
-    let ann_q1_minus_q2 = annotate(true)?;
-    let ann_q2_minus_q1 = annotate(false)?;
+    let ann_q2 = annotate(&pair.plans.q2)?;
+    let ann_q1_minus_q2 = difference_of(ann_q1, &ann_q2)?;
+    let ann_q2_minus_q1 = difference_of(&ann_q2, ann_q1)?;
     timings.provenance += start.elapsed();
 
-    smallest_counterexample_from_annotations(
-        pair,
-        &ann_q1_minus_q2,
-        &ann_q2_minus_q1,
-        options,
-        timings,
-    )
+    scan(pair, &ann_q1_minus_q2, &ann_q2_minus_q1, options, timings)
 }
 
-/// The candidate scan of `Basic`, over *precomputed* difference
-/// annotations. The shared path of a prepared reference calls it directly:
-/// it derives `ann(Q1 − Q2)` / `ann(Q2 − Q1)` via
-/// [`ratest_provenance::difference_of`] from the reference's cached
-/// annotation instead of re-annotating the reference per pair. Every
+/// The candidate scan of `Basic` over the two difference annotations. Every
 /// candidate is verified through the pair's plans; the scan's time is added
 /// to `timings.solver`.
-pub(crate) fn smallest_counterexample_from_annotations(
+fn scan(
     pair: &EvaluatedPair,
     ann_q1_minus_q2: &AnnotatedResult,
     ann_q2_minus_q1: &AnnotatedResult,
@@ -105,6 +94,7 @@ pub(crate) fn smallest_counterexample_from_annotations(
         params,
         r1,
         r2,
+        ..
     } = *pair;
     // Candidate (tuple, direction) pairs. Iterating only over the tuples
     // that differ on the *full* instance (with their observed direction) is

@@ -24,9 +24,10 @@
 //! * [`aggregates`] — the aggregate-query extensions of Section 5
 //!   (`Agg-Basic` provenance encoding, `Agg-Param` parameterized
 //!   counterexamples, `Agg-Opt` heuristic — Algorithm 3),
-//! * [`pipeline`] — the one way to run an algorithm: the end-to-end RATest
-//!   dispatch classifies the query pair, runs the right algorithm (or the
-//!   forced one) and falls back when it declines, and
+//! * [`pipeline`] — the one way to run an algorithm: one setup evaluates
+//!   the query pair (only the submission, for a reference a session
+//!   prepared), and one dispatcher tries the algorithms for the pair's
+//!   class (or the forced one) in turn until one answers;
 //!   [`pipeline::run_algorithm`] runs one algorithm alone, without the
 //!   fallback, returning the per-phase timing breakdown the experiment
 //!   harness reports,

@@ -59,12 +59,9 @@ where
         params,
         r1,
         r2,
+        ..
     } = *pair;
-    // Phase 1, raw evaluation, is done: the pair arrives evaluated. It is
-    // still announced, so the event stream keeps its shape.
-    options.events.emit(ExplainEvent::PhaseStarted {
-        phase: Phase::RawEval,
-    });
+    // Phase 1, raw evaluation, is done: the pair arrives evaluated.
     let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {
         return Err(RatestError::QueriesAgreeOnInstance);

@@ -10,7 +10,7 @@
 use crate::aggregates::agg_basic::agg_basic_core;
 use crate::aggregates::agg_opt::agg_opt_core;
 use crate::aggregates::agg_param::agg_param_core;
-use crate::basic::{basic_core, smallest_counterexample_from_annotations};
+use crate::basic::basic_core;
 use crate::error::{RatestError, Result};
 use crate::optsigma::optsigma_core;
 use crate::polytime::monotone::{check_applies, smallest_witness_monotone_with_results};
@@ -18,7 +18,7 @@ use crate::polytime::spjud_star::spjud_star_core;
 use crate::problem::{CandidateEval, Counterexample, EvaluatedPair, PairPlans};
 use crate::session::{Budget, EventHandle, ExplainEvent, Phase};
 use ratest_provenance::aggprov::{pair_aggregate_provenance, AggregateProvenance};
-use ratest_provenance::annotate::{annotate_plan, difference_of, AnnotatedResult};
+use ratest_provenance::annotate::{annotate_plan, AnnotatedResult};
 use ratest_ra::ast::Query;
 use ratest_ra::classify::{classify_pair, QueryClass};
 use ratest_ra::eval::{evaluate_plan, Params, ResultSet};
@@ -79,6 +79,14 @@ pub struct Timings {
     pub total: Duration,
 }
 
+impl Timings {
+    /// These timings of a finished run, with their total.
+    fn totalled(mut self) -> Timings {
+        self.total = self.raw_eval + self.provenance + self.solver;
+        self
+    }
+}
+
 /// The option bag every explanation run carries (one per
 /// [`crate::session::Session`], overridable per request).
 #[derive(Debug, Clone)]
@@ -134,18 +142,6 @@ pub struct ExplainOutcome {
     pub timings: Timings,
 }
 
-/// The unshared pipeline plus its verdict event and metrics.
-fn explain_unshared(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    let outcome = explain_inner(q1, q2, db, options)?;
-    emit_verdict(options, &outcome);
-    Ok(outcome)
-}
-
 /// Emit the final [`ExplainEvent::Verdict`] for a finished run, and fold the
 /// run's outcome into the metrics registry: deterministic counters for the
 /// verdict and counterexample size, volatile duration totals for the phase
@@ -190,44 +186,55 @@ fn candidate_ctx(options: &RatestOptions) -> CandidateEval {
     }
 }
 
-/// The unshared pipeline: evaluate both queries, then [`dispatch`].
-fn explain_inner(
-    q1: &Query,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    with_evaluated_pair(q1, q2, db, options, |pair, class, timings| match pair {
-        Some(pair) => dispatch(pair, class, timings, options),
-        None => Ok(ExplainOutcome {
-            counterexample: None,
-            class,
-            algorithm_used: Algorithm::Auto,
-            timings,
-        }),
-    })
+/// The reference side of a pair.
+#[derive(Clone, Copy)]
+enum Reference<'a> {
+    /// A query compiled and evaluated with the submission.
+    Query(&'a Query),
+    /// A reference prepared once: its plan, result and annotation are reused.
+    Prepared(&'a PreparedReference),
 }
 
-/// Classify `q1`, `q2`, compile the pair on `db` and evaluate both queries
-/// under `options`' parameters, budget and metrics (which also checks their
-/// union compatibility), timed as raw evaluation. `then` gets the evaluated
-/// pair (`None` when the queries agree on `db`), its class and the timings
-/// so far.
+/// Classify the pair of `reference` and `q2`, compile it on `db` and check
+/// its union compatibility, then evaluate the queries under `options`'
+/// budget and metrics, timed as raw evaluation. A prepared reference brings
+/// its plan, result, parameters and annotation, so only `q2` is compiled
+/// and evaluated. `then` gets the evaluated pair (`None` when the queries
+/// agree on `db`), its class and the timings so far.
 fn with_evaluated_pair<T>(
-    q1: &Query,
+    reference: Reference,
     q2: &Query,
     db: &Database,
     options: &RatestOptions,
     then: impl FnOnce(Option<&EvaluatedPair>, QueryClass, Timings) -> Result<T>,
 ) -> Result<T> {
     options.budget.check()?;
+    let (q1, prepared) = match reference {
+        Reference::Query(q1) => (q1, None),
+        Reference::Prepared(prepared) => (prepared.query(), Some(prepared)),
+    };
     let class = classify_pair(q1, q2);
+    let start = Instant::now();
+    let plans = match prepared {
+        Some(prepared) => PairPlans::new(prepared.plan.clone(), Plan::compile(q2, db)?),
+        None => PairPlans::compile(q1, q2, db)?,
+    };
+    plans.check_union_compatible()?;
     options.events.emit(ExplainEvent::PhaseStarted {
         phase: Phase::RawEval,
     });
-    let start = Instant::now();
-    let plans = PairPlans::compile(q1, q2, db)?;
-    let (r1, r2) = plans.distinguish(db, &options.parameters, &options.budget, &options.metrics)?;
+    let params = prepared.map_or(&options.parameters, |prepared| &prepared.params);
+    let interrupt = options.budget.interrupt();
+    let evaluate = |plan| evaluate_plan(plan, db, params, &interrupt, &options.metrics);
+    let evaluated_q1;
+    let r1 = match prepared {
+        Some(prepared) => prepared.result(),
+        None => {
+            evaluated_q1 = evaluate(&plans.q1)?;
+            &evaluated_q1
+        }
+    };
+    let r2 = evaluate(&plans.q2)?;
     let timings = Timings {
         raw_eval: start.elapsed(),
         ..Timings::default()
@@ -237,9 +244,10 @@ fn with_evaluated_pair<T>(
         q2,
         plans: &plans,
         db,
-        params: &options.parameters,
-        r1: &r1,
+        params,
+        r1,
         r2: &r2,
+        q1_annotation: prepared.and_then(PreparedReference::annotation),
     };
     then((!r1.set_eq(&r2)).then_some(&pair), class, timings)
 }
@@ -276,81 +284,130 @@ pub fn run_algorithm(
     db: &Database,
     options: &RatestOptions,
 ) -> Result<(Counterexample, Timings)> {
-    with_evaluated_pair(q1, q2, db, options, |pair, class, mut timings| {
-        let algorithm = resolve(options.algorithm, class, q1, q2);
-        // The monotone algorithm declines a pair outside its class whether
-        // or not the instance distinguishes it.
-        if algorithm == Algorithm::PolytimeMonotone {
-            check_applies(class)?;
-        }
-        let pair = pair.ok_or(RatestError::QueriesAgreeOnInstance)?;
-        let cex = run_one(algorithm, pair, &mut None, options, &mut timings)?;
-        timings.total = timings.raw_eval + timings.provenance + timings.solver;
-        Ok((cex, timings))
-    })
+    with_evaluated_pair(
+        Reference::Query(q1),
+        q2,
+        db,
+        options,
+        |pair, class, mut timings| {
+            let algorithm = resolve(options.algorithm, class, q1, q2);
+            // The monotone algorithm declines a pair outside its class
+            // whether or not the instance distinguishes it.
+            if algorithm == Algorithm::PolytimeMonotone {
+                check_applies(class)?;
+            }
+            let pair = pair.ok_or(RatestError::QueriesAgreeOnInstance)?;
+            let cex = run_one(algorithm, pair, &mut None, options, &mut timings)?;
+            Ok((cex, timings.totalled()))
+        },
+    )
 }
 
-/// Explain `pair`, already known to disagree on its instance: run the
-/// algorithm for the pair's class (or the forced one), and fall back to the
-/// general path when it declines. No attempt evaluates the queries on the
-/// instance again. `timings` holds the raw evaluation done so far; every
-/// attempt's time is added to it.
-///
-/// The aggregate algorithms share one aggregate provenance of the pair,
-/// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
-/// annotate once between them.
-fn dispatch(
-    pair: &EvaluatedPair,
-    class: QueryClass,
-    mut timings: Timings,
+/// Explain `q2` against a prepared reference: evaluate `q2` on `db` and,
+/// when it disagrees with the reference, [`dispatch`]. This is the pipeline
+/// behind [`crate::session::Session`].
+pub(crate) fn explain(
+    reference: &PreparedReference,
+    q2: &Query,
+    db: &Database,
     options: &RatestOptions,
 ) -> Result<ExplainOutcome> {
-    let algorithm = resolve(options.algorithm, class, pair.q1, pair.q2);
-    let mut aggregate_provenance = None;
+    with_evaluated_pair(
+        Reference::Prepared(reference),
+        q2,
+        db,
+        options,
+        |pair, class, timings| dispatch(pair, class, timings, options),
+    )
+}
 
-    // Run the chosen algorithm; fall back to the more general path when a
-    // specialized algorithm declines (DNF too large, unsupported aggregate
-    // shape) or when a heuristic fails to find an acceptable model (e.g.
-    // `Agg-Opt` on a HAVING threshold that no small sub-instance can meet —
-    // the challenge of Example 5, which `Agg-Basic` handles by keeping the
-    // whole group).
-    let fallback_target = if class == QueryClass::Aggregate {
+/// The algorithms to try on `pair`, in order: the one `requested` (for
+/// `Auto`, the one for the pair's class), then the general one for the
+/// class, `Optσ`, or `Agg-Basic` for an aggregate pair. Under `Auto`, a
+/// pair that holds its reference's annotation starts with the algorithms
+/// that reuse it: the monotone algorithm for an SPJU pair, then `Basic`.
+fn attempts(requested: Algorithm, class: QueryClass, pair: &EvaluatedPair) -> Vec<Algorithm> {
+    let aggregate = class == QueryClass::Aggregate;
+    let general = if aggregate {
         Algorithm::AggBasic
     } else {
         Algorithm::OptSigma
     };
-    let attempt = run_one(
-        algorithm,
-        pair,
-        &mut aggregate_provenance,
-        options,
-        &mut timings,
-    );
-    let (cex, used) = match attempt {
-        Ok(cex) => (cex, algorithm),
-        Err(RatestError::Unsupported(_) | RatestError::Solver(_))
-            if algorithm != fallback_target =>
-        {
-            options.metrics.counter_inc("explain.fallbacks");
-            let cex = run_one(
-                fallback_target,
-                pair,
-                &mut aggregate_provenance,
-                options,
-                &mut timings,
-            )?;
-            (cex, fallback_target)
+    let mut attempts = match requested {
+        Algorithm::Auto if !aggregate && pair.q1_annotation.is_some() => {
+            if class.is_monotone() {
+                vec![Algorithm::PolytimeMonotone, Algorithm::Basic]
+            } else {
+                vec![Algorithm::Basic]
+            }
         }
-        Err(e) => return Err(e),
+        _ => vec![resolve(requested, class, pair.q1, pair.q2)],
     };
-    timings.total = timings.raw_eval + timings.provenance + timings.solver;
+    if attempts.last() != Some(&general) {
+        attempts.push(general);
+    }
+    attempts
+}
 
-    Ok(ExplainOutcome {
-        counterexample: Some(Box::new(cex)),
+/// Finish a run of the pipeline: answer a pair that disagrees on its
+/// instance ([`first_answer`]), then emit the verdict.
+fn dispatch(
+    pair: Option<&EvaluatedPair>,
+    class: QueryClass,
+    mut timings: Timings,
+    options: &RatestOptions,
+) -> Result<ExplainOutcome> {
+    let answer = pair
+        .map(|pair| first_answer(pair, class, &mut timings, options))
+        .transpose()?;
+    let (counterexample, algorithm_used) = match answer {
+        Some((cex, algorithm)) => (Some(Box::new(cex)), algorithm),
+        None => (None, Algorithm::Auto),
+    };
+    let outcome = ExplainOutcome {
+        counterexample,
         class,
-        algorithm_used: used,
-        timings,
-    })
+        algorithm_used,
+        timings: timings.totalled(),
+    };
+    emit_verdict(options, &outcome);
+    Ok(outcome)
+}
+
+/// Try the algorithms of [`attempts`] on `pair` in turn until one answers,
+/// counting each step down the list in `explain.fallbacks`. An algorithm
+/// steps down when it declines (provenance too large, unsupported aggregate
+/// shape) or when a heuristic finds no acceptable model (e.g. `Agg-Opt` on
+/// a HAVING threshold that no small sub-instance can meet, the challenge of
+/// Example 5, which `Agg-Basic` handles by keeping the whole group). No
+/// attempt evaluates the queries on the instance again; every attempt's
+/// time is added to `timings`.
+///
+/// The aggregate algorithms share one aggregate provenance of the pair,
+/// built on first use, so a declined `Agg-Opt` and its `Agg-Basic` fallback
+/// build it once between them.
+fn first_answer(
+    pair: &EvaluatedPair,
+    class: QueryClass,
+    timings: &mut Timings,
+    options: &RatestOptions,
+) -> Result<(Counterexample, Algorithm)> {
+    let attempts = attempts(options.algorithm, class, pair);
+    let (&last, first) = attempts
+        .split_last()
+        .expect("the general algorithm is last");
+    let mut aggregate_provenance = None;
+    for &algorithm in first {
+        match run_one(algorithm, pair, &mut aggregate_provenance, options, timings) {
+            Ok(cex) => return Ok((cex, algorithm)),
+            Err(RatestError::Unsupported(_) | RatestError::Solver(_)) => {
+                options.metrics.counter_inc("explain.fallbacks");
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    let cex = run_one(last, pair, &mut aggregate_provenance, options, timings)?;
+    Ok((cex, last))
 }
 
 /// Run `algorithm` on `pair`, already known to disagree on its instance,
@@ -386,7 +443,7 @@ fn run_one(
         Algorithm::Basic => basic_core(pair, options, timings),
         Algorithm::OptSigma => optsigma_core(pair, options, |_| true, timings),
         Algorithm::PolytimeMonotone => {
-            smallest_witness_monotone_with_results(pair, None, &candidate_ctx(options), timings)
+            smallest_witness_monotone_with_results(pair, &candidate_ctx(options), timings)
         }
         Algorithm::PolytimeSpjudStar => spjud_star_core(pair, &candidate_ctx(options), timings),
         Algorithm::AggBasic | Algorithm::AggParam | Algorithm::AggOpt => {
@@ -413,9 +470,9 @@ fn run_one(
 /// time and shared — via cheap [`Arc`] clones — across every worker grading
 /// a submission against it.
 ///
-/// All fields are immutable after [`PreparedReference::prepare`], so the
-/// handle is `Clone + Send + Sync` and can be moved freely across a thread
-/// pool.
+/// All fields are immutable after
+/// [`PreparedReference::prepare_instrumented`], so the handle is
+/// `Clone + Send + Sync` and can be moved freely across a thread pool.
 #[derive(Debug, Clone)]
 pub struct PreparedReference {
     query: Arc<Query>,
@@ -425,31 +482,15 @@ pub struct PreparedReference {
     params: Params,
     result: Arc<ResultSet>,
     /// `None` when the reference is an aggregate query (the SPJUD annotator
-    /// does not apply); explaining against it then falls back to the
-    /// unshared pipeline.
+    /// does not apply); the aggregate algorithms build their own provenance.
     annotation: Option<Arc<AnnotatedResult>>,
 }
 
 impl PreparedReference {
-    /// Compile, evaluate and annotate the reference query once.
-    pub fn prepare(q1: &Query, db: &Database, params: &Params) -> Result<PreparedReference> {
-        PreparedReference::prepare_budgeted(q1, db, params, &Budget::unlimited())
-    }
-
-    /// [`PreparedReference::prepare`] under a [`Budget`]: both the
-    /// evaluation and the annotation poll the budget inside their row loops.
-    pub fn prepare_budgeted(
-        q1: &Query,
-        db: &Database,
-        params: &Params,
-        budget: &Budget,
-    ) -> Result<PreparedReference> {
-        PreparedReference::prepare_instrumented(q1, db, params, budget, &MetricsHandle::none())
-    }
-
-    /// [`PreparedReference::prepare_budgeted`] plus telemetry: the reference
-    /// evaluation and annotation record their row counters into `metrics`,
-    /// and `explain.references_prepared` counts the preparation itself.
+    /// Compile, evaluate and annotate the reference query once, under
+    /// `budget` (both the evaluation and the annotation poll it inside their
+    /// row loops). Both record their row counters into `metrics`, and
+    /// `explain.references_prepared` counts the preparation itself.
     pub fn prepare_instrumented(
         q1: &Query,
         db: &Database,
@@ -500,154 +541,6 @@ impl PreparedReference {
     /// The parameter binding the reference was prepared with.
     pub fn params(&self) -> &Params {
         &self.params
-    }
-}
-
-/// Run RATest for one submission against a [`PreparedReference`], reusing the
-/// reference's result and provenance annotation instead of recomputing them
-/// per pair. This is the pipeline behind [`crate::session::Session`].
-///
-/// Monotone pairs take the poly-time DNF path (sharing the reference
-/// *evaluation*); other SPJUD pairs run the exact `Basic` scan over
-/// difference annotations derived from the shared reference *annotation* via
-/// [`difference_of`]; aggregate pairs (no shared artifact applies) and forced
-/// algorithms take the unshared pipeline.
-pub(crate) fn explain_prepared_impl(
-    reference: &PreparedReference,
-    q2: &Query,
-    db: &Database,
-    options: &RatestOptions,
-) -> Result<ExplainOutcome> {
-    let q1 = reference.query();
-    options.budget.check()?;
-
-    // A forced algorithm choice overrides the shared dispatch entirely —
-    // otherwise the same options would run different algorithms depending on
-    // whether the shared path succeeds.
-    if options.algorithm != Algorithm::Auto {
-        return explain_unshared(q1, q2, db, options);
-    }
-
-    let class = classify_pair(q1, q2);
-
-    // Union compatibility + evaluation of the submission only — the
-    // reference plan and result are already on the handle.
-    let plans = PairPlans::new(reference.plan.clone(), Plan::compile(q2, db)?);
-    plans.check_union_compatible()?;
-    let mut timings = Timings::default();
-    options.events.emit(ExplainEvent::PhaseStarted {
-        phase: Phase::RawEval,
-    });
-    let start = Instant::now();
-    let r2 = evaluate_plan(
-        &plans.q2,
-        db,
-        &reference.params,
-        &options.budget.interrupt(),
-        &options.metrics,
-    )?;
-    timings.raw_eval = start.elapsed();
-    let r1 = reference.result();
-    if r1.set_eq(&r2) {
-        let outcome = ExplainOutcome {
-            counterexample: None,
-            class,
-            algorithm_used: Algorithm::Auto,
-            timings,
-        };
-        emit_verdict(options, &outcome);
-        return Ok(outcome);
-    }
-
-    let pair = EvaluatedPair {
-        q1,
-        q2,
-        plans: &plans,
-        db,
-        params: &reference.params,
-        r1,
-        r2: &r2,
-    };
-
-    // Aggregate pairs use dedicated provenance machinery that the shared
-    // annotation does not cover; they reuse both evaluations above.
-    if class == QueryClass::Aggregate {
-        let outcome = dispatch(&pair, class, timings, options)?;
-        emit_verdict(options, &outcome);
-        return Ok(outcome);
-    }
-    let ref_annotation = match reference.annotation() {
-        Some(ann) if !q2.has_aggregates() => ann,
-        _ => return explain_unshared(q1, q2, db, options),
-    };
-
-    if class.is_monotone() {
-        match smallest_witness_monotone_with_results(
-            &pair,
-            Some(ref_annotation),
-            &candidate_ctx(options),
-            &mut timings,
-        ) {
-            Ok(cex) => {
-                timings.total = timings.raw_eval + timings.provenance + timings.solver;
-                let outcome = ExplainOutcome {
-                    counterexample: Some(Box::new(cex)),
-                    class,
-                    algorithm_used: Algorithm::PolytimeMonotone,
-                    timings,
-                };
-                emit_verdict(options, &outcome);
-                return Ok(outcome);
-            }
-            // DNF blow-up or similar: fall through to the solver-backed path.
-            Err(RatestError::Unsupported(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-
-    // Solver-backed exact scan over both difference directions, with the
-    // reference side of each annotation taken from the shared handle.
-    options.metrics.counter_inc("explain.annotation_reuse_hits");
-    options.events.emit(ExplainEvent::PhaseStarted {
-        phase: Phase::Provenance,
-    });
-    let start = Instant::now();
-    let ann_q2 = annotate_plan(
-        &plans.q2,
-        db,
-        &reference.params,
-        &options.budget.interrupt(),
-        &options.metrics,
-    )?;
-    let ann_q1_minus_q2 = difference_of(ref_annotation, &ann_q2)?;
-    let ann_q2_minus_q1 = difference_of(&ann_q2, ref_annotation)?;
-    timings.provenance += start.elapsed();
-
-    match smallest_counterexample_from_annotations(
-        &pair,
-        &ann_q1_minus_q2,
-        &ann_q2_minus_q1,
-        options,
-        &mut timings,
-    ) {
-        Ok(cex) => {
-            timings.total = timings.raw_eval + timings.provenance + timings.solver;
-            let outcome = ExplainOutcome {
-                counterexample: Some(Box::new(cex)),
-                class,
-                algorithm_used: Algorithm::Basic,
-                timings,
-            };
-            emit_verdict(options, &outcome);
-            Ok(outcome)
-        }
-        // A declined candidate set (e.g. every candidate rejected during
-        // materialization) should not sink the submission: fall back to the
-        // unshared pipeline, which has its own fallback chain.
-        Err(RatestError::Unsupported(_) | RatestError::Solver(_)) => {
-            explain_unshared(q1, q2, db, options)
-        }
-        Err(e) => Err(e),
     }
 }
 
@@ -794,8 +687,9 @@ mod tests {
 
     #[test]
     fn the_shared_path_matches_the_unshared_dispatch_on_the_running_example() {
-        // The session's shared-annotation `Basic` and the unshared dispatch
-        // for the pair's class (`Optσ` for SPJUD*) are both exact.
+        // The session's `Auto` (`Basic` over the prepared annotation) and
+        // the algorithm for the pair's class (`Optσ` for SPJUD*) are both
+        // exact.
         let db = testdata::figure1_db();
         let q1 = testdata::example1_q1();
         let q2 = testdata::example1_q2();

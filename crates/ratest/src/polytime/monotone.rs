@@ -10,10 +10,9 @@
 //! minterms by their length *before* closure would be wrong, since a longer
 //! minterm can have a smaller closure.
 //!
-//! The pipeline runs it on a pair it has already evaluated: the unshared
-//! path when the pair's class is monotone (or the algorithm is forced), and
-//! the shared path of a prepared reference, which also hands it the
-//! reference's annotation.
+//! The pipeline runs it on a pair it has already evaluated. When the pair
+//! comes from a prepared reference, the reference's annotation comes with
+//! it and `Q1` is not annotated again.
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::Timings;
@@ -46,18 +45,15 @@ pub(crate) fn check_applies(class: QueryClass) -> Result<()> {
 }
 
 /// Solve SWP for a monotone pair by its smallest closed minterms, starting
-/// from both queries' results on the instance.
-/// `q1_annotation` is `Q1`'s provenance annotation over the instance when
-/// the caller already holds one (a prepared reference); otherwise each
-/// query is annotated at most once, on the first differing tuple it
-/// produces. The provenance and minterm phases' times are added to
-/// `timings`.
+/// from both queries' results on the instance. `Q1`'s annotation is the
+/// pair's `q1_annotation` when it has one; otherwise each query is
+/// annotated at most once, on the first differing tuple it produces. The
+/// provenance and minterm phases' times are added to `timings`.
 ///
 /// Returns [`RatestError::Unsupported`] when the pair is not monotone or when
 /// a tuple's provenance exceeds [`EXPANSION_CAPS`].
 pub(crate) fn smallest_witness_monotone_with_results(
     pair: &EvaluatedPair,
-    q1_annotation: Option<&AnnotatedResult>,
     ctx: &CandidateEval,
     timings: &mut Timings,
 ) -> Result<Counterexample> {
@@ -69,6 +65,7 @@ pub(crate) fn smallest_witness_monotone_with_results(
         params,
         r1,
         r2,
+        q1_annotation,
     } = *pair;
     check_applies(classify_pair(q1, q2))?;
 

@@ -49,6 +49,7 @@ pub(crate) fn spjud_star_core(
         params,
         r1,
         r2,
+        ..
     } = *pair;
     let diffs = differing_tuples(r1, r2);
     let Some((tuple, from_q1)) = diffs.first().cloned() else {

@@ -2,6 +2,7 @@
 //! (SWP), plus verification.
 
 use crate::error::{RatestError, Result};
+use ratest_provenance::AnnotatedResult;
 use ratest_ra::ast::Query;
 use ratest_ra::eval::{evaluate_plan, Params, ResultSet};
 use ratest_ra::interrupt::Interrupt;
@@ -146,6 +147,9 @@ pub(crate) struct EvaluatedPair<'a> {
     pub(crate) params: &'a Params,
     pub(crate) r1: &'a ResultSet,
     pub(crate) r2: &'a ResultSet,
+    /// `Q1`'s provenance annotation on `db`, when a prepared reference
+    /// holds one; the algorithms that annotate `Q1` read it instead.
+    pub(crate) q1_annotation: Option<&'a AnnotatedResult>,
 }
 
 /// Materialize a tuple selection into a full [`Counterexample`], evaluating

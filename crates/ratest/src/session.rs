@@ -7,6 +7,14 @@
 //! * it **owns the database** and a cache of [`PreparedReference`]s keyed by
 //!   canonical fingerprint, so preparation cost is paid once per reference
 //!   per session, however many requests follow;
+//! * every explain runs the same pipeline as any other run, with the
+//!   prepared reference as its input: only the submission is compiled and
+//!   evaluated, and the algorithms that annotate the reference read its
+//!   prepared annotation. Under [`Algorithm::Auto`] an SPJU pair tries the
+//!   monotone algorithm, then `Basic`, then `Optσ`; any other SPJUD pair
+//!   starts at `Basic`; an aggregate pair tries `Agg-Opt` (or `Agg-Param`),
+//!   then `Agg-Basic`. A forced algorithm falls back to the general one for
+//!   its class the same way;
 //! * a unified [`Budget`] — wall-clock deadline + deterministic step quota +
 //!   cooperative cancellation — is threaded from the session through every
 //!   algorithm loop *and into the evaluator/annotator inner row loops* (via
@@ -29,8 +37,7 @@
 
 use crate::error::{RatestError, Result};
 use crate::pipeline::{
-    explain_prepared_impl, Algorithm, ExplainOutcome, PreparedReference, RatestOptions,
-    SolverStrategy,
+    explain, Algorithm, ExplainOutcome, PreparedReference, RatestOptions, SolverStrategy,
 };
 use ratest_ra::ast::Query;
 use ratest_ra::classify::QueryClass;
@@ -558,13 +565,12 @@ impl Session {
         let mut options = self.options.clone();
         options.budget = budget.clone();
         options.events = events;
-        explain_prepared_impl(&prepared, query, &self.db, &options)
+        explain(&prepared, query, &self.db, &options)
     }
 
     /// Explain an ad-hoc query pair. The reference is prepared through the
-    /// session cache — so the shared-annotation path applies and the
-    /// prepared state is *retained* for future calls, like any other
-    /// [`Session::prepare`].
+    /// session cache — so its prepared evaluation and annotation are reused
+    /// and *retained* for future calls, like any other [`Session::prepare`].
     pub fn explain_pair(&self, q1: &Query, q2: &Query) -> Result<ExplainOutcome> {
         let handle = self.prepare(q1)?;
         self.explain(handle, q2)
@@ -614,8 +620,8 @@ mod tests {
 
     #[test]
     fn session_outcomes_match_the_unshared_dispatch() {
-        // Auto takes `Basic` over the shared annotation; forcing `Optσ` (the
-        // unshared dispatch for SPJUD*) runs the other exact algorithm.
+        // Auto takes `Basic` over the prepared annotation; forcing `Optσ`
+        // (the algorithm for the SPJUD* class) runs the other exact one.
         let db = testdata::figure1_db();
         let shared = Session::builder(db.clone())
             .build()

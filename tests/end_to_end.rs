@@ -19,14 +19,11 @@ use ratest_suite::ra::testdata;
 /// FK-closed sub-instance that the two queries disagree on, and it must be
 /// dramatically smaller than the full instance.
 ///
-/// The 800-tuple instance across all 8 questions takes ~5.4 s in a release
-/// build (2-core x86-64 VM) but far longer in the debug build the default
-/// tier-1 loop uses, so it stays ignored there; CI runs it in release mode
-/// via `cargo test --release --test end_to_end -- --ignored`. The same
-/// machinery is exercised at small scale by `tests/property_based.rs` and
-/// `tests/sql_grading.rs` in the default loop.
+/// The 800-tuple instance across all 8 questions, explained through a
+/// session under `Auto`, takes ~3 s in the debug build of the default
+/// tier-1 loop (2-core x86-64 VM), so the tier-1 loop covers the session
+/// path at scale.
 #[test]
-#[ignore = "heavyweight 800-tuple workload; run with --release -- --ignored"]
 fn course_workload_counterexamples_are_valid_and_small() {
     let db = university_database(&UniversityConfig::with_total(800));
     let session = Session::builder(db.clone()).build();
@@ -87,8 +84,8 @@ fn algorithms_agree_on_example1_at_scale() {
 /// key `k` comes from an order (one tuple, whose closure adds its customer,
 /// nation and region) or from a customer joined with its nation and region
 /// (three tuples, already closed). The smallest witness is the three-tuple
-/// one, so every SPJUD algorithm, and `Auto` on the shared and unshared
-/// paths, must return 3 tuples. Ranking minterms by their length before
+/// one, so every SPJUD algorithm, and `Auto` through a session and run
+/// alone, must return 3 tuples. Ranking minterms by their length before
 /// closure returned the order's 4.
 #[test]
 fn the_smallest_witness_of_a_union_ranks_minterms_after_closure() {
@@ -117,7 +114,7 @@ fn the_smallest_witness_of_a_union_ranks_minterms_after_closure() {
             outcome.algorithm_used
         );
     }
-    // The unshared path of `Auto`.
+    // `Auto` run alone: the algorithm for the pair's class, no fallback.
     let options = RatestOptions::default();
     let (cex, _) = run_algorithm(&q1, &q2, &db, &options).expect("pipeline runs");
     assert_eq!(cex.size(), 3);

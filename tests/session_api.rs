@@ -1,9 +1,12 @@
 //! Session-API guarantees at workload scale:
 //!
-//! * the session's shared-annotation path produces the same outcomes as
-//!   the unshared dispatch (a session forced to the algorithm `Auto` picks
-//!   for the pair's class) on the course workload: two exact algorithms
-//!   cross-check each other;
+//! * a session under `Auto`, which starts with the algorithms that reuse
+//!   the prepared reference's annotation, produces the same outcomes as a
+//!   session forced to the algorithm for the pair's class on the course
+//!   workload: two exact algorithms cross-check each other;
+//! * a session evaluates only the submission: a forced algorithm through a
+//!   session evaluates one query fewer than the same algorithm run alone,
+//!   and a declined algorithm falls back, counted in `explain.fallbacks`;
 //! * a warm session answers repeats with the same outcome as a cold one
 //!   (session-level mirror of the grader's warm-regrade conformance test);
 //! * a [`Budget`] bounds real work on the TPC-H workload: an expired
@@ -12,7 +15,7 @@
 //!   is threaded through `ra::eval`/provenance inner loops rather than only
 //!   algorithm loop boundaries.
 
-use ratest_suite::core::pipeline::Algorithm;
+use ratest_suite::core::pipeline::{run_algorithm, Algorithm, RatestOptions};
 use ratest_suite::core::session::{Budget, Session};
 use ratest_suite::core::RatestError;
 use ratest_suite::datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
@@ -21,9 +24,13 @@ use ratest_suite::queries::mutations::sample_mutations;
 use ratest_suite::queries::tpch_queries;
 use ratest_suite::ra::ast::Query;
 use ratest_suite::ra::classify::{classify_pair, QueryClass};
+use ratest_suite::ra::testdata;
+use ratest_telemetry::{MetricsHandle, MetricsRegistry};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The algorithm the unshared pipeline's `Auto` dispatch runs for a pair.
+/// The algorithm for a pair's class: what `Auto` runs on a pair without a
+/// prepared reference's annotation.
 fn unshared_algorithm(q1: &Query, q2: &Query) -> Algorithm {
     match classify_pair(q1, q2) {
         QueryClass::Aggregate if q1.params().is_empty() && q2.params().is_empty() => {
@@ -50,12 +57,12 @@ fn the_shared_path_matches_the_unshared_dispatch_on_the_course_workload() {
                 .algorithm(unshared_algorithm(&question.reference, &mutation.query))
                 .build()
                 .explain_pair(&question.reference, &mutation.query)
-                .expect("unshared dispatch runs");
+                .expect("the class's algorithm runs");
             assert_eq!(new.class, old.class, "q{}: class", question.number);
-            // The shared path may run a different (equally exact) algorithm —
-            // `Basic` over the shared annotation where the unshared dispatch
-            // picks `Optσ` — so the contract is the *outcome*: same agreement
-            // and same optimal counterexample size.
+            // `Auto` may run a different (equally exact) algorithm — `Basic`
+            // over the prepared annotation where the class's algorithm is
+            // `Optσ` — so the contract is the *outcome*: same agreement and
+            // same optimal counterexample size.
             assert_eq!(
                 new.counterexample.as_ref().map(|c| c.size()),
                 old.counterexample.as_ref().map(|c| c.size()),
@@ -70,6 +77,58 @@ fn the_shared_path_matches_the_unshared_dispatch_on_the_course_workload() {
         compared >= 16,
         "the whole workload was compared: {compared}"
     );
+}
+
+#[test]
+fn a_forced_algorithm_through_a_session_evaluates_only_the_submission() {
+    let db = testdata::figure1_db();
+    let (q1, q2) = (testdata::example1_q1(), testdata::example1_q2());
+
+    let alone = Arc::new(MetricsRegistry::new());
+    let options = RatestOptions {
+        algorithm: Algorithm::OptSigma,
+        metrics: MetricsHandle::new(alone.clone()),
+        ..Default::default()
+    };
+    run_algorithm(&q1, &q2, &db, &options).expect("Optσ explains the pair");
+
+    let through_session = Arc::new(MetricsRegistry::new());
+    let session = Session::builder(db)
+        .algorithm(Algorithm::OptSigma)
+        .metrics(through_session.clone())
+        .build();
+    let reference = session.prepare(&q1).unwrap();
+    let before = through_session.snapshot();
+    let outcome = session.explain(reference, &q2).unwrap();
+    assert_eq!(outcome.algorithm_used, Algorithm::OptSigma);
+    let session_calls = through_session
+        .snapshot()
+        .counter_since(&before, "ra.eval.calls");
+
+    // The same search verifies the same candidates; the session takes the
+    // reference's result from the prepared handle instead of evaluating it.
+    assert_eq!(session_calls + 1, alone.counter("ra.eval.calls"));
+}
+
+#[test]
+fn a_declined_aggregate_heuristic_falls_back_to_agg_basic() {
+    // Q18#1 on the tpch-agg instance: Agg-Opt finds no acceptable model
+    // and Agg-Basic answers.
+    let db = tpch_database(&TpchConfig {
+        scale_factor: 0.0003,
+        seed: 7,
+    });
+    let q18 = tpch_queries::tpch_experiments()
+        .into_iter()
+        .find(|experiment| experiment.name == "Q18")
+        .expect("Q18 exists");
+    let registry = Arc::new(MetricsRegistry::new());
+    let session = Session::builder(db).metrics(registry.clone()).build();
+    let reference = session.prepare(&q18.reference).unwrap();
+    let outcome = session.explain(reference, &q18.wrong[1]).unwrap();
+    assert_eq!(outcome.algorithm_used, Algorithm::AggBasic);
+    assert!(outcome.counterexample.is_some());
+    assert_eq!(registry.counter("explain.fallbacks"), 1);
 }
 
 #[test]
