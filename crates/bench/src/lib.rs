@@ -18,6 +18,8 @@
 mod aggregate_golden;
 #[cfg(test)]
 mod course_golden;
+#[cfg(test)]
+mod eval_golden;
 pub mod experiments;
 pub mod render;
 pub mod workload;
