@@ -142,16 +142,22 @@ fn compile(query: &Query, db: &Database) -> Result<Node> {
         Query::Select { input, predicate } => {
             let mut input = compile(input, db)?;
             check_predicate(predicate, &input.schema, "selection")?;
-            let predicate = Scalar::compile(predicate, &input.schema)?;
             if let Op::Join {
+                left,
+                right,
+                predicate: residual,
                 select: select @ None,
                 project: None,
                 ..
             } = &mut input.op
             {
-                *select = Some(predicate);
+                // Pushing a selection conjunct below the join spares the
+                // residual its rows too, so the residual must not fail.
+                let sinks = residual.iter().all(Scalar::cannot_fail);
+                *select = split_conjuncts(predicate, left, right, &input.schema, sinks)?;
                 return Ok(input);
             }
+            let predicate = Scalar::compile(predicate, &input.schema)?;
             (
                 input.schema.clone(),
                 Op::Select {
@@ -193,14 +199,14 @@ fn compile(query: &Query, db: &Database) -> Result<Node> {
             right,
             predicate,
         } => {
-            let left = compile(left, db)?;
-            let right = compile(right, db)?;
+            let mut left = compile(left, db)?;
+            let mut right = compile(right, db)?;
             let joined = left.schema.concat(&right.schema);
             let (keys, predicate) = match predicate {
                 None => (None, None),
                 Some(p) => {
                     check_predicate(p, &joined, "join")?;
-                    match hash_join_keys(p, &left.schema, &right.schema) {
+                    let (keys, residual) = match hash_join_keys(p, &left.schema, &right.schema) {
                         Some((left_keys, right_keys, residual)) => (
                             Some(JoinKeys {
                                 left: left_keys,
@@ -209,16 +215,19 @@ fn compile(query: &Query, db: &Database) -> Result<Node> {
                             residual,
                         ),
                         None => (None, Some(p.clone())),
-                    }
+                    };
+                    let residual = match residual {
+                        Some(r) => split_conjuncts(&r, &mut left, &mut right, &joined, true)?,
+                        None => None,
+                    };
+                    (keys, residual)
                 }
             };
             let op = Op::Join {
                 left: Box::new(left),
                 right: Box::new(right),
                 keys,
-                predicate: predicate
-                    .map(|p| Scalar::compile(&p, &joined))
-                    .transpose()?,
+                predicate,
                 select: None,
                 project: None,
             };
@@ -338,29 +347,23 @@ fn hash_join_keys(
         } = conj
         {
             if let (Expr::Column(ca), Expr::Column(cb)) = (a.as_ref(), b.as_ref()) {
-                let a_left = Expr::resolve_column(left, ca).ok();
-                let b_right = Expr::resolve_column(right, cb).ok();
+                let (a_left, b_right) = (
+                    resolves_only(ca, left, right),
+                    resolves_only(cb, right, left),
+                );
                 if let (Some(i), Some(j)) = (a_left, b_right) {
-                    // Guard against ambiguous resolution: `ca` must not also
-                    // resolve on the right side and vice versa.
-                    if Expr::resolve_column(right, ca).is_err()
-                        && Expr::resolve_column(left, cb).is_err()
-                    {
-                        lk.push(i);
-                        rk.push(j);
-                        continue;
-                    }
+                    lk.push(i);
+                    rk.push(j);
+                    continue;
                 }
-                let a_right = Expr::resolve_column(right, ca).ok();
-                let b_left = Expr::resolve_column(left, cb).ok();
+                let (a_right, b_left) = (
+                    resolves_only(ca, right, left),
+                    resolves_only(cb, left, right),
+                );
                 if let (Some(j), Some(i)) = (a_right, b_left) {
-                    if Expr::resolve_column(left, ca).is_err()
-                        && Expr::resolve_column(right, cb).is_err()
-                    {
-                        lk.push(i);
-                        rk.push(j);
-                        continue;
-                    }
+                    lk.push(i);
+                    rk.push(j);
+                    continue;
                 }
             }
         }
@@ -370,6 +373,143 @@ fn hash_join_keys(
         None
     } else {
         Some((lk, rk, Expr::conjunction(residual)))
+    }
+}
+
+/// The slot `name` resolves to in `this`, when it does not also resolve in
+/// `other`: a name both inputs of a join resolve is ambiguous to the
+/// join's key extraction and predicate split alike.
+fn resolves_only(name: &str, this: &Schema, other: &Schema) -> Option<usize> {
+    let slot = Expr::resolve_column(this, name).ok()?;
+    Expr::resolve_column(other, name).is_err().then_some(slot)
+}
+
+/// Split `predicate`, written over the rows of a join of `left` and
+/// `right` (schema `joined`), into its conjuncts. With `sink` set and every
+/// conjunct unable to fail, a conjunct whose columns all resolve in one
+/// input, and in that input only, filters that input instead
+/// ([`push_filter`]). The remaining conjuncts are returned, compiled against
+/// `joined`.
+///
+/// Filtering an input first keeps every joined row the conjunct passes, in
+/// the same order and with the same annotation. A conjunct that can fail
+/// stays, as does every other one beside it: evaluated below the join it
+/// could fail on a row with no join partner, and the ones beside it would
+/// be spared the rows it filters out.
+fn split_conjuncts(
+    predicate: &Expr,
+    left: &mut Node,
+    right: &mut Node,
+    joined: &Schema,
+    sink: bool,
+) -> Result<Option<Scalar>> {
+    let conjuncts = predicate.conjuncts();
+    let compiled = conjuncts
+        .iter()
+        .map(|c| Scalar::compile(c, joined))
+        .collect::<Result<Vec<_>>>()?;
+    let sink = sink && compiled.iter().all(Scalar::cannot_fail);
+    let width = left.schema.arity();
+    let mut rest: Option<Scalar> = None;
+    for (conjunct, scalar) in conjuncts.into_iter().zip(compiled) {
+        let only_in = |this: &Schema, other: &Schema| {
+            conjunct
+                .columns()
+                .iter()
+                .all(|c| resolves_only(c, this, other).is_some())
+        };
+        match scalar.slot_range() {
+            Some((_, last)) if sink && last < width && only_in(&left.schema, &right.schema) => {
+                push_filter(left, scalar)
+            }
+            Some((first, _)) if sink && first >= width && only_in(&right.schema, &left.schema) => {
+                push_filter(right, scalar.shifted(width))
+            }
+            _ => rest = Some(conjoin(rest, scalar)),
+        }
+    }
+    Ok(rest)
+}
+
+/// Filter `node`'s rows by `filter`, a conjunct that cannot fail, as far
+/// down as it goes: through a `Rename` (its slots are its input's), a
+/// `Select` whose own predicate cannot fail, and into a join's fused
+/// selection, whose inputs it filters in turn when it reads one input only
+/// and the join's residual and selection cannot fail. It merges into the
+/// selection where it stops, or becomes one above a `Scan`, `Project`,
+/// `Union`, `Difference`, `GroupBy` or projected join.
+fn push_filter(node: &mut Node, filter: Scalar) {
+    match &mut node.op {
+        Op::Rename { input } => return push_filter(input, filter),
+        Op::Select { input, predicate } => {
+            if predicate.cannot_fail() && reaches_join(input) {
+                return push_filter(input, filter);
+            }
+            let merged = conjoin(
+                Some(std::mem::replace(predicate, Scalar::Literal(Value::Null))),
+                filter,
+            );
+            *predicate = merged;
+            return;
+        }
+        Op::Join {
+            left,
+            right,
+            predicate,
+            select,
+            project: None,
+            ..
+        } => {
+            let sinks = predicate
+                .iter()
+                .chain(select.iter())
+                .all(Scalar::cannot_fail);
+            let width = left.schema.arity();
+            match filter.slot_range() {
+                Some((_, last)) if sinks && last < width => push_filter(left, filter),
+                Some((first, _)) if sinks && first >= width => {
+                    push_filter(right, filter.shifted(width))
+                }
+                _ => *select = Some(conjoin(select.take(), filter)),
+            }
+            return;
+        }
+        _ => {}
+    }
+    let op = std::mem::replace(
+        &mut node.op,
+        Op::Scan {
+            relation: "".into(),
+        },
+    );
+    node.op = Op::Select {
+        input: Box::new(Node {
+            schema: node.schema.clone(),
+            op,
+        }),
+        predicate: filter,
+    };
+}
+
+/// Whether a filter pushed into `node` reaches a join's fused selection.
+fn reaches_join(node: &Node) -> bool {
+    match &node.op {
+        Op::Rename { input } => reaches_join(input),
+        Op::Select { input, predicate } => predicate.cannot_fail() && reaches_join(input),
+        Op::Join { project, .. } => project.is_none(),
+        _ => false,
+    }
+}
+
+/// `conjunction ∧ conjunct`, or `conjunct` alone.
+fn conjoin(conjunction: Option<Scalar>, conjunct: Scalar) -> Scalar {
+    match conjunction {
+        Some(c) => Scalar::Binary {
+            op: BinaryOp::And,
+            left: Box::new(c),
+            right: Box::new(conjunct),
+        },
+        None => conjunct,
     }
 }
 
@@ -489,6 +629,59 @@ impl Scalar {
         })
     }
 
+    /// Whether evaluating the scalar as a predicate ([`Scalar::holds`])
+    /// cannot fail on any row: it compares columns and literals, and
+    /// combines comparisons with `AND`, `OR` and `NOT`. Arithmetic (a
+    /// division by zero), parameters (a missing binding) and a bare column
+    /// (a non-Boolean value) can fail.
+    pub fn cannot_fail(&self) -> bool {
+        match self {
+            Scalar::Literal(v) => matches!(v, Value::Bool(_) | Value::Null),
+            Scalar::Unary {
+                op: UnaryOp::Not,
+                expr,
+            } => expr.cannot_fail(),
+            Scalar::Binary { op, left, right } if op.is_comparison() || op.is_logical() => {
+                let operand = |s: &Scalar| {
+                    matches!(s, Scalar::Column(_) | Scalar::Literal(_)) || s.cannot_fail()
+                };
+                operand(left) && operand(right)
+            }
+            _ => false,
+        }
+    }
+
+    /// The lowest and highest slot the scalar reads, if it reads any.
+    fn slot_range(&self) -> Option<(usize, usize)> {
+        match self {
+            Scalar::Column(i) => Some((*i, *i)),
+            Scalar::Literal(_) | Scalar::Param(_) => None,
+            Scalar::Unary { expr, .. } => expr.slot_range(),
+            Scalar::Binary { left, right, .. } => match (left.slot_range(), right.slot_range()) {
+                (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                (one, other) => one.or(other),
+            },
+        }
+    }
+
+    /// The scalar over the rows of the right input of a join whose left
+    /// input has `width` slots: every slot moves down by `width`.
+    fn shifted(self, width: usize) -> Scalar {
+        match self {
+            Scalar::Column(i) => Scalar::Column(i - width),
+            Scalar::Unary { op, expr } => Scalar::Unary {
+                op,
+                expr: Box::new(expr.shifted(width)),
+            },
+            Scalar::Binary { op, left, right } => Scalar::Binary {
+                op,
+                left: Box::new(left.shifted(width)),
+                right: Box::new(right.shifted(width)),
+            },
+            other => other,
+        }
+    }
+
     /// Evaluate against a row laid out like the schema it was compiled
     /// against ([`Expr::eval`]).
     pub fn eval(&self, row: &[Value], params: &ParamMap) -> Result<Value> {
@@ -540,7 +733,26 @@ impl Scalar {
 mod tests {
     use super::*;
     use crate::builder::{col, lit, rel};
+    use crate::eval::evaluate;
     use crate::testdata;
+    use ratest_storage::Relation;
+
+    /// `r.dept = 'CS'` (`dept` is slot 2 of `Registration`).
+    fn dept_is_cs() -> Scalar {
+        Scalar::Binary {
+            op: BinaryOp::Eq,
+            left: Box::new(Scalar::Column(2)),
+            right: Box::new(Scalar::Literal(Value::from("CS"))),
+        }
+    }
+
+    /// The node under `node`'s renames.
+    fn unrenamed(mut node: &Node) -> &Node {
+        while let Op::Rename { input } = &node.op {
+            node = input;
+        }
+        node
+    }
 
     #[test]
     fn joins_resolve_keys_and_take_in_the_projection_above() {
@@ -548,11 +760,11 @@ mod tests {
         let plan = Plan::compile(&testdata::example1_q2(), &db).unwrap();
         let Op::Join {
             left,
+            right,
             keys: Some(keys),
-            predicate,
+            predicate: None,
             select: None,
             project: Some(items),
-            ..
         } = &plan.root().op
         else {
             panic!("a projected equi-join: {:?}", plan.root().op);
@@ -561,19 +773,162 @@ mod tests {
             (keys.left.as_slice(), keys.right.as_slice()),
             (&[0][..], &[0][..])
         );
-        // `r.dept = 'CS'` over `s.name, s.major, r.name, r.course, r.dept, …`
-        assert_eq!(
-            predicate,
-            &Some(Scalar::Binary {
-                op: BinaryOp::Eq,
-                left: Box::new(Scalar::Column(4)),
-                right: Box::new(Scalar::Literal(Value::from("CS"))),
-            })
-        );
         assert_eq!(items, &[Scalar::Column(0), Scalar::Column(1)]);
         assert_eq!(plan.schema().column(0).name, "name");
         assert_eq!(left.schema.column(0).name, "s.name");
         assert!(matches!(left.op, Op::Rename { .. }));
+        // The single-side conjunct `r.dept = 'CS'` of the join predicate
+        // filters `Registration` below its rename, on the scan.
+        let Op::Select { input, predicate } = &unrenamed(right).op else {
+            panic!("a selection under `ρ_r`: {:?}", right.op);
+        };
+        assert!(matches!(input.op, Op::Scan { .. }));
+        assert_eq!(predicate, &dept_is_cs());
+    }
+
+    #[test]
+    fn a_conjunct_resolving_in_both_inputs_stays_above_the_join() {
+        // `name` resolves in `Student` and in `Registration`: it stays in
+        // the fused selection, while `dept = 'CS'` moves onto its scan.
+        let db = testdata::figure1_db();
+        let q = rel("Student")
+            .cross(Query::relation("Registration"))
+            .select(col("name").eq(lit("Mary")).and(col("dept").eq(lit("CS"))))
+            .build();
+        let plan = Plan::compile(&q, &db).unwrap();
+        let Op::Join {
+            left,
+            right,
+            keys: None,
+            predicate: None,
+            select: Some(select),
+            project: None,
+        } = &plan.root().op
+        else {
+            panic!("a selected cross product: {:?}", plan.root().op);
+        };
+        assert_eq!(
+            select,
+            &Scalar::Binary {
+                op: BinaryOp::Eq,
+                left: Box::new(Scalar::Column(0)),
+                right: Box::new(Scalar::Literal(Value::from("Mary"))),
+            }
+        );
+        assert!(matches!(left.op, Op::Scan { .. }));
+        let Op::Select { predicate, .. } = &right.op else {
+            panic!("a filtered scan: {:?}", right.op);
+        };
+        assert_eq!(predicate, &dept_is_cs());
+        // `name` reads `Student`'s column: Mary with every CS registration.
+        let cs = rel("Registration")
+            .select(col("dept").eq(lit("CS")))
+            .build();
+        assert_eq!(
+            evaluate(&q, &db).unwrap().len(),
+            evaluate(&cs, &db).unwrap().len()
+        );
+    }
+
+    #[test]
+    fn pushed_conjuncts_reach_through_an_inner_join() {
+        // Example 1's Q1 minus the name key of its second join: `r2.dept`
+        // still filters the second registration scan, and `r1.dept`, once
+        // moved into the inner join, filters the first.
+        let db = testdata::figure1_db();
+        let q = rel("Student")
+            .rename("s")
+            .join_on(
+                rel("Registration").rename("r1").build(),
+                col("s.name").eq(col("r1.name")),
+            )
+            .join_on(
+                rel("Registration").rename("r2").build(),
+                col("r1.course")
+                    .ne(col("r2.course"))
+                    .and(col("r1.dept").eq(lit("CS")))
+                    .and(col("r2.dept").eq(lit("CS"))),
+            )
+            .build();
+        let plan = Plan::compile(&q, &db).unwrap();
+        let Op::Join {
+            left: inner,
+            right,
+            keys: None,
+            predicate: Some(_),
+            select: None,
+            ..
+        } = &plan.root().op
+        else {
+            panic!("a nested-loop join: {:?}", plan.root().op);
+        };
+        let Op::Join {
+            right: r1,
+            select: None,
+            ..
+        } = &inner.op
+        else {
+            panic!("an inner join: {:?}", inner.op);
+        };
+        for scan in [r1, right] {
+            let Op::Select { predicate, .. } = &unrenamed(scan).op else {
+                panic!("a filtered scan: {:?}", scan.op);
+            };
+            assert_eq!(predicate, &dept_is_cs());
+        }
+    }
+
+    /// `R(a, b)` holds `(1, 0)` and `(2, 1)`; `S(c)` holds `2`.
+    fn division_db() -> Database {
+        let mut r = Relation::new(
+            "R",
+            Schema::new(vec![("a", DataType::Int), ("b", DataType::Int)]),
+        );
+        r.insert_all([
+            vec![Value::Int(1), Value::Int(0)],
+            vec![Value::Int(2), Value::Int(1)],
+        ])
+        .unwrap();
+        let mut s = Relation::new("S", Schema::new(vec![("c", DataType::Int)]));
+        s.insert_all([vec![Value::Int(2)]]).unwrap();
+        let mut db = Database::new("division");
+        db.add_relation(r).unwrap();
+        db.add_relation(s).unwrap();
+        db
+    }
+
+    #[test]
+    fn a_conjunct_that_can_fail_stays_above_the_join() {
+        let db = division_db();
+        let ten_over_b = Expr::binary(BinaryOp::Div, lit(10i64), col("b")).gt(lit(1i64));
+        // `(1, 0)` has no join partner: below the join, `10 / b` would
+        // divide by zero on it.
+        for q in [
+            rel("R")
+                .join_on(
+                    Query::relation("S"),
+                    col("a").eq(col("c")).and(ten_over_b.clone()),
+                )
+                .build(),
+            rel("R")
+                .join_on(Query::relation("S"), col("a").eq(col("c")))
+                .select(ten_over_b.clone())
+                .build(),
+        ] {
+            let plan = Plan::compile(&q, &db).unwrap();
+            let Op::Join { left, .. } = &plan.root().op else {
+                panic!("a join: {:?}", plan.root().op);
+            };
+            assert!(matches!(left.op, Op::Scan { .. }), "{:?}", left.op);
+            assert_eq!(evaluate(&q, &db).unwrap().len(), 1);
+        }
+        // A conjunct that cannot fail stays beside one that can: below the
+        // join it would spare `10 / b` the row `(1, 0, 2)` it fails on.
+        let q = rel("R")
+            .cross(Query::relation("S"))
+            .select(col("b").gt(lit(0i64)).and(ten_over_b))
+            .build();
+        assert_eq!(evaluate(&q, &db), Err(QueryError::DivisionByZero));
     }
 
     #[test]
