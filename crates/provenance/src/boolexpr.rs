@@ -120,6 +120,15 @@ impl BoolExpr {
         }
     }
 
+    /// The conjuncts of the expression: the parts of an `And`, or the
+    /// expression itself.
+    pub fn conjuncts(&self) -> &[BoolExpr] {
+        match self {
+            BoolExpr::And(parts) => parts,
+            other => std::slice::from_ref(other),
+        }
+    }
+
     /// Whether the expression is the constant `false`.
     pub fn is_false(&self) -> bool {
         matches!(self, BoolExpr::False)

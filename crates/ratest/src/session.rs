@@ -578,21 +578,27 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use ratest_datagen::{university_database, UniversityConfig};
     use ratest_queries::course::q8_every_cs_course;
-    use ratest_ra::builder::rel;
+    use ratest_queries::mutations::mutate;
     use ratest_ra::testdata;
 
-    /// q8 (students registered for every CS course offered) against all
-    /// students. Its candidates' provenance nests a difference under a
-    /// projection, beyond Basic's minterm caps, so the scan reaches the
-    /// solver.
-    fn nested_difference_pair() -> (Query, Query) {
-        (
-            q8_every_cs_course(),
-            rel("Student").project(&["name"]).build(),
-        )
+    /// q8 (students registered for every CS course offered) against its
+    /// mutant that drops the subtracted side of a difference, on the
+    /// 100-tuple university instance. Its candidates' provenance nests a
+    /// difference under a projection, beyond Basic's minterm caps, so the
+    /// scan reaches the solver.
+    pub(crate) fn nested_difference_pair() -> (Database, Query, Query) {
+        let q8 = q8_every_cs_course();
+        let mutation = mutate(&q8).swap_remove(0);
+        assert_eq!(
+            mutation.description,
+            "dropped the subtracted side of a difference"
+        );
+        let db = university_database(&UniversityConfig::with_total(100));
+        (db, q8, mutation.query)
     }
 
     #[test]
@@ -673,10 +679,8 @@ mod tests {
     #[test]
     fn events_stream_phases_candidates_solver_stats_and_verdict() {
         let sink = Arc::new(CollectingSink::new());
-        let session = Session::builder(testdata::figure1_db())
-            .event_sink(sink.clone())
-            .build();
-        let (q1, q2) = nested_difference_pair();
+        let (db, q1, q2) = nested_difference_pair();
+        let session = Session::builder(db).event_sink(sink.clone()).build();
         let reference = session.prepare(&q1).unwrap();
         session.explain(reference, &q2).unwrap();
         let events = sink.take();
@@ -759,10 +763,8 @@ mod tests {
     #[test]
     fn session_metrics_capture_the_whole_stack() {
         let registry = Arc::new(ratest_telemetry::MetricsRegistry::new());
-        let session = Session::builder(testdata::figure1_db())
-            .metrics(registry.clone())
-            .build();
-        let (q1, q2) = nested_difference_pair();
+        let (db, q1, q2) = nested_difference_pair();
+        let session = Session::builder(db).metrics(registry.clone()).build();
         let reference = session.prepare(&q1).unwrap();
         session.explain(reference, &q2).unwrap();
 

@@ -135,19 +135,11 @@ mod tests {
     #[test]
     fn an_explain_run_produces_the_span_taxonomy() {
         let sink = Arc::new(TracingSink::new());
-        let session = Session::builder(testdata::figure1_db())
-            .event_sink(sink.clone())
-            .build();
-        // q8 against all students: a nested difference whose candidates
-        // reach the solver, so every level of the taxonomy appears.
-        session
-            .explain_pair(
-                &ratest_queries::course::q8_every_cs_course(),
-                &ratest_ra::builder::rel("Student")
-                    .project(&["name"])
-                    .build(),
-            )
-            .unwrap();
+        // A nested difference whose candidates reach the solver, so every
+        // level of the taxonomy appears.
+        let (db, q1, q2) = crate::session::tests::nested_difference_pair();
+        let session = Session::builder(db).event_sink(sink.clone()).build();
+        session.explain_pair(&q1, &q2).unwrap();
 
         let spans = sink.finish();
         assert!(!spans.is_empty());
