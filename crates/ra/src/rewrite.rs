@@ -4,8 +4,12 @@
 //! selection on top of `Q1 − Q2` and relies on the query optimizer to push it
 //! down so that provenance is only computed for the single output tuple of
 //! interest. Our evaluator is the substrate standing in for the DBMS, so the
-//! push-down lives here: [`push_selections_down`] is the difference between
-//! the `prov-all` and `prov-sp` series of Figure 4.
+//! push-down lives in two places: [`push_selections_down`] moves a selection
+//! through differences, unions, projections, renames and groupings down to
+//! the join it filters, and [`crate::plan::Plan::compile`], which pushes
+//! every join's single-side conjuncts into its inputs anyway, splits it
+//! there. [`push_selections_down`] is the difference between the `prov-all`
+//! and `prov-sp` series of Figure 4.
 
 use crate::ast::{ProjectItem, Query};
 use crate::error::Result;
@@ -23,8 +27,9 @@ use std::sync::Arc;
 /// * `σ_p(E₁ ∪ E₂)`            → `σ_p(E₁) ∪ σ_{p''}(E₂)`,
 /// * `σ_p(E₁ − E₂)`            → `σ_p(E₁) − σ_{p''}(E₂)` (`p''` maps columns
 ///   by position onto E₂'s names),
-/// * `σ_p(E₁ ⋈ E₂)`            → conjuncts referencing only one side are
-///   pushed into that side,
+/// * `σ_p(E₁ ⋈ E₂)`            → stays above the join, whose inputs are
+///   rewritten: [`crate::plan::Plan::compile`] fuses it into the join and
+///   moves each conjunct that reads one input only into that input,
 /// * `σ_p(ρ_x(E))`             → `ρ_x(σ_{p'}(E))` with names mapped by
 ///   position,
 /// * `σ_p(γ(E))`               → conjuncts referencing only group-by columns
@@ -115,50 +120,9 @@ fn push_predicate(predicate: Expr, input: &Query, db: &Database) -> Result<Query
                 right: Arc::new(push_predicate(p_right, right, db)?),
             })
         }
-        Query::Join {
-            left,
-            right,
-            predicate: join_pred,
-        } => {
-            let ls = output_schema(left, db)?;
-            let rs = output_schema(right, db)?;
-            let mut to_left = Vec::new();
-            let mut to_right = Vec::new();
-            let mut stay = Vec::new();
-            for conj in predicate.conjuncts() {
-                let cols = conj.columns();
-                let all_left = cols.iter().all(|c| {
-                    Expr::resolve_column(&ls, c).is_ok() && Expr::resolve_column(&rs, c).is_err()
-                });
-                let all_right = cols.iter().all(|c| {
-                    Expr::resolve_column(&rs, c).is_ok() && Expr::resolve_column(&ls, c).is_err()
-                });
-                if all_left {
-                    to_left.push(conj.clone());
-                } else if all_right {
-                    to_right.push(conj.clone());
-                } else {
-                    stay.push(conj.clone());
-                }
-            }
-            let new_left = match Expr::conjunction(to_left) {
-                Some(p) => push_predicate(p, left, db)?,
-                None => push_selections_down(left, db)?,
-            };
-            let new_right = match Expr::conjunction(to_right) {
-                Some(p) => push_predicate(p, right, db)?,
-                None => push_selections_down(right, db)?,
-            };
-            let joined = Query::Join {
-                left: Arc::new(new_left),
-                right: Arc::new(new_right),
-                predicate: join_pred.clone(),
-            };
-            Ok(match Expr::conjunction(stay) {
-                Some(p) => wrap(p, &joined),
-                None => joined,
-            })
-        }
+        // `Plan::compile` splits a selection fused above a join between
+        // its inputs, with the schemas it resolves anyway.
+        Query::Join { .. } => Ok(wrap(predicate, &push_selections_down(input, db)?)),
         Query::Rename {
             input: inner,
             prefix,
@@ -296,6 +260,7 @@ mod tests {
     use super::*;
     use crate::builder::{col, lit, rel};
     use crate::eval::evaluate;
+    use crate::plan::{Op, Plan};
     use ratest_storage::{DataType, Relation, Schema, Value};
 
     fn db() -> Database {
@@ -344,15 +309,35 @@ mod tests {
     }
 
     #[test]
-    fn pushes_into_join_sides() {
+    fn leaves_a_selection_above_a_join_for_compile_to_split() {
         let db = db();
         let q = rel("R")
             .join_on(rel("S").build(), col("a").eq(col("c")))
             .select(col("b").eq(lit("even")).and(col("d").eq(lit("x"))))
+            .project(&["a"])
+            .select(col("a").lt(lit(15i64)))
             .build();
         let pushed = push_selections_down(&q, &db).unwrap();
-        assert_eq!(pushed.operator_name(), "join");
+        assert_eq!(pushed.operator_name(), "project");
         assert_equivalent(&q, &db);
+        // Under the projection, the merged selection sits on the join, and
+        // compiling moves each of its conjuncts into the input it reads.
+        let Query::Project { input, .. } = &pushed else {
+            unreachable!("checked above")
+        };
+        assert_eq!(input.operator_name(), "select");
+        let plan = Plan::compile(input, &db).unwrap();
+        let Op::Join {
+            left,
+            right,
+            select: None,
+            ..
+        } = &plan.root().op
+        else {
+            panic!("every conjunct reads one input: {:?}", plan.root().op);
+        };
+        assert!(matches!(left.op, Op::Select { .. }));
+        assert!(matches!(right.op, Op::Select { .. }));
     }
 
     #[test]
