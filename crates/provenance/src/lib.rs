@@ -15,6 +15,8 @@
 //! * joins combine annotations with `∧`,
 //! * projections/unions (duplicate elimination) combine with `∨`,
 //! * difference `R − S` annotates survivors with `Prv_R(t) ∧ ¬Prv_S(t)`,
+//!   and drops a row whose `Prv_S(t)` is a conjunction of conjuncts of
+//!   `Prv_R(t)` (no sub-instance derives it),
 //!
 //! producing, for every output tuple `t`, the Boolean expression `Prv(t)`
 //! such that `t ∈ Q(D')` **iff** `Prv(t)` is satisfied by the indicator

@@ -10,6 +10,16 @@
 //!   of its predicate kept as a resolved residual, and a selection and a
 //!   projection directly above a join run on each joined row before it is
 //!   copied;
+//! * a conjunct of a join's residual or of its fused selection whose
+//!   columns all resolve in one input, and in that input only, filters that
+//!   input instead. It moves down through renames, selections and an inner
+//!   join's fused selection (where it is split again), and stops as a
+//!   selection above a scan, projection, union, difference, grouping or
+//!   projected join. A conjunct moves only when neither it nor any conjunct
+//!   beside it can fail ([`Scalar::cannot_fail`]), so filtering first
+//!   raises no error the join would not, and hides none. Every joined row
+//!   that survives is derived in the same order with the same annotation:
+//!   only the rows the executor visits change;
 //! * every node's output schema is computed once, so a `Rename` only swaps
 //!   schemas and every result set shares its node's schema;
 //! * group-by keys, aggregate arguments and `HAVING` are resolved as well.
