@@ -87,7 +87,7 @@ pub fn table4(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Ta
             Box::new(|p: &CoursePair| {
                 run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::Basic))
                     .ok()
-                    .map(|(c, t)| (c.size(), t.total))
+                    .map(|(c, t)| (c.size(), t.total()))
             }) as Runner,
         ),
         (
@@ -95,7 +95,7 @@ pub fn table4(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Ta
             Box::new(|p: &CoursePair| {
                 run_algorithm(&p.reference, &p.wrong, &db, &only(Algorithm::OptSigma))
                     .ok()
-                    .map(|(c, t)| (c.size(), t.total))
+                    .map(|(c, t)| (c.size(), t.total()))
             }) as Runner,
         ),
     ];
@@ -168,7 +168,7 @@ pub fn fig3(tuples: usize, mutations_per_question: usize, seed: u64) -> Vec<Fig3
                 raw: t.raw_eval,
                 prov_sp: t.provenance,
                 solver: t.solver,
-                total: t.total,
+                total: t.total(),
             });
         }
     }

@@ -76,29 +76,39 @@ impl Annotation for () {
     }
 }
 
-/// The output of [`execute`]: an output schema plus a *set* of value rows
-/// (no duplicates, insertion order preserved for readability), each with
-/// its annotation. The annotations sit in a parallel vector, which for `()`
-/// takes no memory. Lookups go through a [`RowIndex`] of row positions,
-/// built on first use, so each row is stored once and a result that is only
-/// iterated never hashes its rows.
+/// The result of evaluating a query: an output schema plus a *set* of value
+/// rows (no duplicates, insertion order preserved for readability). Lookups
+/// go through a [`RowIndex`] of row positions, built on first use, so each
+/// row is stored once and a result that is only iterated never hashes its
+/// rows. The index is boxed, so a result kept without it (a
+/// counterexample's) is small.
 #[derive(Debug, Clone)]
-pub struct Annotated<A> {
+pub struct ResultSet {
     schema: Schema,
     rows: Vec<Vec<Value>>,
-    annotations: Vec<A>,
-    index: OnceLock<RowIndex>,
+    index: OnceLock<Box<RowIndex>>,
 }
 
-/// The result of evaluating a query.
-pub type ResultSet = Annotated<()>;
+/// The output of [`execute`]: the rows of a [`ResultSet`], each with its
+/// annotation, kept in a parallel vector (which for `()` holds nothing on
+/// the heap; [`evaluate`] returns the rows alone).
+#[derive(Debug, Clone)]
+pub struct Annotated<A> {
+    set: ResultSet,
+    annotations: Vec<A>,
+}
 
-/// Equal schemas and equal rows with equal annotations, in the same order.
+/// Equal schemas and equal rows, in the same order.
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &ResultSet) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+/// Equal rows with equal annotations, in the same order.
 impl<A: PartialEq> PartialEq for Annotated<A> {
     fn eq(&self, other: &Annotated<A>) -> bool {
-        self.schema == other.schema
-            && self.rows == other.rows
-            && self.annotations == other.annotations
+        self.set == other.set && self.annotations == other.annotations
     }
 }
 
@@ -106,10 +116,8 @@ impl<A: Annotation> Annotated<A> {
     /// An empty result with the given schema.
     pub fn empty(schema: Schema) -> Self {
         Annotated {
-            schema,
-            rows: Vec::new(),
+            set: ResultSet::empty(schema),
             annotations: Vec::new(),
-            index: OnceLock::new(),
         }
     }
 
@@ -121,13 +129,8 @@ impl<A: Annotation> Annotated<A> {
         if annotation.is_false() {
             return false;
         }
-        self.index();
-        let rows = &self.rows;
-        let pos = u32::try_from(rows.len()).expect("a result set holds fewer than 2^32 rows");
-        let index = self.index.get_mut().expect("built above");
-        match index.insert(&row, pos, |i| &rows[i as usize]) {
+        match self.set.insert(row) {
             Ok(()) => {
-                self.rows.push(row);
                 self.annotations.push(annotation);
                 true
             }
@@ -144,9 +147,111 @@ impl<A: Annotation> Annotated<A> {
         if annotation.is_false() {
             return;
         }
-        self.index.take();
-        self.rows.push(row);
+        self.set.index.take();
+        self.set.rows.push(row);
         self.annotations.push(annotation);
+    }
+
+    /// Release spare capacity, and the lookup index until the next lookup:
+    /// for results kept long after they are computed.
+    pub fn shrink_to_fit(&mut self) {
+        self.set.shrink_to_fit();
+        self.annotations.shrink_to_fit();
+    }
+
+    /// The output schema.
+    pub fn schema(&self) -> &Schema {
+        &self.set.schema
+    }
+
+    /// The rows, in first-derivation order.
+    pub fn rows(&self) -> &[Vec<Value>] {
+        &self.set.rows
+    }
+
+    /// The rows with their annotations, in first-derivation order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &A)> {
+        self.set
+            .rows
+            .iter()
+            .map(Vec::as_slice)
+            .zip(&self.annotations)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// Whether the result is empty.
+    pub fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    /// Whether the result contains a row.
+    pub fn contains(&self, row: &[Value]) -> bool {
+        self.set.contains(row)
+    }
+
+    /// The annotation of a row — its provenance — if the row is present.
+    pub fn provenance_of(&self, row: &[Value]) -> Option<&A> {
+        let pos = self.set.position(row)?;
+        Some(&self.annotations[pos as usize])
+    }
+
+    /// The rows without their annotations, as [`evaluate`] would return
+    /// them: [`execute`] derives the same rows in the same order whatever
+    /// the annotation.
+    pub fn into_result_set(self) -> ResultSet {
+        self.set
+    }
+
+    /// The rows without their annotations ([`Annotated::into_result_set`]),
+    /// and the annotations, by value, in row order.
+    pub fn split(self) -> (ResultSet, Vec<A>) {
+        (self.set, self.annotations)
+    }
+
+    /// The rows with their annotations, by value.
+    fn into_parts(self) -> impl Iterator<Item = (Vec<Value>, A)> {
+        self.set.rows.into_iter().zip(self.annotations)
+    }
+}
+
+impl ResultSet {
+    /// An empty result with the given schema.
+    pub fn empty(schema: Schema) -> Self {
+        ResultSet {
+            schema,
+            rows: Vec::new(),
+            index: OnceLock::new(),
+        }
+    }
+
+    /// Create a result set from rows, removing duplicates.
+    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
+        let mut rs = ResultSet::empty(schema);
+        for r in rows {
+            rs.push(r);
+        }
+        rs
+    }
+
+    /// Insert a row if not already present. Returns true if inserted.
+    pub fn push(&mut self, row: Vec<Value>) -> bool {
+        self.insert(row).is_ok()
+    }
+
+    /// Append `row` unless an equal row is present: then the error holds
+    /// that row's position.
+    fn insert(&mut self, row: Vec<Value>) -> std::result::Result<(), u32> {
+        self.index();
+        let rows = &self.rows;
+        let pos = u32::try_from(rows.len()).expect("a result set holds fewer than 2^32 rows");
+        let index = self.index.get_mut().expect("built above");
+        index.insert(&row, pos, |i| &rows[i as usize])?;
+        self.rows.push(row);
+        Ok(())
     }
 
     /// Release spare capacity, and the lookup index until the next lookup:
@@ -156,7 +261,6 @@ impl<A: Annotation> Annotated<A> {
             row.shrink_to_fit();
         }
         self.rows.shrink_to_fit();
-        self.annotations.shrink_to_fit();
         self.index.take();
     }
 
@@ -168,11 +272,6 @@ impl<A: Annotation> Annotated<A> {
     /// The rows, in first-derivation order.
     pub fn rows(&self) -> &[Vec<Value>] {
         &self.rows
-    }
-
-    /// The rows with their annotations, in first-derivation order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &A)> {
-        self.rows.iter().map(Vec::as_slice).zip(&self.annotations)
     }
 
     /// Number of rows.
@@ -187,59 +286,18 @@ impl<A: Annotation> Annotated<A> {
 
     /// Whether the result contains a row.
     pub fn contains(&self, row: &[Value]) -> bool {
-        self.provenance_of(row).is_some()
+        self.position(row).is_some()
     }
 
-    /// The annotation of a row — its provenance — if the row is present.
-    pub fn provenance_of(&self, row: &[Value]) -> Option<&A> {
-        let pos = self.index().find(row, |i| &self.rows[i as usize])?;
-        Some(&self.annotations[pos as usize])
+    /// The position of a row, if it is present.
+    fn position(&self, row: &[Value]) -> Option<u32> {
+        self.index().find(row, |i| &self.rows[i as usize])
     }
 
     /// The index of the rows' positions, built on first use.
     fn index(&self) -> &RowIndex {
         self.index
-            .get_or_init(|| RowIndex::build(self.rows.len(), |i| &self.rows[i as usize]))
-    }
-
-    /// The rows without their annotations, as [`evaluate`] would return
-    /// them: [`execute`] derives the same rows in the same order whatever
-    /// the annotation.
-    pub fn into_result_set(self) -> ResultSet {
-        self.split().0
-    }
-
-    /// The rows without their annotations ([`Annotated::into_result_set`]),
-    /// and the annotations, by value, in row order.
-    pub fn split(self) -> (ResultSet, Vec<A>) {
-        let rows = Annotated {
-            schema: self.schema,
-            annotations: vec![(); self.rows.len()],
-            rows: self.rows,
-            index: self.index,
-        };
-        (rows, self.annotations)
-    }
-
-    /// The rows with their annotations, by value.
-    fn into_parts(self) -> impl Iterator<Item = (Vec<Value>, A)> {
-        self.rows.into_iter().zip(self.annotations)
-    }
-}
-
-impl ResultSet {
-    /// Create a result set from rows, removing duplicates.
-    pub fn from_rows(schema: Schema, rows: Vec<Vec<Value>>) -> Self {
-        let mut rs = ResultSet::empty(schema);
-        for r in rows {
-            rs.push(r);
-        }
-        rs
-    }
-
-    /// Insert a row if not already present. Returns true if inserted.
-    pub fn push(&mut self, row: Vec<Value>) -> bool {
-        self.add(row, ())
+            .get_or_init(|| Box::new(RowIndex::build(self.rows.len(), |i| &self.rows[i as usize])))
     }
 
     /// Rows present in `self` but not in `other` (set difference by value).
@@ -300,7 +358,7 @@ pub fn evaluate_instrumented(
     metrics: &MetricsHandle,
 ) -> Result<ResultSet> {
     paced(interrupt, metrics, |pacer| {
-        execute(&Plan::compile(query, db)?, db, params, pacer)
+        execute::<()>(&Plan::compile(query, db)?, db, params, pacer).map(Annotated::into_result_set)
     })
 }
 
@@ -313,7 +371,9 @@ pub fn evaluate_plan(
     interrupt: &Interrupt,
     metrics: &MetricsHandle,
 ) -> Result<ResultSet> {
-    paced(interrupt, metrics, |pacer| execute(plan, db, params, pacer))
+    paced(interrupt, metrics, |pacer| {
+        execute::<()>(plan, db, params, pacer).map(Annotated::into_result_set)
+    })
 }
 
 /// Run `run` on one pacer for the whole tree (the stride counts global
@@ -366,7 +426,7 @@ impl<'d, A: Annotation> Rows<'d, A> {
     fn row(&self, i: usize) -> &[Value] {
         match self {
             Rows::Base(tuples) => &tuples[i].values,
-            Rows::Owned(out) => &out.rows[i],
+            Rows::Owned(out) => &out.set.rows[i],
         }
     }
 
@@ -399,10 +459,12 @@ impl<'d, A: Annotation> Rows<'d, A> {
         match self {
             Rows::Owned(out) => out,
             Rows::Base(tuples) => Annotated {
-                schema: schema.clone(),
-                rows: tuples.iter().map(|t| t.values.to_vec()).collect(),
+                set: ResultSet {
+                    schema: schema.clone(),
+                    rows: tuples.iter().map(|t| t.values.to_vec()).collect(),
+                    index: OnceLock::new(),
+                },
                 annotations: tuples.iter().map(|t| base_annotation(t)).collect(),
-                index: OnceLock::new(),
             },
         }
     }
@@ -516,10 +578,10 @@ fn run<'d, A: Annotation>(
         Op::Rename { input } => {
             return Ok(match run::<A>(input, db, params, pacer)? {
                 Rows::Base(tuples) => Rows::Base(tuples),
-                Rows::Owned(renamed) => Rows::Owned(Annotated {
-                    schema: node.schema.clone(),
-                    ..renamed
-                }),
+                Rows::Owned(mut renamed) => {
+                    renamed.set.schema = node.schema.clone();
+                    Rows::Owned(renamed)
+                }
             });
         }
         Op::GroupBy {

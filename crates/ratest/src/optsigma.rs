@@ -286,7 +286,7 @@ mod tests {
                 optsigma(&testdata::example1_q1(), &testdata::example1_q2(), options).unwrap();
             assert_eq!(cex.size(), 3, "pushdown={pushdown}");
             assert!(!cex.q1_result.set_eq(&cex.q2_result));
-            assert!(timings.total >= timings.solver);
+            assert!(timings.total() >= timings.solver);
         }
     }
 

@@ -75,15 +75,12 @@ pub struct Timings {
     pub provenance: Duration,
     /// Constraint solving (`solver-*`).
     pub solver: Duration,
-    /// Total of the above.
-    pub total: Duration,
 }
 
 impl Timings {
-    /// These timings of a finished run, with their total.
-    fn totalled(mut self) -> Timings {
-        self.total = self.raw_eval + self.provenance + self.solver;
-        self
+    /// Total of the above.
+    pub fn total(&self) -> Duration {
+        self.raw_eval + self.provenance + self.solver
     }
 }
 
@@ -174,7 +171,7 @@ fn emit_verdict(options: &RatestOptions, outcome: &ExplainOutcome) {
         .record_duration("explain.solver_ms", outcome.timings.solver);
     options
         .metrics
-        .record_duration("explain.total_ms", outcome.timings.total);
+        .record_duration("explain.total_ms", outcome.timings.total());
 }
 
 /// Candidate-verification context handed to the search algorithms: the
@@ -298,7 +295,7 @@ pub fn run_algorithm(
             }
             let pair = pair.ok_or(RatestError::QueriesAgreeOnInstance)?;
             let cex = run_one(algorithm, pair, &mut None, options, &mut timings)?;
-            Ok((cex, timings.totalled()))
+            Ok((cex, timings))
         },
     )
 }
@@ -368,7 +365,7 @@ fn dispatch(
         counterexample,
         class,
         algorithm_used,
-        timings: timings.totalled(),
+        timings,
     };
     emit_verdict(options, &outcome);
     Ok(outcome)

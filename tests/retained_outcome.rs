@@ -87,8 +87,10 @@ fn retained(run: impl Fn() -> Vec<ExplainOutcome>) -> (Vec<ExplainOutcome>, f64,
     )
 }
 
-/// Retained heap per explain: 525 B in 8.4 allocations, measured in debug
-/// and release builds alike. It was 664 B in 10.9 allocations before a
+/// Retained heap per explain: 454 B in 8.4 allocations, measured in debug
+/// and release builds alike. It was 525 B before a result set left its
+/// annotation vector to the annotated result, boxed its lookup index and
+/// timings stopped storing their total; 664 B in 10.9 allocations before a
 /// counterexample's sub-instance kept only its selection and a share of the
 /// instance's relations between uses; 969 B in 18.7 before sub-instance
 /// tuples shared their values with the instance's, relations shared their
@@ -96,15 +98,16 @@ fn retained(run: impl Fn() -> Vec<ExplainOutcome>) -> (Vec<ExplainOutcome>, f64,
 /// and a witness shared its counterexample's selection; and 1,235 B in 24.2
 /// before result sets shared their plan's schema and counterexamples were
 /// kept at their size. The bounds are the measured values plus 10%.
-const MAX_BYTES_PER_EXPLAIN: f64 = 577.0;
+const MAX_BYTES_PER_EXPLAIN: f64 = 500.0;
 const MAX_ALLOCATIONS_PER_EXPLAIN: f64 = 9.2;
 
 /// Retained heap per pass of the seven tpch-agg pairs (SF 0.0003, five
-/// counterexamples): 3,862 B in 48 allocations, against 6,918 B in 84 while
+/// counterexamples): 3,430 B in 48 allocations, against 3,862 B before the
+/// smaller result sets and timings above, and 6,918 B in 84 while
 /// every counterexample kept its sub-instance's relations (384 B of
 /// relation slots per counterexample, one row allocation per non-empty
 /// relation). The bounds are the measured values plus 10%.
-const MAX_BYTES_PER_AGGREGATE_PASS: f64 = 4248.0;
+const MAX_BYTES_PER_AGGREGATE_PASS: f64 = 3773.0;
 const MAX_ALLOCATIONS_PER_AGGREGATE_PASS: f64 = 52.8;
 
 /// Explain every pair through fresh sessions, one per reference, and drop
