@@ -16,8 +16,9 @@
 //!   join's fused selection (where it is split again), and stops as a
 //!   selection above a scan, projection, union, difference, grouping or
 //!   projected join. A conjunct moves only when neither it nor any conjunct
-//!   beside it can fail ([`Scalar::cannot_fail`]), so filtering first
-//!   raises no error the join would not, and hides none. Every joined row
+//!   beside it can fail (comparisons of columns and literals under `AND`,
+//!   `OR` and `NOT` cannot), so filtering first raises no error the join
+//!   would not, and hides none. Every joined row
 //!   that survives is derived in the same order with the same annotation:
 //!   only the rows the executor visits change;
 //! * every node's output schema is computed once, so a `Rename` only swaps
@@ -644,7 +645,7 @@ impl Scalar {
     /// combines comparisons with `AND`, `OR` and `NOT`. Arithmetic (a
     /// division by zero), parameters (a missing binding) and a bare column
     /// (a non-Boolean value) can fail.
-    pub fn cannot_fail(&self) -> bool {
+    pub(crate) fn cannot_fail(&self) -> bool {
         match self {
             Scalar::Literal(v) => matches!(v, Value::Bool(_) | Value::Null),
             Scalar::Unary {
