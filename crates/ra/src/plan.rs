@@ -456,11 +456,7 @@ fn push_filter(node: &mut Node, filter: Scalar) {
             if predicate.cannot_fail() && reaches_join(input) {
                 return push_filter(input, filter);
             }
-            let merged = conjoin(
-                Some(std::mem::replace(predicate, Scalar::Literal(Value::Null))),
-                filter,
-            );
-            *predicate = merged;
+            *predicate = conjoin(Some(predicate.clone()), filter);
             return;
         }
         Op::Join {
