@@ -527,8 +527,6 @@ pub fn suggest_repairs(
         candidates: candidates.len(),
     });
 
-    let per_candidate_budget = Budget::unlimited().with_step_quota(options.per_candidate_steps);
-
     let submission_surface = to_surface_string(submission);
     let mut suggestions: Vec<RepairSuggestion> = Vec::new();
     let mut tried = 0usize;
@@ -558,13 +556,12 @@ pub fn suggest_repairs(
         let verified = if *fp == reference_fp {
             Some(Verification::Fingerprint)
         } else {
-            // Stage 3: bounded counterexample search on the full instance.
-            match session.explain_with(
-                reference_handle,
-                &m.query,
-                &per_candidate_budget,
-                EventHandle::none(),
-            ) {
+            // Stage 3: bounded counterexample search on the full instance,
+            // under a quota of its own (clones of a budget share their step
+            // counter, so one budget would let earlier candidates spend
+            // later ones' steps).
+            let budget = Budget::unlimited().with_step_quota(options.per_candidate_steps);
+            match session.explain_with(reference_handle, &m.query, &budget, EventHandle::none()) {
                 Ok(outcome) if outcome.counterexample.is_none() => {
                     Some(Verification::SearchAgreement)
                 }
@@ -784,6 +781,35 @@ mod tests {
             tried_directed < tried_brute,
             "directed ({tried_directed}) must beat brute force ({tried_brute})"
         );
+    }
+
+    #[test]
+    fn each_searched_candidate_gets_the_whole_step_quota() {
+        // Three of this submission's repairs are confirmed by search. Each
+        // search fits in 6 steps, the three together do not.
+        let db = figure1_db();
+        let q4 = ratest_queries::course::q4_cs_and_econ();
+        let wrong = mutate(&q4)
+            .into_iter()
+            .find(|m| m.description == "join: replaced constant `ECON` with `CS`")
+            .unwrap()
+            .query;
+        let cex = wrong_with_cex(&q4, &wrong, &db).unwrap();
+        let repair = |per_candidate_steps| {
+            let options = RepairOptions {
+                max_suggestions: 64,
+                per_candidate_steps,
+                ..RepairOptions::default()
+            };
+            suggest_repairs_on(&wrong, &q4, &cex, &db, &options, &MetricsHandle::none())
+        };
+        let unbounded = repair(RepairOptions::default().per_candidate_steps);
+        let searched = unbounded
+            .iter()
+            .filter(|s| s.verified == Verification::SearchAgreement)
+            .count();
+        assert_eq!(searched, 3);
+        assert_eq!(repair(6), unbounded);
     }
 
     #[test]
