@@ -5,9 +5,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ratest_bench::university;
 use ratest_bench::workload::{course_workload, distinguished_pairs};
 use ratest_core::optsigma::provenance_for_tuple;
-use ratest_core::problem::{check_distinguishes, differing_tuples};
+use ratest_core::problem::{check_distinguishes, difference_query, differing_tuples};
 use ratest_core::session::Budget;
 use ratest_core::RatestOptions;
+use ratest_provenance::annotate::annotate;
 use ratest_ra::eval::Params;
 use ratest_telemetry::MetricsHandle;
 
@@ -64,21 +65,13 @@ fn bench(c: &mut Criterion) {
                 .unwrap()
             })
         });
+        let difference = difference_query(&pair.reference, &pair.wrong, from_q1);
         group.bench_with_input(BenchmarkId::new("prov_all", tuples), &tuples, |b, _| {
             b.iter(|| {
-                provenance_for_tuple(
-                    &pair.reference,
-                    &pair.wrong,
-                    &db,
-                    &Params::new(),
-                    &tuple,
-                    from_q1,
-                    &RatestOptions {
-                        selection_pushdown: false,
-                        ..Default::default()
-                    },
-                )
-                .unwrap()
+                annotate(&difference, &db)
+                    .unwrap()
+                    .provenance_of(&tuple)
+                    .cloned()
             })
         });
     }

@@ -271,12 +271,13 @@ impl Grader {
                 let _ = write!(desc, "|{:?}:{:?}", t.id, t.values);
             }
         }
+        // The trailing `:true` stood for the removed `selection_pushdown`
+        // option, which was always on: keeping it keeps every key, so
+        // verdicts already stored under these keys still answer.
         let _ = write!(
             desc,
-            "|opts:{:?}:{:?}:{}",
-            self.config.options.algorithm,
-            self.config.options.strategy,
-            self.config.options.selection_pushdown
+            "|opts:{:?}:{:?}:true",
+            self.config.options.algorithm, self.config.options.strategy,
         );
         let mut params: Vec<_> = self.config.options.parameters.iter().collect();
         params.sort_by(|a, b| a.0.cmp(b.0));

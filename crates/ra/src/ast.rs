@@ -3,8 +3,8 @@
 //! Queries are trees of SPJUDA operators over named base relations. This is
 //! the representation every other layer works on: the evaluator interprets
 //! it, the provenance engine annotates it, the classifier analyses it, and
-//! the RATest algorithms rewrite it (e.g. `Optσ` pushes a tuple-equality
-//! selection onto `Q1 − Q2`).
+//! the RATest algorithms build on it (e.g. `Optσ` forms `Q1 − Q2`, which
+//! [`crate::plan::Plan::compile_selecting`] filters to one tuple).
 
 use crate::expr::Expr;
 use serde::{Deserialize, Serialize};

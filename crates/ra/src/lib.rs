@@ -65,7 +65,6 @@ pub mod interrupt;
 pub mod metrics;
 pub mod parser;
 pub mod plan;
-pub mod rewrite;
 pub mod testdata;
 pub mod typecheck;
 

@@ -9,18 +9,22 @@
 //! * a join's equality conjuncts become hash-join key slots, with the rest
 //!   of its predicate kept as a resolved residual, and a selection and a
 //!   projection directly above a join run on each joined row before it is
-//!   copied;
-//! * a conjunct of a join's residual or of its fused selection whose
+//!   copied. The column equalities across the inputs of a selection fused
+//!   into a keyless join (a comma join's `WHERE`) become keys too;
+//! * filters are pushed down by column slot, in one place (`push_filter`):
+//!   a conjunct of a join's residual or of its fused selection whose
 //!   columns all resolve in one input, and in that input only, filters that
-//!   input instead. It moves down through renames, selections and an inner
-//!   join's fused selection (where it is split again), and stops as a
-//!   selection above a scan, projection, union, difference, grouping or
-//!   projected join. A conjunct moves only when neither it nor any conjunct
-//!   beside it can fail (comparisons of columns and literals under `AND`,
-//!   `OR` and `NOT` cannot), so filtering first raises no error the join
-//!   would not, and hides none. Every joined row
-//!   that survives is derived in the same order with the same annotation:
-//!   only the rows the executor visits change;
+//!   input instead; a selection filters its input; and
+//!   [`Plan::compile_selecting`] filters a query to one output row. A
+//!   filter moves through renames, selections, projections onto columns and
+//!   literals, unions, differences (into both inputs) and a join's fused
+//!   selection (into the input it reads), and stops as a selection above a
+//!   scan, a grouping, or an operator that evaluates something that can
+//!   fail. A conjunct moves only when neither it nor any conjunct beside it
+//!   can fail (comparisons of columns and literals under `AND`, `OR` and
+//!   `NOT` cannot), so filtering first raises no error the query would not,
+//!   and hides none. Every row that survives is derived in the same order
+//!   with the same annotation: only the rows the executor visits change;
 //! * every node's output schema is computed once, so a `Rename` only swaps
 //!   schemas and every result set shares its node's schema;
 //! * group-by keys, aggregate arguments and `HAVING` are resolved as well.
@@ -121,6 +125,33 @@ impl Plan {
         })
     }
 
+    /// [`Plan::compile`], keeping only the output rows equal to `row`: each
+    /// conjunct `slotᵢ = rowᵢ` filters the plan as far down as it goes, so
+    /// only what can derive `row` is evaluated (how `Optσ` computes one
+    /// tuple's provenance). A row whose arity is not the query's is an
+    /// error.
+    pub fn compile_selecting(query: &Query, db: &Database, row: &[Value]) -> Result<Plan> {
+        let mut root = compile(query, db)?;
+        if row.len() != root.schema.arity() {
+            return Err(QueryError::TypeError(format!(
+                "a row of {} values selected from a query with {} columns",
+                row.len(),
+                root.schema.arity()
+            )));
+        }
+        for (slot, value) in row.iter().enumerate() {
+            let equal = Scalar::Binary {
+                op: BinaryOp::Eq,
+                left: Box::new(Scalar::Column(slot)),
+                right: Box::new(Scalar::Literal(value.clone())),
+            };
+            push_filter(&mut root, equal);
+        }
+        Ok(Plan {
+            root: Arc::new(root),
+        })
+    }
+
     /// The output schema of the query.
     pub fn schema(&self) -> &Schema {
         &self.root.schema
@@ -153,19 +184,54 @@ fn compile(query: &Query, db: &Database) -> Result<Node> {
         Query::Select { input, predicate } => {
             let mut input = compile(input, db)?;
             check_predicate(predicate, &input.schema, "selection")?;
+            let conjuncts = predicate
+                .conjuncts()
+                .into_iter()
+                .map(|c| Scalar::compile(c, &input.schema))
+                .collect::<Result<Vec<_>>>()?;
+            let safe = conjuncts.iter().all(Scalar::cannot_fail);
             if let Op::Join {
                 left,
                 right,
+                keys,
                 predicate: residual,
                 select: select @ None,
                 project: None,
-                ..
             } = &mut input.op
             {
-                // Pushing a selection conjunct below the join spares the
-                // residual its rows too, so the residual must not fail.
+                // Pushing a selection conjunct below the join, or making it a
+                // key, spares the residual its rows too, so the residual must
+                // not fail.
                 let sinks = residual.iter().all(Scalar::cannot_fail);
-                *select = split_conjuncts(predicate, left, right, &input.schema, sinks)?;
+                // So must every conjunct beside one that becomes a key. A
+                // column equality across the inputs (a comma join's
+                // `WHERE s.name = r.name`) then joins the keys: a hash chain
+                // visits a left row's partners in ascending order, as the
+                // nested loop does, so the joined rows come out the same.
+                let mut predicate = Cow::Borrowed(predicate);
+                if sinks && safe {
+                    if let Some((more_left, more_right, rest)) =
+                        hash_join_keys(&predicate, &left.schema, &right.schema)
+                    {
+                        let keys = keys.get_or_insert(JoinKeys {
+                            left: Vec::new(),
+                            right: Vec::new(),
+                        });
+                        keys.left.extend(more_left);
+                        keys.right.extend(more_right);
+                        match rest {
+                            Some(rest) => predicate = Cow::Owned(rest),
+                            None => return Ok(input),
+                        }
+                    }
+                }
+                *select = split_conjuncts(&predicate, left, right, &input.schema, sinks)?;
+                return Ok(input);
+            }
+            if safe {
+                for conjunct in conjuncts {
+                    push_filter(&mut input, conjunct);
+                }
                 return Ok(input);
             }
             let predicate = Scalar::compile(predicate, &input.schema)?;
@@ -443,30 +509,53 @@ fn split_conjuncts(
 }
 
 /// Filter `node`'s rows by `filter`, a conjunct that cannot fail, as far
-/// down as it goes: through a `Rename` (its slots are its input's), a
-/// `Select` whose own predicate cannot fail, and into a join's fused
-/// selection, whose inputs it filters in turn when it reads one input only
-/// and the join's residual and selection cannot fail. It merges into the
-/// selection where it stops, or becomes one above a `Scan`, `Project`,
-/// `Union`, `Difference`, `GroupBy` or projected join.
+/// down as it goes without sparing an operator that can fail any row:
+///
+/// * through a `Rename` (its slots are its input's);
+/// * through a `Select` whose own predicate cannot fail, when the node
+///   below takes the filter in ([`sinks`]); otherwise it joins that
+///   predicate;
+/// * through a `Project`, or a join's fused projection, whose items are all
+///   columns or literals ([`pure`]): its slots become the items';
+/// * into both inputs of a `Union` or `Difference`, whose inputs share the
+///   output's slots;
+/// * into a join's fused selection, and from there into the one input it
+///   reads, when the join's residual and selection cannot fail.
+///
+/// It stops as a selection above a `Scan`, a `GroupBy` or a projection
+/// that evaluates anything else. Every surviving row is derived in the same
+/// order with the same annotation: a projection or union keeps the first
+/// appearance of each row it still outputs, and a difference looks a
+/// surviving left row up among right rows that survive too.
 fn push_filter(node: &mut Node, filter: Scalar) {
     match &mut node.op {
         Op::Rename { input } => return push_filter(input, filter),
         Op::Select { input, predicate } => {
-            if predicate.cannot_fail() && reaches_join(input) {
+            if predicate.cannot_fail() && sinks(input) {
                 return push_filter(input, filter);
             }
             *predicate = conjoin(Some(predicate.clone()), filter);
             return;
+        }
+        Op::Project { input, items } if pure(items) => {
+            return push_filter(input, filter.substituted(items));
+        }
+        Op::Union { left, right } | Op::Difference { left, right } => {
+            push_filter(left, filter.clone());
+            return push_filter(right, filter);
         }
         Op::Join {
             left,
             right,
             predicate,
             select,
-            project: None,
+            project,
             ..
-        } => {
+        } if project.as_deref().is_none_or(pure) => {
+            let filter = match project {
+                Some(items) => filter.substituted(items),
+                None => filter,
+            };
             let sinks = predicate
                 .iter()
                 .chain(select.iter())
@@ -498,14 +587,24 @@ fn push_filter(node: &mut Node, filter: Scalar) {
     };
 }
 
-/// Whether a filter pushed into `node` reaches a join's fused selection.
-fn reaches_join(node: &Node) -> bool {
+/// Whether [`push_filter`] takes a filter into `node` rather than putting a
+/// selection above it.
+fn sinks(node: &Node) -> bool {
     match &node.op {
-        Op::Rename { input } => reaches_join(input),
-        Op::Select { input, predicate } => predicate.cannot_fail() && reaches_join(input),
-        Op::Join { project, .. } => project.is_none(),
-        _ => false,
+        Op::Rename { input } => sinks(input),
+        Op::Select { .. } | Op::Union { .. } | Op::Difference { .. } => true,
+        Op::Project { items, .. } => pure(items),
+        Op::Join { project, .. } => project.as_deref().is_none_or(pure),
+        Op::Scan { .. } | Op::GroupBy { .. } => false,
     }
+}
+
+/// Whether every projection item is a column or a literal, so a filter on
+/// the projected rows reads the same values below the projection.
+fn pure(items: &[Scalar]) -> bool {
+    items
+        .iter()
+        .all(|item| matches!(item, Scalar::Column(_) | Scalar::Literal(_)))
 }
 
 /// `conjunction ∧ conjunct`, or `conjunct` alone.
@@ -674,16 +773,27 @@ impl Scalar {
     /// The scalar over the rows of the right input of a join whose left
     /// input has `width` slots: every slot moves down by `width`.
     fn shifted(self, width: usize) -> Scalar {
+        self.map_columns(&|i| Scalar::Column(i - width))
+    }
+
+    /// The scalar over the input rows of a projection by `items` (all
+    /// columns or literals): each slot reads its item instead.
+    fn substituted(self, items: &[Scalar]) -> Scalar {
+        self.map_columns(&|i| items[i].clone())
+    }
+
+    /// The scalar with every column `i` replaced by `column(i)`.
+    fn map_columns(self, column: &impl Fn(usize) -> Scalar) -> Scalar {
         match self {
-            Scalar::Column(i) => Scalar::Column(i - width),
+            Scalar::Column(i) => column(i),
             Scalar::Unary { op, expr } => Scalar::Unary {
                 op,
-                expr: Box::new(expr.shifted(width)),
+                expr: Box::new(expr.map_columns(column)),
             },
             Scalar::Binary { op, left, right } => Scalar::Binary {
                 op,
-                left: Box::new(left.shifted(width)),
-                right: Box::new(right.shifted(width)),
+                left: Box::new(left.map_columns(column)),
+                right: Box::new(right.map_columns(column)),
             },
             other => other,
         }
@@ -739,7 +849,7 @@ impl Scalar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{col, lit, rel};
+    use crate::builder::{col, lit, rel, QueryBuilder};
     use crate::eval::evaluate;
     use crate::testdata;
     use ratest_storage::Relation;
@@ -936,6 +1046,238 @@ mod tests {
             .select(col("b").gt(lit(0i64)).and(ten_over_b))
             .build();
         assert_eq!(evaluate(&q, &db), Err(QueryError::DivisionByZero));
+    }
+
+    /// `R(a, b)` holds `a` = 0..20 with `b` its parity; `S(c, d)` holds
+    /// `c` = 10..30 with `d = 'x'`.
+    fn overlapping_db() -> Database {
+        let mut r = Relation::new(
+            "R",
+            Schema::new(vec![("a", DataType::Int), ("b", DataType::Text)]),
+        );
+        r.insert_all((0..20).map(|i| {
+            vec![
+                Value::Int(i),
+                Value::from(if i % 2 == 0 { "even" } else { "odd" }),
+            ]
+        }))
+        .unwrap();
+        let mut s = Relation::new(
+            "S",
+            Schema::new(vec![("c", DataType::Int), ("d", DataType::Text)]),
+        );
+        s.insert_all((10..30).map(|i| vec![Value::Int(i), Value::from("x")]))
+            .unwrap();
+        let mut db = Database::new("overlapping");
+        db.add_relation(r).unwrap();
+        db.add_relation(s).unwrap();
+        db
+    }
+
+    /// The name of `node`'s operator.
+    fn kind(node: &Node) -> &'static str {
+        match node.op {
+            Op::Scan { .. } => "scan",
+            Op::Select { .. } => "select",
+            Op::Project { .. } => "project",
+            Op::Join { .. } => "join",
+            Op::Union { .. } => "union",
+            Op::Difference { .. } => "difference",
+            Op::Rename { .. } => "rename",
+            Op::GroupBy { .. } => "group",
+        }
+    }
+
+    /// What each selection in `node`'s plan filters, in plan order.
+    fn selected(node: &Node) -> Vec<&'static str> {
+        let inputs: Vec<&Node> = match &node.op {
+            Op::Scan { .. } => vec![],
+            Op::Select { input, .. }
+            | Op::Project { input, .. }
+            | Op::Rename { input }
+            | Op::GroupBy { input, .. } => vec![input],
+            Op::Join { left, right, .. }
+            | Op::Union { left, right }
+            | Op::Difference { left, right } => vec![left, right],
+        };
+        let mut out = match &node.op {
+            Op::Select { input, .. } => vec![kind(input)],
+            _ => vec![],
+        };
+        for input in inputs {
+            out.extend(selected(input));
+        }
+        out
+    }
+
+    /// `σ_predicate(input)` evaluates to `input`'s rows that satisfy
+    /// `predicate`, in order.
+    fn assert_filters(input: QueryBuilder, predicate: Expr, db: &Database) {
+        let all = evaluate(&input.clone().build(), db).unwrap();
+        let expected: Vec<_> = all
+            .rows()
+            .iter()
+            .filter(|row| {
+                predicate
+                    .eval_predicate(all.schema(), row, &ParamMap::new())
+                    .unwrap()
+            })
+            .cloned()
+            .collect();
+        let selected = evaluate(&input.select(predicate).build(), db).unwrap();
+        assert_eq!(selected.rows(), &expected[..]);
+    }
+
+    #[test]
+    fn a_selection_moves_through_projections_unions_differences_and_renames_onto_the_scans() {
+        let db = overlapping_db();
+        let cases = [
+            (rel("R").project(&["a"]), col("a").eq(lit(4i64)), 1),
+            (
+                rel("R")
+                    .project(&["a"])
+                    .difference(rel("S").project(&["c"]).build()),
+                col("a").lt(lit(15i64)),
+                2,
+            ),
+            (
+                rel("R")
+                    .project(&["a"])
+                    .union(rel("S").project(&["c"]).build()),
+                col("a").ge(lit(18i64)),
+                2,
+            ),
+            (rel("R").rename("r"), col("r.a").eq(lit(3i64)), 1),
+            (
+                rel("R").select(col("a").ge(lit(2i64))),
+                col("a").le(lit(10i64)),
+                1,
+            ),
+            (
+                rel("R").join_on(Query::relation("S"), col("a").eq(col("c"))),
+                col("b").eq(lit("even")).and(col("d").eq(lit("x"))),
+                2,
+            ),
+        ];
+        for (input, predicate, scans) in cases {
+            let q = input.clone().select(predicate.clone()).build();
+            let plan = Plan::compile(&q, &db).unwrap();
+            assert_eq!(selected(plan.root()), vec!["scan"; scans], "{q:?}");
+            assert_filters(input, predicate, &db);
+        }
+        // A projected join takes the filter into the input it reads.
+        let q = rel("R")
+            .join_on(Query::relation("S"), col("a").eq(col("c")))
+            .project(&["a", "d"])
+            .select(col("a").lt(lit(15i64)))
+            .build();
+        let plan = Plan::compile(&q, &db).unwrap();
+        let Op::Join { left, .. } = &plan.root().op else {
+            panic!("a projected join: {:?}", plan.root().op);
+        };
+        assert_eq!(kind(left), "select");
+    }
+
+    #[test]
+    fn a_computed_projection_or_a_grouping_stops_a_selection() {
+        let db = overlapping_db();
+        let plus_one = rel("R").project_items(vec![crate::ast::ProjectItem::expr(
+            Expr::binary(BinaryOp::Add, col("a"), lit(1i64)),
+            "a1",
+        )]);
+        let grouped = rel("R").group_by(&["b"], vec![crate::ast::AggCall::count_star("n")], None);
+        for (input, predicate) in [
+            (plus_one, col("a1").lt(lit(5i64))),
+            (grouped, col("b").eq(lit("even"))),
+        ] {
+            let q = input.clone().select(predicate.clone()).build();
+            let plan = Plan::compile(&q, &db).unwrap();
+            assert_eq!(kind(plan.root()), "select", "{q:?}");
+            assert_eq!(selected(plan.root()).len(), 1);
+            assert_filters(input, predicate, &db);
+        }
+    }
+
+    #[test]
+    fn a_selected_row_is_filtered_down_both_sides_of_a_difference() {
+        let db = testdata::figure1_db();
+        let q = QueryBuilder::from_query(testdata::example1_q2())
+            .difference(testdata::example1_q1())
+            .build();
+        let all = evaluate(&q, &db).unwrap();
+        let row = all.rows()[0].clone();
+        let plan = Plan::compile_selecting(&q, &db, &row).unwrap();
+        let kept = crate::eval::evaluate_plan(
+            &plan,
+            &db,
+            &ParamMap::new(),
+            &crate::interrupt::Interrupt::none(),
+            &ratest_telemetry::MetricsHandle::none(),
+        )
+        .unwrap();
+        assert_eq!(kept.rows(), std::slice::from_ref(&row));
+        // The name and major each filter a `Student` scan on both sides.
+        assert!(selected(plan.root()).iter().all(|&under| under == "scan"));
+        assert!(matches!(
+            Plan::compile_selecting(&q, &db, &row[..1]),
+            Err(QueryError::TypeError(_))
+        ));
+    }
+
+    #[test]
+    fn a_comma_join_keys_on_its_cross_input_equalities() {
+        let db = testdata::figure1_db();
+        let comma = |extra: Option<Expr>| {
+            let mut predicate = col("s.name")
+                .eq(col("r.name"))
+                .and(col("r.dept").eq(lit("CS")));
+            if let Some(extra) = extra {
+                predicate = predicate.and(extra);
+            }
+            rel("Student")
+                .rename("s")
+                .cross(rel("Registration").rename("r").build())
+                .select(predicate)
+                .build()
+        };
+        let q = comma(None);
+        let plan = Plan::compile(&q, &db).unwrap();
+        let Op::Join {
+            keys: Some(keys),
+            predicate: None,
+            select: None,
+            ..
+        } = &plan.root().op
+        else {
+            panic!("a hash join: {:?}", plan.root().op);
+        };
+        assert_eq!(
+            (keys.left.as_slice(), keys.right.as_slice()),
+            (&[0][..], &[0][..])
+        );
+        let on = rel("Student")
+            .rename("s")
+            .join_on(
+                rel("Registration").rename("r").build(),
+                col("s.name").eq(col("r.name")),
+            )
+            .select(col("r.dept").eq(lit("CS")))
+            .build();
+        assert_eq!(
+            evaluate(&q, &db).unwrap().rows(),
+            evaluate(&on, &db).unwrap().rows()
+        );
+        // Beside a conjunct that can fail, the equality stays a selection.
+        let failing = Expr::binary(BinaryOp::Div, lit(1i64), col("r.grade")).gt(lit(0i64));
+        let plan = Plan::compile(&comma(Some(failing)), &db).unwrap();
+        assert!(matches!(
+            plan.root().op,
+            Op::Join {
+                keys: None,
+                select: Some(_),
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -81,7 +81,6 @@ pub(crate) fn agg_opt_core(
     // starting from their rows on the instance.
     let inner_options = RatestOptions {
         strategy: SolverStrategy::Optimize,
-        selection_pushdown: true,
         ..options.clone()
     };
     // Compiling the inner pair, and evaluating it when the provenance lacks

@@ -2,8 +2,9 @@
 //!
 //! 1. pick **one** tuple `t` in the symmetric difference of the two results,
 //! 2. add a selection `σ_{A1=t.A1 ∧ …}` on top of `Q1 − Q2` and push it down
-//!    (the paper relies on the DBMS optimizer for this; here the rewrite is
-//!    explicit — see `ratest_ra::rewrite`),
+//!    (the paper relies on the DBMS optimizer for this; here the plan
+//!    compiler does it, by column position —
+//!    [`ratest_ra::plan::Plan::compile_selecting`]),
 //! 3. compute how-provenance for that single tuple,
 //! 4. hand the provenance plus foreign-key implications to the optimizing
 //!    min-ones solver,
@@ -23,13 +24,10 @@ use crate::problem::{
     EvaluatedPair, Witness,
 };
 use crate::session::{ExplainEvent, Phase};
-use ratest_provenance::annotate::annotate_instrumented;
+use ratest_provenance::annotate::annotate_plan;
 use ratest_ra::ast::Query;
-use ratest_ra::builder::QueryBuilder;
 use ratest_ra::eval::{Params, ResultSet};
-use ratest_ra::expr::Expr;
-use ratest_ra::rewrite::push_selections_down;
-use ratest_ra::typecheck::output_schema;
+use ratest_ra::plan::Plan;
 use ratest_solver::enumerate::enumerate_best;
 use ratest_solver::formula::Formula;
 use ratest_solver::minones::{minimize_ones_with_theory_into, MinOnesOptions};
@@ -195,8 +193,8 @@ pub(crate) fn direction_feasible(
 }
 
 /// Compute `Prv_{Qa − Qb}(t)` where `(Qa, Qb)` is `(Q1, Q2)` or `(Q2, Q1)`
-/// depending on which side the tuple came from, optionally pushing the
-/// tuple-equality selection down first.
+/// depending on which side the tuple came from, with the tuple-equality
+/// selection pushed down.
 pub fn provenance_for_tuple(
     q1: &Query,
     q2: &Query,
@@ -206,30 +204,9 @@ pub fn provenance_for_tuple(
     from_q1: bool,
     options: &RatestOptions,
 ) -> Result<ratest_provenance::BoolExpr> {
-    let diff = difference_query(q1, q2, from_q1);
-    let schema = output_schema(&diff, db)?;
-    // The tuple-equality selection identifies columns by name; when the
-    // output schema has duplicate column names (e.g. a projection onto
-    // `a.name, b.name` whose aliases both collapse to `name`) the selection
-    // would be ambiguous, so fall back to annotating the full difference.
-    let unique_names = schema
-        .names()
-        .collect::<std::collections::HashSet<_>>()
-        .len()
-        == schema.arity();
-    let query = if unique_names {
-        let predicate = tuple_equality_predicate(&schema, tuple);
-        let selected = QueryBuilder::from_query(diff).select(predicate).build();
-        if options.selection_pushdown {
-            push_selections_down(&selected, db)?
-        } else {
-            selected
-        }
-    } else {
-        diff
-    };
-    let annotated = annotate_instrumented(
-        &query,
+    let plan = Plan::compile_selecting(&difference_query(q1, q2, from_q1), db, tuple)?;
+    let annotated = annotate_plan(
+        &plan,
         db,
         params,
         &options.budget.interrupt(),
@@ -239,16 +216,6 @@ pub fn provenance_for_tuple(
         .provenance_of(tuple)
         .cloned()
         .unwrap_or(ratest_provenance::BoolExpr::False))
-}
-
-/// Build the predicate `A1 = t.A1 ∧ A2 = t.A2 ∧ …` selecting exactly `t`.
-pub fn tuple_equality_predicate(schema: &ratest_storage::Schema, tuple: &[Value]) -> Expr {
-    let conjuncts: Vec<Expr> = schema
-        .names()
-        .zip(tuple.iter())
-        .map(|(name, v)| Expr::Column(name.to_owned()).eq(Expr::Literal(v.clone())))
-        .collect();
-    Expr::conjunction(conjuncts).unwrap_or(Expr::Literal(Value::Bool(true)))
 }
 
 #[cfg(test)]
@@ -277,17 +244,15 @@ mod tests {
 
     #[test]
     fn example1_finds_a_three_tuple_counterexample() {
-        for pushdown in [true, false] {
-            let options = RatestOptions {
-                selection_pushdown: pushdown,
-                ..Default::default()
-            };
-            let (cex, timings) =
-                optsigma(&testdata::example1_q1(), &testdata::example1_q2(), options).unwrap();
-            assert_eq!(cex.size(), 3, "pushdown={pushdown}");
-            assert!(!cex.q1_result.set_eq(&cex.q2_result));
-            assert!(timings.total() >= timings.solver);
-        }
+        let (cex, timings) = optsigma(
+            &testdata::example1_q1(),
+            &testdata::example1_q2(),
+            RatestOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(cex.size(), 3);
+        assert!(!cex.q1_result.set_eq(&cex.q2_result));
+        assert!(timings.total() >= timings.solver);
     }
 
     #[test]
@@ -330,15 +295,5 @@ mod tests {
         .unwrap()
         .unwrap();
         assert_eq!(cex.size(), brute.size());
-    }
-
-    #[test]
-    fn tuple_equality_predicate_selects_exactly_one_tuple() {
-        let db = testdata::figure1_db();
-        let schema = db.relation("Student").unwrap().schema().clone();
-        let pred = tuple_equality_predicate(&schema, &[Value::from("Mary"), Value::from("CS")]);
-        let q = ratest_ra::builder::rel("Student").select(pred).build();
-        let out = ratest_ra::eval::evaluate(&q, &db).unwrap();
-        assert_eq!(out.len(), 1);
     }
 }

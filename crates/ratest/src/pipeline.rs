@@ -92,9 +92,6 @@ pub struct RatestOptions {
     pub algorithm: Algorithm,
     /// Solver strategy for the SPJUD algorithms.
     pub strategy: SolverStrategy,
-    /// Whether `Optσ` pushes the tuple-equality selection down before
-    /// computing provenance.
-    pub selection_pushdown: bool,
     /// Original parameter setting λ for parameterized queries.
     pub parameters: Params,
     /// The unified resource budget: cancellation + deadline + step quota,
@@ -115,7 +112,6 @@ impl Default for RatestOptions {
         RatestOptions {
             algorithm: Algorithm::Auto,
             strategy: SolverStrategy::Optimize,
-            selection_pushdown: true,
             parameters: Params::new(),
             budget: Budget::unlimited(),
             events: EventHandle::none(),
@@ -707,6 +703,7 @@ mod tests {
             shared.counterexample.unwrap().size(),
             unshared.counterexample.unwrap().size()
         );
+        assert_eq!(shared.class, unshared.class);
     }
 
     #[test]

@@ -390,12 +390,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Whether `Optσ` pushes the tuple-equality selection down.
-    pub fn selection_pushdown(mut self, on: bool) -> SessionBuilder {
-        self.options.selection_pushdown = on;
-        self
-    }
-
     /// Replace the whole parameter binding λ.
     pub fn params(mut self, params: Params) -> SessionBuilder {
         self.options.parameters = params;
@@ -622,27 +616,6 @@ pub(crate) mod tests {
             .explain(reference, &testdata::example1_q1())
             .unwrap();
         assert!(outcome.counterexample.is_none());
-    }
-
-    #[test]
-    fn session_outcomes_match_the_unshared_dispatch() {
-        // Auto takes `Basic` over the prepared annotation; forcing `Optσ`
-        // (the algorithm for the SPJUD* class) runs the other exact one.
-        let db = testdata::figure1_db();
-        let shared = Session::builder(db.clone())
-            .build()
-            .explain_pair(&testdata::example1_q1(), &testdata::example1_q2())
-            .unwrap();
-        let unshared = Session::builder(db)
-            .algorithm(Algorithm::OptSigma)
-            .build()
-            .explain_pair(&testdata::example1_q1(), &testdata::example1_q2())
-            .unwrap();
-        assert_eq!(
-            shared.counterexample.unwrap().size(),
-            unshared.counterexample.unwrap().size()
-        );
-        assert_eq!(shared.class, unshared.class);
     }
 
     #[test]

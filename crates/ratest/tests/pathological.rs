@@ -166,3 +166,28 @@ fn agg_param_many_small_groups() {
     assert_eq!(small_evaluated, 2 * small_checks);
     assert_eq!(large_evaluated, 2 * large_checks);
 }
+
+#[test]
+fn optsigma_filters_a_duplicate_name_self_join_down_to_its_tuple() {
+    // Both output columns are called `name`, so only a filter by position
+    // can select the one differing pair below the self-join.
+    let db = university_database(&UniversityConfig::with_total(1000));
+    let registry = Arc::new(MetricsRegistry::new());
+    let session = Session::builder(db)
+        .algorithm(Algorithm::OptSigma)
+        .metrics(registry.clone())
+        .build();
+    let reference = session.prepare(&q6_common_course_pairs()).unwrap();
+    let flipped = duplicate_name_self_joins()
+        .into_iter()
+        .find(|m| m.description.contains("<>"))
+        .expect("the flipped pair");
+    let before = registry.snapshot();
+    let outcome = session.explain(reference, &flipped.query).unwrap();
+    let rows = registry
+        .snapshot()
+        .counter_since(&before, "provenance.annotate.rows");
+    // Annotating the whole difference takes 310,042 rows.
+    assert!(rows <= 3_000, "{rows} annotated rows");
+    assert_eq!(outcome.counterexample.map(|c| c.size()), Some(4));
+}
