@@ -25,30 +25,67 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// A single grading request: one submission to explain against the
-/// requester's prepared reference.
+/// requester's prepared reference, with the query's canonical fingerprint.
+///
+/// The fields are private and set only by the constructors, so the stored
+/// fingerprint is always the query's: every layer that needs it reads it
+/// instead of rebuilding the canonical form.
 #[derive(Debug, Clone)]
 pub struct ExplainRequest {
-    /// Submission id (file path, LMS id, ...).
-    pub id: String,
-    /// Author display name.
-    pub author: String,
-    /// The submitted query (already parsed by a frontend).
-    pub query: Arc<Query>,
+    id: String,
+    author: String,
+    query: Arc<Query>,
+    fingerprint: u64,
 }
 
 impl ExplainRequest {
-    /// Build a request.
+    /// Build a request, fingerprinting `query`.
     pub fn new(id: impl Into<String>, author: impl Into<String>, query: Query) -> ExplainRequest {
         ExplainRequest {
             id: id.into(),
             author: author.into(),
+            fingerprint: ratest_ra::canonical::fingerprint(&query),
             query: Arc::new(query),
         }
     }
 
+    /// Build a request for a query fingerprinted earlier (the `grade serve`
+    /// ingestion memo keeps each distinct source's query and fingerprint).
+    /// `fingerprint` must be [`ratest_ra::canonical::fingerprint`] of
+    /// `query`.
+    pub(crate) fn with_fingerprint(
+        id: impl Into<String>,
+        author: impl Into<String>,
+        query: Arc<Query>,
+        fingerprint: u64,
+    ) -> ExplainRequest {
+        debug_assert_eq!(fingerprint, ratest_ra::canonical::fingerprint(&query));
+        ExplainRequest {
+            id: id.into(),
+            author: author.into(),
+            query,
+            fingerprint,
+        }
+    }
+
+    /// Submission id (file path, LMS id, ...).
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
+    /// Author display name.
+    pub fn author(&self) -> &str {
+        &self.author
+    }
+
+    /// The submitted query (already parsed by a frontend).
+    pub fn query(&self) -> &Arc<Query> {
+        &self.query
+    }
+
     /// The request's canonical fingerprint (what dedup and caches key on).
     pub fn fingerprint(&self) -> u64 {
-        ratest_ra::canonical::fingerprint(&self.query)
+        self.fingerprint
     }
 }
 
@@ -86,11 +123,7 @@ pub fn decode_request(d: &mut Decoder) -> Result<ExplainRequest, String> {
     let surface = d.s().map_err(|e| e.to_string())?;
     let query = ratest_ra::parser::parse_query(&surface)
         .map_err(|e| format!("request query does not parse: {e}"))?;
-    Ok(ExplainRequest {
-        id,
-        author,
-        query: Arc::new(query),
-    })
+    Ok(ExplainRequest::new(id, author, query))
 }
 
 /// Encode any verdict kind — the wire codec has no persistence policy, so

@@ -508,13 +508,14 @@ impl Grader {
         let warm = self.warm(context)?;
         let fingerprint = request.fingerprint();
         let key = (context.0, fingerprint);
-        let (verdict, from_cache) = match self.lookup(key, &warm, &request.query, &events, repair) {
+        let query = request.query();
+        let (verdict, from_cache) = match self.lookup(key, &warm, query, &events, repair) {
             Some(verdict) => (verdict, true),
-            None => self.search(key, &warm, &request.query, events, repair),
+            None => self.search(key, &warm, query, events, repair),
         };
         Ok(ExplainResponse {
-            id: request.id.clone(),
-            author: request.author.clone(),
+            id: request.id().to_owned(),
+            author: request.author().to_owned(),
             fingerprint,
             verdict,
             from_cache,

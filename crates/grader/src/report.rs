@@ -4,6 +4,7 @@
 use crate::json::Json;
 use crate::verdict::{GradedSubmission, Verdict};
 use ratest_core::report::render_counterexample;
+use ratest_repair::RepairSuggestion;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -200,6 +201,27 @@ pub(crate) fn report_document(
     ])
 }
 
+/// Repair suggestions as the JSON array reports and `grade serve` responses
+/// embed, one object per suggestion with a fixed key order.
+pub(crate) fn suggestions_json(suggestions: &[RepairSuggestion]) -> Json {
+    let suggestion = |s: &RepairSuggestion| {
+        Json::obj(vec![
+            ("kind", Json::str(ratest_repair::kind_tag(s.kind))),
+            ("description", Json::str(&s.description)),
+            (
+                "span",
+                Json::Arr(vec![Json::Int(s.span.0 as i64), Json::Int(s.span.1 as i64)]),
+            ),
+            ("before", Json::str(&s.before)),
+            ("after", Json::str(&s.after)),
+            ("repaired", Json::str(&s.repaired)),
+            ("fingerprint", Json::str(format!("{:016x}", s.fingerprint))),
+            ("verified", Json::str(s.verified.name())),
+        ])
+    };
+    Json::Arr(suggestions.iter().map(suggestion).collect())
+}
+
 /// Render one graded submission as its canonical JSON row (deterministic
 /// fields only — cache provenance and timings are run-level facts reported
 /// by the text output, not part of the verdict).
@@ -227,11 +249,7 @@ pub(crate) fn row_to_json(g: &GradedSubmission) -> Json {
             // Present only when repair ran and confirmed a fix, so
             // suggestion-free reports render byte-identically to before.
             if !suggestions.is_empty() {
-                let rendered: Vec<Json> = suggestions
-                    .iter()
-                    .map(|s| Json::parse(&s.to_json()).expect("suggestions render valid JSON"))
-                    .collect();
-                pairs.push(("suggestions", Json::Arr(rendered)));
+                pairs.push(("suggestions", suggestions_json(suggestions)));
             }
         }
         Verdict::Error { message } => {

@@ -73,6 +73,16 @@
 //! - **Disconnect tolerance** — a client vanishing mid-stream (`EPIPE`) is
 //!   a clean shutdown: the daemon drains in-flight work, flushes the store,
 //!   and exits 0.
+//! - **Ingestion memo** — each warm reference remembers what ingesting a
+//!   source gave, keyed by `(lang, source text)`: the parsed, typechecked
+//!   query with its canonical fingerprint, or the frontend's rejection. A
+//!   resubmitted source (a cohort resubmits most of its answers) skips the
+//!   parse, the typecheck and the fingerprint. The outcome depends only on
+//!   the language, the text and the reference's instance, so the memo is
+//!   exact: every response is byte-identical to a cold ingest. It lives and
+//!   dies with the reference's warm state (an eviction or a re-`prepare`
+//!   starts an empty one) and holds at most [`INGEST_MEMO_CAP`] sources;
+//!   past that, new sources are compiled without being remembered.
 //!
 //! Frontend rejections are *successful* gradings with a `rejected` verdict
 //! (the diagnostic is the answer); only malformed requests — including a
@@ -84,11 +94,13 @@ use crate::api::ExplainRequest;
 use crate::engine::{Grader, GraderConfig};
 use crate::ingest::{compile_submission, IngestEntry, SourceLang};
 use crate::json::Json;
+use crate::report::suggestions_json;
 use crate::store;
 use crate::verdict::Verdict;
 use ratest_core::pipeline::RatestOptions;
 use ratest_core::session::{Budget, EventHandle, EventSink, ExplainEvent};
 use ratest_queries::course::course_questions;
+use ratest_ra::ast::Query;
 use ratest_storage::{Database, Value};
 use std::collections::HashMap;
 use std::io::{self, BufRead, Write};
@@ -107,6 +119,13 @@ pub const PROTOCOL_NAME: &str = "ratest-serve";
 /// command, daemon-scope `stats`, and the `warm_refs`/`preloaded` fields on
 /// `prepare`.
 pub const PROTOCOL_VERSION: i64 = 3;
+
+/// Most distinct sources one warm reference's ingestion memo holds. The
+/// perfbench semester traffic (a cohort per question, each wrong answer
+/// resubmitted, then the fix) peaks at 12 per reference; the cap leaves
+/// 5× headroom for a larger cohort and bounds a reference's memo when
+/// sources never repeat.
+pub const INGEST_MEMO_CAP: usize = 64;
 
 /// Runtime configuration for [`serve_with`] — everything the `grade serve`
 /// flags control.
@@ -161,6 +180,67 @@ struct RefState {
     /// `stats` reports counter deltas against it, so the probe's search and
     /// cache miss never count as student gradings.
     baseline: ratest_telemetry::MetricsSnapshot,
+    /// What each distinct source graded against this reference ingested to.
+    ingested: IngestMemo,
+}
+
+/// What ingesting one source against a reference's instance gave.
+#[derive(Clone)]
+enum Ingested {
+    /// The frontend accepted the source: its query and canonical
+    /// fingerprint.
+    Accepted { query: Arc<Query>, fingerprint: u64 },
+    /// The frontend rejected it ([`Verdict::Rejected`]).
+    Rejected(Verdict),
+}
+
+/// One warm reference's ingestion memo (see the [module docs](self)):
+/// outcomes by source text, one map per [`SourceLang`].
+#[derive(Default)]
+struct IngestMemo {
+    by_lang: Mutex<[HashMap<String, Ingested>; 2]>,
+    /// Sources compiled so far, remembered or not.
+    #[cfg(test)]
+    compiled: std::sync::atomic::AtomicUsize,
+}
+
+impl IngestMemo {
+    /// Ingest `source` against `db`: remembered when this reference has
+    /// seen the text before, compiled (and remembered while under the cap)
+    /// otherwise. `id` and `author` do not affect the outcome.
+    fn ingest(
+        &self,
+        id: &str,
+        author: &str,
+        lang: SourceLang,
+        source: &str,
+        db: &Database,
+    ) -> Ingested {
+        let slot = lang as usize;
+        if let Some(seen) = lock(&self.by_lang)[slot].get(source) {
+            return seen.clone();
+        }
+        let ingested = match compile_submission(id, author, lang, source, db) {
+            IngestEntry::Parsed(submission) => Ingested::Accepted {
+                fingerprint: ratest_ra::canonical::fingerprint(&submission.query),
+                query: Arc::new(submission.query),
+            },
+            IngestEntry::Rejected(r) => Ingested::Rejected(r.verdict),
+        };
+        #[cfg(test)]
+        self.compiled.fetch_add(1, Ordering::Relaxed);
+        let mut by_lang = lock(&self.by_lang);
+        if by_lang.iter().map(HashMap::len).sum::<usize>() < INGEST_MEMO_CAP {
+            by_lang[slot].insert(source.to_owned(), ingested.clone());
+        }
+        ingested
+    }
+
+    /// Number of sources remembered.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        lock(&self.by_lang).iter().map(HashMap::len).sum()
+    }
 }
 
 /// Warm references in LRU order: a clock-stamped map where eviction removes
@@ -411,25 +491,9 @@ pub fn serve_with<R: BufRead, W: Write + Send + 'static>(
     output: W,
     config: ServeConfig,
 ) -> io::Result<()> {
-    let out = Arc::new(Mutex::new(output));
-    let disconnected = Arc::new(AtomicBool::new(false));
-    let store = match config.cache.clone() {
-        Some(path) => {
-            let store = store::Store::open(path).map_err(store_io_error)?;
-            store.report_skipped();
-            Some(store)
-        }
-        None => None,
-    };
-    let mut daemon = Daemon {
-        config,
-        refs: RefLru::default(),
-        store,
-        inflight: Arc::new(Inflight::default()),
-        evictions: 0,
-        out: out.clone(),
-        disconnected: disconnected.clone(),
-    };
+    let mut daemon = Daemon::new(config, output)?;
+    let out = daemon.out.clone();
+    let disconnected = daemon.disconnected.clone();
 
     let banner = Json::obj(vec![
         ("event", Json::str("protocol")),
@@ -552,6 +616,28 @@ struct Daemon<W: Write + Send + 'static> {
 }
 
 impl<W: Write + Send + 'static> Daemon<W> {
+    /// A daemon with no warm reference, writing to `output`; opens the
+    /// configured store.
+    fn new(config: ServeConfig, output: W) -> io::Result<Daemon<W>> {
+        let store = match config.cache.clone() {
+            Some(path) => {
+                let store = store::Store::open(path).map_err(store_io_error)?;
+                store.report_skipped();
+                Some(store)
+            }
+            None => None,
+        };
+        Ok(Daemon {
+            config,
+            refs: RefLru::default(),
+            store,
+            inflight: Arc::new(Inflight::default()),
+            evictions: 0,
+            out: Arc::new(Mutex::new(output)),
+            disconnected: Arc::new(AtomicBool::new(false)),
+        })
+    }
+
     fn dispatch(&mut self, line: &str) -> Flow {
         let request = match Json::parse(line) {
             Ok(json) => json,
@@ -795,8 +881,7 @@ impl<W: Write + Send + 'static> Daemon<W> {
                 .filter(|e| e.context == context.key());
             grader.preload_cache(stored.cloned()) as i64
         });
-        let probe = ExplainRequest::new("__warmup__", "__warmup__", reference.clone());
-        let fingerprint = probe.fingerprint();
+        let probe = ExplainRequest::new("__warmup__", "__warmup__", reference);
         if let Err(e) = grader.respond(context, &probe, EventHandle::none(), None) {
             return error_response(Some("prepare"), e.to_string());
         }
@@ -808,8 +893,9 @@ impl<W: Write + Send + 'static> Daemon<W> {
             db,
             grader,
             context,
-            fingerprint,
+            fingerprint: probe.fingerprint(),
             baseline,
+            ingested: IngestMemo::default(),
         });
 
         let mut displaced: Vec<Arc<RefState>> = Vec::new();
@@ -1022,8 +1108,8 @@ fn cmd_grade<W: Write + Send + 'static>(
         ("id", Json::str(id)),
         ("author", Json::str(&author)),
     ];
-    match compile_submission(id, &author, lang, source, &state.db) {
-        IngestEntry::Rejected(r) => {
+    match state.ingested.ingest(id, &author, lang, source, &state.db) {
+        Ingested::Rejected(verdict) => {
             // A frontend rejection is a verdict, not a protocol error.
             pairs.push(("fingerprint", Json::str(format!("{:016x}", 0))));
             pairs.push(("verdict", Json::str("rejected")));
@@ -1033,7 +1119,7 @@ fn cmd_grade<W: Write + Send + 'static>(
                 phase,
                 kind,
                 span,
-            } = &r.verdict
+            } = &verdict
             {
                 pairs.push(("message", Json::str(message)));
                 pairs.push(("phase", Json::str(phase)));
@@ -1047,7 +1133,7 @@ fn cmd_grade<W: Write + Send + 'static>(
             }
             Json::obj(pairs)
         }
-        IngestEntry::Parsed(submission) => {
+        Ingested::Accepted { query, fingerprint } => {
             // A per-request sink (not a shared gate): a stale thread from an
             // earlier timed-out job keeps its own retired sink and can never
             // emit under this request's id.
@@ -1059,7 +1145,7 @@ fn cmd_grade<W: Write + Send + 'static>(
             let repair_options = want_repair.then(ratest_repair::RepairOptions::default);
             let outcome = state.grader.respond(
                 state.context,
-                &ExplainRequest::new(submission.id.clone(), author.clone(), submission.query),
+                &ExplainRequest::with_fingerprint(id, author.clone(), query, fingerprint),
                 events,
                 repair_options.as_ref(),
             );
@@ -1097,13 +1183,7 @@ fn cmd_grade<W: Write + Send + 'static>(
                         ));
                     }
                     if want_repair {
-                        let rendered: Vec<Json> = suggestions
-                            .iter()
-                            .map(|s| {
-                                Json::parse(&s.to_json()).expect("suggestions render valid JSON")
-                            })
-                            .collect();
-                        pairs.push(("suggestions", Json::Arr(rendered)));
+                        pairs.push(("suggestions", suggestions_json(suggestions)));
                     }
                 }
                 Verdict::Error { message } => {
@@ -1326,6 +1406,151 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap()
             .contains("--cache"));
+    }
+
+    /// A sequential daemon driven one request at a time.
+    fn daemon(warm_cap: Option<usize>) -> Daemon<SharedBuf> {
+        let config = ServeConfig {
+            warm_cap,
+            ..ServeConfig::default()
+        };
+        Daemon::new(config, SharedBuf::default()).unwrap()
+    }
+
+    /// The daemon's answer to one request line.
+    fn ask(daemon: &mut Daemon<SharedBuf>, line: &str) -> Json {
+        match daemon.dispatch(line) {
+            Flow::Respond(json) | Flow::Shutdown(json) => json,
+            Flow::Spawned => panic!("a sequential daemon answers in place"),
+        }
+    }
+
+    fn grade_line(ref_id: &str, id: &str, lang: &str, source: &str) -> String {
+        Json::obj(vec![
+            ("cmd", Json::str("grade")),
+            ("ref", Json::str(ref_id)),
+            ("id", Json::str(id)),
+            ("author", Json::str("ann")),
+            ("lang", Json::str(lang)),
+            ("source", Json::str(source)),
+        ])
+        .render()
+    }
+
+    /// `(remembered, compiled)`: sources in the reference's ingestion memo,
+    /// and sources it compiled.
+    fn ingestion(daemon: &Daemon<SharedBuf>, ref_id: &str) -> (usize, usize) {
+        let memo = &daemon.refs.map[ref_id].0.ingested;
+        (memo.len(), memo.compiled.load(Ordering::Relaxed))
+    }
+
+    /// A response with its `id` (and, when asked, `from_cache`) left out.
+    fn except(response: &Json, keys: &[&str]) -> Json {
+        let Json::Obj(pairs) = response else {
+            panic!("a response is an object: {response:?}")
+        };
+        Json::Obj(
+            pairs
+                .iter()
+                .filter(|(k, _)| !keys.contains(&k.as_str()))
+                .cloned()
+                .collect(),
+        )
+    }
+
+    const PREPARE_Q3: &str = r#"{"cmd":"prepare","ref":"q3","question":3,"db_tuples":24,"seed":7}"#;
+    const WRONG_Q3: &str = "project[s.name, s.major](join[s.name = r.name](rename[s](Student), rename[r](Registration)))";
+
+    #[test]
+    fn a_resubmitted_source_is_compiled_once_and_answered_alike() {
+        let mut d = daemon(None);
+        ask(&mut d, PREPARE_Q3);
+        let first = ask(&mut d, &grade_line("q3", "s1.ra", "ra", WRONG_Q3));
+        let second = ask(&mut d, &grade_line("q3", "s2.ra", "ra", WRONG_Q3));
+        let third = ask(&mut d, &grade_line("q3", "s3.ra", "ra", WRONG_Q3));
+        assert_eq!(first.get("verdict").and_then(Json::as_str), Some("wrong"));
+        assert_eq!(second.get("id").and_then(Json::as_str), Some("s2.ra"));
+        // The first answer searched; the verdict cache answers the rest.
+        assert_eq!(
+            except(&first, &["id", "from_cache"]),
+            except(&second, &["id", "from_cache"])
+        );
+        assert_eq!(except(&second, &["id"]), except(&third, &["id"]));
+        assert_eq!(ingestion(&d, "q3"), (1, 1));
+    }
+
+    #[test]
+    fn a_resubmitted_rejection_is_the_same_rejection() {
+        let mut d = daemon(None);
+        ask(
+            &mut d,
+            r#"{"cmd":"prepare","ref":"q1","question":1,"db_tuples":24,"seed":7,"params":{"minCS":1}}"#,
+        );
+        let source = "SELECT nme FROM Student";
+        let first = ask(&mut d, &grade_line("q1", "bad.sql", "sql", source));
+        let again = ask(&mut d, &grade_line("q1", "bad-again.sql", "sql", source));
+        assert_eq!(
+            first.get("verdict").and_then(Json::as_str),
+            Some("rejected")
+        );
+        assert!(first.get("message").is_some() && first.get("span").is_some());
+        assert_eq!(except(&first, &["id"]), except(&again, &["id"]));
+        // The same text in the other language is another source.
+        let as_ra = ask(&mut d, &grade_line("q1", "bad.ra", "ra", source));
+        assert_eq!(as_ra.get("phase").and_then(Json::as_str), Some("parse"));
+        assert_eq!(ingestion(&d, "q1"), (2, 2));
+    }
+
+    #[test]
+    fn an_evicted_reference_prepared_again_compiles_its_sources_again() {
+        let mut d = daemon(Some(1));
+        ask(&mut d, PREPARE_Q3);
+        let first = ask(&mut d, &grade_line("q3", "s1.ra", "ra", WRONG_Q3));
+        ask(
+            &mut d,
+            r#"{"cmd":"prepare","ref":"q1","question":1,"db_tuples":24,"seed":7,"params":{"minCS":1}}"#,
+        );
+        assert!(!d.refs.map.contains_key("q3"), "q1 evicted q3");
+        ask(&mut d, PREPARE_Q3);
+        assert_eq!(ingestion(&d, "q3"), (0, 0));
+        let again = ask(&mut d, &grade_line("q3", "s2.ra", "ra", WRONG_Q3));
+        assert_eq!(ingestion(&d, "q3"), (1, 1));
+        // No store: the fresh reference searches again, as at first.
+        assert_eq!(except(&first, &["id"]), except(&again, &["id"]));
+    }
+
+    #[test]
+    fn past_the_cap_new_sources_grade_alike_and_the_memo_stops_growing() {
+        let mut d = daemon(None);
+        ask(&mut d, PREPARE_Q3);
+        let reference = ratest_ra::display::to_surface_string(
+            &course_questions()
+                .into_iter()
+                .find(|q| q.number == 3)
+                .unwrap()
+                .reference,
+        );
+        // Distinct texts of one query: each is a new source.
+        let padded = |i: usize| format!("{reference}{}", " ".repeat(i));
+        let past = INGEST_MEMO_CAP + 3;
+        for i in 0..past {
+            let graded = ask(
+                &mut d,
+                &grade_line("q3", &format!("s{i}"), "ra", &padded(i)),
+            );
+            assert_eq!(
+                graded.get("verdict").and_then(Json::as_str),
+                Some("correct")
+            );
+        }
+        assert_eq!(ingestion(&d, "q3"), (INGEST_MEMO_CAP, past));
+        // A remembered source stays remembered; one past the cap is
+        // compiled each time it comes.
+        ask(&mut d, &grade_line("q3", "early", "ra", &padded(0)));
+        assert_eq!(ingestion(&d, "q3"), (INGEST_MEMO_CAP, past));
+        let late = ask(&mut d, &grade_line("q3", "late", "ra", &padded(past - 1)));
+        assert_eq!(late.get("verdict").and_then(Json::as_str), Some("correct"));
+        assert_eq!(ingestion(&d, "q3"), (INGEST_MEMO_CAP, past + 1));
     }
 
     /// A writer that fails with `BrokenPipe` after a byte budget — a client

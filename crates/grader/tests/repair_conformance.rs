@@ -246,19 +246,11 @@ fn suggestions_survive_a_cache_round_trip_byte_identically() {
     assert!(loaded.skipped.is_empty(), "no records were skipped");
     assert_eq!(loaded.entries.len(), entries.len());
     for (original, decoded) in entries.iter().zip(&loaded.entries) {
-        let originals: Vec<String> = original
-            .verdict
-            .suggestions()
-            .iter()
-            .map(RepairSuggestion::to_json)
-            .collect();
-        let decodeds: Vec<String> = decoded
-            .verdict
-            .suggestions()
-            .iter()
-            .map(RepairSuggestion::to_json)
-            .collect();
-        assert_eq!(originals, decodeds, "suggestions survive byte-identically");
+        assert_eq!(
+            original.verdict.suggestions(),
+            decoded.verdict.suggestions(),
+            "suggestions survive field for field"
+        );
     }
 
     // Canonical encoding: re-writing the decoded entries reproduces the
@@ -288,7 +280,7 @@ fn suggestions_survive_the_serve_wire_round_trip_byte_identically() {
         .reference;
     // Pick a sampled mutation the 24-tuple instance distinguishes and whose
     // repair succeeds, so the wire comparison is non-vacuous.
-    let (wrong, expected): (Query, Vec<String>) = sample_mutations(&q3, 8, SAMPLE_SEED)
+    let (wrong, expected): (Query, Vec<Json>) = sample_mutations(&q3, 8, SAMPLE_SEED)
         .into_iter()
         .find_map(|m| {
             let session = Session::builder(db.clone()).build();
@@ -305,10 +297,7 @@ fn suggestions_survive_the_serve_wire_round_trip_byte_identically() {
             if suggestions.is_empty() {
                 return None;
             }
-            Some((
-                m.query,
-                suggestions.iter().map(RepairSuggestion::to_json).collect(),
-            ))
+            Some((m.query, suggestions.iter().map(wire_fields).collect()))
         })
         .expect("some sampled q3 mutation is caught and repaired on 24 tuples");
 
@@ -351,9 +340,31 @@ fn suggestions_survive_the_serve_wire_round_trip_byte_identically() {
     let Some(Json::Arr(wire)) = grade_reply.get("suggestions") else {
         panic!("wrong verdict with repair:true carries a suggestions array");
     };
-    let wire: Vec<String> = wire.iter().map(Json::render).collect();
     assert_eq!(
-        wire, expected,
-        "wire suggestions match the direct engine byte-for-byte"
+        *wire, expected,
+        "wire suggestions match the direct engine field for field, in key order"
     );
+}
+
+/// A suggestion as the protocol spells it: every field, in wire order.
+fn wire_fields(s: &RepairSuggestion) -> Json {
+    Json::obj(vec![
+        ("kind", Json::str(ratest_repair::kind_tag(s.kind))),
+        ("description", Json::str(&s.description)),
+        (
+            "span",
+            Json::Arr(vec![Json::Int(s.span.0 as i64), Json::Int(s.span.1 as i64)]),
+        ),
+        ("before", Json::str(&s.before)),
+        ("after", Json::str(&s.after)),
+        ("repaired", Json::str(&s.repaired)),
+        ("fingerprint", Json::str(format!("{:016x}", s.fingerprint))),
+        (
+            "verified",
+            Json::str(match s.verified {
+                Verification::Fingerprint => "fingerprint",
+                Verification::SearchAgreement => "search",
+            }),
+        ),
+    ])
 }

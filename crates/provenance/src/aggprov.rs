@@ -147,7 +147,12 @@ struct GroupIndex {
     /// `variables[starts[g]..starts[g + 1]]`.
     starts: Vec<u32>,
     variables: Vec<TupleId>,
-    /// Every (variable, group) pair of the groups, ascending.
+    /// The (tuple, group) pairs a selected tuple looks its groups up by,
+    /// ascending. A group whose every member's provenance has a tuple
+    /// variable as a top-level conjunct is listed under that tuple only
+    /// (the one in the fewest groups): no member of it is live unless that
+    /// tuple is selected. Any other group is listed under each of its
+    /// variables.
     by_tuple: Vec<(TupleId, u32)>,
     /// Groups with a member whose provenance holds on the empty
     /// sub-instance, ascending. Only a negation allows that: the
@@ -176,10 +181,19 @@ impl GroupIndex {
             variables.extend_from_slice(&group_vars);
             starts.push(u32::try_from(variables.len()).expect("fewer than 2^32 group variables"));
         }
+        let mut groups_of: HashMap<TupleId, u32> = HashMap::new();
+        for &id in &variables {
+            *groups_of.entry(id).or_default() += 1;
+        }
         let mut by_tuple: Vec<(TupleId, u32)> = Vec::with_capacity(variables.len());
-        for (gi, window) in starts.windows(2).enumerate() {
-            let vars = &variables[window[0] as usize..window[1] as usize];
-            by_tuple.extend(vars.iter().map(|&id| (id, gi as u32)));
+        for (gi, (g, window)) in groups.iter().zip(starts.windows(2)).enumerate() {
+            match required_tuple(g, &groups_of) {
+                Some(id) => by_tuple.push((id, gi as u32)),
+                None => {
+                    let vars = &variables[window[0] as usize..window[1] as usize];
+                    by_tuple.extend(vars.iter().map(|&id| (id, gi as u32)));
+                }
+            }
         }
         by_tuple.sort_unstable();
         let nothing = |_: TupleId| false;
@@ -201,6 +215,26 @@ impl GroupIndex {
     fn variables_of(&self, gi: usize) -> &[TupleId] {
         &self.variables[self.starts[gi] as usize..self.starts[gi + 1] as usize]
     }
+}
+
+/// A tuple every member of `group` needs: a variable that is a top-level
+/// conjunct of each member's provenance. Of several, the one in the fewest
+/// groups (`groups_of`), then the lowest id; `None` for a group without
+/// members.
+fn required_tuple(group: &GroupProvenance, groups_of: &HashMap<TupleId, u32>) -> Option<TupleId> {
+    let (first, rest) = group.members.split_first()?;
+    let positive =
+        |m: &GroupMember, id: TupleId| m.provenance.conjuncts().contains(&BoolExpr::Var(id));
+    first
+        .provenance
+        .conjuncts()
+        .iter()
+        .filter_map(|c| match c {
+            BoolExpr::Var(id) => Some(*id),
+            _ => None,
+        })
+        .filter(|&id| rest.iter().all(|m| positive(m, id)))
+        .min_by_key(|id| (groups_of[id], *id))
 }
 
 /// Rows of one query's groups, evaluated on a sub-instance into buffers a
@@ -294,9 +328,11 @@ impl AggregateProvenance {
 
     /// The groups that can yield a row on the sub-instance `selection`, in
     /// ascending order: those whose provenance mentions a selected tuple,
-    /// plus those live on the empty sub-instance. Any other group's member
+    /// plus those live on the empty sub-instance, less those whose every
+    /// member needs a tuple that is not selected. Any other group's member
     /// provenance evaluates as on the empty sub-instance, where none holds,
-    /// so the group is empty and yields nothing.
+    /// and a group whose required tuple is missing has no live member, so
+    /// the group is empty and yields nothing.
     pub fn groups_under(&self, selection: &TupleSelection) -> Vec<usize> {
         let mut out = Vec::new();
         self.groups_under_into(selection, &mut out);

@@ -4,9 +4,10 @@
 use ratest_core::pipeline::Algorithm;
 use ratest_core::session::{Budget, Session};
 use ratest_core::RatestError;
-use ratest_datagen::{university_database, UniversityConfig};
+use ratest_datagen::{tpch_database, university_database, TpchConfig, UniversityConfig};
 use ratest_queries::course::{q4_cs_and_econ, q6_common_course_pairs};
 use ratest_queries::mutations::{mutate, Mutation};
+use ratest_queries::tpch_queries::tpch_experiments;
 use ratest_telemetry::MetricsRegistry;
 use std::sync::Arc;
 
@@ -153,6 +154,34 @@ fn many_small_groups_work(total_tuples: usize) -> (u64, u64, u64) {
 
 /// Each theory check evaluates only the groups the model touches, so the
 /// work per check does not grow with the number of groups.
+/// On TPC-H Q18#1 every member of a group (an order's line items) needs
+/// the order tuple, so a theory check evaluates only the groups of the
+/// orders the model selects — in each of the two queries — and not every
+/// group that shares the order's customer.
+#[test]
+fn q18_theory_checks_evaluate_only_the_selected_orders_groups() {
+    let db = tpch_database(&TpchConfig {
+        scale_factor: 0.0003,
+        seed: 7,
+    });
+    let q18 = tpch_experiments()
+        .into_iter()
+        .find(|experiment| experiment.name == "Q18")
+        .expect("Q18 exists");
+    let registry = Arc::new(MetricsRegistry::new());
+    let session = Session::builder(db).metrics(registry.clone()).build();
+    let reference = session.prepare(&q18.reference).unwrap();
+    let outcome = session.explain(reference, &q18.wrong[1]).unwrap();
+    assert_eq!(outcome.algorithm_used, Algorithm::AggBasic);
+    let checks = registry.counter("agg.theory.checks");
+    let evaluated = registry.counter("agg.theory.groups_evaluated");
+    assert!(checks > 0);
+    assert!(
+        evaluated <= 2 * checks,
+        "{evaluated} groups for {checks} checks"
+    );
+}
+
 #[test]
 fn agg_param_many_small_groups() {
     let (small_groups, small_checks, small_evaluated) = many_small_groups_work(100);

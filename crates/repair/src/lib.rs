@@ -93,6 +93,15 @@ impl Verification {
             Verification::SearchAgreement => "search",
         }
     }
+
+    /// The name reports and the serve protocol show (`fingerprint`,
+    /// `search`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Verification::Fingerprint => "fingerprint",
+            Verification::SearchAgreement => "search",
+        }
+    }
 }
 
 /// One confirmed fix: "you probably meant this".
@@ -117,7 +126,9 @@ pub struct RepairSuggestion {
     pub verified: Verification,
 }
 
-fn kind_tag(kind: MutationKind) -> &'static str {
+/// The stable name of an error class (`drop_conjunct`, ...), as reports,
+/// the serve protocol and the verdict store write it.
+pub fn kind_tag(kind: MutationKind) -> &'static str {
     match kind {
         MutationKind::DropConjunct => "drop_conjunct",
         MutationKind::WrongConstant => "wrong_constant",
@@ -138,44 +149,6 @@ fn kind_from_tag(tag: &str) -> Option<MutationKind> {
         "drop_union_branch" => MutationKind::DropUnionBranch,
         _ => return None,
     })
-}
-
-impl RepairSuggestion {
-    /// Render as a deterministic JSON object (fixed field order, sorted
-    /// nothing — the order is part of the wire format).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"kind\":\"{}\",\"description\":\"{}\",\"span\":[{},{}],\"before\":\"{}\",\"after\":\"{}\",\"repaired\":\"{}\",\"fingerprint\":\"{:016x}\",\"verified\":\"{}\"}}",
-            kind_tag(self.kind),
-            json_escape(&self.description),
-            self.span.0,
-            self.span.1,
-            json_escape(&self.before),
-            json_escape(&self.after),
-            json_escape(&self.repaired),
-            self.fingerprint,
-            match self.verified {
-                Verification::Fingerprint => "fingerprint",
-                Verification::SearchAgreement => "search",
-            },
-        )
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Serialize a suggestion into a token stream (the verdict cache and wire
@@ -741,8 +714,6 @@ mod tests {
                         &sub_surface[s.span.1..]
                     );
                     assert_eq!(spliced, s.repaired);
-                    // And the JSON rendering is stable.
-                    assert_eq!(s.to_json(), decoded.to_json());
                 }
             }
         }
@@ -831,9 +802,6 @@ mod tests {
                 &RepairOptions::default(),
                 &MetricsHandle::none(),
             )
-            .iter()
-            .map(RepairSuggestion::to_json)
-            .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
