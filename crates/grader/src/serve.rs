@@ -1444,7 +1444,7 @@ mod tests {
         (memo.len(), memo.compiled.load(Ordering::Relaxed))
     }
 
-    /// A response with its `id` (and, when asked, `from_cache`) left out.
+    /// A response without the fields named in `keys`.
     fn except(response: &Json, keys: &[&str]) -> Json {
         let Json::Obj(pairs) = response else {
             panic!("a response is an object: {response:?}")
